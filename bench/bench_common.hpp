@@ -44,16 +44,15 @@ inline util::SimdIsa cpu_banner() {
   return active;
 }
 
-/// Append the two kernel-configuration fields every gate bench records in
-/// its JSON section: the dispatched ISA as its enum code (0=scalar 1=neon
-/// 2=avx2 3=avx512 — write_bench_json is numbers-only) and whether the run
-/// used the mixed-precision IPM. Wraps the field list so call sites stay
-/// brace-literal: write_bench_json(path, sec, with_kernel_fields({...}), f).
+/// Append the kernel-configuration field every gate bench records in its
+/// JSON section: the dispatched ISA as its enum code (0=scalar 1=neon
+/// 2=avx2 3=avx512 — write_bench_json is numbers-only). Wraps the field list
+/// so call sites stay brace-literal:
+/// write_bench_json(path, sec, with_kernel_fields({...}), f).
 inline std::vector<std::pair<std::string, double>> with_kernel_fields(
-    std::vector<std::pair<std::string, double>> fields, bool mixed_precision = false) {
+    std::vector<std::pair<std::string, double>> fields) {
   fields.emplace_back("simd_isa_code",
                       static_cast<double>(static_cast<int>(linalg::active_isa())));
-  fields.emplace_back("mixed_precision", mixed_precision ? 1.0 : 0.0);
   return fields;
 }
 

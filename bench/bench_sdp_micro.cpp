@@ -1,10 +1,7 @@
-// Micro-benchmarks of the SDP solver hot paths, with the PR 4 kernel gates:
+// Micro-benchmarks of the SDP solver hot paths:
 //
 //  * IPM scaling with block size / constraint count, and the value of the
 //    Mehrotra predictor-corrector (informational).
-//  * ADMM PSD-projection-dominated solve with the tridiagonal-QL production
-//    eigensolver vs the cyclic-Jacobi reference (AdmmOptions::use_jacobi_eig)
-//    — the eigensolver-swap speedup, gated.
 //  * IPM Schur assembly, fast sparse-panel upper-triangle path vs the
 //    pre-overhaul reference (IpmOptions::reference_schur) on a random SDP
 //    (informational here; the pump-vertex model gate lives in
@@ -13,14 +10,13 @@
 // Speedups are measured per iteration from the backends' per-phase timers
 // (sdp::Solution::phase), so they are self-relative on the current machine:
 // immune to absolute-speed noise between CI runners. Results are written to
-// BENCH_PR4.json (this bench truncates; bench_table2_timing appends) and a
-// regression beyond the noise slack exits nonzero, which is what CI keys on.
+// the sdp_micro section of BENCH_PR4.json, and a fast-vs-reference solve
+// mismatch exits nonzero, which is what CI keys on.
 #include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "linalg/matrix.hpp"
-#include "sdp/admm.hpp"
 #include "sdp/ipm.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -92,24 +88,6 @@ int main() {
                 without.iterations);
   }
 
-  // --- ADMM eigensolver swap: QL vs Jacobi on projection-dominated solves ---
-  // One large Gram-sized block: per-iteration cost is the block
-  // eigendecomposition, i.e. exactly what the tridiagonal-QL swap targets.
-  std::printf("\n=== ADMM PSD projection: tridiagonal-QL vs Jacobi reference ===\n");
-  const sdp::Problem big = random_sdp(120, 48, 17);
-  sdp::AdmmOptions aopt;
-  aopt.max_iterations = 80;  // timing window; convergence is not the point
-  const sdp::Solution ql = sdp::AdmmSolver(aopt).solve(big);
-  sdp::AdmmOptions jopt = aopt;
-  jopt.use_jacobi_eig = true;
-  const sdp::Solution jac = sdp::AdmmSolver(jopt).solve(big);
-  const double ql_eig = per_iter(ql.phase.eig, ql.iterations);
-  const double jac_eig = per_iter(jac.phase.eig, jac.iterations);
-  const double eig_speedup = jac_eig / std::max(1e-12, ql_eig);
-  std::printf("%-26s %12.4es/it (%d iters)\n", "QL projection", ql_eig, ql.iterations);
-  std::printf("%-26s %12.4es/it (%d iters)\n", "Jacobi projection", jac_eig, jac.iterations);
-  std::printf("%-26s %12.2fx\n", "eigensolver swap speedup", eig_speedup);
-
   // --- IPM Schur assembly: sparse panels vs reference -----------------------
   std::printf("\n=== IPM Schur assembly: fast vs reference (random SDP) ===\n");
   const sdp::Problem mid = random_sdp(40, 80, 19);
@@ -128,10 +106,7 @@ int main() {
 
   bench::write_bench_json("BENCH_PR4.json", "sdp_micro",
                           bench::with_kernel_fields(
-                              {{"admm_eig_per_iter_ql", ql_eig},
-                               {"admm_eig_per_iter_jacobi", jac_eig},
-                               {"admm_eig_speedup", eig_speedup},
-                               {"ipm_schur_per_iter_fast", fast_schur},
+                              {{"ipm_schur_per_iter_fast", fast_schur},
                                {"ipm_schur_per_iter_reference", ref_schur},
                                {"ipm_schur_speedup_random", schur_speedup},
                                {"worker_threads", static_cast<double>(worker_threads)}}),
@@ -142,69 +117,12 @@ int main() {
                           /*fresh=*/false);
   std::printf("\nwrote BENCH_PR4.json (sdp_micro)\n");
 
-  int failures = 0;
-
-  // --- PR 10: mixed-precision IPM, FP32 Schur factor + FP64 refinement -----
-  // Verdict parity is the gate; the factor-phase ratio is informational here
-  // (the m x m factor is only part of the iteration) — the kernel-level
-  // speedups are gated in bench_linalg_micro.
-  std::printf("\n=== IPM mixed precision: FP32 Schur factor + FP64 refinement ===\n");
-  {
-    const sdp::Problem mp = random_sdp(24, 160, 23);
-    const sdp::Solution fp64 = sdp::IpmSolver().solve(mp);
-    sdp::IpmOptions mp_opt;
-    mp_opt.mixed_precision = true;
-    const sdp::Solution fp32 = sdp::IpmSolver(mp_opt).solve(mp);
-    const double fp64_factor = per_iter(fp64.phase.factor, fp64.iterations);
-    const double fp32_factor = per_iter(fp32.phase.factor, fp32.iterations);
-    std::printf("%-26s %12.4es/it (%d iters)\n", "fp64 factor", fp64_factor,
-                fp64.iterations);
-    std::printf("%-26s %12.4es/it (%d iters, %d fp32 factors, %ld refinement steps,"
-                " max %d/solve, %d fallbacks)\n",
-                "fp32+refine factor", fp32_factor, fp32.iterations,
-                fp32.mixed.fp32_factorizations, fp32.mixed.refinement_steps,
-                fp32.mixed.max_refinement_steps, fp32.mixed.fp64_fallbacks);
-    if (fp32.status != fp64.status ||
-        std::fabs(fp32.primal_objective - fp64.primal_objective) >
-            1e-4 * (1.0 + std::fabs(fp64.primal_objective))) {
-      std::printf("FAIL: mixed-precision IPM diverged from FP64 (%s vs %s)\n",
-                  sdp::to_string(fp32.status).c_str(), sdp::to_string(fp64.status).c_str());
-      ++failures;
-    }
-    if (!fp32.mixed.enabled || fp32.mixed.fp32_factorizations == 0) {
-      std::printf("FAIL: mixed-precision solve never used the FP32 factor\n");
-      ++failures;
-    }
-    bench::write_bench_json(
-        "BENCH_PR10.json", "mixed_precision_ipm",
-        bench::with_kernel_fields(
-            {{"fp64_factor_per_iter", fp64_factor},
-             {"fp32_factor_per_iter", fp32_factor},
-             {"fp32_factorizations", static_cast<double>(fp32.mixed.fp32_factorizations)},
-             {"refinement_steps", static_cast<double>(fp32.mixed.refinement_steps)},
-             {"max_refinement_steps", static_cast<double>(fp32.mixed.max_refinement_steps)},
-             {"fp64_fallbacks", static_cast<double>(fp32.mixed.fp64_fallbacks)}},
-            /*mixed_precision=*/true),
-        /*fresh=*/false);
-    std::printf("wrote BENCH_PR10.json (mixed_precision_ipm)\n");
-  }
-  // Target is >= 2x (measured ~5x); the gate sits at 1.6x so shared-runner
-  // noise cannot trip CI while a real eigensolver regression still fails.
-  if (eig_speedup < 1.6) {
-    std::printf("FAIL: ADMM eigensolver swap speedup %.2fx < 1.6x\n", eig_speedup);
-    ++failures;
-  }
   // The solves must agree: same status, matching objectives.
-  if (ql.status != jac.status) {
-    std::printf("FAIL: QL vs Jacobi ADMM status diverged (%s vs %s)\n",
-                sdp::to_string(ql.status).c_str(), sdp::to_string(jac.status).c_str());
-    ++failures;
-  }
   if (fast.status != ref.status ||
       std::fabs(fast.primal_objective - ref.primal_objective) >
           1e-4 * (1.0 + std::fabs(ref.primal_objective))) {
     std::printf("FAIL: fast vs reference IPM solves diverged\n");
-    ++failures;
+    return 1;
   }
-  return failures == 0 ? 0 : 1;
+  return 0;
 }

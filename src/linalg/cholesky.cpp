@@ -166,75 +166,4 @@ bool is_positive_definite(const Matrix& a, double tol) {
   return try_factor(a, shift, l);
 }
 
-bool Cholesky32::factor(const Matrix& a, double shift) {
-  assert(a.rows() == a.cols());
-  const std::size_t n = a.rows();
-  const Kernels& kern = active_kernels();
-  n_ = n;
-  l_.assign(n * n, 0.0f);
-  // Downconvert once; magnitudes past FP32 range poison the factor, so any
-  // non-finite converted entry fails the factorization up front.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* ar = a.row_ptr(i);
-    float* lr = l_.data() + i * n;
-    for (std::size_t j = 0; j <= i; ++j) lr[j] = static_cast<float>(ar[j]);
-    lr[i] = static_cast<float>(ar[i] + shift);
-    for (std::size_t j = 0; j <= i; ++j) {
-      if (!std::isfinite(lr[j])) return false;
-    }
-  }
-  // Same blocked right-looking shape as the FP64 try_factor, on the FP32
-  // kernel set (twice the lanes per register).
-  for (std::size_t k0 = 0; k0 < n; k0 += kPanel) {
-    const std::size_t kb = std::min(kPanel, n - k0);
-    const std::size_t t0 = k0 + kb;
-    for (std::size_t j = k0; j < t0; ++j) {
-      float* lj = l_.data() + j * n;
-      const float d = kern.dot_sub_f32(lj[j], lj + k0, lj + k0, j - k0);
-      if (!(d > 0.0f) || !std::isfinite(d)) return false;
-      const float ljj = std::sqrt(d);
-      lj[j] = ljj;
-      const float inv = 1.0f / ljj;
-      for (std::size_t i = j + 1; i < t0; ++i) {
-        float* li = l_.data() + i * n;
-        li[j] = kern.dot_sub_f32(li[j], li + k0, lj + k0, j - k0) * inv;
-      }
-    }
-    for (std::size_t i = t0; i < n; ++i) {
-      float* li = l_.data() + i * n;
-      for (std::size_t j = k0; j < t0; ++j) {
-        const float* lj = l_.data() + j * n;
-        li[j] = kern.dot_sub_f32(li[j], li + k0, lj + k0, j - k0) / lj[j];
-      }
-    }
-    for (std::size_t i = t0; i < n; ++i) {
-      float* li = l_.data() + i * n;
-      for (std::size_t j = t0; j <= i; ++j) {
-        li[j] -= kern.dot_f32(li + k0, l_.data() + j * n + k0, kb);
-      }
-    }
-  }
-  return true;
-}
-
-Vector Cholesky32::solve(const Vector& b) const {
-  assert(b.size() == n_);
-  const Kernels& kern = active_kernels();
-  std::vector<float, AlignedAlloc<float>> y(n_);
-  for (std::size_t i = 0; i < n_; ++i) y[i] = static_cast<float>(b[i]);
-  // Forward then back substitution, both FP32.
-  for (std::size_t i = 0; i < n_; ++i) {
-    const float* li = l_.data() + i * n_;
-    y[i] = kern.dot_sub_f32(y[i], li, y.data(), i) / li[i];
-  }
-  for (std::size_t ii = n_; ii-- > 0;) {
-    float s = y[ii];
-    for (std::size_t k = ii + 1; k < n_; ++k) s -= l_[k * n_ + ii] * y[k];
-    y[ii] = s / l_[ii * n_ + ii];
-  }
-  Vector x(n_);
-  for (std::size_t i = 0; i < n_; ++i) x[i] = static_cast<double>(y[i]);
-  return x;
-}
-
 }  // namespace soslock::linalg

@@ -47,29 +47,4 @@ class Cholesky {
 /// (allowing diagonal shift `tol * max|diag|`)?
 bool is_positive_definite(const Matrix& a, double tol = 0.0);
 
-/// Single-precision Cholesky factor of an FP64 symmetric matrix — the
-/// mixed-precision IPM path: the Schur complement is downconverted and
-/// factored in FP32 (twice the SIMD lanes, half the factor memory) and the
-/// lost digits are recovered by FP64 iterative refinement against the FP64
-/// matrix. Unlike Cholesky::factor_shifted there is no retry ladder: an FP32
-/// breakdown is a signal to fall back to the FP64 factorization, not to
-/// shift harder.
-class Cholesky32 {
- public:
-  /// Downconvert `a` (+ shift on the diagonal) and factor. Returns false on
-  /// a non-positive (or non-finite) pivot; the factor is unusable then.
-  bool factor(const Matrix& a, double shift = 0.0);
-
-  /// Solve A x ~= b through the FP32 factor: b is rounded to FP32, both
-  /// triangular solves run in FP32, the result is widened to FP64. The
-  /// caller owns refinement.
-  Vector solve(const Vector& b) const;
-
-  std::size_t size() const { return n_; }
-
- private:
-  std::vector<float, AlignedAlloc<float>> l_;  // row-major n x n, lower
-  std::size_t n_ = 0;
-};
-
 }  // namespace soslock::linalg

@@ -173,21 +173,6 @@ void s_trsv_lower_t(std::size_t n, const double* l, std::size_t ldl, double* x) 
   }
 }
 
-float s_dot_f32(const float* a, const float* b, std::size_t n) {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-float s_dot_sub_f32(float s, const float* a, const float* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) s -= a[i] * b[i];
-  return s;
-}
-
-void s_axpy_f32(float f, const float* x, float* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += f * x[i];
-}
-
 Kernels make_scalar() {
   Kernels k;
   k.isa = util::SimdIsa::Scalar;
@@ -202,9 +187,6 @@ Kernels make_scalar() {
   k.chol_factor_panel = &s_chol_factor_panel;
   k.trsv_lower = &s_trsv_lower;
   k.trsv_lower_t = &s_trsv_lower_t;
-  k.dot_f32 = &s_dot_f32;
-  k.dot_sub_f32 = &s_dot_sub_f32;
-  k.axpy_f32 = &s_axpy_f32;
   return k;
 }
 

@@ -19,9 +19,9 @@
 //     path for the elementwise kernels (gemm_acc, syrk_sub_upper, axpy,
 //     sub_scaled2, split_recombine) — they differ only by FMA contraction,
 //     so parity there is a fused-multiply-add question, not a reduction-
-//     order question. The reduction kernels (dot, dot_sub, the triangular
-//     solves built on them, and the f32 variants) split sums across lanes
-//     and are parity-tested to ulp-scaled bounds instead.
+//     order question. The reduction kernels (dot, dot_sub and the
+//     triangular solves built on them) split sums across lanes and are
+//     parity-tested to ulp-scaled bounds instead.
 #include <cstddef>
 
 #include "util/cpu.hpp"
@@ -99,12 +99,6 @@ struct Kernels {
 
   /// In-place back substitution: solve L^T x = b, x = b on entry.
   void (*trsv_lower_t)(std::size_t n, const double* l, std::size_t ldl, double* x);
-
-  // --- FP32 variants (mixed-precision Schur factorization: twice the
-  // lanes; accuracy is recovered by FP64 iterative refinement in the IPM).
-  float (*dot_f32)(const float* a, const float* b, std::size_t n);
-  float (*dot_sub_f32)(float s, const float* a, const float* b, std::size_t n);
-  void (*axpy_f32)(float f, const float* x, float* y, std::size_t n);
 };
 
 /// The always-compiled scalar reference table.

@@ -32,29 +32,10 @@ struct VecAvx2D {
   }
 };
 
-struct VecAvx2S {
-  static constexpr std::size_t W = 8;
-  using elem = float;
-  using vec = __m256;
-  static vec zero() { return _mm256_setzero_ps(); }
-  static vec set1(float x) { return _mm256_set1_ps(x); }
-  static vec loadu(const float* p) { return _mm256_loadu_ps(p); }
-  static void storeu(float* p, vec v) { _mm256_storeu_ps(p, v); }
-  static vec add(vec a, vec b) { return _mm256_add_ps(a, b); }
-  static vec mul(vec a, vec b) { return _mm256_mul_ps(a, b); }
-  static vec fmadd(vec a, vec b, vec c) { return _mm256_fmadd_ps(a, b, c); }
-  static vec fnmadd(vec a, vec b, vec c) { return _mm256_fnmadd_ps(a, b, c); }
-  static float reduce_add(vec v) {
-    float t[8];
-    _mm256_storeu_ps(t, v);
-    return ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]));
-  }
-};
-
 }  // namespace
 
 const Kernels* kernels_avx2() {
-  static const Kernels k = simd_detail::make_table<VecAvx2D, VecAvx2S>(util::SimdIsa::Avx2);
+  static const Kernels k = simd_detail::make_table<VecAvx2D>(util::SimdIsa::Avx2);
   return &k;
 }
 

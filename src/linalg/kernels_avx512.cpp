@@ -32,32 +32,10 @@ struct VecAvx512D {
   }
 };
 
-struct VecAvx512S {
-  static constexpr std::size_t W = 16;
-  using elem = float;
-  using vec = __m512;
-  static vec zero() { return _mm512_setzero_ps(); }
-  static vec set1(float x) { return _mm512_set1_ps(x); }
-  static vec loadu(const float* p) { return _mm512_loadu_ps(p); }
-  static void storeu(float* p, vec v) { _mm512_storeu_ps(p, v); }
-  static vec add(vec a, vec b) { return _mm512_add_ps(a, b); }
-  static vec mul(vec a, vec b) { return _mm512_mul_ps(a, b); }
-  static vec fmadd(vec a, vec b, vec c) { return _mm512_fmadd_ps(a, b, c); }
-  static vec fnmadd(vec a, vec b, vec c) { return _mm512_fnmadd_ps(a, b, c); }
-  static float reduce_add(vec v) {
-    float t[16];
-    _mm512_storeu_ps(t, v);
-    float s = 0.0f;
-    for (int i = 0; i < 16; i += 4) s += ((t[i] + t[i + 1]) + (t[i + 2] + t[i + 3]));
-    return s;
-  }
-};
-
 }  // namespace
 
 const Kernels* kernels_avx512() {
-  static const Kernels k =
-      simd_detail::make_table<VecAvx512D, VecAvx512S>(util::SimdIsa::Avx512);
+  static const Kernels k = simd_detail::make_table<VecAvx512D>(util::SimdIsa::Avx512);
   return &k;
 }
 

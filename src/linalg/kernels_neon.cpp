@@ -29,25 +29,10 @@ struct VecNeonD {
   static double reduce_add(vec v) { return vaddvq_f64(v); }
 };
 
-struct VecNeonS {
-  static constexpr std::size_t W = 4;
-  using elem = float;
-  using vec = float32x4_t;
-  static vec zero() { return vdupq_n_f32(0.0f); }
-  static vec set1(float x) { return vdupq_n_f32(x); }
-  static vec loadu(const float* p) { return vld1q_f32(p); }
-  static void storeu(float* p, vec v) { vst1q_f32(p, v); }
-  static vec add(vec a, vec b) { return vaddq_f32(a, b); }
-  static vec mul(vec a, vec b) { return vmulq_f32(a, b); }
-  static vec fmadd(vec a, vec b, vec c) { return vfmaq_f32(c, a, b); }
-  static vec fnmadd(vec a, vec b, vec c) { return vfmsq_f32(c, a, b); }
-  static float reduce_add(vec v) { return vaddvq_f32(v); }
-};
-
 }  // namespace
 
 const Kernels* kernels_neon() {
-  static const Kernels k = simd_detail::make_table<VecNeonD, VecNeonS>(util::SimdIsa::Neon);
+  static const Kernels k = simd_detail::make_table<VecNeonD>(util::SimdIsa::Neon);
   return &k;
 }
 

@@ -1,13 +1,13 @@
 #pragma once
 // Generic SIMD kernel bodies shared by the per-ISA translation units
-// (kernels_avx2/avx512/neon.cpp). Each ISA supplies two vector traits — one
-// for double, one for float — and instantiates make_table<>; this header
+// (kernels_avx2/avx512/neon.cpp). Each ISA supplies a double-precision
+// vector trait and instantiates make_table<>; this header
 // never touches intrinsics itself, so it compiles in every TU regardless of
 // the enabled instruction set.
 //
 // A trait V provides:
 //   V::W            lane count (std::size_t)
-//   V::elem         element type (double or float)
+//   V::elem         element type (double)
 //   V::vec          the register type
 //   V::zero()                       all-zero register
 //   V::set1(e)                      broadcast
@@ -315,11 +315,10 @@ inline void vtrsv_lower(std::size_t n, const double* l, std::size_t ldl, double*
   }
 }
 
-/// Build the full table for one ISA from the double trait VD and the float
-/// trait VS. The strided back substitution stays on the scalar kernel (its
-/// column walk defeats contiguous vector loads and it is O(n^2) against the
-/// O(n^3) neighbours).
-template <class VD, class VS>
+/// Build the full table for one ISA from the double trait VD. The strided
+/// back substitution stays on the scalar kernel (its column walk defeats
+/// contiguous vector loads and it is O(n^2) against the O(n^3) neighbours).
+template <class VD>
 inline Kernels make_table(util::SimdIsa isa) {
   Kernels k;
   k.isa = isa;
@@ -334,9 +333,6 @@ inline Kernels make_table(util::SimdIsa isa) {
   k.chol_factor_panel = &vchol_factor_panel<VD>;
   k.trsv_lower = &vtrsv_lower<VD>;
   k.trsv_lower_t = scalar_kernels().trsv_lower_t;
-  k.dot_f32 = &vdot<VS>;
-  k.dot_sub_f32 = &vdot_sub<VS>;
-  k.axpy_f32 = &vaxpy<VS>;
   return k;
 }
 

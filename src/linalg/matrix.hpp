@@ -43,8 +43,7 @@ struct AlignedAlloc {
   }
 };
 
-/// Contiguous 64-byte-aligned double storage (Matrix backing store; also the
-/// FP32 Cholesky factor uses the float instantiation).
+/// Contiguous 64-byte-aligned double storage (Matrix backing store).
 using AlignedVector = std::vector<double, AlignedAlloc<double>>;
 
 class Matrix {

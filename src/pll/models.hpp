@@ -84,8 +84,8 @@ struct ClockTreeOptions {
   /// toward v_{i +- h} for h = 1..neighbor_hops with strength
   /// neighbor_coupling each. 0 keeps the pure star topology. With it on,
   /// the aggregate sparsity is a banded chain plus the rail hub, so the
-  /// chordal cliques grow to ~2*neighbor_hops+2 vertices — the knob the
-  /// async-ADMM bench uses to make per-clique eigenwork dominate.
+  /// chordal cliques grow to ~2*neighbor_hops+2 vertices, so per-clique
+  /// eigenwork dominates the decomposed solves.
   double neighbor_coupling = 0.0;
   std::size_t neighbor_hops = 1;
   /// Confine the crosstalk to disjoint clusters of this many consecutive
@@ -96,8 +96,8 @@ struct ClockTreeOptions {
   /// solvers: a chain's consecutive cliques share all but one vertex
   /// (separator size ~2*hops+1, overlap couplings quadratic in the clique
   /// size), while clusters share exactly the rail (one overlap entry per
-  /// clique-tree edge) — large per-clique eigenwork, near-constant
-  /// consensus cost, the regime where clique-parallel ADMM actually wins.
+  /// clique-tree edge) — large per-clique eigenwork at near-constant
+  /// consensus cost (the clock_tree benchmark workload).
   std::size_t cluster = 0;
 };
 
@@ -115,7 +115,7 @@ struct ClockTreeModel {
 /// third-order column of `params`). Flow rows are assembled from precomputed
 /// affine coefficient vectors (the shared-rail row in particular is built
 /// once, not re-merged per loop), so trees with K in the hundreds construct
-/// in milliseconds — the scale the async-ADMM bench and examples run at.
+/// in milliseconds — the scale the clock-tree benchmark and examples run at.
 ClockTreeModel make_clock_tree(const Params& params, const ClockTreeOptions& options = {});
 
 /// Closed-loop clock-tree state matrix A (x' = A x). Its off-diagonal
@@ -134,8 +134,7 @@ linalg::Matrix clock_tree_state_matrix(const LoopConstants& k,
 /// ClockTreeOptions::cluster set, the per-edge rows of each coupling family
 /// are coarsened into one aggregate observable row per cluster — same
 /// sparsity pattern and cliques, much smaller row space — so clique
-/// eigenwork can dominate the consensus-side normal solve (the async-ADMM
-/// bench regime).
+/// eigenwork can dominate the consensus-side normal solve.
 sdp::Problem clock_tree_coupling_sdp(const LoopConstants& k,
                                      const ClockTreeOptions& options);
 

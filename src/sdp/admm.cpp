@@ -4,12 +4,19 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
+#include <string>
+#include <vector>
 
+#include "linalg/cholesky.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/kernels.hpp"
-#include "sdp/admm_engine.hpp"
+#include "linalg/matrix.hpp"
+#include "sdp/elimination.hpp"
+#include "sdp/structure.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace soslock::sdp {
@@ -18,10 +25,17 @@ using linalg::Cholesky;
 using linalg::Matrix;
 using linalg::Vector;
 
-void admm_split_psd(const Matrix& u, double rho, bool use_jacobi, Matrix& splus_out,
-                    Matrix& xnew_out) {
+namespace {
+
+/// Eigensplit of U into S = U^+ and X = -rho U^- (both PSD, complementary up
+/// to eigensolver roundoff). The negative side — the side that becomes the
+/// primal X — is reconstructed as a GEMM on the scaled eigenvector panel,
+/// U^- = (Q sqrt(-lambda))(Q sqrt(-lambda))^T, so X keeps its
+/// Gram/certificate shape by construction; the slack side falls out of
+/// U^+ = U + U^-.
+void admm_split_psd(const Matrix& u, double rho, Matrix& splus_out, Matrix& xnew_out) {
   const std::size_t n = u.rows();
-  const linalg::EigenSym eig = use_jacobi ? linalg::eigen_sym_jacobi(u) : linalg::eigen_sym(u);
+  const linalg::EigenSym eig = linalg::eigen_sym(u);
   std::size_t nneg = 0;  // values ascending: negatives first
   while (nneg < n && eig.values[nneg] < 0.0) ++nneg;
   Matrix panel(n, nneg);
@@ -39,14 +53,111 @@ void admm_split_psd(const Matrix& u, double rho, bool use_jacobi, Matrix& splus_
   xnew_out = std::move(xnew);
 }
 
+/// One solve of the backend: normal-matrix setup, the y-update solve, the
+/// per-block eigensplit projection (fanned out on a fork-join pool), the
+/// w-update, the residual/gap evaluation, and the iteration control law
+/// (best-iterate tracking, stagnation/degenerate-drift classification,
+/// residual-balanced adaptive rho).
+class AdmmEngine {
+ public:
+  AdmmEngine(const Problem& p, const AdmmOptions& opt, SolveContext& ctx,
+             const ProblemStructure& structure);
+
+  /// Setup (normal factor, initial state), then the iteration loop.
+  Solution run();
+
+ private:
+  /// Factor the iteration-invariant normal matrix M = A A* + B B' (with the
+  /// overlap corner block-eliminated so the dense factor stays m x m).
+  void setup_normal();
+  /// Warm or cold initial (x_, s_, y_, w_) plus the invariant rhs0_.
+  void init_state();
+
+  /// y-update: M y = (b - A(X) - B w)/rho + A(C - S) + B f over the joint
+  /// (rows, consensus multipliers) space, through the cached factors.
+  linalg::Vector solve_y(const std::vector<linalg::Matrix>& x,
+                         const std::vector<linalg::Matrix>& s,
+                         const linalg::Vector& w, double rho) const;
+  /// (S, X)-update of one block: over-relaxed eigensplit projection given
+  /// the current y. Returns the block's scaled dual residual.
+  double project_block(std::size_t j, const linalg::Vector& y, double rho,
+                       linalg::Matrix& x_j, linalg::Matrix& s_j) const;
+  /// w-update (multiplier ascent on B'y = f, over-relaxed step); returns the
+  /// free-variable dual residual.
+  double update_w(const linalg::Vector& y, linalg::Vector& w, double rho) const;
+  /// max_i |b_i - A_i(X) - B_i w| over real and overlap rows (unscaled).
+  double primal_residual_inf(const std::vector<linalg::Matrix>& x,
+                             const linalg::Vector& w) const;
+  double primal_objective(const std::vector<linalg::Matrix>& x,
+                          const linalg::Vector& w) const;
+  double dual_objective(const linalg::Vector& y) const;
+  void fill(Solution& out, const std::vector<linalg::Matrix>& x,
+            const std::vector<linalg::Matrix>& s, const linalg::Vector& y,
+            const linalg::Vector& w, double pres, double dres, double gap,
+            int iter) const;
+
+  /// Post-residual control law of iteration `iter`: the divergence
+  /// watchdog, progress notification, best-iterate/merit tracking,
+  /// tolerance, cancellation, stagnation + degenerate-drift classification,
+  /// and the residual-balanced adaptive-rho update (mutates rho_). The
+  /// caller acts:
+  ///   Continue    — next iteration;
+  ///   Converged   — fill the result from the current iterate (Optimal);
+  ///   Interrupted — return `best` with Interrupted status;
+  ///   ReturnBest  — return `best` with MaxIterations status (plateau or
+  ///                 degenerate-drift lock);
+  ///   Diverged    — NaN/Inf entered the residuals or the iterate
+  ///                 (diverged_phase_ names where); return `best` as
+  ///                 Diverged.
+  enum class ControlAction { Continue, Converged, Interrupted, ReturnBest, Diverged };
+  ControlAction control_step(int iter, double pres, double dres, double gap,
+                             const std::vector<linalg::Matrix>& x,
+                             const std::vector<linalg::Matrix>& s,
+                             const linalg::Vector& y, const linalg::Vector& w,
+                             Solution& best, double& best_merit, int& stagnant);
+  /// Sum-scan finiteness check over a full iterate (NaN/Inf propagate
+  /// through addition, and the residual max-reductions silently drop NaNs,
+  /// so this is the check that actually catches a poisoned iterate).
+  static bool iterate_finite(const std::vector<linalg::Matrix>& x,
+                             const std::vector<linalg::Matrix>& s,
+                             const linalg::Vector& y, const linalg::Vector& w);
+
+  /// Row access across the extended index space (real rows, then overlaps).
+  const Row& row_at(std::size_t i) const {
+    return i < m_ ? p_.rows()[i] : *overlap_rows_[i - m_];
+  }
+  double rhs_at(std::size_t i) const { return i < m_ ? p_.rhs(i) : 0.0; }
+  static double sparse_dot(const SparseSym& a, const SparseSym& b);
+
+  const Problem& p_;
+  const AdmmOptions& opt_;
+  SolveContext& ctx_;
+  util::ThreadPool pool_;  // projection fan-out (opt_.threads)
+  PhaseTimes phase_;
+  std::vector<std::vector<BlockRowView>> views_;
+  std::vector<const Row*> overlap_rows_;  // native-cone couplings, rows [m, m+q)
+  std::optional<linalg::Cholesky> chol_m_;  // reduced Nyy - W^T W (m x m)
+  OverlapElimination elim_;                 // overlap-corner factors (q > 0 only)
+  std::vector<linalg::Matrix> x_, s_;
+  linalg::Vector y_, w_, rhs0_;
+  std::size_t m_ = 0, q_ = 0, mext_ = 0, nf_ = 0, nblocks_ = 0, total_dim_ = 0;
+  double data_norm_ = 1.0, c_norm_ = 1.0;
+  double rho_ = 1.0;
+  double alpha_ = 1.6;
+  int rho_interval_ = 50;
+  /// Phase the watchdog blamed for a ControlAction::Diverged ("gap",
+  /// "primal-residual", "iterate", ...); copied to Solution::faulted_phase.
+  std::string diverged_phase_;
+};
+
 AdmmEngine::AdmmEngine(const Problem& p, const AdmmOptions& opt, SolveContext& ctx,
-                       std::shared_ptr<const ProblemStructure> structure)
-    : p_(p), opt_(opt), ctx_(ctx), structure_(std::move(structure)), pool_(opt.threads) {
+                       const ProblemStructure& structure)
+    : p_(p), opt_(opt), ctx_(ctx), pool_(opt.threads) {
   m_ = p_.num_rows();
   nf_ = p_.num_free();
   nblocks_ = p_.num_blocks();
   total_dim_ = p_.total_psd_dim();
-  views_ = build_block_row_views(p_, *structure_);
+  views_ = build_block_row_views(p_, structure);
   // Native decomposed cones: overlap couplings join the dual update as
   // virtual rows [m, m+q) with consensus multipliers of their own. Their
   // (q x q) corner of the normal matrix is block-eliminated at setup, so
@@ -209,7 +320,7 @@ double AdmmEngine::project_block(std::size_t j, const Vector& y, double rho, Mat
   u.axpy(-1.0 / rho, x_j);
   u.symmetrize();
   Matrix splus, xnew;
-  admm_split_psd(u, rho, opt_.use_jacobi_eig, splus, xnew);
+  admm_split_psd(u, rho, splus, xnew);
   Matrix diff = xnew;
   diff -= x_j;
   const double dres = linalg::norm_inf(diff) / (rho * (1.0 + c_norm_));
@@ -246,17 +357,6 @@ double AdmmEngine::primal_residual_inf(const std::vector<Matrix>& x, const Vecto
     pres = std::max(pres, std::fabs(rhs_at(i) - ax));
   }
   return pres;
-}
-
-double AdmmEngine::overlap_residual_inf(const std::vector<Matrix>& x) const {
-  double res = 0.0;
-  for (std::size_t i = m_; i < mext_; ++i) {
-    const Row& row = row_at(i);
-    double ax = 0.0;
-    for (const auto& [j, a] : row.blocks) ax += a.dot(x[j]);
-    res = std::max(res, std::fabs(ax));
-  }
-  return res;
 }
 
 double AdmmEngine::sparse_dot(const SparseSym& a, const SparseSym& b) {
@@ -429,52 +529,12 @@ Solution AdmmEngine::run() {
   setup_normal();
   init_state();
 
-  Solution sol;
-  bool ran_async = false;
-  if (opt_.async) {
-    const SubtreePartition partition =
-        resolve_partition(opt_.workers == 0 ? util::ThreadPool::hardware_threads()
-                                            : opt_.workers);
-    std::vector<bool> used(partition.workers, false);
-    for (std::size_t j = 0; j < nblocks_; ++j) {
-      if (p_.block_size(j) > 0) used[partition.block_worker[j]] = true;
-    }
-    std::size_t live = 0;
-    for (const bool u : used) live += u ? 1 : 0;
-    if (live >= 2) {
-      sol = run_async(partition);
-      ran_async = true;
-    }
-  }
-  if (!ran_async) sol = run_sync();
-
-  sol.recoveries.insert(sol.recoveries.end(), recoveries_.begin(), recoveries_.end());
-  sol.phase = phase_;
-  // Dimension of the dense cached normal factor: overlap couplings are
-  // block-eliminated, so it is the row count with or without cones.
-  sol.schur_rows = m_;
-  return sol;
-}
-
-SubtreePartition AdmmEngine::resolve_partition(std::size_t workers) const {
-  if (structure_ != nullptr && structure_->partition_workers == workers &&
-      structure_->block_worker.size() == nblocks_) {
-    SubtreePartition part;
-    part.workers = structure_->partition_workers;
-    part.block_worker = structure_->block_worker;
-    part.detail = "cached on structure";
-    return part;
-  }
-  return partition_subtrees(p_, workers);
-}
-
-Solution AdmmEngine::run_sync() {
-  Solution out;
   double pres = 1.0, dres = 1.0, gap = 1.0;
   Solution best;
   double best_merit = std::numeric_limits<double>::infinity();
   int stagnant = 0;
   linalg::Vector dres_per_block(nblocks_, 0.0);
+  ControlAction action = ControlAction::Continue;
   int iter = 0;
   for (; iter < opt_.max_iterations; ++iter) {
     util::Timer phase_timer;
@@ -499,40 +559,53 @@ Solution AdmmEngine::run_sync() {
     gap = std::fabs(pobj - dobj) / (1.0 + std::fabs(pobj) + std::fabs(dobj));
     phase_.recover += phase_timer.seconds();
 
-    const ControlAction action =
+    action =
         control_step(iter, pres, dres, gap, x_, s_, y_, w_, best, best_merit, stagnant);
-    if (action == ControlAction::Converged) {
-      fill(out, x_, s_, y_, w_, pres, dres, gap, iter);
-      out.status = SolveStatus::Optimal;
-      return out;
-    }
-    if (action == ControlAction::Interrupted) {
-      best.status = SolveStatus::Interrupted;
-      return best;
-    }
-    if (action == ControlAction::ReturnBest) {
-      best.status = SolveStatus::MaxIterations;
-      return best;
-    }
-    if (action == ControlAction::Diverged) {
+    if (action != ControlAction::Continue) break;
+  }
+
+  Solution sol;
+  switch (action) {
+    case ControlAction::Converged:
+      fill(sol, x_, s_, y_, w_, pres, dres, gap, iter);
+      sol.status = SolveStatus::Optimal;
+      break;
+    case ControlAction::Interrupted:
+      sol = std::move(best);
+      sol.status = SolveStatus::Interrupted;
+      break;
+    case ControlAction::ReturnBest:
+      sol = std::move(best);
+      sol.status = SolveStatus::MaxIterations;
+      break;
+    case ControlAction::Diverged:
       if (best_merit == std::numeric_limits<double>::infinity())
         fill(best, x_, s_, y_, w_, pres, dres, gap, iter);
-      best.status = SolveStatus::Diverged;
-      best.faulted_phase = diverged_phase_;
-      return best;
-    }
+      sol = std::move(best);
+      sol.status = SolveStatus::Diverged;
+      sol.faulted_phase = diverged_phase_;
+      break;
+    case ControlAction::Continue:  // iteration budget exhausted
+      if (best_merit == std::numeric_limits<double>::infinity())
+        fill(best, x_, s_, y_, w_, pres, dres, gap, iter - 1);
+      sol = std::move(best);
+      sol.status = SolveStatus::MaxIterations;
+      break;
   }
-  if (best_merit == std::numeric_limits<double>::infinity())
-    fill(best, x_, s_, y_, w_, pres, dres, gap, iter - 1);
-  best.status = SolveStatus::MaxIterations;
-  return best;
+  sol.phase = phase_;
+  // Dimension of the dense cached normal factor: overlap couplings are
+  // block-eliminated, so it is the row count with or without cones.
+  sol.schur_rows = m_;
+  return sol;
 }
+
+}  // namespace
 
 Solution AdmmSolver::solve(const Problem& problem, SolveContext& context) const {
   // Row equilibration is the caller's job (SosProgram::solve applies it to
   // every compiled program); see IpmSolver::solve for the warm-start rationale.
   const util::Timer timer;
-  AdmmEngine engine(problem, options_, context, StructureCache::global().get(problem));
+  AdmmEngine engine(problem, options_, context, *StructureCache::global().get(problem));
   Solution sol = engine.run();
   sol.backend = name();
   sol.solve_seconds = timer.seconds();

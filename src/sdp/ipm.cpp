@@ -83,114 +83,6 @@ struct Residuals {
   double rp_rel = 0.0, rd_rel = 0.0, rf_rel = 0.0;
 };
 
-/// The factored (reduced) Schur system behind the KKT solves: a plain FP64
-/// Cholesky, or — under IpmOptions::mixed_precision — an FP32 factor whose
-/// solves are recovered to FP64 accuracy by iterative refinement against the
-/// retained FP64 matrix. When the FP32 factorization breaks down (genuinely,
-/// or via the sdp.ipm.fp32-factorization fault site) or refinement fails to
-/// contract within the step budget, the solve falls back to the FP64
-/// factorization for the remainder of this Ipm solve — recorded as a
-/// RecoveryRecord{action="fp32-fallback"} plus MixedPrecisionStats, never a
-/// less accurate answer.
-class SchurFactor {
- public:
-  SchurFactor(const IpmOptions& opt, MixedPrecisionStats& stats,
-              std::vector<RecoveryRecord>& recoveries, bool& fp32_disabled)
-      : opt_(opt), stats_(stats), recoveries_(recoveries), fp32_disabled_(fp32_disabled) {}
-
-  void factor(const Matrix& a, double initial_rel_shift) {
-    if (!opt_.mixed_precision || fp32_disabled_) {
-      chol_ = Cholesky::factor_shifted(a, initial_rel_shift);
-      use_fp32_ = false;
-      return;
-    }
-    mat_ = a;  // the FP64 operator the refinement residuals run against
-    mat_norm_ = linalg::norm_inf(mat_);
-    double scale = 0.0;
-    for (std::size_t i = 0; i < a.rows(); ++i) scale = std::max(scale, std::fabs(a(i, i)));
-    if (scale <= 0.0) scale = 1.0;
-    bool ok = false;
-    try {
-      SOSLOCK_FAULT_POINT(util::fault_site::kIpmFp32Factor);
-      ok = chol32_.factor(mat_, initial_rel_shift * scale);
-    } catch (const util::FaultInjectedError&) {
-      ok = false;
-    }
-    if (ok) {
-      use_fp32_ = true;
-      ++stats_.fp32_factorizations;
-    } else {
-      fall_back("fp32 Schur factorization failed");
-    }
-  }
-
-  Vector solve(const Vector& b) {
-    if (!use_fp32_) return chol_.solve(b);
-    Vector x = chol32_.solve(b);
-    const double target =
-        1e-13 * (mat_norm_ * linalg::norm_inf(x) + linalg::norm_inf(b) + 1.0);
-    double prev = std::numeric_limits<double>::infinity();
-    int steps = 0;
-    while (true) {
-      Vector r = b;
-      linalg::axpy(-1.0, mat_ * x, r);
-      const double rn = linalg::norm_inf(r);
-      if (rn <= target) break;
-      // Refinement with an FP32 factor contracts the residual geometrically
-      // while kappa(M) stays within single-precision reach; a step that
-      // stops halving it (or an exhausted budget) means the central path has
-      // outrun FP32 — switch to the FP64 factor for the rest of the solve.
-      if (steps >= opt_.max_refinement_steps || !(rn < 0.5 * prev)) {
-        fall_back("FP64 refinement stagnated");
-        return chol_.solve(b);
-      }
-      prev = rn;
-      linalg::axpy(1.0, chol32_.solve(r), x);
-      ++steps;
-      ++stats_.refinement_steps;
-    }
-    stats_.max_refinement_steps = std::max(stats_.max_refinement_steps, steps);
-    return x;
-  }
-
-  Matrix solve(const Matrix& b) {
-    if (!use_fp32_) return chol_.solve(b);
-    Matrix x(b.rows(), b.cols());
-    Vector col(b.rows());
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-      for (std::size_t i = 0; i < b.rows(); ++i) col[i] = b(i, j);
-      const Vector sol = solve(col);
-      for (std::size_t i = 0; i < b.rows(); ++i) x(i, j) = sol[i];
-    }
-    return x;
-  }
-
- private:
-  void fall_back(const char* reason) {
-    // Sticky for the remainder of this Ipm solve: once the iterate is too
-    // ill-conditioned for FP32, later iterations only get worse, and
-    // re-attempting would pay both factorizations every step.
-    fp32_disabled_ = true;
-    use_fp32_ = false;
-    ++stats_.fp64_fallbacks;
-    recoveries_.push_back(RecoveryRecord{"fp32-fallback", "ipm-fp32-schur",
-                                         "ipm-fp64-schur", reason,
-                                         stats_.fp64_fallbacks});
-    util::log_debug("ipm: mixed precision off for this solve (", reason, ")");
-    chol_ = Cholesky::factor_shifted(mat_, 1e-13);
-  }
-
-  const IpmOptions& opt_;
-  MixedPrecisionStats& stats_;
-  std::vector<RecoveryRecord>& recoveries_;
-  bool& fp32_disabled_;
-  Cholesky chol_;
-  linalg::Cholesky32 chol32_;
-  Matrix mat_;  // FP64 reduced Schur matrix; only kept on the FP32 path
-  double mat_norm_ = 0.0;
-  bool use_fp32_ = false;
-};
-
 class Ipm {
  public:
   Ipm(const Problem& p, const IpmOptions& opt, SolveContext& ctx,
@@ -249,12 +141,8 @@ class Ipm {
   }
 
   Solution run() {
-    mixed_.enabled = opt_.mixed_precision;
     Solution sol = run_inner();
     sol.phase = phase_;
-    sol.mixed = mixed_;
-    sol.recoveries.insert(sol.recoveries.end(), recoveries_.begin(),
-                          recoveries_.end());
     // The dense Schur factor never contains overlap couplings: m rows, with
     // or without decomposed cones. (Seam conversions pay for their overlap
     // rows here — that is the geometry this telemetry exists to compare.)
@@ -680,13 +568,10 @@ class Ipm {
     // congruence of the PD HKM operator with the linearly independent
     // overlap difference maps).
     phase_timer.reset();
-    SchurFactor chol_m(opt_, mixed_, recoveries_, fp32_disabled_);
     OverlapElimination elim;
-    if (q_ == 0) {
-      chol_m.factor(schur, 1e-13);
-    } else {
-      chol_m.factor(elim.reduce(schur, m_, q_, 1e-13), 1e-13);
-    }
+    const Cholesky chol_m =
+        q_ == 0 ? Cholesky::factor_shifted(schur, 1e-13)
+                : Cholesky::factor_shifted(elim.reduce(schur, m_, q_, 1e-13), 1e-13);
     phase_.factor += phase_timer.seconds();
 
     // Free-variable coupling B (m x nf), built once at solver setup.
@@ -919,12 +804,6 @@ class Ipm {
   util::ThreadPool pool_;
   std::vector<Matrix> panel_scratch_;  // per-worker Schur panel workspace
   PhaseTimes phase_;
-  /// Mixed-precision telemetry + fallback records accumulated across
-  /// iterations (each step() builds its SchurFactor on these), surfaced on
-  /// the Solution by run().
-  MixedPrecisionStats mixed_;
-  std::vector<RecoveryRecord> recoveries_;
-  bool fp32_disabled_ = false;  // sticky per-solve FP64 fallback latch
   std::size_t m_ = 0, q_ = 0, mext_ = 0, nf_ = 0, nblocks_ = 0, total_dim_ = 0;
   double data_norm_ = 1.0, c_norm_ = 1.0;
 };

@@ -13,6 +13,27 @@ namespace soslock::sdp {
 
 using linalg::Matrix;
 
+namespace {
+
+/// Seed the global pattern cache with the lowered structure, carrying the
+/// base fingerprint and the pass provenance, unless an equivalent entry is
+/// already cached (sweeps bound the cache; a colder shape may have evicted
+/// this one).
+void reseed_structure(const Lowering& lowering) {
+  const auto existing = StructureCache::global().find(lowering.lowered_fingerprint);
+  if (existing != nullptr && existing->base_fingerprint == lowering.base_fingerprint &&
+      existing->compatible_with(lowering.problem)) {
+    return;
+  }
+  auto structure = std::make_shared<ProblemStructure>(
+      build_structure(lowering.problem, lowering.lowered_fingerprint));
+  structure->base_fingerprint = lowering.base_fingerprint;
+  structure->provenance = lowering.passes;
+  StructureCache::global().put(std::move(structure));
+}
+
+}  // namespace
+
 Lowering lower(Problem problem, const LoweringOptions& options) {
   Lowering out;
   const util::Timer total_timer;
@@ -70,21 +91,6 @@ Lowering lower(Problem problem, const LoweringOptions& options) {
   }
   if (!convert) out.lowered_fingerprint = out.base_fingerprint;
 
-  // --- partition (opt-in): subtree -> worker assignment for the async
-  // clique-parallel ADMM driver. Reads the lowered block/cone layout and
-  // writes no problem state, so the fingerprint is unchanged.
-  if (options.partition_workers > 0) {
-    pass_timer.reset();
-    out.partition = partition_subtrees(problem, options.partition_workers);
-    PassRecord rec;
-    rec.name = "partition";
-    rec.fingerprint = out.lowered_fingerprint;
-    rec.detail = out.partition.detail;
-    rec.seconds = pass_timer.seconds();
-    out.passes.push_back(std::move(rec));
-    SOSLOCK_VERIFY_PASS(problem, out.lowered_fingerprint, "partition");
-  }
-
   // --- equilibrate: row scaling (structure-preserving).
   pass_timer.reset();
   out.scaling = equilibrate_rows(problem);
@@ -109,21 +115,7 @@ Lowering lower(Problem problem, const LoweringOptions& options) {
   // lookup returns this annotated instance. Repeated structurally identical
   // solves (the warm-start retry ladders) find their previous entry and
   // skip the rebuild + reseed entirely.
-  const auto existing = StructureCache::global().find(out.lowered_fingerprint);
-  const bool reusable =
-      existing != nullptr && existing->base_fingerprint == out.base_fingerprint &&
-      existing->compatible_with(out.problem) &&
-      (out.partition.empty() || (existing->partition_workers == out.partition.workers &&
-                                 existing->block_worker == out.partition.block_worker));
-  if (!reusable) {
-    auto structure = std::make_shared<ProblemStructure>(
-        build_structure(out.problem, out.lowered_fingerprint));
-    structure->base_fingerprint = out.base_fingerprint;
-    structure->provenance = out.passes;
-    structure->block_worker = out.partition.block_worker;
-    structure->partition_workers = out.partition.workers;
-    StructureCache::global().put(std::move(structure));
-  }
+  reseed_structure(out);
   return out;
 }
 
@@ -262,34 +254,13 @@ namespace {
 
 constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
 
-/// Reseed the global pattern cache when the lowered structure fell out of it
-/// (sweeps bound the cache; a colder shape may have evicted this one).
-void reseed_structure(const Lowering& lowering) {
-  const auto existing = StructureCache::global().find(lowering.lowered_fingerprint);
-  if (existing != nullptr && existing->base_fingerprint == lowering.base_fingerprint &&
-      existing->compatible_with(lowering.problem) &&
-      (lowering.partition.empty() ||
-       (existing->partition_workers == lowering.partition.workers &&
-        existing->block_worker == lowering.partition.block_worker))) {
-    return;
-  }
-  auto structure = std::make_shared<ProblemStructure>(
-      build_structure(lowering.problem, lowering.lowered_fingerprint));
-  structure->base_fingerprint = lowering.base_fingerprint;
-  structure->provenance = lowering.passes;
-  structure->block_worker = lowering.partition.block_worker;
-  structure->partition_workers = lowering.partition.workers;
-  StructureCache::global().put(std::move(structure));
-}
-
 }  // namespace
 
 bool LoweringCache::options_match(const LoweringOptions& options) const {
   return options.sparsity == options_.sparsity &&
          options.chordal.min_block_size == options_.chordal.min_block_size &&
          options.chordal.max_clique_fraction == options_.chordal.max_clique_fraction &&
-         options.chordal.at_seam == options_.chordal.at_seam &&
-         options.partition_workers == options_.partition_workers;
+         options.chordal.at_seam == options_.chordal.at_seam;
 }
 
 const Lowering& LoweringCache::lower(Problem problem, const LoweringOptions& options) {

@@ -15,10 +15,6 @@
 //                 sdp::DecomposedCone couplings (default) or appended as
 //                 equality rows (ChordalOptions::at_seam, the PR 3 parity
 //                 reference).
-//   partition   — subtree partition for the async clique-parallel ADMM
-//                 driver (sdp/partition): blocks -> worker ids, balanced by
-//                 estimated projection flops. Opt-in via
-//                 LoweringOptions::partition_workers; structure-preserving.
 //   equilibrate — row equilibration (sdp/scaling).
 //
 // Warm-start blobs live in the *base* (pre-lowering) space: a blob exported
@@ -41,7 +37,6 @@
 
 #include "sdp/chordal.hpp"
 #include "sdp/options.hpp"
-#include "sdp/partition.hpp"
 #include "sdp/problem.hpp"
 #include "sdp/scaling.hpp"
 #include "sdp/solver.hpp"
@@ -52,12 +47,6 @@ namespace soslock::sdp {
 struct LoweringOptions {
   SparsityOptions sparsity = SparsityOptions::Off;
   ChordalOptions chordal;
-  /// > 0 runs the subtree-partition pass for the async clique-parallel ADMM
-  /// driver with exactly this worker count (resolve 0-means-hardware before
-  /// lowering; the partition is cached on the structure, so the count must
-  /// be concrete). 0 skips the pass — the async driver then partitions on
-  /// the fly per solve.
-  std::size_t partition_workers = 0;
 };
 
 /// Everything the pipeline produced for one compiled problem: the lowered
@@ -71,8 +60,6 @@ struct Lowering {
   /// Structure fingerprint of `problem` (what the backends' caches key on).
   std::uint64_t lowered_fingerprint = 0;
   ChordalMap map;   // identity when no block decomposed
-  /// Subtree partition (empty unless LoweringOptions::partition_workers > 0).
-  SubtreePartition partition;
   Scaling scaling;  // row equilibration applied to `problem`
   std::vector<PassRecord> passes;  // provenance, one record per pass run
   double convert_seconds = 0.0;    // summed pass wall time (PhaseTimes::convert)

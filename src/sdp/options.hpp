@@ -62,20 +62,6 @@ struct IpmOptions {
   /// solves) instead of the sparse upper-triangle panel assembly. Reference
   /// implementation for parity tests and the bench speedup gates.
   bool reference_schur = false;
-  /// Factor the (reduced) Schur complement in FP32 — twice the SIMD lanes,
-  /// half the factor memory — and recover the FP64 search direction by
-  /// iterative refinement against the FP64 matrix. Soundness is unaffected:
-  /// the direction is refined to FP64 residuals (and the SOS audit
-  /// re-verifies certificates regardless); when refinement stagnates or the
-  /// FP32 factorization breaks down, the iteration falls back to the FP64
-  /// factorization automatically and records the event on
-  /// Solution::mixed / Solution::recoveries. The resilience layer disables
-  /// this mode on jittered retries, so a persistent mixed-precision failure
-  /// escalates to a plain FP64 solve.
-  bool mixed_precision = false;
-  /// Refinement-step budget per refined solve before the solve is declared
-  /// stagnant and the iteration falls back to FP64.
-  int max_refinement_steps = 8;
   bool verbose = false;
 };
 
@@ -100,44 +86,7 @@ struct AdmmOptions {
   /// count; 1 = serial. Deterministic across thread counts (disjoint
   /// per-block writes, order-independent max-reduction).
   std::size_t threads = 1;
-  /// Project with the cyclic-Jacobi reference eigensolver instead of the
-  /// tridiagonal-QL production path. For parity tests and the bench
-  /// eigensolver-swap speedup gate. Honored by both the synchronous
-  /// projection fan-out and the per-clique async worker path (they share
-  /// admm_split_psd).
-  bool use_jacobi_eig = false;
-  /// Clique-parallel asynchronous driver: one resident worker per clique-tree
-  /// subtree runs the PSD projections on its own clock, exchanging separator
-  /// state with the consensus thread through bounded-staleness mailboxes
-  /// instead of a fork-join barrier per iteration. Requires a partition
-  /// (taken from the lowering's subtree-partition pass when present, computed
-  /// on the fly otherwise). Falls back to the synchronous loop when the
-  /// problem has fewer than two non-empty worker subtrees.
-  bool async = false;
-  /// Bounded staleness for the async driver: a worker may start projection
-  /// round r with any consensus y-version in [r - max_staleness, r], and the
-  /// consensus thread evaluates iteration t once every worker has finished
-  /// round t - max_staleness. 0 = lockstep schedule, which reproduces the
-  /// synchronous backend bit-identically at any worker count (the projections
-  /// are computed from exactly the same snapshots, just on resident threads).
-  int max_staleness = 0;
-  /// Async worker count; 0 = hardware count. Ignored by the sync driver.
-  std::size_t workers = 0;
   bool verbose = false;
-  /// In-solve resilience of the async driver: when a worker dies (exception,
-  /// injected thread death, or a stall past worker_stall_seconds) or the
-  /// watchdog classifies the gathered iterate as divergent, fall back to the
-  /// synchronous single-thread lockstep loop on the same lowered problem,
-  /// warm-started from the last consistent iterate, instead of failing the
-  /// solve. The fallback is recorded as a RecoveryRecord on the Solution.
-  bool sync_fallback = true;
-  /// Bound on the consensus thread's wait for worker progress, in seconds: a
-  /// worker that posts nothing for a full window is treated as dead — it may
-  /// have exited its body without posting a final mailbox version, in which
-  /// case the awaited round never arrives. 0 disables the bound (the pre-PR 9
-  /// unbounded wait). Generous by default; only a genuinely wedged solve
-  /// pays it.
-  double worker_stall_seconds = 30.0;
 };
 
 /// Declarative retry/fallback policy of the resilience layer

@@ -148,13 +148,12 @@ enum class SolveStatus {
 std::string to_string(SolveStatus status);
 
 /// One step the resilience layer (sdp/resilience) took to keep a solve
-/// alive: a same-backend retry with perturbed options, a fallback to the
-/// next backend in the policy chain, or the async ADMM driver's in-solve
-/// fallback to the synchronous lockstep loop. Recorded on
-/// Solution::recoveries in the order taken — the audit trail behind "this
-/// certificate survived a worker death".
+/// alive: a same-backend retry with perturbed options, or a fallback to the
+/// next backend in the policy chain. Recorded on Solution::recoveries in
+/// the order taken — the audit trail behind "this certificate survived a
+/// diverged solve".
 struct RecoveryRecord {
-  std::string action;  // "retry" | "fallback" | "sync-fallback" | "fp32-fallback"
+  std::string action;  // "retry" | "fallback"
   std::string from;    // failing backend/driver
   std::string to;      // backend/driver the recovery ran on
   std::string reason;  // typed cause, e.g. "Diverged(phase=primal-residual)"
@@ -197,25 +196,6 @@ struct PhaseTimes {
   }
 };
 
-/// Telemetry of the IPM's mixed-precision Schur path
-/// (IpmOptions::mixed_precision): the Schur complement is factored in FP32
-/// and the search direction is recovered by FP64 iterative refinement
-/// against the FP64 matrix. Zero-valued when the mode is off.
-struct MixedPrecisionStats {
-  bool enabled = false;
-  /// Successful FP32 Schur factorizations (at most one per iteration).
-  int fp32_factorizations = 0;
-  /// Iterations where the FP32 path was abandoned for the FP64
-  /// factorization — an FP32 pivot breakdown, an injected fault at the
-  /// fp32-factorization site, or refinement stagnation mid-iteration. Each
-  /// is also a RecoveryRecord{action="fp32-fallback"} on the Solution.
-  int fp64_fallbacks = 0;
-  /// FP64 refinement steps summed over every refined triangular solve.
-  long refinement_steps = 0;
-  /// Largest number of refinement steps any single solve needed.
-  int max_refinement_steps = 0;
-};
-
 struct Solution {
   SolveStatus status = SolveStatus::NumericalProblem;
   std::vector<linalg::Matrix> x;  // PSD blocks
@@ -243,25 +223,10 @@ struct Solution {
   /// multipliers, never rows of the factored system — while the seam
   /// conversion pays for its overlap rows here. 0 when not recorded.
   std::size_t schur_rows = 0;
-  /// Async clique-parallel ADMM telemetry (empty/zero for every other
-  /// driver). worker_iterations[w] counts projection rounds worker w
-  /// completed; max_staleness_seen is the largest scheduling lag observed on
-  /// either side of the mailboxes — a worker projecting with an old y, or
-  /// the consensus thread evaluating an old projection round — bounded by
-  /// AdmmOptions::max_staleness; consensus_rounds counts y-versions the
-  /// consensus thread published; consensus_residual is the max-norm overlap
-  /// (separator-consistency) residual of the returned iterate.
-  std::vector<int> worker_iterations;
-  int max_staleness_seen = 0;
-  long consensus_rounds = 0;
-  double consensus_residual = 0.0;
   /// Phase the watchdogs blamed for a Diverged/Faulted/NumericalProblem
   /// outcome ("factor", "primal-residual", "iterate", ...); empty when no
   /// failure was classified.
   std::string faulted_phase;
-  /// Mixed-precision Schur telemetry (IPM only; zero-valued when the mode
-  /// is off or the backend does not support it).
-  MixedPrecisionStats mixed;
   /// Recovery steps the resilience layer took to produce this solution,
   /// in order. Empty for a clean first-attempt solve.
   std::vector<RecoveryRecord> recoveries;

@@ -156,11 +156,6 @@ Solution resilient_solve(const Problem& problem, SolveContext& context,
     jittered.admm.rho = std::clamp(config.admm.rho * f, 1e-6, 1e6);
     jittered.ipm.warm_start_margin =
         std::clamp(config.ipm.warm_start_margin * f, 1e-6, 0.9);
-    // A solve that failed *with* the FP32 Schur factor retries in plain
-    // FP64: the in-solve fallback already covers transient stagnation, so a
-    // failure that reaches the resilience layer means mixed precision is the
-    // wrong tool for this problem.
-    jittered.ipm.mixed_precision = false;
     run_recovery("retry", primary, jittered);
   }
 

@@ -53,13 +53,6 @@ struct ProblemStructure {
   /// One record per lowering pass that produced this structure (empty when
   /// the problem reached the backend without lowering).
   std::vector<PassRecord> provenance;
-  /// Subtree partition computed by the lowering "partition" pass for the
-  /// async clique-parallel ADMM driver: block index -> worker id in
-  /// [0, partition_workers). Empty / 0 when the pass did not run; the driver
-  /// then partitions on the fly. Invariants checked by sdp::verify
-  /// ("partition-range", "partition-order").
-  std::vector<std::size_t> block_worker;
-  std::size_t partition_workers = 0;
 
   /// Cheap shape check against a problem about to consume this pattern: a
   /// 64-bit fingerprint collision would otherwise hand the backends row

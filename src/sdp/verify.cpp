@@ -41,10 +41,7 @@ int pass_rank(const std::string& name) {
   if (name == "decompose") return 1;
   if (name == "lower") return 2;
   if (name == "update") return 2;
-  if (name == "partition") return 3;  // opt-in; monotonicity only requires
-                                      // increase, so lower -> equilibrate
-                                      // chains without it remain valid
-  if (name == "equilibrate") return 4;
+  if (name == "equilibrate") return 3;
   return -1;  // unknown
 }
 
@@ -288,19 +285,18 @@ void check_cones(Checker& chk, const Problem& p) {
                  " free variable(s)");
       }
       if (row.blocks.empty()) chk.fail("overlap-empty", owhere, ": no coefficients");
-      // Separator-mailbox shape: each coupling ties exactly two clique
-      // copies (child, parent) with entry-aligned coefficients — the async
-      // consensus layer exchanges separator state through mailboxes shaped
-      // by these pairs, so a lopsided or many-sided row would misalign the
-      // exchange (and break the ±w difference semantics everywhere else).
+      // Pair shape: each coupling ties exactly two clique copies (child,
+      // parent) with entry-aligned coefficients. A lopsided or many-sided
+      // row breaks the ±w difference semantics the ADMM and IPM overlap
+      // multipliers are built on.
       if (!row.blocks.empty() && row.blocks.size() != 2) {
-        chk.fail("overlap-mailbox", owhere, ": couples ", row.blocks.size(),
+        chk.fail("overlap-pair", owhere, ": couples ", row.blocks.size(),
                  " block(s), expected exactly 2 (child, parent)");
       } else if (row.blocks.size() == 2) {
         const auto first = row.blocks.begin();
         const auto second = std::next(first);
         if (first->second.entries.size() != second->second.entries.size()) {
-          chk.fail("overlap-mailbox", owhere, ": sides carry ",
+          chk.fail("overlap-pair", owhere, ": sides carry ",
                    first->second.entries.size(), " vs ", second->second.entries.size(),
                    " entries (copies must pair 1:1)");
         }
@@ -337,45 +333,6 @@ void check_structure(Checker& chk, const Problem& p, const ProblemStructure& s) 
       chk.fail("structure-incidence", "block ", j, ": cached incidence lists ",
                s.rows_touching_block[j].size(), " row(s), recomputation finds ",
                fresh.rows_touching_block[j].size(), " (or different rows)");
-    }
-  }
-
-  // Subtree partition (the opt-in "partition" pass): every block must map to
-  // a worker in range, and along each cone's clique preorder the worker ids
-  // must be non-decreasing — each worker's share of a cone is one contiguous
-  // clique-tree segment, which is what bounds a worker's separator mailboxes
-  // to its preorder neighbors. An out-of-range id is an out-of-bounds worker
-  // dispatch; a non-monotone id scatters one subtree across workers.
-  if (s.partition_workers > 0 || !s.block_worker.empty()) {
-    if (s.partition_workers == 0 || s.block_worker.size() != p.num_blocks()) {
-      chk.fail("partition-range", "partition maps ", s.block_worker.size(),
-               " block(s) onto ", s.partition_workers, " worker(s), problem has ",
-               p.num_blocks(), " block(s)");
-    } else {
-      for (std::size_t j = 0; j < s.block_worker.size(); ++j) {
-        if (s.block_worker[j] >= s.partition_workers) {
-          chk.fail("partition-range", "block ", j, ": worker ", s.block_worker[j],
-                   " of ", s.partition_workers);
-        }
-      }
-      for (std::size_t ci = 0; ci < p.cones().size(); ++ci) {
-        const DecomposedCone& cone = p.cones()[ci];
-        std::size_t prev = 0;
-        bool first = true;
-        for (std::size_t k = 0; k < cone.cliques.size(); ++k) {
-          const std::size_t b = cone.cliques[k].block;
-          if (b >= s.block_worker.size()) continue;  // clique-block reports it
-          const std::size_t w = s.block_worker[b];
-          if (!first && w < prev) {
-            chk.fail("partition-order", "cone ", ci, " clique ", k, ": worker ", w,
-                     " precedes worker ", prev,
-                     " in the clique preorder (subtree segments must be contiguous)");
-            break;
-          }
-          prev = w;
-          first = false;
-        }
-      }
     }
   }
 

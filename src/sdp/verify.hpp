@@ -1,10 +1,9 @@
 #pragma once
 // Debug-mode structural verifier for the SOS→SDP lowering pipeline.
 //
-// Six passes now mutate or annotate a cached sdp::Problem (analyze →
-// decompose → lower → partition → equilibrate, plus LoweringCache's
-// coefficient-update fast path),
-// and every one of them assumes invariants the others established: triplet
+// Five passes mutate a cached sdp::Problem (analyze → decompose → lower →
+// equilibrate, plus LoweringCache's coefficient-update fast path), and
+// every one of them assumes invariants the others established: triplet
 // indices inside their block and upper-triangular-canonical, clique entry
 // maps consistent with their clique vertices, an acyclic RIP-ordered clique
 // tree, zero-rhs overlap couplings, symmetric finite objectives, a structure

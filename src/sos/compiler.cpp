@@ -9,7 +9,6 @@
 #include "sdp/lowering.hpp"
 #include "sos/program.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace soslock::sos {
 
@@ -142,18 +141,12 @@ SolveResult SosProgram::solve(const sdp::SolverBackend& backend, sdp::SolveConte
 void SosProgram::set_sparsity(const sdp::SolverConfig& config) {
   sparsity_ = config.sparsity;
   chordal_ = config.chordal;
-  partition_workers_ =
-      config.admm.async
-          ? (config.admm.workers != 0 ? config.admm.workers
-                                      : util::ThreadPool::hardware_threads())
-          : 0;
 }
 
 sdp::LoweringOptions SosProgram::lowering_options() const {
   sdp::LoweringOptions options;
   options.sparsity = sparsity_;
   options.chordal = chordal_;
-  options.partition_workers = partition_workers_;
   return options;
 }
 
@@ -281,19 +274,7 @@ void SolveStats::absorb(const SolveResult& result) {
   seconds += result.sdp.solve_seconds;
   max_cone = std::max(max_cone, result.sdp.max_cone);
   phase.merge(result.sdp.phase);
-  if (!result.sdp.worker_iterations.empty()) {
-    ++async_solves;
-    max_staleness_seen = std::max(max_staleness_seen, result.sdp.max_staleness_seen);
-    consensus_rounds += result.sdp.consensus_rounds;
-  }
   recoveries += static_cast<int>(result.sdp.recoveries.size());
-  if (result.sdp.mixed.enabled) {
-    ++mixed_precision_solves;
-    refinement_steps += result.sdp.mixed.refinement_steps;
-    max_refinement_steps =
-        std::max(max_refinement_steps, result.sdp.mixed.max_refinement_steps);
-    fp32_fallbacks += result.sdp.mixed.fp64_fallbacks;
-  }
 }
 
 void SolveStats::merge(const SolveStats& other) {
@@ -308,32 +289,15 @@ void SolveStats::merge(const SolveStats& other) {
   seconds += other.seconds;
   max_cone = std::max(max_cone, other.max_cone);
   phase.merge(other.phase);
-  async_solves += other.async_solves;
-  max_staleness_seen = std::max(max_staleness_seen, other.max_staleness_seen);
-  consensus_rounds += other.consensus_rounds;
   recoveries += other.recoveries;
-  mixed_precision_solves += other.mixed_precision_solves;
-  refinement_steps += other.refinement_steps;
-  max_refinement_steps = std::max(max_refinement_steps, other.max_refinement_steps);
-  fp32_fallbacks += other.fp32_fallbacks;
 }
 
 std::string SolveStats::str() const {
   if (solves == 0) return {};
   char buf[144];
-  int len = std::snprintf(buf, sizeof(buf), "backend=%s solves=%d iters=%d (%.2fs)",
-                          backend.empty() ? "?" : backend.c_str(), solves, iterations,
-                          seconds);
-  if (async_solves > 0 && len > 0 && static_cast<std::size_t>(len) < sizeof(buf)) {
-    len += std::snprintf(buf + len, sizeof(buf) - static_cast<std::size_t>(len),
-                         " async=%d(stale<=%d)", async_solves, max_staleness_seen);
-  }
-  if (mixed_precision_solves > 0 && len > 0 &&
-      static_cast<std::size_t>(len) < sizeof(buf)) {
-    len += std::snprintf(buf + len, sizeof(buf) - static_cast<std::size_t>(len),
-                         " fp32=%d(refine<=%d)", mixed_precision_solves,
-                         max_refinement_steps);
-  }
+  const int len = std::snprintf(buf, sizeof(buf), "backend=%s solves=%d iters=%d (%.2fs)",
+                                backend.empty() ? "?" : backend.c_str(), solves,
+                                iterations, seconds);
   if (recoveries > 0 && len > 0 && static_cast<std::size_t>(len) < sizeof(buf)) {
     std::snprintf(buf + len, sizeof(buf) - static_cast<std::size_t>(len),
                   " recoveries=%d", recoveries);

@@ -108,16 +108,8 @@ class SosProgram {
   /// Tuning for the Chordal conversion pass (block-size threshold etc).
   void set_chordal_options(const sdp::ChordalOptions& options) { chordal_ = options; }
   /// Convenience for the core certifiers: adopt the sparsity fields of the
-  /// shared solver config (call before adding SOS constraints). When the
-  /// config selects the async clique-parallel ADMM driver, this also
-  /// requests the lowering pipeline's subtree-partition pass for its worker
-  /// count, so the worker map is computed once, provenance-recorded and
-  /// cached with the structure instead of rebuilt by the driver per solve.
+  /// shared solver config (call before adding SOS constraints).
   void set_sparsity(const sdp::SolverConfig& config);
-  /// Directly request (workers >= 1) or drop (0, the default) the subtree-
-  /// partition pass of the lowering pipeline.
-  void set_partition_workers(std::size_t workers) { partition_workers_ = workers; }
-  std::size_t partition_workers() const { return partition_workers_; }
 
   // --- Solve ----------------------------------------------------------------
 
@@ -205,7 +197,6 @@ class SosProgram {
   double trace_reg_ = 0.0;
   sdp::SparsityOptions sparsity_ = sdp::SparsityOptions::Off;
   sdp::ChordalOptions chordal_;
-  std::size_t partition_workers_ = 0;  // 0 = no partition pass
   std::vector<SosConstraintRecord> sos_records_;
 };
 
@@ -265,25 +256,10 @@ struct SolveStats {
   /// phases total slightly below `seconds` (residuals/bookkeeping are
   /// untimed); convert/complete fall outside `seconds` entirely.
   sdp::PhaseTimes phase;
-  /// Async clique-parallel ADMM telemetry, aggregated over the solves that
-  /// ran that driver (all zero otherwise): how many did, the largest
-  /// mailbox staleness any of them observed, and their consensus rounds.
-  int async_solves = 0;
-  int max_staleness_seen = 0;
-  long consensus_rounds = 0;
-  /// Resilience telemetry: recovery steps (retries, backend fallbacks, async
-  /// sync-fallbacks) the solves behind this step needed. Zero on a healthy
-  /// run; nonzero flags that a verdict survived a solver failure.
+  /// Resilience telemetry: recovery steps (retries, backend fallbacks) the
+  /// solves behind this step needed. Zero on a healthy run; nonzero flags
+  /// that a verdict survived a solver failure.
   int recoveries = 0;
-  /// Mixed-precision IPM telemetry, aggregated over the solves that ran with
-  /// IpmOptions::mixed_precision (all zero otherwise): how many did, the
-  /// FP64 refinement steps their FP32-factored solves needed in total, the
-  /// worst single solve's step count, and how many solves hit the in-solve
-  /// FP64 fallback.
-  int mixed_precision_solves = 0;
-  long refinement_steps = 0;
-  int max_refinement_steps = 0;
-  int fp32_fallbacks = 0;
 
   void absorb(const SolveResult& result);
   void merge(const SolveStats& other);

@@ -101,10 +101,8 @@ bool FaultInjector::should_fire(const char* site) {
 }
 
 std::vector<std::string> FaultInjector::known_sites() {
-  return {fault_site::kIpmFactorization,  fault_site::kIpmFp32Factor,
-          fault_site::kIterateNan,        fault_site::kPoolWorkerDeath,
-          fault_site::kAdmmWorkerExit,    fault_site::kAdmmMailboxCorrupt,
-          fault_site::kLoweringPass,      fault_site::kCacheEvict};
+  return {fault_site::kIpmFactorization, fault_site::kIterateNan,
+          fault_site::kLoweringPass, fault_site::kCacheEvict};
 }
 
 }  // namespace soslock::util

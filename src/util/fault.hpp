@@ -10,8 +10,8 @@
 // known_sites() in fault.cpp and the README fault table), then drop a macro
 // at the point of failure. SOSLOCK_FAULT_POINT throws FaultInjectedError;
 // SOSLOCK_FAULT_HOOK runs a statement in the enclosing scope instead, for
-// faults that must corrupt local state (poison an iterate, kill a thread,
-// return early) rather than throw.
+// faults that must corrupt local state (poison an iterate, return early)
+// rather than throw.
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -22,11 +22,7 @@ namespace soslock::util {
 namespace fault_site {
 // Stable site ids. Keep in sync with known_sites() and the README table.
 inline constexpr const char* kIpmFactorization = "sdp.ipm.factorization";
-inline constexpr const char* kIpmFp32Factor = "sdp.ipm.fp32-factorization";
 inline constexpr const char* kIterateNan = "sdp.iterate-nan";
-inline constexpr const char* kPoolWorkerDeath = "util.pool.worker-death";
-inline constexpr const char* kAdmmWorkerExit = "sdp.admm.worker-silent-exit";
-inline constexpr const char* kAdmmMailboxCorrupt = "sdp.admm.mailbox-corrupt";
 inline constexpr const char* kLoweringPass = "sdp.lowering.pass";
 inline constexpr const char* kCacheEvict = "sdp.structure-cache.evict";
 }  // namespace fault_site

@@ -15,8 +15,6 @@
 // attributes attached; the CI clang job builds with -Wthread-safety -Werror,
 // so a member access outside its declared lock fails the build instead of
 // surfacing as a TSan race (or worse, a wrong certificate) later.
-#include <chrono>
-#include <condition_variable>
 #include <mutex>
 
 #if defined(__clang__)
@@ -64,47 +62,6 @@ class SOSLOCK_SCOPED_CAPABILITY MutexLock {
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
-
- private:
-  Mutex& mutex_;
-};
-
-/// Scoped lock over util::Mutex that can additionally sleep on a
-/// std::condition_variable_any (which accepts any BasicLockable, so no
-/// std::unique_lock shim is needed). As far as the analysis is concerned the
-/// capability is held for the object's whole lifetime; wait() releases and
-/// re-acquires the underlying mutex atomically inside the condition variable
-/// but is opaque to the analysis — the mutex is held again by the time it
-/// returns (also on exception; the cv re-locks before propagating), so call
-/// sites remain sound. Callers loop on their predicate with the lock held:
-///
-///   CondLock lock(mutex_);
-///   while (!ready_) lock.wait(cv_);
-class SOSLOCK_SCOPED_CAPABILITY CondLock {
- public:
-  explicit CondLock(Mutex& mutex) SOSLOCK_ACQUIRE(mutex) : mutex_(mutex) {
-    mutex_.lock();
-  }
-  ~CondLock() SOSLOCK_RELEASE() { mutex_.unlock(); }
-
-  CondLock(const CondLock&) = delete;
-  CondLock& operator=(const CondLock&) = delete;
-
-  /// Atomically release the mutex and block until notified; the mutex is
-  /// re-acquired before returning.
-  void wait(std::condition_variable_any& cv) SOSLOCK_NO_THREAD_SAFETY_ANALYSIS {
-    cv.wait(mutex_);
-  }
-
-  /// wait() with a timeout. Returns false when the wait timed out without a
-  /// notification; either way the mutex is held again and the caller must
-  /// re-check its predicate. The resilience layer uses this to bound waits
-  /// on worker progress that may never arrive (a dead or wedged worker).
-  bool wait_for(std::condition_variable_any& cv,
-                double seconds) SOSLOCK_NO_THREAD_SAFETY_ANALYSIS {
-    return cv.wait_for(mutex_, std::chrono::duration<double>(seconds)) ==
-           std::cv_status::no_timeout;
-  }
 
  private:
   Mutex& mutex_;

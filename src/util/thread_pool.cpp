@@ -1,12 +1,12 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <thread>
 #include <vector>
 
-#include "util/fault.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace soslock::util {
@@ -76,101 +76,6 @@ std::size_t ThreadPool::run_all_until_failure(
     }
   });
   return first_failed.load();
-}
-
-ResidentPool::ResidentPool(std::size_t count)
-    : count_(count == 0 ? ThreadPool::hardware_threads() : count) {
-  threads_.reserve(count_);
-  dead_.assign(count_, 0);
-  for (std::size_t id = 0; id < count_; ++id) {
-    threads_.emplace_back([this, id] { thread_main(id); });
-  }
-}
-
-ResidentPool::~ResidentPool() {
-  {
-    const MutexLock lock(mutex_);
-    shutdown_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void ResidentPool::start(std::function<void(std::size_t)> body) {
-  {
-    const MutexLock lock(mutex_);
-    // Self-healing: reap and respawn any thread that died in an earlier
-    // round, so a single thread death never shrinks the pool for the rest
-    // of the process. The dead thread has already exited thread_main, so
-    // the join below returns immediately; the replacement blocks on the
-    // mutex until this dispatch is published and then claims it.
-    for (std::size_t id = 0; id < count_; ++id) {
-      if (!dead_[id]) continue;
-      threads_[id].join();
-      dead_[id] = 0;
-      respawns_.fetch_add(1, std::memory_order_relaxed);
-      threads_[id] = std::thread([this, id] { thread_main(id); });
-    }
-    body_ = std::move(body);
-    ++generation_;
-    running_ = count_;
-    error_ = nullptr;
-  }
-  cv_.notify_all();
-}
-
-void ResidentPool::join() {
-  std::exception_ptr err;
-  {
-    CondLock lock(mutex_);
-    while (running_ != 0) lock.wait(cv_);
-    err = error_;
-    error_ = nullptr;
-  }
-  if (err) std::rethrow_exception(err);
-}
-
-void ResidentPool::abandon_round(std::size_t id) {
-  {
-    const MutexLock lock(mutex_);
-    dead_[id] = 1;
-    --running_;
-    if (!error_) error_ = std::make_exception_ptr(WorkerDeath(id));
-  }
-  cv_.notify_all();
-}
-
-void ResidentPool::thread_main(std::size_t id) {
-  // A respawned thread starts at seen = 0 with generation_ already high, so
-  // it immediately claims the round being dispatched — exactly the intent.
-  std::uint64_t seen = 0;
-  for (;;) {
-    std::function<void(std::size_t)> body;
-    {
-      CondLock lock(mutex_);
-      while (!shutdown_ && generation_ == seen) lock.wait(cv_);
-      if (shutdown_) return;
-      seen = generation_;
-      body = body_;
-    }
-    // Injected thread death: exit thread_main outright without running the
-    // body — the hard failure mode a worker crash would produce.
-    SOSLOCK_FAULT_HOOK(fault_site::kPoolWorkerDeath, {
-      abandon_round(id);
-      return;
-    });
-    try {
-      body(id);
-    } catch (...) {
-      const MutexLock lock(mutex_);
-      if (!error_) error_ = std::current_exception();
-    }
-    {
-      const MutexLock lock(mutex_);
-      --running_;
-    }
-    cv_.notify_all();
-  }
 }
 
 }  // namespace soslock::util

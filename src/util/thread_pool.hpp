@@ -16,36 +16,10 @@
 //  * Work is claimed via an atomic counter (dynamic load balancing); the
 //    first task exception is captured and rethrown on the calling thread
 //    after the join.
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
-#include <stdexcept>
-#include <string>
-#include <thread>
-#include <vector>
-
-#include "util/thread_annotations.hpp"
 
 namespace soslock::util {
-
-/// Typed error surfaced by ResidentPool::join() when a resident thread died
-/// (exited thread_main) instead of returning from its dispatched body — the
-/// caller gets a classifiable failure, never a hang on a round counter that
-/// will not reach zero. The pool respawns the thread on the next start().
-class WorkerDeath : public std::runtime_error {
- public:
-  explicit WorkerDeath(std::size_t worker)
-      : std::runtime_error("resident worker " + std::to_string(worker) +
-                           " died without completing its round"),
-        worker_(worker) {}
-  std::size_t worker() const { return worker_; }
-
- private:
-  std::size_t worker_;
-};
 
 class ThreadPool {
  public:
@@ -82,61 +56,6 @@ class ThreadPool {
 
  private:
   std::size_t threads_;
-};
-
-/// Persistent resident worker pool for long-lived cooperating loops — the
-/// asynchronous clique-parallel ADMM driver parks one clique-subtree worker
-/// on each thread for the whole solve. Unlike the fork-join ThreadPool above
-/// (which spawns and joins per call), the threads are created once in the
-/// constructor and re-dispatched across start()/join() rounds, so a solve
-/// with thousands of iterations pays the thread-spawn cost once instead of
-/// per iteration; the worker bodies coordinate among themselves (condition
-/// variables, mailboxes) rather than through a per-call barrier.
-class ResidentPool {
- public:
-  /// Spawns `count` resident threads immediately; 0 resolves to
-  /// ThreadPool::hardware_threads().
-  explicit ResidentPool(std::size_t count);
-  ~ResidentPool();
-
-  ResidentPool(const ResidentPool&) = delete;
-  ResidentPool& operator=(const ResidentPool&) = delete;
-
-  std::size_t count() const { return count_; }
-
-  /// Dispatch body(worker_id) on every resident thread, worker_id in
-  /// [0, count()). Requires the previous round (if any) to have been
-  /// join()ed. Returns immediately; the body runs until it returns on its
-  /// own — long-lived loops arrange their own shutdown signal before join().
-  void start(std::function<void(std::size_t)> body);
-
-  /// Block until every worker has returned from the current body, then
-  /// rethrow the first worker exception, if any. A thread that died outright
-  /// still decrements the round counter on its way out, so join() terminates
-  /// and rethrows a typed WorkerDeath instead of waiting forever.
-  void join();
-
-  /// Resident threads respawned after a death, over the pool's lifetime.
-  std::size_t respawns() const { return respawns_.load(std::memory_order_relaxed); }
-
- private:
-  void thread_main(std::size_t id);
-  /// Account for thread `id` exiting mid-round (fault-injected or a real
-  /// crash-to-exit path): mark it dead, release the round, surface a typed
-  /// WorkerDeath to join().
-  void abandon_round(std::size_t id);
-
-  std::size_t count_;
-  std::vector<std::thread> threads_;
-  Mutex mutex_;
-  std::condition_variable_any cv_;
-  std::function<void(std::size_t)> body_ SOSLOCK_GUARDED_BY(mutex_);
-  std::uint64_t generation_ SOSLOCK_GUARDED_BY(mutex_) = 0;
-  std::size_t running_ SOSLOCK_GUARDED_BY(mutex_) = 0;
-  bool shutdown_ SOSLOCK_GUARDED_BY(mutex_) = false;
-  std::exception_ptr error_ SOSLOCK_GUARDED_BY(mutex_);
-  std::vector<char> dead_ SOSLOCK_GUARDED_BY(mutex_);
-  std::atomic<std::size_t> respawns_{0};
 };
 
 }  // namespace soslock::util

@@ -6,19 +6,17 @@
 //   * each named site, fired deterministically, ends in a successful
 //     recovery (RecoveryRecord present) or a typed terminal status — never a
 //     hang or a raw uncaught exception: IPM factorization failure, NaN into
-//     an IPM/ADMM iterate, ResidentPool thread death (+ respawn), async
-//     worker silent exit (consensus stall → sync fallback), mailbox
-//     corruption (divergence watchdog → sync fallback), lowering-pass
-//     exception (caches untouched), structure-cache eviction race.
+//     an IPM/ADMM iterate, lowering-pass exception (caches untouched),
+//     structure-cache eviction race.
 //
 // The scenario tests are skipped when SOSLOCK_FAULTS is compiled out
 // (Release); the registry tests always run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -30,7 +28,6 @@
 #include "sdp/structure.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace soslock {
 namespace {
@@ -81,7 +78,7 @@ Problem random_feasible_sdp(std::uint64_t seed, std::size_t n = 5, std::size_t m
 }
 
 /// Feasible banded min-trace SDP; chordal decomposition splits it into a
-/// chain of small cliques so every async worker owns blocks.
+/// chain of small cliques.
 Problem banded_sdp(std::size_t n) {
   Problem p;
   const std::size_t blk = p.add_block(n);
@@ -114,17 +111,6 @@ LoweringOptions chordal_lowering(std::size_t min_block_size) {
   low.sparsity = sdp::SparsityOptions::Chordal;
   low.chordal.min_block_size = min_block_size;
   return low;
-}
-
-sdp::AdmmOptions async_options(std::size_t workers, double stall_seconds) {
-  sdp::AdmmOptions opt;
-  opt.threads = 1;
-  opt.tolerance = 1e-5;
-  opt.async = true;
-  opt.workers = workers;
-  opt.max_staleness = 0;
-  opt.worker_stall_seconds = stall_seconds;
-  return opt;
 }
 
 /// Every scenario starts and ends with a clean registry, so a failing test
@@ -173,15 +159,9 @@ TEST(FaultRegistry, CallbackRunsInsteadOfFiring) {
 }
 
 TEST(FaultRegistry, KnownSitesCoverTheInjectionTable) {
-  const std::vector<std::string> sites = FaultInjector::known_sites();
-  for (const char* expected :
-       {site::kIpmFactorization, site::kIpmFp32Factor, site::kIterateNan,
-        site::kPoolWorkerDeath, site::kAdmmWorkerExit, site::kAdmmMailboxCorrupt,
-        site::kLoweringPass, site::kCacheEvict}) {
-    EXPECT_NE(std::find(sites.begin(), sites.end(), expected), sites.end())
-        << expected;
-  }
-  EXPECT_EQ(sites.size(), 8u);
+  const std::vector<std::string> expected = {site::kIpmFactorization, site::kIterateNan,
+                                             site::kLoweringPass, site::kCacheEvict};
+  EXPECT_EQ(FaultInjector::known_sites(), expected);
 }
 
 TEST_F(FaultScenario, IpmFactorizationFaultIsTypedNotThrown) {
@@ -244,69 +224,6 @@ TEST_F(FaultScenario, AdmmIterateNanBailsWithPhaseNamed) {
   EXPECT_EQ(sol.status, SolveStatus::Diverged);
   EXPECT_FALSE(sol.faulted_phase.empty());
   EXPECT_LT(sol.iterations, opt.max_iterations);
-}
-
-TEST_F(FaultScenario, ResidentPoolWorkerDeathIsTypedAndRespawned) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "SOSLOCK_FAULTS compiled out";
-  util::ResidentPool pool(2);
-  std::atomic<int> runs{0};
-  FaultInjector::arm(site::kPoolWorkerDeath);
-  pool.start([&runs](std::size_t) { runs.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_THROW(pool.join(), util::WorkerDeath);
-  EXPECT_EQ(runs.load(), 1);  // the surviving worker still ran its round
-
-  // Self-healing: the next round reaps the dead thread, respawns it, and
-  // runs at full width again.
-  pool.start([&runs](std::size_t) { runs.fetch_add(1, std::memory_order_relaxed); });
-  pool.join();
-  EXPECT_EQ(runs.load(), 3);
-  EXPECT_EQ(pool.respawns(), 1u);
-}
-
-TEST_F(FaultScenario, AsyncWorkerSilentExitFallsBackToLockstep) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "SOSLOCK_FAULTS compiled out";
-  const Lowering low = sdp::lower(banded_sdp(30), chordal_lowering(8));
-  ASSERT_TRUE(low.decomposed());
-  FaultInjector::arm(site::kAdmmWorkerExit);
-  sdp::SolveContext context;
-  const Solution sol = sdp::AdmmSolver(async_options(2, /*stall_seconds=*/0.2))
-                           .solve(low.problem, context);
-  // The dead worker never posts a round; the bounded consensus wait trips,
-  // and the solve self-heals through the synchronous lockstep fallback.
-  EXPECT_EQ(sol.status, SolveStatus::Optimal);
-  ASSERT_EQ(sol.recoveries.size(), 1u);
-  EXPECT_EQ(sol.recoveries[0].action, "sync-fallback");
-  EXPECT_EQ(sol.recoveries[0].from, "admm-async");
-  EXPECT_EQ(sol.recoveries[0].to, "admm-sync");
-  EXPECT_EQ(sol.recoveries[0].reason, "worker-stall");
-}
-
-TEST_F(FaultScenario, MailboxCorruptionDivergesThenFallsBackToLockstep) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "SOSLOCK_FAULTS compiled out";
-  const Lowering low = sdp::lower(banded_sdp(30), chordal_lowering(8));
-  ASSERT_TRUE(low.decomposed());
-  FaultInjector::arm(site::kAdmmMailboxCorrupt);
-  sdp::SolveContext context;
-  const Solution sol = sdp::AdmmSolver(async_options(2, /*stall_seconds=*/5.0))
-                           .solve(low.problem, context);
-  EXPECT_EQ(sol.status, SolveStatus::Optimal);
-  ASSERT_EQ(sol.recoveries.size(), 1u);
-  EXPECT_EQ(sol.recoveries[0].action, "sync-fallback");
-  EXPECT_EQ(sol.recoveries[0].reason.rfind("diverged", 0), 0u)
-      << sol.recoveries[0].reason;
-}
-
-TEST_F(FaultScenario, AsyncFaultWithFallbackDisabledIsTypedTerminal) {
-  if (!kFaultsCompiled) GTEST_SKIP() << "SOSLOCK_FAULTS compiled out";
-  const Lowering low = sdp::lower(banded_sdp(30), chordal_lowering(8));
-  FaultInjector::arm(site::kAdmmWorkerExit);
-  sdp::AdmmOptions opt = async_options(2, /*stall_seconds=*/0.2);
-  opt.sync_fallback = false;
-  sdp::SolveContext context;
-  const Solution sol = sdp::AdmmSolver(opt).solve(low.problem, context);
-  EXPECT_EQ(sol.status, SolveStatus::Faulted);
-  EXPECT_EQ(sol.faulted_phase, "worker-stall");
-  EXPECT_TRUE(sol.recoveries.empty());
 }
 
 TEST_F(FaultScenario, LoweringPassFaultLeavesCachesUntouched) {

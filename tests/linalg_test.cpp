@@ -741,32 +741,6 @@ TEST(KernelParity, CholFactorPanelParity) {
   }
 }
 
-TEST(KernelParity, Fp32KernelsUlpBounded) {
-  util::Rng rng(103);
-  for (std::size_t n : {1u, 7u, 16u, 33u, 128u}) {
-    std::vector<float> a(n), b(n), y0(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-      b[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-      y0[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-    }
-    const float ds = scalar_kernels().dot_f32(a.data(), b.data(), n);
-    const float dss = scalar_kernels().dot_sub_f32(1.5f, a.data(), b.data(), n);
-    const float tol = 1e-5f * static_cast<float>(n + 1);
-    for (const Kernels* t : vector_tables()) {
-      EXPECT_NEAR(t->dot_f32(a.data(), b.data(), n), ds, tol)
-          << util::isa_name(t->isa) << " dot_f32 n=" << n;
-      EXPECT_NEAR(t->dot_sub_f32(1.5f, a.data(), b.data(), n), dss, tol)
-          << util::isa_name(t->isa) << " dot_sub_f32 n=" << n;
-      std::vector<float> ys = y0, yv = y0;
-      scalar_kernels().axpy_f32(0.6f, a.data(), ys.data(), n);
-      t->axpy_f32(0.6f, a.data(), yv.data(), n);
-      for (std::size_t i = 0; i < n; ++i)
-        EXPECT_NEAR(yv[i], ys[i], 1e-6f) << util::isa_name(t->isa) << " axpy_f32";
-    }
-  }
-}
-
 TEST(KernelParity, WholeMatrixOpsAgreeAcrossIsas) {
   // End-to-end: the routed entry points (GEMM, Cholesky factor+solve, eigen)
   // agree between the forced-scalar table and the startup table. This is the
@@ -795,43 +769,6 @@ TEST(KernelParity, WholeMatrixOpsAgreeAcrossIsas) {
   EXPECT_LT(norm_inf(chol_s.lower() - chol_v.lower()), 1e-9 * scale);
   EXPECT_LT(max_abs_diff(x_s, x_v), 1e-8 * scale);
   EXPECT_LT(max_abs_diff(ev_s, ev_v), 1e-9 * scale);
-}
-
-// --- FP32 Cholesky (mixed-precision building block) -------------------------
-
-TEST(Cholesky32, FactorsAndRefinesToFp64Accuracy) {
-  util::Rng rng(109);
-  for (std::size_t n : {1u, 9u, 48u, 97u}) {
-    const Matrix a = random_spd(n, rng, 1.0);
-    Cholesky32 c32;
-    ASSERT_TRUE(c32.factor(a)) << "n=" << n;
-    const Vector b = rng.uniform_vector(n, -1.0, 1.0);
-    // Raw FP32 solve lands within single-precision distance...
-    Vector x = c32.solve(b);
-    Vector r = b;
-    axpy(-1.0, a * x, r);
-    EXPECT_LT(norm_inf(r), 1e-3 * static_cast<double>(n + 1)) << "n=" << n;
-    // ...and FP64 iterative refinement against the FP64 matrix recovers
-    // double-precision residuals within a few steps.
-    for (int step = 0; step < 5 && norm_inf(r) > 1e-12 * static_cast<double>(n + 1);
-         ++step) {
-      axpy(1.0, c32.solve(r), x);
-      r = b;
-      axpy(-1.0, a * x, r);
-    }
-    EXPECT_LT(norm_inf(r), 1e-10 * static_cast<double>(n + 1)) << "n=" << n;
-  }
-}
-
-TEST(Cholesky32, RejectsIndefinite) {
-  const Matrix a = Matrix::from_rows({{1.0, 2.0}, {2.0, 1.0}});
-  Cholesky32 c32;
-  EXPECT_FALSE(c32.factor(a));
-  // FP64-representable but FP32-overflowing input is rejected, not folded
-  // into an Inf-poisoned factor.
-  Matrix big = Matrix::identity(2);
-  big(0, 0) = 1e200;
-  EXPECT_FALSE(c32.factor(big));
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // parity on banded SDPs and the clock-tree coupling model, the
 // Schur-complement geometry claim (zero overlap rows in the factored
 // system), base-space warm blobs surviving min_block_size changes via
-// per-clique remapping, the drift guard on stale canonical entry maps, and
-// bitwise thread determinism of the overlap-multiplier Schur assembly.
+// per-clique remapping, the drift guard on stale canonical entry maps,
+// bitwise thread determinism of the overlap-multiplier Schur assembly, and
+// the ADMM on the clustered clock tree the clock_tree benchmark runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -297,6 +298,49 @@ TEST(LoweringPipeline, OverlapMultiplierAssemblyIsThreadDeterministic) {
       for (std::size_t c = 0; c < one.x[j].cols(); ++c)
         ASSERT_EQ(one.x[j](r, c), four.x[j](r, c)) << j << " " << r << " " << c;
   }
+}
+
+TEST(LoweringPipeline, AdmmSolvesClusteredClockTreeDeterministically) {
+  // The clock_tree benchmark shape at K=16: disjoint crosstalk clusters of 4
+  // loops, so each cluster's filter nodes form one clique tied to the rest
+  // of the tree by the rail alone.
+  pll::ClockTreeOptions tree;
+  tree.loops = 16;
+  tree.cluster = 4;
+  tree.neighbor_coupling = 0.05;
+  tree.neighbor_hops = tree.cluster - 1;
+  const pll::ClockTreeModel model =
+      pll::make_clock_tree(pll::Params::paper_third_order(), tree);
+  const Problem original = pll::clock_tree_coupling_sdp(model.constants, tree);
+  const Solution ipm = sdp::IpmSolver().solve(original);
+  ASSERT_EQ(ipm.status, SolveStatus::Optimal);
+
+  const Lowering low = sdp::lower(original, chordal_lowering(4));
+  ASSERT_TRUE(low.decomposed());
+  sdp::AdmmOptions serial, parallel;
+  serial.tolerance = parallel.tolerance = 1e-5;
+  serial.threads = 1;
+  parallel.threads = 2;
+  sdp::SolveContext ctx1, ctx2;
+  const Solution one = sdp::AdmmSolver(serial).solve(low.problem, ctx1);
+  const Solution two = sdp::AdmmSolver(parallel).solve(low.problem, ctx2);
+  ASSERT_EQ(one.status, SolveStatus::Optimal);
+  ASSERT_EQ(two.status, SolveStatus::Optimal);
+  ASSERT_EQ(one.iterations, two.iterations);
+  EXPECT_EQ(one.primal_objective, two.primal_objective);  // bitwise
+  ASSERT_EQ(one.y.size(), two.y.size());
+  for (std::size_t i = 0; i < one.y.size(); ++i) EXPECT_EQ(one.y[i], two.y[i]);
+  ASSERT_EQ(one.x.size(), two.x.size());
+  for (std::size_t j = 0; j < one.x.size(); ++j) {
+    for (std::size_t r = 0; r < one.x[j].rows(); ++r)
+      for (std::size_t c = 0; c < one.x[j].cols(); ++c)
+        ASSERT_EQ(one.x[j](r, c), two.x[j](r, c)) << j << " " << r << " " << c;
+  }
+
+  const Solution recovered = sdp::recover(one, low);
+  ASSERT_EQ(recovered.status, SolveStatus::Optimal);
+  EXPECT_NEAR(recovered.primal_objective, ipm.primal_objective,
+              1e-3 * std::fabs(ipm.primal_objective));
 }
 
 TEST(LoweringCache, InPlaceUpdateMatchesFreshLoweringAcrossModes) {

@@ -396,19 +396,6 @@ TEST(ReferenceKernels, IpmSchurAssemblyParity) {
   }
 }
 
-TEST(ReferenceKernels, AdmmEigensolverParity) {
-  const Problem p = random_feasible_sdp(11, 14, 10);
-  sdp::AdmmOptions ql;
-  ql.max_iterations = 2000;
-  const Solution a = sdp::AdmmSolver(ql).solve(p);
-  sdp::AdmmOptions jacobi = ql;
-  jacobi.use_jacobi_eig = true;
-  const Solution b = sdp::AdmmSolver(jacobi).solve(p);
-  EXPECT_EQ(a.status, b.status);
-  EXPECT_NEAR(a.primal_objective, b.primal_objective,
-              1e-4 * (1.0 + std::fabs(a.primal_objective)));
-}
-
 TEST(PhaseTimers, BackendsRecordPhaseBreakdown) {
   const Problem p = random_feasible_sdp(13, 12, 16);
   const Solution ipm = sdp::IpmSolver().solve(p);

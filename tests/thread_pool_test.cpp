@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdlib>
 #include <mutex>
 #include <numeric>
@@ -128,75 +127,6 @@ TEST(ThreadPool, UntilFailureReturnsLowestFailedIndex) {
   EXPECT_EQ(failed, 42u);
   const std::size_t ok = pool.run_all_until_failure(10, [](std::size_t) { return true; });
   EXPECT_EQ(ok, 10u);
-}
-
-TEST(ResidentPool, ResolvesZeroToHardwareAndSpawnsEagerly) {
-  const ResidentPool pool(0);
-  EXPECT_EQ(pool.count(), ThreadPool::hardware_threads());
-  // No start() ever issued: the destructor must still shut the resident
-  // threads down cleanly.
-}
-
-TEST(ResidentPool, RedispatchesResidentThreadsAcrossRounds) {
-  ResidentPool pool(4);
-  ASSERT_EQ(pool.count(), 4u);
-  std::mutex mu;
-  std::set<std::thread::id> thread_ids;
-  std::vector<int> per_worker_runs(4, 0);
-  for (int round = 0; round < 5; ++round) {
-    pool.start([&](std::size_t id) {
-      std::lock_guard<std::mutex> lock(mu);
-      thread_ids.insert(std::this_thread::get_id());
-      ASSERT_LT(id, 4u);
-      per_worker_runs[id] += 1;
-    });
-    pool.join();
-  }
-  // Persistent residency: every round ran on the same 4 threads (the whole
-  // point versus the fork-join pool), and every worker id ran every round.
-  EXPECT_EQ(thread_ids.size(), 4u);
-  for (const int runs : per_worker_runs) EXPECT_EQ(runs, 5);
-}
-
-TEST(ResidentPool, JoinRethrowsWorkerExceptionAndPoolStaysUsable) {
-  ResidentPool pool(3);
-  pool.start([](std::size_t id) {
-    if (id == 1) throw std::runtime_error("worker 1 failed");
-  });
-  try {
-    pool.join();
-    FAIL() << "expected the worker exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "worker 1 failed");
-  }
-  // The round is over; the pool must accept the next dispatch.
-  std::atomic<int> ran{0};
-  pool.start([&](std::size_t) { ran.fetch_add(1); });
-  pool.join();
-  EXPECT_EQ(ran.load(), 3);
-}
-
-TEST(ResidentPool, WorkersCoordinateThroughSharedState) {
-  // The async-ADMM usage shape in miniature: long-lived bodies that block on
-  // a condition until a "consensus" update arrives, then finish on their own
-  // (no per-iteration barrier inside the body).
-  ResidentPool pool(4);
-  std::mutex mu;
-  std::condition_variable cv;
-  int version = 0;
-  std::atomic<int> observed{0};
-  pool.start([&](std::size_t) {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return version >= 1; });
-    observed.fetch_add(1);
-  });
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    version = 1;
-  }
-  cv.notify_all();
-  pool.join();
-  EXPECT_EQ(observed.load(), 4);
 }
 
 }  // namespace

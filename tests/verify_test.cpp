@@ -253,66 +253,7 @@ TEST(Verify, RipViolationAndBadParentCaught) {
   }
 }
 
-/// A partitioned lowering (the opt-in "partition" pass between lower and
-/// equilibrate) — the fixture the async-driver corruption tests tamper with.
-LoweredFixture lowered_partitioned(std::size_t workers) {
-  LoweredFixture f;
-  LoweringOptions options = chordal_lowering(8);
-  options.partition_workers = workers;
-  f.low = sdp::lower(banded_sdp(30), options);
-  f.structure = sdp::StructureCache::global().find(f.low.lowered_fingerprint);
-  return f;
-}
-
-TEST(Verify, PartitionInvalidSubtreeAssignmentCaught) {
-  LoweredFixture f = lowered_partitioned(3);
-  ASSERT_NE(f.structure, nullptr);
-  ASSERT_EQ(f.structure->partition_workers, 3u);
-  ASSERT_EQ(f.structure->block_worker.size(), f.low.problem.num_blocks());
-  ASSERT_TRUE(sdp::verify(f.low.problem, f.structure.get()).ok());
-
-  // Worker id past the worker count: an out-of-bounds worker dispatch.
-  sdp::ProblemStructure tampered = *f.structure;
-  tampered.block_worker[0] = tampered.partition_workers + 5;
-  EXPECT_TRUE(sdp::verify(f.low.problem, &tampered).has("partition-range"));
-
-  // Fewer assignments than blocks: some block has no worker at all.
-  tampered = *f.structure;
-  tampered.block_worker.pop_back();
-  EXPECT_TRUE(sdp::verify(f.low.problem, &tampered).has("partition-range"));
-}
-
-TEST(Verify, PartitionScatteredSubtreeCaught) {
-  LoweredFixture f = lowered_partitioned(3);
-  ASSERT_NE(f.structure, nullptr);
-  const auto& cliques = f.low.problem.cones()[0].cliques;
-  ASSERT_GE(cliques.size(), 2u);
-  // Swap the first clique onto the last worker: the preorder now goes
-  // 2, 0, ..., so one worker's "contiguous subtree segment" is scattered and
-  // its separator mailboxes would span non-neighbor workers.
-  sdp::ProblemStructure tampered = *f.structure;
-  tampered.block_worker[cliques.front().block] = tampered.partition_workers - 1;
-  tampered.block_worker[cliques.back().block] = 0;
-  EXPECT_TRUE(sdp::verify(f.low.problem, &tampered).has("partition-order"));
-}
-
-TEST(Verify, PartitionPassOutOfPipelineOrderCaught) {
-  LoweredFixture f = lowered_partitioned(3);
-  ASSERT_NE(f.structure, nullptr);
-  sdp::ProblemStructure tampered = *f.structure;
-  std::size_t partition_at = tampered.provenance.size();
-  for (std::size_t i = 0; i < tampered.provenance.size(); ++i) {
-    if (tampered.provenance[i].name == "partition") partition_at = i;
-  }
-  ASSERT_LT(partition_at, tampered.provenance.size());
-  ASSERT_GT(partition_at, 0u);
-  // Partition before lower: pass_rank says the pipeline never runs it there
-  // (it consumes the lowered clique blocks).
-  std::swap(tampered.provenance[partition_at], tampered.provenance[partition_at - 1]);
-  EXPECT_TRUE(sdp::verify(f.low.problem, &tampered).has("provenance-order"));
-}
-
-TEST(Verify, SeparatorMailboxShapeMismatchCaught) {
+TEST(Verify, OverlapPairShapeMismatchCaught) {
   LoweredFixture f = lowered_banded();
   auto& cone = f.low.problem.mutable_cones()[0];
   ASSERT_FALSE(cone.overlaps.empty());
@@ -320,20 +261,20 @@ TEST(Verify, SeparatorMailboxShapeMismatchCaught) {
   ASSERT_EQ(overlap.blocks.size(), 2u);
 
   // Copies no longer pair 1:1: one side of the coupling lost an entry, so
-  // the consensus exchange would misalign the separator state.
+  // the ±w difference no longer compares matching separator entries.
   const sdp::SparseSym saved = overlap.blocks.begin()->second;
   ASSERT_FALSE(saved.entries.empty());
   overlap.blocks.begin()->second.entries.pop_back();
-  EXPECT_TRUE(sdp::verify(f.low.problem).has("overlap-mailbox"));
+  EXPECT_TRUE(sdp::verify(f.low.problem).has("overlap-pair"));
   overlap.blocks.begin()->second = saved;
 
-  // A three-sided coupling: mailboxes pair exactly (child, parent).
+  // A three-sided coupling: each overlap pairs exactly (child, parent).
   ASSERT_GE(cone.cliques.size(), 3u);
   std::size_t third = cone.cliques[2].block;
   if (overlap.blocks.count(third) != 0) third = cone.cliques[1].block;
   ASSERT_EQ(overlap.blocks.count(third), 0u);
   overlap.blocks[third] = saved;
-  EXPECT_TRUE(sdp::verify(f.low.problem).has("overlap-mailbox"));
+  EXPECT_TRUE(sdp::verify(f.low.problem).has("overlap-pair"));
   overlap.blocks.erase(third);
 
   EXPECT_TRUE(sdp::verify(f.low.problem).ok());
