@@ -20,21 +20,16 @@ namespace soslock::bench {
 
 /// Worker-thread banner, honoring the SOSLOCK_THREADS override (the
 /// sanitizer CI pins fan-out with it) unlike raw hardware_concurrency().
-/// Returns the count so every gate bench can record a "worker_threads"
-/// field in its JSON section — a speedup number without the thread count
-/// that produced it is not reproducible evidence.
-inline std::size_t thread_banner() {
+inline void thread_banner() {
   const std::size_t hw = util::ThreadPool::hardware_threads();
   std::printf("worker threads: %zu%s\n", hw,
               hw > 1 ? "" : "  (single core: parallel modes cannot win here)");
-  return hw;
 }
 
 /// SIMD dispatch banner, the ISA analogue of thread_banner(): which kernel
 /// table this process resolved at startup (detection + SOSLOCK_SIMD
-/// override) versus what the CPU supports. Returns the dispatched ISA so the
-/// gates can record it — a kernel speedup without the ISA that produced it
-/// is not reproducible evidence.
+/// override) versus what the CPU supports. Returns the dispatched ISA, which
+/// arms or skips the hardware-conditional kernel gates.
 inline util::SimdIsa cpu_banner() {
   const util::SimdIsa active = linalg::active_isa();
   const util::SimdIsa detected = util::detected_isa();
@@ -42,18 +37,6 @@ inline util::SimdIsa cpu_banner() {
               active == detected ? "" : "  [SOSLOCK_SIMD override]",
               util::isa_name(detected));
   return active;
-}
-
-/// Append the kernel-configuration field every gate bench records in its
-/// JSON section: the dispatched ISA as its enum code (0=scalar 1=neon
-/// 2=avx2 3=avx512 — write_bench_json is numbers-only). Wraps the field list
-/// so call sites stay brace-literal:
-/// write_bench_json(path, sec, with_kernel_fields({...}), f).
-inline std::vector<std::pair<std::string, double>> with_kernel_fields(
-    std::vector<std::pair<std::string, double>> fields) {
-  fields.emplace_back("simd_isa_code",
-                      static_cast<double>(static_cast<int>(linalg::active_isa())));
-  return fields;
 }
 
 /// Boundary of {p <= level} intersected with the (i, j) coordinate plane
@@ -131,93 +114,6 @@ inline core::AdvectionOptions pll_advection_options(int order) {
 inline bool env_flag(const char* name) {
   const char* v = std::getenv(name);
   return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-/// Minimal machine-readable bench output: one flat JSON object per section,
-/// {"section": {"field": value, ...}, ...}. `fresh` truncates the file (the
-/// first bench of a CI run); otherwise sections written by earlier benches
-/// are kept and a section with the same name is *replaced*, so re-running
-/// any single bench is idempotent. Only files this helper wrote (its fixed
-/// two-space formatting) are parsed; anything else starts fresh.
-inline void write_bench_json(const std::string& path, const std::string& section,
-                             const std::vector<std::pair<std::string, double>>& fields,
-                             bool fresh) {
-  // Recover (name, body-lines) of previously written sections.
-  std::vector<std::pair<std::string, std::string>> sections;
-  if (!fresh) {
-    std::string existing;
-    if (std::FILE* in = std::fopen(path.c_str(), "rb")) {
-      char buf[4096];
-      std::size_t got;
-      while ((got = std::fread(buf, 1, sizeof(buf), in)) > 0) existing.append(buf, got);
-      std::fclose(in);
-    }
-    std::string name, body;
-    bool inside = false;
-    std::size_t pos = 0;
-    while (pos < existing.size()) {
-      std::size_t eol = existing.find('\n', pos);
-      if (eol == std::string::npos) eol = existing.size();
-      const std::string line = existing.substr(pos, eol - pos);
-      pos = eol + 1;
-      if (!inside && line.size() > 4 && line.compare(0, 3, "  \"") == 0 &&
-          line.back() == '{') {
-        const std::size_t close = line.find('"', 3);
-        if (close == std::string::npos) continue;
-        name = line.substr(3, close - 3);
-        body.clear();
-        inside = true;
-      } else if (inside && (line == "  }" || line == "  },")) {
-        sections.emplace_back(name, body);
-        inside = false;
-      } else if (inside) {
-        // Strip any trailing comma; it is re-added on write.
-        std::string entry = line;
-        if (!entry.empty() && entry.back() == ',') entry.pop_back();
-        body += entry + "\n";
-      }
-    }
-  }
-  // Replace or append this bench's section.
-  std::string body;
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    char line[160];
-    std::snprintf(line, sizeof(line), "    \"%s\": %.6g\n", fields[i].first.c_str(),
-                  fields[i].second);
-    body += line;
-  }
-  bool replaced = false;
-  for (auto& [existing_name, existing_body] : sections) {
-    if (existing_name == section) {
-      existing_body = body;
-      replaced = true;
-    }
-  }
-  if (!replaced) sections.emplace_back(section, body);
-
-  std::FILE* out = std::fopen(path.c_str(), "wb");
-  if (out == nullptr) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(out, "{\n");
-  for (std::size_t s = 0; s < sections.size(); ++s) {
-    std::fprintf(out, "  \"%s\": {\n", sections[s].first.c_str());
-    // Re-add the per-field commas (every line but the last).
-    const std::string& b = sections[s].second;
-    std::size_t pos = 0;
-    while (pos < b.size()) {
-      std::size_t eol = b.find('\n', pos);
-      if (eol == std::string::npos) eol = b.size();
-      const bool last = b.find('\n', eol + 1) == std::string::npos && eol + 1 >= b.size();
-      std::fprintf(out, "%.*s%s\n", static_cast<int>(eol - pos), b.c_str() + pos,
-                   last ? "" : ",");
-      pos = eol + 1;
-    }
-    std::fprintf(out, "  }%s\n", s + 1 < sections.size() ? "," : "");
-  }
-  std::fprintf(out, "}\n");
-  std::fclose(out);
 }
 
 inline void print_series_plot(const std::string& title,

@@ -115,7 +115,7 @@ int main() {
     ++failures;
   }
 
-  // --- PR 10 gate: SIMD kernel table vs the scalar reference ---------------
+  // --- gate: SIMD kernel table vs the scalar reference ----------------------
   // Honest A/B on the same binary: force the scalar table with
   // set_active_isa, time Gram-sized GEMM and Cholesky, then restore the
   // dispatched table and time again. The >= 3x gate only arms on AVX2-class
@@ -124,7 +124,6 @@ int main() {
   // suite.
   std::printf("\n=== SIMD kernels vs scalar reference ===\n");
   const util::SimdIsa active = bench::cpu_banner();
-  double gemm_speedup = 1.0, chol_speedup = 1.0;
   {
     const std::size_t n = 256;  // Gram-block scale for the paper's workloads
     util::Rng rng(4242);
@@ -145,8 +144,8 @@ int main() {
     });
     const double simd_chol = time_kernel([&] { linalg::Cholesky::factor(spd); });
 
-    gemm_speedup = scalar_gemm / std::max(1e-12, simd_gemm);
-    chol_speedup = scalar_chol / std::max(1e-12, simd_chol);
+    const double gemm_speedup = scalar_gemm / std::max(1e-12, simd_gemm);
+    const double chol_speedup = scalar_chol / std::max(1e-12, simd_chol);
     std::printf("n=%zu gemm: scalar=%.3es %s=%.3es speedup=%.2fx\n", n, scalar_gemm,
                 util::isa_name(active), simd_gemm, gemm_speedup);
     std::printf("n=%zu cholesky: scalar=%.3es %s=%.3es speedup=%.2fx\n", n, scalar_chol,
@@ -166,14 +165,5 @@ int main() {
       std::printf("gate skipped: dispatched ISA %s below avx2\n", util::isa_name(active));
     }
   }
-
-  bench::write_bench_json("BENCH_PR10.json", "linalg_simd",
-                          bench::with_kernel_fields({
-                              {"gemm_speedup_vs_scalar", gemm_speedup},
-                              {"cholesky_speedup_vs_scalar", chol_speedup},
-                              {"gate_armed", active >= util::SimdIsa::Avx2 ? 1.0 : 0.0},
-                          }),
-                          /*fresh=*/false);
-  std::printf("wrote BENCH_PR10.json (linalg_simd)\n");
   return failures == 0 ? 0 : 1;
 }

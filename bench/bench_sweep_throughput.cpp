@@ -17,7 +17,7 @@
 //      a checkpoint file), resumed from the checkpoint, and the resumed
 //      report must be verdict-identical to the uninterrupted warm sweep while
 //      re-solving strictly fewer points than a cold start would.
-// Results land in BENCH_PR6.json (sections sweep_throughput, sweep_resume).
+// ctest runs it under the `gate` label.
 #include <cstddef>
 #include <cstdio>
 
@@ -30,7 +30,7 @@
 using namespace soslock;
 
 int main() {
-  const std::size_t worker_threads = bench::thread_banner();
+  bench::thread_banner();
   bench::cpu_banner();
   const pll::Params base = pll::Params::paper_third_order();
   const sweep::Grid grid(base, {
@@ -117,36 +117,6 @@ int main() {
        "resume spends no more iterations than the uninterrupted sweep");
   std::printf("\n");
 
-  bench::write_bench_json(
-      "BENCH_PR6.json", "sweep_throughput",
-      bench::with_kernel_fields({
-          {"points", static_cast<double>(points)},
-          {"certified", static_cast<double>(warm.certified)},
-          {"certificates_per_second", warm.certificates_per_second()},
-          {"warm_hit_rate", warm.warm_hit_rate()},
-          {"warm_total_iterations", static_cast<double>(warm.total_iterations)},
-          {"cold_total_iterations", static_cast<double>(cold.total_iterations)},
-          {"full_lowerings", static_cast<double>(warm.full_lowerings)},
-          {"inplace_updates", static_cast<double>(warm.updates)},
-          {"cold_restarts", static_cast<double>(warm.cold_restarts)},
-          {"warm_seconds", warm.seconds},
-          {"cold_seconds", cold.seconds},
-          {"worker_threads", static_cast<double>(worker_threads)},
-      }),
-      /*fresh=*/true);
-  bench::write_bench_json(
-      "BENCH_PR6.json", "sweep_resume",
-      bench::with_kernel_fields({
-          {"kill_after", static_cast<double>(kKillAfter)},
-          {"killed_skipped", static_cast<double>(killed.skipped)},
-          {"resumed_points", static_cast<double>(resumed.resumed_points)},
-          {"resolved_points", static_cast<double>(resolved)},
-          {"resumed_certified", static_cast<double>(resumed.certified)},
-          {"resumed_total_iterations", static_cast<double>(resumed.total_iterations)},
-          {"verdicts_identical", verdicts_identical ? 1.0 : 0.0},
-      }),
-      /*fresh=*/false);
   std::remove(ckpt);
-  std::printf("wrote BENCH_PR6.json (sweep_throughput, sweep_resume)\n");
   return failures == 0 ? 0 : 1;
 }

@@ -7,9 +7,9 @@
 //      clique-structured sparse template + correlative Gram splitting — and
 //      compare the largest PSD cone each compile hands the backend.
 //   3. Solve the directly-built clock-tree coupling SDP with the chordal
-//      decomposition lowered natively (sdp::DecomposedCone, overlap
-//      couplings as block-eliminated multipliers) vs at the seam (overlap
-//      equality rows), and show the Schur-complement geometry shrink.
+//      decomposition lowered to sdp::DecomposedCone (overlap couplings as
+//      block-eliminated multipliers), and show that the factored Schur
+//      complement keeps the original row count.
 //
 // Usage: example_clock_tree_lyapunov [num_loops]   (default 4)
 #include <cstdio>
@@ -63,28 +63,23 @@ int main(int argc, char** argv) {
     std::printf("%zu of %zu states)\n", mx, nstates);
   }
 
-  // --- native vs seam decomposed-cone lowering on the coupling SDP ---------
-  std::printf("\n=== coupling SDP: native DecomposedCone vs seam overlap rows ===\n");
+  // --- native decomposed-cone lowering on the coupling SDP ------------------
+  std::printf("\n=== coupling SDP: native DecomposedCone lowering ===\n");
   sdp::LoweringOptions low;
   low.sparsity = sdp::SparsityOptions::Chordal;
   low.chordal.min_block_size = 4;  // the tree cliques are pairs; let them split
-  for (const bool at_seam : {false, true}) {
-    low.chordal.at_seam = at_seam;
-    const sdp::Lowering lowering =
-        sdp::lower(pll::clock_tree_coupling_sdp(model.constants, tree_options), low);
-    sdp::SolveContext context;
-    const sdp::Solution sol =
-        sdp::make_solver("ipm", {})->solve(lowering.problem, context);
-    const sdp::Solution recovered = sdp::recover(sol, lowering);
-    std::printf("%-7s rows=%zu overlaps=%zu schur_rows=%zu iters=%d status=%s "
-                "obj=%.6f\n",
-                at_seam ? "seam" : "native", lowering.problem.num_rows(),
-                lowering.problem.num_overlaps(), sol.schur_rows, sol.iterations,
-                sdp::to_string(recovered.status).c_str(), recovered.primal_objective);
-    for (const sdp::PassRecord& pass : lowering.passes)
-      std::printf("        pass %-12s %s\n", pass.name.c_str(), pass.detail.c_str());
-  }
-  std::printf("\n(native keeps the factored Schur complement at the original row "
-              "count; the seam pays one extra row per overlap entry)\n");
+  const sdp::Lowering lowering =
+      sdp::lower(pll::clock_tree_coupling_sdp(model.constants, tree_options), low);
+  sdp::SolveContext context;
+  const sdp::Solution sol = sdp::make_solver("ipm", {})->solve(lowering.problem, context);
+  const sdp::Solution recovered = sdp::recover(sol, lowering);
+  std::printf("rows=%zu overlaps=%zu schur_rows=%zu iters=%d status=%s obj=%.6f\n",
+              lowering.problem.num_rows(), lowering.problem.num_overlaps(), sol.schur_rows,
+              sol.iterations, sdp::to_string(recovered.status).c_str(),
+              recovered.primal_objective);
+  for (const sdp::PassRecord& pass : lowering.passes)
+    std::printf("  pass %-12s %s\n", pass.name.c_str(), pass.detail.c_str());
+  std::printf("\n(the overlap couplings are block-eliminated multipliers, so the "
+              "factored Schur complement keeps the original row count)\n");
   return 0;
 }

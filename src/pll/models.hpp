@@ -120,15 +120,15 @@ ClockTreeModel make_clock_tree(const Params& params, const ClockTreeOptions& opt
 
 /// Closed-loop clock-tree state matrix A (x' = A x). Its off-diagonal
 /// pattern is the star-of-loops coupling graph; analysis, tests and the
-/// directly-built coupling SDPs of the native-vs-seam benches key on it.
+/// directly-built coupling SDPs of the decomposed-cone benches key on it.
 linalg::Matrix clock_tree_state_matrix(const LoopConstants& k,
                                        const ClockTreeOptions& options);
 
 /// Feasible min-trace SDP whose aggregate sparsity IS the clock-tree
 /// coupling graph: one PSD block over all states, one equality row per
 /// coupling edge, rhs taken from a known diagonally-dominant PSD witness
-/// with that pattern. This is the workload of the native-vs-seam
-/// decomposed-cone tests and the bench gate: its chordal cliques are the
+/// with that pattern. This is the workload of the decomposed-cone tests and
+/// the clock-tree benchmark: its chordal cliques are the
 /// loop pairs, so the conversion genuinely fires (unlike SOS-compiled Gram
 /// blocks, whose aggregate patterns are complete). With
 /// ClockTreeOptions::cluster set, the per-edge rows of each coupling family

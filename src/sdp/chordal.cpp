@@ -125,7 +125,7 @@ ConversionPlan plan_decomposition(const Problem& p, const ChordalOptions& option
   return plan;
 }
 
-ChordalMap apply_decomposition(Problem& p, const ConversionPlan& conversion, bool at_seam) {
+ChordalMap apply_decomposition(Problem& p, const ConversionPlan& conversion) {
   ChordalMap map;
   map.original_rows = p.num_rows();
   map.original_block_sizes = p.block_sizes();
@@ -205,8 +205,7 @@ ChordalMap apply_decomposition(Problem& p, const ConversionPlan& conversion, boo
 
   // Overlap-consistency couplings: along each clique-tree edge, tie every
   // shared entry of the child to the parent's copy. The RIP guarantees
-  // tree-edge ties chain every copy of an entry together. At the seam they
-  // become equality rows of the converted problem; natively they ride on a
+  // tree-edge ties chain every copy of an entry together. They ride on a
   // DecomposedCone descriptor and never enter the row set — the backends
   // enforce them with block-eliminated multiplier terms.
   std::size_t overlap_count = 0;
@@ -242,27 +241,22 @@ ChordalMap apply_decomposition(Problem& p, const ConversionPlan& conversion, boo
           par.add(idx.local[parent][r], idx.local[parent][c], -w);
           orow.blocks[plan.converted_block[k]] = std::move(child);
           orow.blocks[plan.converted_block[parent]] = std::move(par);
-          if (at_seam) {
-            conv.add_row(std::move(orow));
-          } else {
-            cone.overlaps.push_back(std::move(orow));
-          }
+          cone.overlaps.push_back(std::move(orow));
           ++overlap_count;
         }
       }
     }
-    if (!at_seam) conv.add_cone(std::move(cone));
+    conv.add_cone(std::move(cone));
   }
 
   util::log_debug("chordal: decomposed ", map.plans.size(), " block(s), max clique ",
-                  map.max_clique_size(), ", ", overlap_count,
-                  at_seam ? " overlap rows (seam)" : " native overlap couplings");
+                  map.max_clique_size(), ", ", overlap_count, " native overlap couplings");
   p = std::move(conv);
   return map;
 }
 
 ChordalMap chordal_decompose(Problem& p, const ChordalOptions& options) {
-  return apply_decomposition(p, plan_decomposition(p, options), options.at_seam);
+  return apply_decomposition(p, plan_decomposition(p, options));
 }
 
 namespace {
@@ -336,60 +330,45 @@ Matrix complete_block(const BlockPlan& plan, const std::vector<Matrix>& converte
 
 }  // namespace
 
-Solution recover_original(const Solution& converted, const ChordalMap& map) {
-  if (map.identity()) return converted;
+Solution recover_original(Solution sol, const ChordalMap& map) {
+  if (map.identity()) return sol;
   const util::Timer complete_timer;
-  Solution out;
-  out.status = converted.status;
-  out.phase = converted.phase;
-  out.schur_rows = converted.schur_rows;
-  out.primal_objective = converted.primal_objective;
-  out.dual_objective = converted.dual_objective;
-  out.mu = converted.mu;
-  out.primal_residual = converted.primal_residual;
-  out.dual_residual = converted.dual_residual;
-  out.gap = converted.gap;
-  out.iterations = converted.iterations;
-  out.backend = converted.backend;
-  out.solve_seconds = converted.solve_seconds;
-  out.max_cone = converted.max_cone;
-  out.w = converted.w;
-  out.y.assign(converted.y.begin(),
-               converted.y.begin() +
-                   static_cast<std::ptrdiff_t>(
-                       std::min(map.original_rows, converted.y.size())));
+  if (sol.y.size() > map.original_rows) sol.y.resize(map.original_rows);
 
+  // Kept blocks move over; clique blocks are read in place below (kept and
+  // clique blocks are distinct converted indices).
   const std::size_t nblocks = map.original_block_sizes.size();
-  out.x.assign(nblocks, Matrix());
-  out.z.assign(nblocks, Matrix());
+  std::vector<Matrix> x(nblocks), z(nblocks);
   for (std::size_t j = 0; j < nblocks; ++j) {
     const std::size_t cb = map.block_map[j];
     if (cb == ChordalMap::kNotMapped) continue;
-    if (cb < converted.x.size()) out.x[j] = converted.x[cb];
-    if (cb < converted.z.size()) out.z[j] = converted.z[cb];
+    if (cb < sol.x.size()) x[j] = std::move(sol.x[cb]);
+    if (cb < sol.z.size()) z[j] = std::move(sol.z[cb]);
   }
   for (const BlockPlan& plan : map.plans) {
     const std::size_t n = plan.original_size;
     // Primal: clique-tree PSD completion of the partial matrix.
-    out.x[plan.original_block] = complete_block(plan, converted.x);
+    x[plan.original_block] = complete_block(plan, sol.x);
     // Dual slack: scatter-add (Agler) — the overlap-row multipliers cancel
     // in +/- pairs, so the sum satisfies C - sum_i y_i A_i = Z exactly and
     // is PSD as a sum of padded PSD blocks.
-    Matrix z(n, n);
+    Matrix zj(n, n);
     for (std::size_t k = 0; k < plan.forest.cliques.size(); ++k) {
       const std::size_t cb = plan.converted_block[k];
       const auto& clique = plan.forest.cliques[k];
-      if (cb >= converted.z.size() || converted.z[cb].rows() != clique.size()) continue;
+      if (cb >= sol.z.size() || sol.z[cb].rows() != clique.size()) continue;
       for (std::size_t a = 0; a < clique.size(); ++a)
         for (std::size_t b = 0; b < clique.size(); ++b)
-          z(clique[a], clique[b]) += converted.z[cb](a, b);
+          zj(clique[a], clique[b]) += sol.z[cb](a, b);
     }
-    out.z[plan.original_block] = std::move(z);
+    z[plan.original_block] = std::move(zj);
   }
-  // Completion/recovery time is part of the decomposed-vs-seam trade; stamp
+  sol.x = std::move(x);
+  sol.z = std::move(z);
+  // Completion/recovery time is part of the decomposed round trip; stamp
   // it so PhaseTimes comparisons stay honest.
-  out.phase.complete += complete_timer.seconds();
-  return out;
+  sol.phase.complete += complete_timer.seconds();
+  return sol;
 }
 
 }  // namespace soslock::sdp

@@ -10,12 +10,9 @@
 //
 // so the conversion replaces the size-n block by K clique-sized blocks,
 // re-targets every data entry at its canonical clique, and ties the copies
-// of entries shared along the clique tree. The tie has two lowerings: the
-// native default registers a sdp::DecomposedCone (overlap couplings become
-// backend multiplier terms, block-eliminated from the factored Schur/normal
-// system), while ChordalOptions::at_seam appends them as ordinary
-// overlap-consistency equality rows (the PR 3 seam conversion, kept as the
-// parity reference).
+// of entries shared along the clique tree. The tie is registered as a
+// sdp::DecomposedCone: overlap couplings become backend multiplier terms,
+// block-eliminated from the factored Schur/normal system.
 //
 // Scope note: a Gram block emitted by the SOS compiler always has a
 // *complete* aggregate pattern (every entry pair b_r*b_c is matched by a
@@ -90,27 +87,25 @@ struct ConversionPlan {
 };
 ConversionPlan plan_decomposition(const Problem& p, const ChordalOptions& options);
 
-/// Emission half (the "lower" pass): rewrite `p` along `plan`. With
-/// `at_seam` the overlap-consistency constraints are appended as ordinary
-/// equality rows (the PR 3 seam conversion, kept as the parity reference);
-/// otherwise they are registered as native DecomposedCone couplings and the
-/// row count is unchanged. A plan with nothing to split leaves `p` untouched
-/// and returns the identity map.
-ChordalMap apply_decomposition(Problem& p, const ConversionPlan& plan, bool at_seam);
+/// Emission half (the "lower" pass): rewrite `p` along `plan`. The
+/// overlap-consistency constraints are registered as native DecomposedCone
+/// couplings, so the row count is unchanged. A plan with nothing to split
+/// leaves `p` untouched and returns the identity map.
+ChordalMap apply_decomposition(Problem& p, const ConversionPlan& plan);
 
 /// Decompose every block of `p` that is at least `options.min_block_size`
 /// wide and whose chordal aggregate pattern splits into genuinely smaller
-/// cliques (plan_decomposition + apply_decomposition under
-/// options.at_seam). `p` is rewritten in place (original rows keep their
-/// indices). When nothing qualifies, `p` is untouched and the returned map
-/// is the identity.
+/// cliques (plan_decomposition + apply_decomposition). `p` is rewritten in
+/// place (original rows keep their indices). When nothing qualifies, `p` is
+/// untouched and the returned map is the identity.
 ChordalMap chordal_decompose(Problem& p, const ChordalOptions& options);
 
 /// Map a converted-space solution back onto the original problem shape.
-/// Overlap-row multipliers are dropped from y, dual slacks scatter-add into
-/// dense blocks (exactly dual-feasible, PSD as a sum of padded PSDs), and
-/// primal clique blocks are completed into a dense PSD matrix along the
-/// clique tree. Telemetry and residual scalars carry over unchanged.
-Solution recover_original(const Solution& converted, const ChordalMap& map);
+/// Multipliers of rows beyond the original ones are dropped from y, dual
+/// slacks scatter-add into dense blocks (exactly dual-feasible, PSD as a sum
+/// of padded PSDs), and primal clique blocks are completed into a dense PSD
+/// matrix along the clique tree. Every other field (status, residuals,
+/// telemetry, recoveries, faulted phase) carries over unchanged.
+Solution recover_original(Solution sol, const ChordalMap& map);
 
 }  // namespace soslock::sdp

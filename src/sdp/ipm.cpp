@@ -63,19 +63,6 @@ double max_step(const Cholesky& chol_x, const Matrix& dx, double cap) {
   return std::min(cap, -1.0 / lambda_min);
 }
 
-/// Z^{-1} * S for symmetric S using chol(Z) (not symmetric in general).
-Matrix solve_all_columns(const Cholesky& chol, const Matrix& s) {
-  const std::size_t n = s.rows();
-  Matrix out(n, n);
-  Vector col(n);
-  for (std::size_t j = 0; j < s.cols(); ++j) {
-    for (std::size_t i = 0; i < n; ++i) col[i] = s(i, j);
-    const Vector sol = chol.solve(col);
-    for (std::size_t i = 0; i < n; ++i) out(i, j) = sol[i];
-  }
-  return out;
-}
-
 struct Residuals {
   Vector rp;                 // primal: b - A(X) - B w
   std::vector<Matrix> rd;    // dual: C - Z - sum_i y_i A_i
@@ -144,8 +131,8 @@ class Ipm {
     Solution sol = run_inner();
     sol.phase = phase_;
     // The dense Schur factor never contains overlap couplings: m rows, with
-    // or without decomposed cones. (Seam conversions pay for their overlap
-    // rows here — that is the geometry this telemetry exists to compare.)
+    // or without decomposed cones. (Overlap couplings lowered as equality
+    // rows would pay for them here — the geometry this telemetry compares.)
     sol.schur_rows = m_;
     return sol;
   }
@@ -419,45 +406,16 @@ class Ipm {
     return res.rp_rel < 1e-5 && primal_objective(s) < -1.0;
   }
 
-  /// Reference Schur assembly (pre-overhaul): both triangles, per-row
-  /// triangular column solves, then symmetrize. Kept selectable
-  /// (IpmOptions::reference_schur) for parity tests and as the baseline of
-  /// the bench speedup gates.
-  void assemble_schur_reference(const State& s, const std::vector<Cholesky>& chol_z,
-                                Matrix& schur) const {
-    Matrix work_ax, work_w;
-    for (std::size_t j = 0; j < nblocks_; ++j) {
-      const auto& touching = views_[j];
-      if (touching.empty()) continue;
-      const std::size_t n = p_.block_size(j);
-      work_ax = Matrix(n, n);
-      for (const BlockRowView& vi : touching) {
-        vi.coeff->times_dense(s.x[j], work_ax);          // A_i X
-        work_w = solve_all_columns(chol_z[j], work_ax);  // Z^{-1} A_i X
-        for (const BlockRowView& vk : touching) {
-          double acc = 0.0;
-          for (const Triplet& t : vk.coeff->entries) {
-            const double sym = 0.5 * (work_w(t.r, t.c) + work_w(t.c, t.r));
-            acc += (t.r == t.c ? 1.0 : 2.0) * t.v * sym;
-          }
-          schur(vi.row, vk.row) += acc;
-        }
-      }
-    }
-    schur.symmetrize();
-  }
-
-  /// Fast Schur assembly: fill only the upper triangle — each unordered row
+  /// Schur assembly: fill only the upper triangle — each unordered row
   /// pair is computed once (the exact-arithmetic symmetry M_ik = M_ki of the
   /// symmetrized HKM operator makes the mirror free) — over views sorted
   /// densest-first, with the Z_j^{-1} A_i X_j panel built once per row as a
-  /// sum of nnz(A_i) rank-1 outer products (O(nnz n^2), not the O(n^3)
-  /// column solves of the reference). Panels are independent across rows, so
-  /// they fan out on the pool; every (i, k) entry is written by exactly one
-  /// task and blocks are accumulated in a fixed sequential order, which
-  /// makes the assembly bit-identical across thread counts.
-  void assemble_schur_fast(const State& s, const std::vector<Matrix>& zinv,
-                           Matrix& schur) {
+  /// sum of nnz(A_i) rank-1 outer products (O(nnz n^2), not O(n^3) column
+  /// solves). Panels are independent across rows, so they fan out on the
+  /// pool; every (i, k) entry is written by exactly one task and blocks are
+  /// accumulated in a fixed sequential order, which makes the assembly
+  /// bit-identical across thread counts.
+  void assemble_schur(const State& s, const std::vector<Matrix>& zinv, Matrix& schur) {
     for (std::size_t j = 0; j < nblocks_; ++j) {
       const auto& touching = views_[j];
       if (touching.empty()) continue;
@@ -552,21 +510,17 @@ class Ipm {
     // over the extended index space (real rows, then overlap couplings).
     phase_timer.reset();
     Matrix schur(mext_, mext_);
-    if (opt_.reference_schur) {
-      assemble_schur_reference(s, chol_z, schur);
-    } else {
-      assemble_schur_fast(s, zinv, schur);
-    }
+    assemble_schur(s, zinv, schur);
     phase_.schur += phase_timer.seconds();
 
     // Overlap multipliers are block-eliminated, never factored with the
     // rows (OverlapElimination): the dense Schur factor stays m x m, the
     // flop count telescopes to exactly the extended (m+q) factorization,
     // and the elimination is algebraically the full solve — native cones
-    // take the same Newton step the seam rows would, at the original dense
-    // Schur geometry. Q is PD whenever the iterate is interior (a
-    // congruence of the PD HKM operator with the linearly independent
-    // overlap difference maps).
+    // take the same Newton step as overlap equality rows would, at the
+    // original dense Schur geometry. Q is PD whenever the iterate is
+    // interior (a congruence of the PD HKM operator with the linearly
+    // independent overlap difference maps).
     phase_timer.reset();
     OverlapElimination elim;
     const Cholesky chol_m =

@@ -70,7 +70,7 @@ Lowering lower(Problem problem, const LoweringOptions& options) {
     }
     SOSLOCK_VERIFY_PASS(problem, out.base_fingerprint, "decompose");
     pass_timer.reset();
-    out.map = apply_decomposition(problem, plan, options.chordal.at_seam);
+    out.map = apply_decomposition(problem, plan);
     {
       PassRecord rec;
       rec.name = "lower";
@@ -81,8 +81,8 @@ Lowering lower(Problem problem, const LoweringOptions& options) {
       rec.fingerprint = out.lowered_fingerprint;
       rec.detail = out.map.identity()
                        ? "identity (nothing split)"
-                       : (options.chordal.at_seam ? "seam rows: " : "native cones: ") +
-                             std::to_string(out.map.plans.size()) + " cone(s), max clique " +
+                       : "native cones: " + std::to_string(out.map.plans.size()) +
+                             " cone(s), max clique " +
                              std::to_string(out.map.max_clique_size());
       rec.seconds = pass_timer.seconds();
       out.passes.push_back(std::move(rec));
@@ -122,13 +122,13 @@ Lowering lower(Problem problem, const LoweringOptions& options) {
 Solution recover(Solution solution, const Lowering& lowering) {
   // Un-scale the dual multipliers so they certify the original rows (the
   // audit and every solution.value() consumer sees the unequilibrated
-  // system). Seam overlap rows are part of the lowered row space and are
-  // dropped by recover_original below.
+  // system).
   for (std::size_t i = 0; i < solution.y.size() && i < lowering.scaling.row_scale.size();
        ++i) {
     if (lowering.scaling.row_scale[i] != 0.0) solution.y[i] /= lowering.scaling.row_scale[i];
   }
-  if (!lowering.map.identity()) solution = recover_original(solution, lowering.map);
+  if (!lowering.map.identity())
+    solution = recover_original(std::move(solution), lowering.map);
   solution.phase.convert += lowering.convert_seconds;
   return solution;
 }
@@ -168,9 +168,8 @@ WarmStart remap_warm_start(const WarmStart& original, const Lowering& lowering) 
   out.fingerprint = lowering.lowered_fingerprint;
   out.w = original.w;
 
-  // Row multipliers: original rows keep their indices across the lowering;
-  // seam overlap rows (appended after them) start at zero. Scale into the
-  // equilibrated row space the backend sees.
+  // Row multipliers: original rows keep their indices across the lowering.
+  // Scale into the equilibrated row space the backend sees.
   out.y.assign(lowering.problem.num_rows(), 0.0);
   for (std::size_t i = 0; i < base_rows; ++i) out.y[i] = original.y[i];
   for (std::size_t i = 0; i < out.y.size() && i < lowering.scaling.row_scale.size(); ++i)
@@ -259,8 +258,7 @@ constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
 bool LoweringCache::options_match(const LoweringOptions& options) const {
   return options.sparsity == options_.sparsity &&
          options.chordal.min_block_size == options_.chordal.min_block_size &&
-         options.chordal.max_clique_fraction == options_.chordal.max_clique_fraction &&
-         options.chordal.at_seam == options_.chordal.at_seam;
+         options.chordal.max_clique_fraction == options_.chordal.max_clique_fraction;
 }
 
 const Lowering& LoweringCache::lower(Problem problem, const LoweringOptions& options) {
@@ -387,9 +385,8 @@ bool LoweringCache::try_update(Problem& problem) {
     }
 
     // All guards passed — rewrite in place. Original rows keep their
-    // indices across the lowering; seam overlap rows (beyond them) and
-    // native cone couplings are structural ±1/∓0.5 weights that never
-    // change between grid points.
+    // indices across the lowering; native cone couplings are structural
+    // ±1/∓0.5 weights that never change between grid points.
     auto& lrows = lowering_.problem.mutable_rows();
     for (std::size_t i = 0; i < problem.num_rows(); ++i) {
       const Row& brow = problem.rows()[i];
@@ -472,8 +469,7 @@ bool LoweringCache::try_update(Problem& problem) {
   SOSLOCK_VERIFY_PASS(lowering_.problem, lowering_.lowered_fingerprint, "update");
 
   // Re-equilibrate the fresh values. Idempotent on what it leaves behind
-  // (a unit-inf-norm row rescales by exactly 1.0), so untouched seam rows
-  // come through verbatim.
+  // (a unit-inf-norm row rescales by exactly 1.0).
   pass_timer.reset();
   lowering_.scaling = equilibrate_rows(lowering_.problem);
   {

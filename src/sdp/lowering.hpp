@@ -1,7 +1,7 @@
 #pragma once
 // Staged SOS→SDP lowering pipeline. The compiler (sos/compiler) emits a
 // block SDP; everything between that emission and the backend used to be a
-// seam of ad-hoc steps (chordal conversion, fingerprinting, equilibration)
+// sequence of ad-hoc steps (chordal conversion, fingerprinting, equilibration)
 // hard-wired into SosProgram::solve. This header makes it an explicit
 // pipeline of ordered passes, each recording its provenance:
 //
@@ -11,16 +11,14 @@
 //   decompose   — chordal clique planning of every qualifying PSD block
 //                 (sdp::plan_decomposition).
 //   lower       — block lowering: clique blocks replace decomposed ones,
-//                 with overlap consistency either registered natively as
-//                 sdp::DecomposedCone couplings (default) or appended as
-//                 equality rows (ChordalOptions::at_seam, the PR 3 parity
-//                 reference).
+//                 with overlap consistency registered as
+//                 sdp::DecomposedCone couplings.
 //   equilibrate — row equilibration (sdp/scaling).
 //
 // Warm-start blobs live in the *base* (pre-lowering) space: a blob exported
 // from one lowering replays into any other lowering of the same compiled
 // problem via per-clique remapping (remap_warm_start), so pass-parameter
-// changes — min_block_size, at_seam, even the sparsity mode when it does not
+// changes — min_block_size, max_clique_fraction, even the sparsity mode when it does not
 // change the compiled blocks — no longer orphan solver state the way the
 // old fingerprint salting did.
 //
@@ -77,15 +75,15 @@ Lowering lower(Problem problem, const LoweringOptions& options);
 /// un-equilibrate the dual multipliers, complete decomposed primal cones
 /// along their clique trees, scatter-add the dual slacks (Agler). Stamps
 /// PhaseTimes::convert with the pipeline's pass time and
-/// PhaseTimes::complete with the recovery time, so decomposed-vs-seam
+/// PhaseTimes::complete with the recovery time, so decomposed-vs-dense
 /// comparisons account for the full round trip.
 Solution recover(Solution solution, const Lowering& lowering);
 
 /// Remap an original-space warm blob into the lowered space: clique blocks
 /// are extracted from the dense primal (exactly consistent and PSD), dual
 /// slacks are split by entry multiplicity, and the row multipliers are
-/// scaled into the equilibrated row space (seam overlap rows start at 0;
-/// native overlap multipliers are backend state and start at 0 either way).
+/// scaled into the equilibrated row space (overlap multipliers are backend
+/// state and start at 0).
 ///
 /// Drift guard: every clique's canonical entry map is validated against the
 /// blob's block shapes — a clique whose vertices fall outside the blob's

@@ -28,16 +28,6 @@ struct ChordalOptions {
   /// Skip the decomposition of a block when the largest clique still covers
   /// more than this fraction of it (nothing to win, couplings to lose).
   double max_clique_fraction = 0.9;
-  /// Lower decomposed cones as the PR 3 seam conversion did: overlap
-  /// consistency becomes ordinary equality rows appended to the problem, so
-  /// the backends see a plain block SDP and the Schur complement carries the
-  /// overlap rows. Default (false) registers native sdp::DecomposedCone
-  /// descriptors instead — backends enforce the overlaps with multiplier
-  /// terms block-eliminated from the factored Schur/normal system, warm
-  /// starts remap per clique, and the dense factor keeps the original row
-  /// count. The seam path is kept selectable as the parity reference,
-  /// mirroring IpmOptions::reference_schur.
-  bool at_seam = false;
 };
 
 /// Interior-point (HKM predictor-corrector) tuning.
@@ -58,10 +48,6 @@ struct IpmOptions {
   /// serial. The parallel partitioning writes disjoint entries in a fixed
   /// order, so results are bit-identical across thread counts.
   std::size_t threads = 1;
-  /// Use the pre-overhaul Schur assembly (both triangles, per-row column
-  /// solves) instead of the sparse upper-triangle panel assembly. Reference
-  /// implementation for parity tests and the bench speedup gates.
-  bool reference_schur = false;
   bool verbose = false;
 };
 

@@ -75,8 +75,7 @@ struct CliqueInfo {
 /// all sparse-coefficient machinery) — but they are NOT equality rows of the
 /// problem: native backends enforce them through multiplier terms folded into
 /// their (block-eliminated) Schur/normal factorizations, so the dense
-/// factored system keeps the original row count. The seam conversion
-/// (ChordalOptions::at_seam) emits them as ordinary rows instead.
+/// factored system keeps the original row count.
 struct DecomposedCone {
   std::size_t original_size = 0;  // n of the original dense cone
   std::vector<CliqueInfo> cliques;
@@ -171,7 +170,7 @@ struct RecoveryRecord {
 ///             projections, where this phase dominates).
 ///   recover — RHS assembly, search-direction / iterate recovery, residuals.
 /// Two phases live *outside* the backends, stamped by the lowering pipeline
-/// (sdp/lowering) so decomposed-vs-seam comparisons account for the full
+/// (sdp/lowering) so decomposed-vs-dense comparisons account for the full
 /// round trip:
 ///   convert  — SOS→SDP lowering passes (csp analysis, clique decomposition,
 ///              block lowering, equilibration).
@@ -220,8 +219,7 @@ struct Solution {
   /// Dimension of the dense Schur complement (IPM) / normal matrix (ADMM)
   /// the backend factored. With native decomposed cones this equals the
   /// problem's row count — the overlap couplings are block-eliminated
-  /// multipliers, never rows of the factored system — while the seam
-  /// conversion pays for its overlap rows here. 0 when not recorded.
+  /// multipliers, never rows of the factored system. 0 when not recorded.
   std::size_t schur_rows = 0;
   /// Phase the watchdogs blamed for a Diverged/Faulted/NumericalProblem
   /// outcome ("factor", "primal-residual", "iterate", ...); empty when no

@@ -123,8 +123,7 @@ SolveResult SosProgram::solve(const sdp::SolverBackend& backend,
   // Staged lowering pipeline (sdp/lowering): support/csp analysis happened
   // at constraint-add time (the correlative Gram split); the SDP-level
   // passes — clique decomposition, block lowering (native DecomposedCone
-  // descriptors by default, overlap rows under ChordalOptions::at_seam),
-  // and row equilibration — run here with per-pass provenance.
+  // descriptors), and row equilibration — run here with per-pass provenance.
   const sdp::Lowering lowering = sdp::lower(compile(), lowering_options());
   return solve_lowered(backend, context, lowering);
 }
@@ -194,7 +193,7 @@ SolveResult SosProgram::solve_lowered(const sdp::SolverBackend& backend,
 
   // Export the recovered iterate as a base-space blob: the next
   // structurally identical compile accepts it even if its pass parameters
-  // (min_block_size, at_seam, sparsity level at equal compiled blocks)
+  // (min_block_size, sparsity level at equal compiled blocks)
   // differ — remap_warm_start re-lowers it per clique.
   sdp::WarmStart warm_blob;
   if (std::isfinite(y_scale) && y_scale < 1e8) {

@@ -97,8 +97,7 @@ class SosProgram {
   /// Correlative (and Chordal) split each constraint's Gram basis along the
   /// csp-graph cliques at add_sos_constraint time; Chordal additionally runs
   /// the clique-decomposition passes of the sdp/lowering pipeline inside
-  /// solve() (native DecomposedCone lowering by default, overlap rows under
-  /// ChordalOptions::at_seam). Warm blobs live in the pre-lowering space and
+  /// solve() (native DecomposedCone lowering). Warm blobs live in the pre-lowering space and
   /// remap per clique, so they survive pass-parameter changes; modes that
   /// compile different Gram blocks (Off vs Correlative) still separate
   /// naturally through the compiled structure fingerprint. The core
@@ -226,7 +225,7 @@ struct SolveResult {
   /// retry loops never re-derive what the aborted solve already knew. The
   /// blob lives in the base (pre-lowering, unequilibrated) space: the next
   /// solve re-lowers it through sdp::remap_warm_start, so it survives
-  /// lowering-parameter changes (min_block_size, at_seam, ...).
+  /// lowering-parameter changes (min_block_size, max_clique_fraction, ...).
   sdp::WarmStart warm;
 
   double value(const poly::LinExpr& e) const { return e.eval(decision_values); }

@@ -1,6 +1,7 @@
 // Tests for the staged SOS→SDP lowering pipeline (sdp/lowering) and native
 // decomposed cones in the backends: pass provenance, native-vs-seam verdict
-// parity on banded SDPs and the clock-tree coupling model, the
+// parity on banded SDPs and the clock-tree coupling model (the seam being a
+// test-only lowering with the overlap couplings as equality rows), the
 // Schur-complement geometry claim (zero overlap rows in the factored
 // system), base-space warm blobs surviving min_block_size changes via
 // per-clique remapping, the drift guard on stale canonical entry maps,
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "linalg/eigen_sym.hpp"
 #include "pll/models.hpp"
@@ -71,11 +73,22 @@ Problem clock_tree_sdp(std::size_t loops) {
   return pll::clock_tree_coupling_sdp(model.constants, options);
 }
 
-LoweringOptions chordal_lowering(std::size_t min_block_size, bool at_seam = false) {
+LoweringOptions chordal_lowering(std::size_t min_block_size) {
   LoweringOptions low;
   low.sparsity = sdp::SparsityOptions::Chordal;
   low.chordal.min_block_size = min_block_size;
-  low.chordal.at_seam = at_seam;
+  return low;
+}
+
+/// The seam conversion, as a parity oracle: every cone's overlap couplings
+/// become ordinary equality rows after the original ones, and the cones go.
+/// The backends then see a plain block SDP whose Schur complement carries
+/// the overlap rows; sdp::recover drops their multipliers again.
+Lowering seam_of(Lowering low) {
+  for (const sdp::DecomposedCone& cone : low.problem.cones())
+    for (const sdp::Row& row : cone.overlaps) low.problem.add_row(row);
+  low.problem.mutable_cones().clear();
+  low.lowered_fingerprint = sdp::structure_fingerprint(low.problem);
   return low;
 }
 
@@ -114,8 +127,8 @@ TEST(LoweringPipeline, PassesRecordProvenanceAndSeedTheCache) {
 
 TEST(LoweringPipeline, NativeLoweringAddsConesNotRows) {
   const Problem original = banded_sdp(30);
-  const Lowering native = sdp::lower(banded_sdp(30), chordal_lowering(8, false));
-  const Lowering seam = sdp::lower(banded_sdp(30), chordal_lowering(8, true));
+  const Lowering native = sdp::lower(banded_sdp(30), chordal_lowering(8));
+  const Lowering seam = seam_of(native);
   ASSERT_TRUE(native.decomposed());
   ASSERT_TRUE(seam.decomposed());
 
@@ -149,8 +162,9 @@ TEST(LoweringPipeline, NativeVsSeamVerdictParityOnBandedAndClockTree) {
     Solution recovered[2];
     std::size_t schur_rows[2];
     int slot = 0;
-    for (const bool at_seam : {false, true}) {
-      const Lowering low = sdp::lower(c.problem, chordal_lowering(c.min_block_size, at_seam));
+    for (const bool seam : {false, true}) {
+      Lowering low = sdp::lower(c.problem, chordal_lowering(c.min_block_size));
+      if (seam) low = seam_of(std::move(low));
       ASSERT_TRUE(low.decomposed()) << c.name;
       sdp::SolveContext context;
       const Solution sol = sdp::IpmSolver().solve(low.problem, context);
@@ -186,13 +200,14 @@ TEST(LoweringPipeline, AdmmSolvesNativeConesWithSeamParity) {
   ASSERT_EQ(dense_sol.status, SolveStatus::Optimal);
 
   Solution recovered[2];
-  for (const bool at_seam : {false, true}) {
-    const Lowering low = sdp::lower(original, chordal_lowering(4, at_seam));
+  for (const bool seam : {false, true}) {
+    Lowering low = sdp::lower(original, chordal_lowering(4));
+    if (seam) low = seam_of(std::move(low));
     ASSERT_TRUE(low.decomposed());
     sdp::SolveContext context;
     const Solution sol = sdp::AdmmSolver().solve(low.problem, context);
-    EXPECT_EQ(sol.schur_rows, at_seam ? low.problem.num_rows() : original.num_rows());
-    recovered[at_seam ? 1 : 0] = sdp::recover(sol, low);
+    EXPECT_EQ(sol.schur_rows, seam ? low.problem.num_rows() : original.num_rows());
+    recovered[seam ? 1 : 0] = sdp::recover(sol, low);
   }
   for (int i = 0; i < 2; ++i) {
     ASSERT_EQ(recovered[i].status, SolveStatus::Optimal) << i;
@@ -201,6 +216,27 @@ TEST(LoweringPipeline, AdmmSolvesNativeConesWithSeamParity) {
         << i;
     EXPECT_LT(primal_violation(original, recovered[i]), 1e-4) << i;
   }
+}
+
+TEST(LoweringPipeline, RecoverKeepsResilienceTelemetry) {
+  // A decomposed solve that needed a retry or fallback must still report it
+  // after the round trip back to the original shape.
+  const Lowering low = sdp::lower(banded_sdp(30), chordal_lowering(8));
+  ASSERT_TRUE(low.decomposed());
+  sdp::SolveContext ctx;
+  Solution sol = sdp::IpmSolver().solve(low.problem, ctx);
+  sdp::RecoveryRecord record;
+  record.action = "retry";
+  record.reason = "Diverged(phase=primal-residual)";
+  sol.recoveries.push_back(record);
+  sol.faulted_phase = "primal-residual";
+
+  const Solution recovered = sdp::recover(sol, low);
+  ASSERT_EQ(recovered.recoveries.size(), 1u);
+  EXPECT_EQ(recovered.recoveries[0].action, "retry");
+  EXPECT_EQ(recovered.recoveries[0].reason, record.reason);
+  EXPECT_EQ(recovered.faulted_phase, "primal-residual");
+  EXPECT_EQ(recovered.x.size(), 1u);
 }
 
 TEST(LoweringPipeline, WarmStartSurvivesMinBlockSizeChange) {

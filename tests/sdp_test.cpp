@@ -1,7 +1,9 @@
 // Tests for the interior-point SDP solver on problems with known solutions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "linalg/eigen_sym.hpp"
 #include "sdp/ipm.hpp"
@@ -334,31 +336,83 @@ TEST(Problem, StatsString) {
   EXPECT_NE(s.find("1 free"), std::string::npos);
 }
 
-// The returned dual (y, Z) must itself certify the optimum: Z = C - sum y_i A_i
-// must be PSD and b'y must equal the primal objective at tolerance. This makes
-// the solver's answer independently checkable, like the SOS-level audit.
-TEST(Ipm, DualCertificateVerifiable) {
-  Problem p;
-  const std::size_t b = p.add_block(2);
-  p.set_block_objective(b, Matrix::identity(2));
-  Row row;
-  SparseSym a;
-  a.add(0, 1, 0.5);
-  row.blocks[b] = a;
-  row.rhs = 1.0;
-  p.add_row(std::move(row));
+/// Random feasible min-trace SDP: b = A(X*) for a random PSD X*.
+Problem random_feasible_sdp(std::uint64_t seed, std::size_t n, std::size_t m) {
+  util::Rng rng(seed);
+  Matrix g(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) g(r, c) = rng.uniform(-1.0, 1.0);
+  const Matrix xstar = linalg::transposed_times(g, g);
 
-  const Solution sol = IpmSolver(quiet()).solve(p);
-  ASSERT_EQ(sol.status, SolveStatus::Optimal);
-  // Rebuild Z from scratch out of the returned multipliers.
-  Matrix z = Matrix::identity(2);
-  Matrix a_dense(2, 2);
-  a.add_to(a_dense);
-  z.axpy(-sol.y[0], a_dense);
-  EXPECT_GT(linalg::min_eigenvalue(z), -1e-7);
-  EXPECT_NEAR(sol.y[0] * 1.0, sol.primal_objective, 1e-5);
-  // Complementarity: <X, Z> ~ 0.
-  EXPECT_NEAR(linalg::dot(sol.x[0], z), 0.0, 1e-5);
+  Problem p;
+  const std::size_t b = p.add_block(n);
+  p.set_block_objective(b, Matrix::identity(n));
+  for (std::size_t i = 0; i < m; ++i) {
+    Row row;
+    SparseSym a;
+    for (int k = 0; k < 4; ++k) {
+      const std::size_t r = rng.index(n);
+      const std::size_t c = rng.index(n);
+      a.add(std::min(r, c), std::max(r, c), rng.uniform(-1.0, 1.0));
+    }
+    if (a.empty()) a.add(0, 0, 1.0);
+    Matrix dense(n, n);
+    a.add_to(dense);
+    row.rhs = linalg::dot(dense, xstar);
+    row.blocks[b] = a;
+    p.add_row(std::move(row));
+  }
+  return p;
+}
+
+// The returned primal-dual pair must itself certify the optimum: X satisfies
+// every row, Z = C - sum y_i A_i rebuilt from the returned multipliers is PSD,
+// b'y equals the primal objective and <X, Z> ~ 0. The check computes every
+// KKT residual from the problem data alone, so a wrong Schur operator cannot
+// pass it. This makes the solver's answer independently checkable, like the
+// SOS-level audit.
+TEST(Ipm, DualCertificateVerifiable) {
+  Problem tiny;
+  const std::size_t b = tiny.add_block(2);
+  tiny.set_block_objective(b, Matrix::identity(2));
+  Row row;
+  row.blocks[b].add(0, 1, 0.5);
+  row.rhs = 1.0;
+  tiny.add_row(std::move(row));
+
+  std::vector<Problem> problems;
+  problems.push_back(std::move(tiny));
+  problems.push_back(random_feasible_sdp(5, 9, 12));
+  problems.push_back(random_feasible_sdp(23, 9, 12));
+  for (std::size_t k = 0; k < problems.size(); ++k) {
+    const Problem& p = problems[k];
+    const Solution sol = IpmSolver(quiet()).solve(p);
+    ASSERT_EQ(sol.status, SolveStatus::Optimal) << k;
+    const double obj_tol = 1e-5 * (1.0 + std::fabs(sol.primal_objective));
+
+    double dual_objective = 0.0, complementarity = 0.0;
+    for (std::size_t i = 0; i < p.num_rows(); ++i) {
+      dual_objective += p.rhs(i) * sol.y[i];
+      double ax = 0.0;
+      for (const auto& [j, a] : p.rows()[i].blocks) ax += a.dot(sol.x[j]);
+      EXPECT_NEAR(ax, p.rhs(i), 1e-6 * (1.0 + std::fabs(p.rhs(i)))) << k << " row " << i;
+    }
+    for (std::size_t j = 0; j < p.num_blocks(); ++j) {
+      // Rebuild Z from scratch out of the returned multipliers.
+      Matrix z = p.block_objective(j);
+      for (std::size_t i = 0; i < p.num_rows(); ++i) {
+        const auto it = p.rows()[i].blocks.find(j);
+        if (it == p.rows()[i].blocks.end()) continue;
+        Matrix a_dense(p.block_size(j), p.block_size(j));
+        it->second.add_to(a_dense);
+        z.axpy(-sol.y[i], a_dense);
+      }
+      EXPECT_GT(linalg::min_eigenvalue(z), -1e-7) << k;
+      complementarity += linalg::dot(sol.x[j], z);
+    }
+    EXPECT_NEAR(dual_objective, sol.primal_objective, obj_tol) << k;
+    EXPECT_NEAR(complementarity, 0.0, obj_tol) << k;
+  }
 }
 
 TEST(Ipm, SolutionInvariantUnderRowScaling) {

@@ -331,7 +331,7 @@ TEST(BatchSolver, EffectiveConfigDividesThreadsAcrossWorkers) {
   EXPECT_EQ(batch.effective_config(config, 1).threads, 8u);
 }
 
-// --- multi-threaded determinism and reference-kernel parity -----------------
+// --- multi-threaded determinism ----------------------------------------------
 
 TEST(Threading, IpmDeterministicAcrossThreadCounts) {
   // The parallel Schur/factor/recover partitions write disjoint entries in a
@@ -377,23 +377,6 @@ TEST(Threading, ConfigThreadsReachesBackends) {
   config.threads = 1;  // default passes the per-backend option through
   config.ipm.threads = 2;
   EXPECT_EQ(config.resolved_ipm().threads, 2u);
-}
-
-TEST(ReferenceKernels, IpmSchurAssemblyParity) {
-  // The fast upper-triangle panel assembly computes the same Schur operator
-  // as the reference (exact-arithmetic identical); solves must agree on
-  // status and objective to solver tolerance.
-  for (std::uint64_t seed : {5u, 23u}) {
-    const Problem p = random_feasible_sdp(seed, 9, 12);
-    sdp::IpmOptions fast;
-    const Solution a = sdp::IpmSolver(fast).solve(p);
-    sdp::IpmOptions reference = fast;
-    reference.reference_schur = true;
-    const Solution b = sdp::IpmSolver(reference).solve(p);
-    EXPECT_EQ(a.status, b.status);
-    EXPECT_NEAR(a.primal_objective, b.primal_objective,
-                1e-5 * (1.0 + std::fabs(a.primal_objective)));
-  }
 }
 
 TEST(PhaseTimers, BackendsRecordPhaseBreakdown) {
