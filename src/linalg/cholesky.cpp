@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "linalg/kernels.hpp"
 #include "util/log.hpp"
@@ -15,6 +17,11 @@ namespace {
 /// row segments, so the working set per round stays cache-resident instead
 /// of streaming the whole matrix per column as the unblocked loop does.
 constexpr std::size_t kPanel = 48;
+
+/// Row-panel height of the multi-RHS triangular solves. A system of at most
+/// this many rows (every PSD block of the SOS programs) is pure in-panel
+/// substitution and allocates no GEMM scratch.
+constexpr std::size_t kSolvePanel = 32;
 
 /// In-place attempt; returns false when a non-positive pivot appears.
 /// Blocked right-looking factorization: the factor is built in the lower
@@ -63,29 +70,28 @@ std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
 }
 
 Cholesky Cholesky::factor_shifted(const Matrix& a, double initial_rel_shift) {
+  Cholesky c;
+  c.refactor_shifted(a, initial_rel_shift);
+  return c;
+}
+
+void Cholesky::refactor_shifted(const Matrix& a, double initial_rel_shift) {
   assert(a.rows() == a.cols());
   const double scale = diag_scale(a);
-  Cholesky c;
   double rel = initial_rel_shift;
-  if (try_factor(a, rel * scale, c.l_)) {
-    c.shift_ = rel * scale;
-    return c;
-  }
-  rel = rel > 0.0 ? rel * 10.0 : 1e-14;
   while (rel < 1e6) {
-    if (try_factor(a, rel * scale, c.l_)) {
-      c.shift_ = rel * scale;
-      util::log_trace("Cholesky: applied diagonal shift ", c.shift_);
-      return c;
+    if (try_factor(a, rel * scale, l_)) {
+      shift_ = rel * scale;
+      if (rel != initial_rel_shift) util::log_trace("Cholesky: applied diagonal shift ", shift_);
+      return;
     }
-    rel *= 10.0;
+    rel = rel > 0.0 ? rel * 10.0 : 1e-14;
   }
   // Degenerate input (e.g. all-NaN): fall back to identity to avoid UB; the
   // caller's residual checks will expose the failure.
   util::log_warn("Cholesky: factorization failed even with large shift");
-  c.l_ = Matrix::identity(a.rows());
-  c.shift_ = rel * scale;
-  return c;
+  l_ = Matrix::identity(a.rows());
+  shift_ = rel * scale;
 }
 
 Vector Cholesky::solve_lower(const Vector& b) const {
@@ -106,13 +112,63 @@ Vector Cholesky::solve_lower_transposed(const Vector& y) const {
 
 Vector Cholesky::solve(const Vector& b) const { return solve_lower_transposed(solve_lower(b)); }
 
-Matrix Cholesky::solve(const Matrix& b) const {
-  Matrix x(b.rows(), b.cols());
-  Vector col(b.rows());
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    for (std::size_t i = 0; i < b.rows(); ++i) col[i] = b(i, j);
-    const Vector sol = solve(col);
-    for (std::size_t i = 0; i < b.rows(); ++i) x(i, j) = sol[i];
+Matrix Cholesky::solve_lower(Matrix x) const {
+  const std::size_t n = l_.rows(), nc = x.cols();
+  assert(x.rows() == n);
+  const Kernels& kern = active_kernels();
+  // Left-looking over row panels: the rows above a panel are final, so their
+  // whole contribution L[r0:r1, 0:r0) X[0:r0) arrives in one GEMM; the rows
+  // inside it are substituted by axpy, each a contiguous row of X.
+  std::vector<double> acc(n > kSolvePanel ? kSolvePanel * nc : 0);
+  for (std::size_t r0 = 0; r0 < n; r0 += kSolvePanel) {
+    const std::size_t r1 = std::min(n, r0 + kSolvePanel);
+    if (r0 > 0) {
+      std::fill(acc.begin(), acc.end(), 0.0);
+      kern.gemm_acc(r1 - r0, nc, r0, l_.row_ptr(r0), n, x.data(), nc, acc.data(), nc);
+      for (std::size_t i = r0; i < r1; ++i) {
+        double* xi = x.row_ptr(i);
+        const double* ai = acc.data() + (i - r0) * nc;
+        for (std::size_t c = 0; c < nc; ++c) xi[c] -= ai[c];
+      }
+    }
+    for (std::size_t i = r0; i < r1; ++i) {
+      const double* li = l_.row_ptr(i);
+      double* xi = x.row_ptr(i);
+      for (std::size_t k = r0; k < i; ++k) kern.axpy(-li[k], x.row_ptr(k), xi, nc);
+      for (std::size_t c = 0; c < nc; ++c) xi[c] /= li[i];
+    }
+  }
+  return x;
+}
+
+Matrix Cholesky::solve(Matrix b) const {
+  const std::size_t n = l_.rows(), nc = b.cols();
+  const Kernels& kern = active_kernels();
+  Matrix x = solve_lower(std::move(b));
+  // Back substitution L^T X = Y, bottom panel first, right-looking: a row is
+  // final once divided by its pivot and leaves the panel rows above it along
+  // its own row of L (axpy form); the finished panel then reaches every row
+  // above the panel through one GEMM with its negated transpose.
+  std::vector<double> lt;
+  for (std::size_t p = (n + kSolvePanel - 1) / kSolvePanel; p-- > 0;) {
+    const std::size_t r0 = p * kSolvePanel, r1 = std::min(n, r0 + kSolvePanel);
+    for (std::size_t k = r1; k-- > r0;) {
+      const double* lk = l_.row_ptr(k);
+      double* xk = x.row_ptr(k);
+      for (std::size_t c = 0; c < nc; ++c) xk[c] /= lk[k];
+      for (std::size_t i = r0; i < k; ++i) kern.axpy(-lk[i], xk, x.row_ptr(i), nc);
+    }
+    if (r0 == 0) break;
+    // lt = -L[r0:r1, 0:r0)^T, written row by row: contiguous stores, and the
+    // kb source rows are each read sequentially.
+    const std::size_t kb = r1 - r0;
+    lt.resize(r0 * kb);
+    const double* lp = l_.row_ptr(r0);
+    for (std::size_t i = 0; i < r0; ++i) {
+      double* ti = lt.data() + i * kb;
+      for (std::size_t a = 0; a < kb; ++a) ti[a] = -lp[a * n + i];
+    }
+    kern.gemm_acc(r0, nc, kb, lt.data(), kb, x.row_ptr(r0), nc, x.data(), nc);
   }
   return x;
 }

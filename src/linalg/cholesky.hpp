@@ -18,13 +18,23 @@ class Cholesky {
   /// relative to the diagonal magnitude until the factorization succeeds.
   /// Records the shift actually applied.
   static Cholesky factor_shifted(const Matrix& a, double initial_rel_shift = 0.0);
+  /// factor_shifted into this object: same shift ladder, same bits, but the
+  /// factor reuses the storage of the previous one when the size matches
+  /// (the IPM refactors its m x m Schur complement every iteration).
+  void refactor_shifted(const Matrix& a, double initial_rel_shift = 0.0);
 
   /// Solve A x = b.
   Vector solve(const Vector& b) const;
-  /// Solve A X = B column-wise.
-  Matrix solve(const Matrix& b) const;
+  /// Solve A X = B for every column of B at once: solve_lower(B), then a
+  /// row-contiguous multi-RHS back substitution. B is taken by value and
+  /// solved in place, so a temporary right-hand side costs no copy.
+  Matrix solve(Matrix b) const;
   /// Solve L y = b (forward substitution).
   Vector solve_lower(const Vector& b) const;
+  /// Solve L Y = B for every column of B at once (blocked multi-RHS forward
+  /// trsm on row-major B: GEMM panel updates plus in-panel axpy rows), in
+  /// place on the by-value B.
+  Matrix solve_lower(Matrix b) const;
   /// Solve L^T x = y (back substitution).
   Vector solve_lower_transposed(const Vector& y) const;
 

@@ -11,8 +11,8 @@
 //     dimensions; callers guarantee no aliasing between inputs and outputs
 //     unless a kernel documents in-place operation.
 //   - The scalar table reproduces the pre-SIMD loop nests *operation for
-//     operation* (same accumulation order, no FMA contraction), so
-//     SOSLOCK_SIMD=scalar is bit-identical to the historical results. This
+//     operation* (same accumulation order, no FMA contraction), so each
+//     scalar kernel is bit-identical to its historical reference loop. This
 //     is the always-correct reference path the parity suite tests every
 //     other ISA against.
 //   - Vector tables keep the per-element accumulation *order* of the scalar
@@ -20,7 +20,7 @@
 //     sub_scaled2, split_recombine) — they differ only by FMA contraction,
 //     so parity there is a fused-multiply-add question, not a reduction-
 //     order question. The reduction kernels (dot, dot_sub and the
-//     triangular solves built on them) split sums across lanes and are
+//     triangular solves) split sums across lanes or reorder them and are
 //     parity-tested to ulp-scaled bounds instead.
 #include <cstddef>
 
@@ -97,7 +97,10 @@ struct Kernels {
   /// (n x n, ldl), x = b on entry.
   void (*trsv_lower)(std::size_t n, const double* l, std::size_t ldl, double* x);
 
-  /// In-place back substitution: solve L^T x = b, x = b on entry.
+  /// In-place back substitution: solve L^T x = b, x = b on entry. Scalar is
+  /// the historical dot form (column k of L, stride ldl); vector tables use
+  /// the axpy form — x[k] /= L[k,k], then x[0,k) -= x[k] * L[k,0..k) — so
+  /// every read of L is a contiguous row segment.
   void (*trsv_lower_t)(std::size_t n, const double* l, std::size_t ldl, double* x);
 };
 

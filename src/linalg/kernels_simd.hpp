@@ -21,8 +21,9 @@
 // elementwise kernels (gemm, syrk, axpy, sub_scaled2, split_recombine) keep
 // the scalar per-element k-order and differ only by FMA fusing, so their
 // remainder lanes must use std::fma to stay exactly reproducible by a fused
-// sequential reference. The reduction kernels (dot, dot_sub, trsv) split
-// sums across lanes and are only ulp-bounded against scalar.
+// sequential reference. The reduction kernels (dot, dot_sub, trsv_lower)
+// split sums across lanes, and trsv_lower_t runs in axpy rather than dot
+// order; all of them are only ulp-bounded against scalar.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
@@ -268,18 +269,71 @@ inline void vgemm_acc(std::size_t m, std::size_t n, std::size_t kk, const double
       V::storeu(cr + W, V::add(V::loadu(cr + W), acc1));
     }
   }
-  if (j0 < n) {  // remainder columns (< 2W wide): sequential, fused
-    const std::size_t nr = n - j0;
-    for (std::size_t i = 0; i < m; ++i) {
-      double acc[2 * V::W] = {};
-      const double* ai = a + i * lda;
-      for (std::size_t k = 0; k < kk; ++k) {
-        const double* bk = b + k * ldb + j0;
-        const double f = ai[k];
-        for (std::size_t jj = 0; jj < nr; ++jj) acc[jj] = std::fma(f, bk[jj], acc[jj]);
+  if (j0 + W <= n) {  // one register-wide remainder tile
+    std::size_t i0 = 0;
+    for (; i0 + 4 <= m; i0 += 4) {
+      vec acc0 = V::zero(), acc1 = V::zero(), acc2 = V::zero(), acc3 = V::zero();
+      const double* a0 = a + i0 * lda;
+      const double* a1 = a0 + lda;
+      const double* a2 = a1 + lda;
+      const double* a3 = a2 + lda;
+      const double* bk = b + j0;
+      for (std::size_t k = 0; k < kk; ++k, bk += ldb) {
+        const vec b0 = V::loadu(bk);
+        acc0 = V::fmadd(V::set1(a0[k]), b0, acc0);
+        acc1 = V::fmadd(V::set1(a1[k]), b0, acc1);
+        acc2 = V::fmadd(V::set1(a2[k]), b0, acc2);
+        acc3 = V::fmadd(V::set1(a3[k]), b0, acc3);
       }
-      double* cr = c + i * ldc + j0;
-      for (std::size_t jj = 0; jj < nr; ++jj) cr[jj] += acc[jj];
+      double* c0 = c + i0 * ldc + j0;
+      V::storeu(c0, V::add(V::loadu(c0), acc0));
+      V::storeu(c0 + ldc, V::add(V::loadu(c0 + ldc), acc1));
+      V::storeu(c0 + 2 * ldc, V::add(V::loadu(c0 + 2 * ldc), acc2));
+      V::storeu(c0 + 3 * ldc, V::add(V::loadu(c0 + 3 * ldc), acc3));
+    }
+    for (; i0 < m; ++i0) {
+      vec acc = V::zero();
+      const double* ai = a + i0 * lda;
+      const double* bk = b + j0;
+      for (std::size_t k = 0; k < kk; ++k, bk += ldb)
+        acc = V::fmadd(V::set1(ai[k]), V::loadu(bk), acc);
+      double* cr = c + i0 * ldc + j0;
+      V::storeu(cr, V::add(V::loadu(cr), acc));
+    }
+    j0 += W;
+  }
+  // Last columns (< W wide): sequential fused chains, one column at a time
+  // with four rows' accumulators in registers, so independent chains
+  // overlap instead of each k-step waiting on the last (a narrow multi-RHS
+  // solve spends most of its GEMM time here).
+  for (; j0 < n; ++j0) {
+    std::size_t i = 0;
+    for (; i + 4 <= m; i += 4) {
+      const double* a0 = a + i * lda;
+      const double* a1 = a0 + lda;
+      const double* a2 = a1 + lda;
+      const double* a3 = a2 + lda;
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      const double* bk = b + j0;
+      for (std::size_t k = 0; k < kk; ++k, bk += ldb) {
+        const double bj = *bk;
+        s0 = std::fma(a0[k], bj, s0);
+        s1 = std::fma(a1[k], bj, s1);
+        s2 = std::fma(a2[k], bj, s2);
+        s3 = std::fma(a3[k], bj, s3);
+      }
+      double* ci = c + i * ldc + j0;
+      ci[0] += s0;
+      ci[ldc] += s1;
+      ci[2 * ldc] += s2;
+      ci[3 * ldc] += s3;
+    }
+    for (; i < m; ++i) {
+      const double* ai = a + i * lda;
+      double s = 0.0;
+      const double* bk = b + j0;
+      for (std::size_t k = 0; k < kk; ++k, bk += ldb) s = std::fma(ai[k], *bk, s);
+      c[i * ldc + j0] += s;
     }
   }
 }
@@ -315,9 +369,24 @@ inline void vtrsv_lower(std::size_t n, const double* l, std::size_t ldl, double*
   }
 }
 
-/// Build the full table for one ISA from the double trait VD. The strided
-/// back substitution stays on the scalar kernel (its column walk defeats
-/// contiguous vector loads and it is O(n^2) against the O(n^3) neighbours).
+/// Back substitution in axpy form: once x[k] is final, its contribution is
+/// removed from every earlier unknown along row k of L — a contiguous read,
+/// where the dot form would walk column k with stride ldl.
+template <class V>
+inline void vtrsv_lower_t(std::size_t n, const double* l, std::size_t ldl, double* x) {
+  constexpr std::size_t W = V::W;
+  for (std::size_t k = n; k-- > 0;) {
+    const double* lk = l + k * ldl;
+    const double xk = x[k] / lk[k];
+    x[k] = xk;
+    const typename V::vec fv = V::set1(xk);
+    std::size_t i = 0;
+    for (; i + W <= k; i += W) V::storeu(x + i, V::fnmadd(fv, V::loadu(lk + i), V::loadu(x + i)));
+    for (; i < k; ++i) x[i] = std::fma(-xk, lk[i], x[i]);
+  }
+}
+
+/// Build the full table for one ISA from the double trait VD.
 template <class VD>
 inline Kernels make_table(util::SimdIsa isa) {
   Kernels k;
@@ -332,7 +401,7 @@ inline Kernels make_table(util::SimdIsa isa) {
   k.chol_trailing_update = &vchol_trailing_update<VD>;
   k.chol_factor_panel = &vchol_factor_panel<VD>;
   k.trsv_lower = &vtrsv_lower<VD>;
-  k.trsv_lower_t = scalar_kernels().trsv_lower_t;
+  k.trsv_lower_t = &vtrsv_lower_t<VD>;
   return k;
 }
 

@@ -1,6 +1,8 @@
 #include "sdp/elimination.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace soslock::sdp {
 
@@ -17,13 +19,13 @@ Matrix OverlapElimination::reduce(const Matrix& full, std::size_t m, std::size_t
   for (std::size_t a = 0; a < q; ++a)
     for (std::size_t b = 0; b < q; ++b) qmat(a, b) = full(m + a, m + b);
   chol_q_ = Cholesky::factor_shifted(qmat, corner_shift);
-  w_ = Matrix(q, m);
-  Vector col(q);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t a = 0; a < q; ++a) col[a] = full(i, m + a);
-    const Vector sol = chol_q_.solve_lower(col);
-    for (std::size_t a = 0; a < q; ++a) w_(a, i) = sol[a];
-  }
+  // U^T is the lower-left q x m block of the symmetric `full`: its rows are
+  // the overlap rows' leading segments, so W = L_q^{-1} U^T is one multi-RHS
+  // forward solve.
+  Matrix ut(q, m);
+  for (std::size_t a = 0; a < q; ++a)
+    std::copy(full.row_ptr(m + a), full.row_ptr(m + a) + m, ut.row_ptr(a));
+  w_ = chol_q_.solve_lower(std::move(ut));
   Matrix reduced(m, m);
   for (std::size_t i = 0; i < m; ++i)
     for (std::size_t k = 0; k < m; ++k) reduced(i, k) = full(i, k);

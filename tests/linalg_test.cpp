@@ -1,6 +1,7 @@
 // Unit and property tests for the dense linear algebra kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -155,6 +156,55 @@ TEST(Cholesky, MatrixSolve) {
   ASSERT_TRUE(chol.has_value());
   const Matrix x = chol->solve(b);
   EXPECT_LT(norm_inf(a * x - b), 1e-9);
+}
+
+TEST(Cholesky, MatrixSolveResidualAcrossPanels) {
+  // Sizes on and around the 32-row panel of the multi-RHS solves, with one
+  // and with many right-hand sides.
+  for (std::size_t n : {1u, 5u, 31u, 32u, 33u, 96u, 450u}) {
+    util::Rng rng(n * 5 + 3);
+    const Matrix a = random_spd(n, rng, 2.0);
+    const auto chol = Cholesky::factor(a);
+    ASSERT_TRUE(chol.has_value()) << "n=" << n;
+    for (std::size_t nc : {1u, 17u}) {
+      const Matrix b = random_matrix(n, nc, rng);
+      const Matrix x = chol->solve(b);
+      EXPECT_LT(norm_inf(a * x - b), 1e-12 * static_cast<double>(n + 1) * norm_inf(a))
+          << "n=" << n << " nc=" << nc;
+    }
+  }
+}
+
+TEST(Cholesky, RefactorShiftedBitwiseEqualsFactorShifted) {
+  // One object refactored through a PD input, an indefinite one (the shift
+  // ladder's retries), a smaller one (storage resize), an all-NaN one (the
+  // identity fallback) and the PD one again must match a fresh
+  // factor_shifted bit for bit every time.
+  util::Rng rng(67);
+  const std::size_t n = 80;
+  const Matrix spd = random_spd(n, rng);
+  Matrix indefinite = random_matrix(n, n, rng);
+  indefinite.symmetrize();
+  indefinite(3, 3) = -50.0;
+  const Matrix small = random_spd(7, rng);
+  const Matrix nan(4, 4, std::nan(""));
+  Cholesky c = Cholesky::factor_shifted(Matrix::identity(n));
+  const Matrix* inputs[] = {&spd, &indefinite, &small, &nan, &spd};
+  for (const Matrix* a : inputs) {
+    for (double rel : {0.0, 1e-13}) {
+      c.refactor_shifted(*a, rel);
+      const Cholesky ref = Cholesky::factor_shifted(*a, rel);
+      EXPECT_EQ(c.shift(), ref.shift());
+      ASSERT_EQ(c.lower().rows(), ref.lower().rows());
+      ASSERT_EQ(c.lower().cols(), ref.lower().cols());
+      for (std::size_t i = 0; i < a->rows() * a->cols(); ++i) {
+        ASSERT_EQ(c.lower().data()[i], ref.lower().data()[i]) << "elem " << i;
+      }
+      if (a == &indefinite) {
+        EXPECT_GT(c.shift(), 0.0);
+      }
+    }
+  }
 }
 
 TEST(Cholesky, LogDetMatchesKnown) {
@@ -716,8 +766,9 @@ TEST(KernelParity, CholFactorPanelParity) {
     Matrix bv = bad;
     EXPECT_FALSE(t->chol_factor_panel(3, 0, bv.data(), 3)) << util::isa_name(t->isa);
   }
-  // Triangular solves: scalar vs vector on a well-conditioned factor.
-  for (std::size_t n : {1u, 5u, 33u, 96u}) {
+  // Triangular solves: scalar vs vector on a well-conditioned factor (the
+  // vector back substitution runs in axpy form, the scalar one in dot form).
+  for (std::size_t n : {1u, 5u, 33u, 96u, 450u}) {
     util::Rng rng2(n * 7 + 3);
     const Matrix a = random_spd(n, rng2, 2.0);
     const auto chol = Cholesky::factor(a);
@@ -739,6 +790,40 @@ TEST(KernelParity, CholFactorPanelParity) {
           << util::isa_name(t->isa) << " trsv_lower_t n=" << n;
     }
   }
+}
+
+TEST(KernelParity, MultiRhsForwardSolveMatchesPerColumnTrsv) {
+  // Cholesky::solve_lower(Matrix) — GEMM panel updates plus in-panel axpy
+  // rows — against per-column trsv_lower of the same table, on every
+  // compiled table, at sizes on and around the 32-row panel edges.
+  const util::SimdIsa startup = active_isa();
+  std::vector<const Kernels*> tables = vector_tables();
+  tables.insert(tables.begin(), &scalar_kernels());
+  for (std::size_t n : {1u, 5u, 31u, 32u, 33u, 96u, 450u}) {
+    util::Rng rng(n * 11 + 7);
+    const Matrix a = random_spd(n, rng, 2.0);
+    for (std::size_t nc : {1u, 17u}) {
+      const Matrix b = random_matrix(n, nc, rng);
+      for (const Kernels* t : tables) {
+        set_active_isa(t->isa);
+        const auto chol = Cholesky::factor(a);
+        ASSERT_TRUE(chol.has_value());
+        const Matrix& l = chol->lower();
+        const Matrix x = chol->solve_lower(b);
+        double worst = 0.0;
+        Vector col(n);
+        for (std::size_t j = 0; j < nc; ++j) {
+          for (std::size_t i = 0; i < n; ++i) col[i] = b(i, j);
+          t->trsv_lower(n, l.data(), n, col.data());
+          for (std::size_t i = 0; i < n; ++i)
+            worst = std::max(worst, std::fabs(x(i, j) - col[i]));
+        }
+        EXPECT_LT(worst, 1e-10 * static_cast<double>(n + 1))
+            << util::isa_name(t->isa) << " n=" << n << " nc=" << nc;
+      }
+    }
+  }
+  set_active_isa(startup);
 }
 
 TEST(KernelParity, WholeMatrixOpsAgreeAcrossIsas) {

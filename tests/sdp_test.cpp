@@ -365,8 +365,59 @@ Problem random_feasible_sdp(std::uint64_t seed, std::size_t n, std::size_t m) {
   return p;
 }
 
-// The returned primal-dual pair must itself certify the optimum: X satisfies
-// every row, Z = C - sum y_i A_i rebuilt from the returned multipliers is PSD,
+/// Random SDP with free variables over a mix of 1x1 and larger blocks, both
+/// sides strictly feasible: b = A(X*) + B w* for a PD X*, and f = B^T y* for
+/// a y* small enough that Z* = I - sum y*_i A_i stays PD, so the optimum is
+/// attained. Exercises the free-variable elimination of the KKT solve and the
+/// closed-form 1x1 step length together.
+Problem random_free_variable_sdp(std::uint64_t seed) {
+  util::Rng rng(seed);
+  const std::vector<std::size_t> sizes = {1, 6, 1, 7, 1};
+  const std::size_t nf = 4, m = 16;
+  std::vector<Matrix> xstar;
+  for (std::size_t n : sizes) {
+    Matrix g(n, n);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c) g(r, c) = rng.uniform(-1.0, 1.0);
+    Matrix x = linalg::transposed_times(g, g);
+    for (std::size_t d = 0; d < n; ++d) x(d, d) += 0.1;
+    xstar.push_back(std::move(x));
+  }
+  const linalg::Vector wstar = rng.uniform_vector(nf, -1.0, 1.0);
+  const linalg::Vector ystar = rng.uniform_vector(m, -0.005, 0.005);
+  std::vector<Row> rows(m);
+  linalg::Vector f(nf, 0.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    Row& row = rows[i];
+    for (int t = 0; t < 2; ++t) {
+      const std::size_t j = rng.index(sizes.size());
+      SparseSym& a = row.blocks[j];
+      for (int k = 0; k < 3; ++k) {
+        const std::size_t r = rng.index(sizes[j]);
+        const std::size_t c = rng.index(sizes[j]);
+        a.add(std::min(r, c), std::max(r, c), rng.uniform(-1.0, 1.0));
+      }
+    }
+    for (std::size_t v = 0; v < nf; ++v) {
+      if (i % nf == v || rng.uniform(0.0, 1.0) < 0.4) row.free_coeffs[v] = rng.uniform(-1.0, 1.0);
+    }
+    row.rhs = 0.0;
+    for (const auto& [j, a] : row.blocks) row.rhs += a.dot(xstar[j]);
+    for (const auto& [v, c] : row.free_coeffs) {
+      row.rhs += c * wstar[v];
+      f[v] += c * ystar[i];
+    }
+  }
+  Problem p;
+  for (std::size_t n : sizes) p.set_block_objective(p.add_block(n), Matrix::identity(n));
+  for (std::size_t v = 0; v < nf; ++v) p.add_free(f[v]);
+  for (Row& row : rows) p.add_row(std::move(row));
+  return p;
+}
+
+// The returned primal-dual pair must itself certify the optimum: X and w
+// satisfy every row, f = B^T y holds for the free columns,
+// Z = C - sum y_i A_i rebuilt from the returned multipliers is PSD,
 // b'y equals the primal objective and <X, Z> ~ 0. The check computes every
 // KKT residual from the problem data alone, so a wrong Schur operator cannot
 // pass it. This makes the solver's answer independently checkable, like the
@@ -384,6 +435,8 @@ TEST(Ipm, DualCertificateVerifiable) {
   problems.push_back(std::move(tiny));
   problems.push_back(random_feasible_sdp(5, 9, 12));
   problems.push_back(random_feasible_sdp(23, 9, 12));
+  problems.push_back(random_free_variable_sdp(7));
+  problems.push_back(random_free_variable_sdp(41));
   for (std::size_t k = 0; k < problems.size(); ++k) {
     const Problem& p = problems[k];
     const Solution sol = IpmSolver(quiet()).solve(p);
@@ -395,7 +448,16 @@ TEST(Ipm, DualCertificateVerifiable) {
       dual_objective += p.rhs(i) * sol.y[i];
       double ax = 0.0;
       for (const auto& [j, a] : p.rows()[i].blocks) ax += a.dot(sol.x[j]);
+      for (const auto& [v, c] : p.rows()[i].free_coeffs) ax += c * sol.w[v];
       EXPECT_NEAR(ax, p.rhs(i), 1e-6 * (1.0 + std::fabs(p.rhs(i)))) << k << " row " << i;
+    }
+    for (std::size_t v = 0; v < p.num_free(); ++v) {
+      double rf = p.free_objective()[v];
+      for (std::size_t i = 0; i < p.num_rows(); ++i) {
+        const auto it = p.rows()[i].free_coeffs.find(v);
+        if (it != p.rows()[i].free_coeffs.end()) rf -= it->second * sol.y[i];
+      }
+      EXPECT_NEAR(rf, 0.0, 1e-6 * (1.0 + std::fabs(p.free_objective()[v]))) << k << " free " << v;
     }
     for (std::size_t j = 0; j < p.num_blocks(); ++j) {
       // Rebuild Z from scratch out of the returned multipliers.
