@@ -75,9 +75,9 @@ Cholesky Cholesky::factor_shifted(const Matrix& a, double initial_rel_shift) {
   return c;
 }
 
-void Cholesky::refactor_shifted(const Matrix& a, double initial_rel_shift) {
+void Cholesky::refactor_shifted(const Matrix& a, double initial_rel_shift, double scale) {
   assert(a.rows() == a.cols());
-  const double scale = diag_scale(a);
+  if (scale == 0.0) scale = diag_scale(a);
   double rel = initial_rel_shift;
   while (rel < 1e6) {
     if (try_factor(a, rel * scale, l_)) {
@@ -95,19 +95,25 @@ void Cholesky::refactor_shifted(const Matrix& a, double initial_rel_shift) {
 }
 
 Vector Cholesky::solve_lower(const Vector& b) const {
-  const std::size_t n = l_.rows();
-  assert(b.size() == n);
+  assert(b.size() == l_.rows());
   Vector y = b;
-  active_kernels().trsv_lower(n, l_.data(), l_.cols(), y.data());
+  solve_lower_in_place(y.data());
   return y;
 }
 
 Vector Cholesky::solve_lower_transposed(const Vector& y) const {
-  const std::size_t n = l_.rows();
-  assert(y.size() == n);
+  assert(y.size() == l_.rows());
   Vector x = y;
-  active_kernels().trsv_lower_t(n, l_.data(), l_.cols(), x.data());
+  solve_lower_transposed_in_place(x.data());
   return x;
+}
+
+void Cholesky::solve_lower_in_place(double* x) const {
+  active_kernels().trsv_lower(l_.rows(), l_.data(), l_.cols(), x);
+}
+
+void Cholesky::solve_lower_transposed_in_place(double* x) const {
+  active_kernels().trsv_lower_t(l_.rows(), l_.data(), l_.cols(), x);
 }
 
 Vector Cholesky::solve(const Vector& b) const { return solve_lower_transposed(solve_lower(b)); }

@@ -20,8 +20,11 @@ class Cholesky {
   static Cholesky factor_shifted(const Matrix& a, double initial_rel_shift = 0.0);
   /// factor_shifted into this object: same shift ladder, same bits, but the
   /// factor reuses the storage of the previous one when the size matches
-  /// (the IPM refactors its m x m Schur complement every iteration).
-  void refactor_shifted(const Matrix& a, double initial_rel_shift = 0.0);
+  /// (the IPM refactors its Schur blocks every iteration). `scale` is the
+  /// magnitude the relative shifts refer to; 0 means the largest |diagonal|
+  /// of `a` (a diagonal block of a larger system passes the whole system's).
+  void refactor_shifted(const Matrix& a, double initial_rel_shift = 0.0,
+                        double scale = 0.0);
 
   /// Solve A x = b.
   Vector solve(const Vector& b) const;
@@ -37,6 +40,10 @@ class Cholesky {
   Matrix solve_lower(Matrix b) const;
   /// Solve L^T x = y (back substitution).
   Vector solve_lower_transposed(const Vector& y) const;
+  /// The two vector solves in place on n = lower().rows() contiguous
+  /// entries (a span of a larger work vector).
+  void solve_lower_in_place(double* x) const;
+  void solve_lower_transposed_in_place(double* x) const;
 
   /// Explicit (A + shift I)^{-1} = L^{-T} L^{-1}, symmetrized. Cheaper than
   /// n right-hand-side solves and turns repeated A^{-1} S applications into

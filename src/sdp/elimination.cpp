@@ -6,19 +6,18 @@
 
 namespace soslock::sdp {
 
-using linalg::Cholesky;
 using linalg::Matrix;
 using linalg::Vector;
 
 Matrix OverlapElimination::reduce(const Matrix& full, std::size_t m, std::size_t q,
-                                  double corner_shift) {
+                                  double corner_shift, double corner_scale) {
   assert(full.rows() == m + q && full.cols() == m + q);
   m_ = m;
   q_ = q;
   Matrix qmat(q, q);
   for (std::size_t a = 0; a < q; ++a)
     for (std::size_t b = 0; b < q; ++b) qmat(a, b) = full(m + a, m + b);
-  chol_q_ = Cholesky::factor_shifted(qmat, corner_shift);
+  chol_q_.refactor_shifted(qmat, corner_shift, corner_scale);
   // U^T is the lower-left q x m block of the symmetric `full`: its rows are
   // the overlap rows' leading segments, so W = L_q^{-1} U^T is one multi-RHS
   // forward solve.
@@ -33,28 +32,46 @@ Matrix OverlapElimination::reduce(const Matrix& full, std::size_t m, std::size_t
   return reduced;
 }
 
-Vector OverlapElimination::fold_rhs(const Vector& rb, Vector& ra) const {
-  assert(rb.size() == q_ && ra.size() == m_);
-  const Vector t = chol_q_.solve_lower(rb);
+void OverlapElimination::subtract_wt(const double* t, double* ra) const {
   for (std::size_t o = 0; o < q_; ++o) {
     const double f = t[o];
     if (f == 0.0) continue;
     const double* wr = w_.row_ptr(o);
     for (std::size_t i = 0; i < m_; ++i) ra[i] -= f * wr[i];
   }
+}
+
+void OverlapElimination::subtract_wy(double* t, const double* y) const {
+  for (std::size_t o = 0; o < q_; ++o) {
+    const double* wr = w_.row_ptr(o);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < m_; ++i) acc += wr[i] * y[i];
+    t[o] -= acc;
+  }
+}
+
+Vector OverlapElimination::fold_rhs(const Vector& rb, Vector& ra) const {
+  assert(rb.size() == q_ && ra.size() == m_);
+  const Vector t = chol_q_.solve_lower(rb);
+  subtract_wt(t.data(), ra.data());
   return t;
+}
+
+void OverlapElimination::fold_rhs(double* rb, double* ra) const {
+  chol_q_.solve_lower_in_place(rb);
+  subtract_wt(rb, ra);
 }
 
 Vector OverlapElimination::multipliers(const Vector& t, const Vector& y) const {
   assert(t.size() == q_ && y.size() >= m_);
   Vector u = t;
-  for (std::size_t o = 0; o < q_; ++o) {
-    const double* wr = w_.row_ptr(o);
-    double acc = 0.0;
-    for (std::size_t i = 0; i < m_; ++i) acc += wr[i] * y[i];
-    u[o] -= acc;
-  }
+  subtract_wy(u.data(), y.data());
   return chol_q_.solve_lower_transposed(u);
+}
+
+void OverlapElimination::multipliers(double* t, const double* y) const {
+  subtract_wy(t, y);
+  chol_q_.solve_lower_transposed_in_place(t);
 }
 
 }  // namespace soslock::sdp

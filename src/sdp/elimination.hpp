@@ -8,8 +8,8 @@
 // factor Q, form W = L_q^{-1} U^T (half triangular solve) and reduce
 // M0 -> M0 - W^T W (syrk half, linalg::subtract_gram). The flop count
 // telescopes to exactly the extended (m+q) factorization, the solve is
-// algebraically the full system's, and the dense factor the caller builds
-// stays m x m — zero overlap rows in it. Solving is two-stage:
+// algebraically the full system's, and the factor the caller builds holds
+// only the m real rows. Solving is two-stage:
 //
 //   t  = L_q^{-1} rb;   solve the reduced system on  ra - W^T t;
 //   λ  = L_q^{-T}(t - W y).
@@ -28,18 +28,30 @@ namespace soslock::sdp {
 class OverlapElimination {
  public:
   /// Factor the overlap corner of `full` and return the reduced m x m
-  /// leading block M0 - W^T W, ready for the caller's factorization.
+  /// leading block M0 - W^T W, ready for the caller's factorization. The
+  /// corner's shift ladder is relative to `corner_scale` (0: Q's own
+  /// largest diagonal; see Cholesky::refactor_shifted).
   linalg::Matrix reduce(const linalg::Matrix& full, std::size_t m, std::size_t q,
-                        double corner_shift);
+                        double corner_shift, double corner_scale = 0.0);
 
   /// First stage: t = L_q^{-1} rb, and ra -= W^T t (ra becomes the reduced
   /// system's right-hand side). Returns t for the back-substitution.
+  /// (The ADMM's y-update uses the Vector forms: its allocation sequence
+  /// sets clock_tree's peak RSS through glibc's dynamic mmap threshold, and
+  /// the span forms raised it by 16%.)
   linalg::Vector fold_rhs(const linalg::Vector& rb, linalg::Vector& ra) const;
+  /// In place on spans: rb (q entries) becomes t, ra (m entries) -= W^T t.
+  void fold_rhs(double* rb, double* ra) const;
 
   /// Back-substitution: λ = L_q^{-T}(t - W y).
   linalg::Vector multipliers(const linalg::Vector& t, const linalg::Vector& y) const;
+  /// In place on spans: t (q entries) becomes λ, for y (m entries).
+  void multipliers(double* t, const double* y) const;
 
  private:
+  void subtract_wt(const double* t, double* ra) const;  // ra -= W^T t
+  void subtract_wy(double* t, const double* y) const;   // t -= W y
+
   std::size_t m_ = 0, q_ = 0;
   linalg::Cholesky chol_q_;
   linalg::Matrix w_;  // W = L_q^{-1} U^T (q x m)

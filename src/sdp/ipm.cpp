@@ -4,9 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <numeric>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/eigen_sym.hpp"
+#include "linalg/kernels.hpp"
 #include "sdp/elimination.hpp"
 #include "sdp/structure.hpp"
 #include "util/fault.hpp"
@@ -52,6 +54,26 @@ double max_step(const Cholesky& chol_x, const Matrix& dx, double cap) {
   return std::min(cap, -1.0 / lambda_min);
 }
 
+/// One dense diagonal block of the Schur complement: a connected component
+/// of the row-coupling graph, where two rows are adjacent when they touch a
+/// common PSD block (overlap couplings included). Rows of different
+/// components meet only through the free-variable border B, so M is
+/// block-diagonal and every factor and solve runs per block. The block's
+/// rows sit at [offset, offset + size) of the permuted work order, ascending
+/// by extended index, so its real rows [0, nreal) precede its overlap rows.
+struct SchurBlock {
+  std::size_t offset = 0, size = 0, nreal = 0;
+  Matrix schur;              // extended block (size x size), reassembled per iteration
+  OverlapElimination elim;   // its overlap corner (size > nreal only)
+  Matrix reduced;            // real-row block after the elimination (size > nreal only)
+  Cholesky chol;             // factor of the real-row block (nreal x nreal)
+  Matrix bfree;              // its rows of B (nreal x nf); empty when they are all zero
+  Matrix vfree;              // L^{-1} bfree, per iteration
+
+  std::size_t overlaps() const { return size - nreal; }
+  const Matrix& factored() const { return overlaps() > 0 ? reduced : schur; }
+};
+
 struct Residuals {
   Vector rp;                 // primal: b - A(X) - B w
   std::vector<Matrix> rd;    // dual: C - Z - sum_i y_i A_i
@@ -77,12 +99,13 @@ class Ipm {
     // Native decomposed cones: their overlap couplings enter the iteration
     // as *virtual rows* with indices [m, m+q) — they share all the residual
     // and Schur-panel machinery of real rows — but they are never part of
-    // the factored Schur complement: step() block-eliminates their (q x q)
-    // corner, so the dense factor stays m x m and their multipliers update
-    // ALM-style alongside the Newton step.
+    // the factored Schur complement: step() block-eliminates their corner
+    // of each Schur block, so the factors hold real rows only and the
+    // overlap multipliers update ALM-style alongside the Newton step.
     overlap_rows_ = append_overlap_views(p_, views_);
     q_ = overlap_rows_.size();
     mext_ = m_ + q_;
+    partition_schur();
     // Schur assembly order: per block, views sorted densest-first
     // (SDPA-style). Row i at sorted position p pairs with every k at
     // position q >= p, and the O(nnz_k) inner product always reads the
@@ -107,21 +130,24 @@ class Ipm {
     for (std::size_t j = 0; j < nblocks_; ++j)
       c_norm_ = std::max(c_norm_, linalg::norm_inf(p_.block_objective(j)));
     for (double fi : p_.free_objective()) c_norm_ = std::max(c_norm_, std::fabs(fi));
-    // Free-variable coupling B (m x nf) is iteration-invariant: build it once
-    // here instead of on every predictor-corrector step.
-    bmat_ = Matrix(m_, std::max<std::size_t>(nf_, 1));
-    if (nf_ > 0) {
-      for (std::size_t i = 0; i < m_; ++i)
-        for (const auto& [v, c] : p_.rows()[i].free_coeffs) bmat_(i, v) = c;
+    // Free-variable coupling B is iteration-invariant: each Schur block
+    // keeps its own rows of it, built once here. Blocks whose rows carry no
+    // free coefficient keep none and skip every free-variable product.
+    for (std::size_t i = 0; i < m_; ++i) {
+      if (p_.rows()[i].free_coeffs.empty()) continue;
+      SchurBlock& c = comps_[comp_of_[i]];
+      if (c.bfree.empty()) c.bfree = Matrix(c.nreal, nf_);
+      for (const auto& [v, coef] : p_.rows()[i].free_coeffs) c.bfree(local_[i], v) = coef;
     }
   }
 
   Solution run() {
     Solution sol = run_inner();
     sol.phase = phase_;
-    // The dense Schur factor never contains overlap couplings: m rows, with
-    // or without decomposed cones. (Overlap couplings lowered as equality
-    // rows would pay for them here — the geometry this telemetry compares.)
+    // The Schur factors never contain overlap couplings: their real rows sum
+    // to m over the blocks, with or without decomposed cones. (Overlap
+    // couplings lowered as equality rows would pay for them here — the
+    // geometry this telemetry compares.)
     sol.schur_rows = m_;
     return sol;
   }
@@ -334,6 +360,58 @@ class Ipm {
     return std::fabs(pobj - dobj) / (1.0 + std::fabs(pobj) + std::fabs(dobj));
   }
 
+  /// Split the extended rows [0, m+q) into the Schur blocks: union-find over
+  /// views_, O(sum of rows per PSD block). Roots are always the smallest
+  /// index of their set, so blocks come out ordered by their first row, and
+  /// a connected problem is one block in the identity order (exactly the
+  /// dense system). Rows that touch no PSD block — free-only rows — are 1x1
+  /// blocks of zero diagonal; the global shift scale in step() gives them
+  /// the pivot the dense factor did.
+  void partition_schur() {
+    std::vector<std::size_t> parent(mext_);
+    std::iota(parent.begin(), parent.end(), std::size_t{0});
+    auto find = [&parent](std::size_t r) {
+      while (parent[r] != r) r = parent[r] = parent[parent[r]];
+      return r;
+    };
+    for (const auto& touching : views_) {
+      for (std::size_t a = 1; a < touching.size(); ++a) {
+        const std::size_t r0 = find(touching[0].row), r1 = find(touching[a].row);
+        if (r0 != r1) parent[std::max(r0, r1)] = std::min(r0, r1);
+      }
+    }
+    comp_of_.assign(mext_, 0);
+    for (std::size_t r = 0; r < mext_; ++r) {
+      const std::size_t root = find(r);
+      if (root == r) {
+        comp_of_[r] = comps_.size();
+        comps_.emplace_back();
+      } else {
+        comp_of_[r] = comp_of_[root];
+      }
+      SchurBlock& c = comps_[comp_of_[r]];
+      ++c.size;
+      if (r < m_) ++c.nreal;
+    }
+    std::size_t offset = 0, largest = 0;
+    for (SchurBlock& c : comps_) {
+      c.offset = offset;
+      offset += c.size;
+      largest = std::max(largest, c.size);
+    }
+    perm_.resize(mext_);
+    local_.resize(mext_);
+    std::vector<std::size_t> fill(comps_.size(), 0);
+    for (std::size_t r = 0; r < mext_; ++r) {
+      const std::size_t k = comp_of_[r];
+      local_[r] = fill[k]++;
+      perm_[comps_[k].offset + local_[r]] = r;
+    }
+    work_.assign(mext_, 0.0);
+    util::log_debug("ipm: Schur complement of ", mext_, " rows in ", comps_.size(),
+                    " blocks, largest ", largest);
+  }
+
   /// Row access across the extended index space (real rows, then overlaps).
   const Row& row_at(std::size_t i) const {
     return i < m_ ? p_.rows()[i] : *overlap_rows_[i - m_];
@@ -403,11 +481,13 @@ class Ipm {
   /// solves). Panels are independent across rows, so they fan out on the
   /// pool; every (i, k) entry is written by exactly one task and blocks are
   /// accumulated in a fixed sequential order, which makes the assembly
-  /// bit-identical across thread counts.
-  void assemble_schur(const State& s, const std::vector<Matrix>& zinv, Matrix& schur) {
+  /// bit-identical across thread counts. All rows of a PSD block lie in one
+  /// Schur block, so each pair lands there at its local indices.
+  void assemble_schur(const State& s, const std::vector<Matrix>& zinv) {
     for (std::size_t j = 0; j < nblocks_; ++j) {
       const auto& touching = views_[j];
       if (touching.empty()) continue;
+      Matrix& schur = comps_[comp_of_[touching[0].row]].schur;
       const std::size_t n = p_.block_size(j);
       const Matrix& zi = zinv[j];
       const Matrix& xj = s.x[j];
@@ -442,7 +522,7 @@ class Ipm {
             const double sym = 0.5 * (panel(t.r, t.c) + panel(t.c, t.r));
             acc += (t.r == t.c ? 1.0 : 2.0) * t.v * sym;
           }
-          std::size_t r1 = vi.row, r2 = vk.row;
+          std::size_t r1 = local_[vi.row], r2 = local_[vk.row];
           if (r1 > r2) std::swap(r1, r2);
           schur(r1, r2) += acc;
         }
@@ -458,10 +538,13 @@ class Ipm {
         for (std::size_t p = 0; p < order.size(); ++p) panel_task(0, p);
       }
     }
-    // Mirror the computed upper triangle (row indices) onto the lower.
-    for (std::size_t r = 0; r < mext_; ++r) {
-      const double* ur = schur.row_ptr(r);
-      for (std::size_t c = r + 1; c < mext_; ++c) schur(c, r) = ur[c];
+    // Mirror the computed upper triangles onto the lower.
+    for (SchurBlock& blk : comps_) {
+      Matrix& schur = blk.schur;
+      for (std::size_t r = 0; r < blk.size; ++r) {
+        const double* ur = schur.row_ptr(r);
+        for (std::size_t c = r + 1; c < blk.size; ++c) schur(c, r) = ur[c];
+      }
     }
   }
 
@@ -496,92 +579,128 @@ class Ipm {
     phase_.factor += phase_timer.seconds();
 
     // Assemble the Schur complement M_ik = sum_j <A_ij, Z_j^{-1} A_kj X_j>
-    // over the extended index space (real rows, then overlap couplings).
+    // over the extended index space (real rows, then overlap couplings),
+    // block by block.
     phase_timer.reset();
-    if (schur_.rows() != mext_) {
-      schur_ = Matrix(mext_, mext_);
-    } else {
-      schur_.fill(0.0);
+    for (SchurBlock& c : comps_) {
+      if (c.schur.rows() != c.size) {
+        c.schur = Matrix(c.size, c.size);
+      } else {
+        c.schur.fill(0.0);
+      }
     }
-    assemble_schur(s, zinv, schur_);
+    assemble_schur(s, zinv);
     phase_.schur += phase_timer.seconds();
 
-    // Overlap multipliers are block-eliminated, never factored with the
-    // rows (OverlapElimination): the dense Schur factor stays m x m, the
-    // flop count telescopes to exactly the extended (m+q) factorization,
-    // and the elimination is algebraically the full solve — native cones
-    // take the same Newton step as overlap equality rows would, at the
-    // original dense Schur geometry. Q is PD whenever the iterate is
-    // interior (a congruence of the PD HKM operator with the linearly
-    // independent overlap difference maps). The factor refactors into the
-    // solve's own storage, like the Schur buffer itself.
+    // Overlap multipliers are block-eliminated per Schur block, never
+    // factored with the rows (OverlapElimination): the flop count telescopes
+    // to exactly the extended factorization, and the elimination is
+    // algebraically the full solve — native cones take the same Newton step
+    // as overlap equality rows would, at the original Schur geometry. Q is
+    // PD whenever the iterate is interior (a congruence of the PD HKM
+    // operator with the linearly independent overlap difference maps). Every
+    // shift ladder starts at 1e-13 of the whole system's largest diagonal —
+    // the dense factor's scale — not of its own block's: a free-only row's
+    // zero 1x1 block would otherwise get a 1e-13 pivot. Factors refactor
+    // into the solve's own storage, like the Schur blocks themselves.
     phase_timer.reset();
-    OverlapElimination elim;
-    if (q_ == 0) {
-      chol_m_.refactor_shifted(schur_, 1e-13);
-    } else {
-      chol_m_.refactor_shifted(elim.reduce(schur_, m_, q_, 1e-13), 1e-13);
+    double corner_scale = 0.0, scale = 0.0;
+    for (const SchurBlock& c : comps_) {
+      for (std::size_t d = c.nreal; d < c.size; ++d)
+        corner_scale = std::max(corner_scale, std::fabs(c.schur(d, d)));
     }
+    for (SchurBlock& c : comps_) {
+      if (c.overlaps() > 0)
+        c.reduced = c.elim.reduce(c.schur, c.nreal, c.overlaps(), 1e-13, corner_scale);
+      const Matrix& a = c.factored();
+      for (std::size_t d = 0; d < c.nreal; ++d)
+        scale = std::max(scale, std::fabs(a(d, d)));
+    }
+    for (SchurBlock& c : comps_) c.chol.refactor_shifted(c.factored(), 1e-13, scale);
 
-    // Free variables (B = bmat_, m x nf) by block elimination through the
-    // half solve V = L^{-1} B: S = V^T V + reg I is B^T M^{-1} B, exactly
-    // symmetric by construction, and no back substitution of B is needed.
-    Matrix vfree;
+    // Free variables (B, m x nf) by block elimination through the half
+    // solve V = L^{-1} B, per Schur block with nonzero B rows: S = sum V^T V
+    // + reg I is B^T M^{-1} B, exactly symmetric by construction, and no
+    // back substitution of B is needed.
+    const linalg::Kernels& kern = linalg::active_kernels();
     std::optional<Cholesky> chol_s;
     if (nf_ > 0) {
-      vfree = chol_m_.solve_lower(bmat_);
-      Matrix s_free = linalg::transposed_times(vfree, vfree);
+      Matrix s_free(nf_, nf_);
+      for (SchurBlock& c : comps_) {
+        if (c.bfree.empty()) continue;
+        c.vfree = c.chol.solve_lower(c.bfree);
+        const Matrix vt = c.vfree.transposed();
+        kern.gemm_acc(nf_, nf_, c.nreal, vt.data(), vt.cols(), c.vfree.data(), nf_,
+                      s_free.data(), nf_);
+      }
       for (std::size_t v = 0; v < nf_; ++v) s_free(v, v) += opt_.free_var_regularization;
       chol_s = Cholesky::factor_shifted(s_free, 1e-13);
     }
     phase_.factor += phase_timer.seconds();
 
-    // One pass of the block-eliminated KKT solve. r1 spans the extended row
-    // space [rows; overlaps]; the returned dy does too (its tail is the
-    // overlap-multiplier correction dλ = Q^{-1}(rb - U^T dy_rows), via the
-    // elimination's two-stage solve). With free variables, h = L^{-1} ra,
-    // dw = S^{-1}(V^T h - r2) and dy = L^{-T}(h - V dw): one forward and one
-    // backward vector solve either way.
+    // One pass of the block-eliminated KKT solve, in the permuted work
+    // vector so every block's rows are one contiguous span. r1 spans the
+    // extended row space [rows; overlaps]; the returned dy does too (its
+    // overlap entries are the multiplier correction dλ = Q^{-1}(rb - U^T
+    // dy_rows), via the elimination's two-stage solve). With free
+    // variables, h = L^{-1} ra, dw = S^{-1}(V^T h - r2) and
+    // dy = L^{-T}(h - V dw): one forward and one backward vector solve per
+    // block either way.
     auto solve_kkt_once = [&](const Vector& r1, const Vector& r2, Vector& dy, Vector& dw) {
-      Vector ra(r1.begin(), r1.begin() + static_cast<std::ptrdiff_t>(m_));
-      Vector t;
-      if (q_ > 0) {
-        const Vector rb(r1.begin() + static_cast<std::ptrdiff_t>(m_), r1.end());
-        t = elim.fold_rhs(rb, ra);
+      double* work = work_.data();
+      for (std::size_t p = 0; p < mext_; ++p) work[p] = r1[perm_[p]];
+      Vector vth(nf_, 0.0);
+      for (const SchurBlock& c : comps_) {
+        double* h = work + c.offset;
+        if (c.overlaps() > 0) c.elim.fold_rhs(h + c.nreal, h);
+        c.chol.solve_lower_in_place(h);
+        if (c.bfree.empty()) continue;
+        for (std::size_t i = 0; i < c.nreal; ++i)
+          if (h[i] != 0.0) kern.axpy(h[i], c.vfree.row_ptr(i), vth.data(), nf_);
       }
-      Vector h = chol_m_.solve_lower(ra);
       if (nf_ == 0) {
         dw.assign(0, 0.0);
       } else {
-        Vector rhs = linalg::transposed_times(vfree, h);
-        linalg::axpy(-1.0, r2, rhs);
-        dw = chol_s->solve(rhs);
-        linalg::axpy(-1.0, vfree * dw, h);
+        linalg::axpy(-1.0, r2, vth);
+        dw = chol_s->solve(vth);
       }
-      dy = chol_m_.solve_lower_transposed(h);
-      if (q_ > 0) {
-        const Vector dl = elim.multipliers(t, dy);
-        dy.insert(dy.end(), dl.begin(), dl.end());
+      for (const SchurBlock& c : comps_) {
+        double* h = work + c.offset;
+        if (!c.bfree.empty()) {
+          for (std::size_t i = 0; i < c.nreal; ++i)
+            h[i] -= kern.dot(c.vfree.row_ptr(i), dw.data(), nf_);
+        }
+        c.chol.solve_lower_transposed_in_place(h);
+        if (c.overlaps() > 0) c.elim.multipliers(h + c.nreal, h);
       }
+      dy.resize(mext_);
+      for (std::size_t p = 0; p < mext_; ++p) dy[perm_[p]] = work[p];
     };
 
     // The Schur complement is severely ill-conditioned near the central-path
     // end; two rounds of iterative refinement recover the lost digits. The
-    // residual uses the full extended operator, so the eliminated overlap
-    // corner is refined along with the rows.
+    // residual uses the full extended operator (per-block row dots on the
+    // permuted dy), so the eliminated overlap corners are refined along with
+    // the rows.
     auto solve_kkt = [&](const Vector& r1, const Vector& r2, Vector& dy, Vector& dw) {
       solve_kkt_once(r1, r2, dy, dw);
       for (int refine = 0; refine < 2; ++refine) {
+        double* work = work_.data();
+        for (std::size_t p = 0; p < mext_; ++p) work[p] = dy[perm_[p]];
         Vector res1 = r1;
-        linalg::axpy(-1.0, schur_ * dy, res1);
-        Vector res2(nf_, 0.0);
-        if (nf_ > 0) {
-          const Vector bw = bmat_ * dw;
-          for (std::size_t i = 0; i < m_; ++i) res1[i] -= bw[i];
-          res2 = r2;
-          const Vector dy_rows(dy.begin(), dy.begin() + static_cast<std::ptrdiff_t>(m_));
-          linalg::axpy(-1.0, linalg::transposed_times(bmat_, dy_rows), res2);
+        Vector bty(nf_, 0.0);  // B^T dy
+        for (const SchurBlock& c : comps_) {
+          const double* dyc = work + c.offset;
+          for (std::size_t a = 0; a < c.size; ++a)
+            res1[perm_[c.offset + a]] -= kern.dot(c.schur.row_ptr(a), dyc, c.size);
+          if (c.bfree.empty()) continue;
+          for (std::size_t a = 0; a < c.nreal; ++a) {
+            res1[perm_[c.offset + a]] -= kern.dot(c.bfree.row_ptr(a), dw.data(), nf_);
+            if (dyc[a] != 0.0) kern.axpy(dyc[a], c.bfree.row_ptr(a), bty.data(), nf_);
+          }
         }
+        Vector res2 = r2;
+        linalg::axpy(-1.0, bty, res2);
         Vector cy, cw;
         solve_kkt_once(res1, res2, cy, cw);
         linalg::axpy(1.0, cy, dy);
@@ -752,14 +871,15 @@ class Ipm {
   std::vector<const Row*> overlap_rows_;
   /// Per block: indices into views_[j] sorted densest-first (Schur order).
   std::vector<std::vector<std::size_t>> schur_order_;
-  Matrix bmat_;  // free-variable coupling B (m x nf); iteration-invariant
-  // Per-solve storage of the two largest per-iteration matrices, reused
-  // every iteration: the extended Schur complement and its m x m factor.
-  // Both are first allocated in the first iteration, back to back; building
-  // schur_ in the constructor instead kept the pair apart in the heap and
-  // raised the table2 benchmark's peak RSS by ~14% (glibc, 4 requests).
-  Matrix schur_;
-  Cholesky chol_m_;
+  // The Schur complement as its diagonal blocks (partition_schur). Each
+  // block's matrix and factor are per-solve storage, first allocated in the
+  // first iteration and refactored in place after that; nothing m x m
+  // exists unless the problem is connected.
+  std::vector<SchurBlock> comps_;
+  std::vector<std::size_t> comp_of_;  // extended row -> its Schur block
+  std::vector<std::size_t> local_;    // extended row -> index within its block
+  std::vector<std::size_t> perm_;     // work position -> extended row
+  Vector work_;                       // permuted KKT work vector (m + q)
   util::ThreadPool pool_;
   std::vector<Matrix> panel_scratch_;  // per-worker Schur panel workspace
   PhaseTimes phase_;

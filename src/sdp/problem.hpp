@@ -216,10 +216,11 @@ struct Solution {
   /// Chordal, converted) problem — the cone-size telemetry behind the
   /// dense-vs-clique benches; 0 when the producer did not record it.
   std::size_t max_cone = 0;
-  /// Dimension of the dense Schur complement (IPM) / normal matrix (ADMM)
-  /// the backend factored. With native decomposed cones this equals the
-  /// problem's row count — the overlap couplings are block-eliminated
-  /// multipliers, never rows of the factored system. 0 when not recorded.
+  /// Rows of the Schur complement (IPM, summed over its diagonal blocks) /
+  /// normal matrix (ADMM) the backend factored. With native decomposed
+  /// cones this equals the problem's row count — the overlap couplings are
+  /// block-eliminated multipliers, never rows of the factored system. 0
+  /// when not recorded.
   std::size_t schur_rows = 0;
   /// Phase the watchdogs blamed for a Diverged/Faulted/NumericalProblem
   /// outcome ("factor", "primal-residual", "iterate", ...); empty when no

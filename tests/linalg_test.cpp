@@ -207,6 +207,29 @@ TEST(Cholesky, RefactorShiftedBitwiseEqualsFactorShifted) {
   }
 }
 
+// A diagonal block factored with its enclosing system's scale gets the
+// shift the whole system would: a zero 1x1 block at rel 1e-13 of scale 1e6
+// pivots at 1e-7, not at the 1e-13 its own (zero -> 1) diagonal would give;
+// and the block's own largest diagonal as `scale` is the default ladder.
+TEST(Cholesky, RefactorShiftedScaleIsTheEnclosingSystems) {
+  Cholesky c;
+  c.refactor_shifted(Matrix(1, 1), 1e-13, 1e6);
+  EXPECT_DOUBLE_EQ(c.shift(), 1e-7);
+  EXPECT_DOUBLE_EQ(c.lower()(0, 0), std::sqrt(1e-7));
+  c.refactor_shifted(Matrix(1, 1), 1e-13);
+  EXPECT_DOUBLE_EQ(c.shift(), 1e-13);
+
+  util::Rng rng(71);
+  const Matrix spd = random_spd(40, rng);
+  double diag_max = 0.0;
+  for (std::size_t i = 0; i < spd.rows(); ++i) diag_max = std::max(diag_max, spd(i, i));
+  c.refactor_shifted(spd, 1e-13, diag_max);
+  const Cholesky ref = Cholesky::factor_shifted(spd, 1e-13);
+  EXPECT_EQ(c.shift(), ref.shift());
+  for (std::size_t i = 0; i < spd.rows() * spd.cols(); ++i)
+    ASSERT_EQ(c.lower().data()[i], ref.lower().data()[i]) << "elem " << i;
+}
+
 TEST(Cholesky, LogDetMatchesKnown) {
   const Matrix a = Matrix::diag({2.0, 3.0, 4.0});
   const auto chol = Cholesky::factor(a);

@@ -3,8 +3,9 @@
 // parity on banded SDPs and the clock-tree coupling model (the seam being a
 // test-only lowering with the overlap couplings as equality rows), the
 // Schur-complement geometry claim (zero overlap rows in the factored
-// system), base-space warm blobs surviving min_block_size changes via
-// per-clique remapping, the drift guard on stale canonical entry maps,
+// system; one overlap elimination per Schur block on independent cones),
+// base-space warm blobs surviving min_block_size changes via per-clique
+// remapping, the drift guard on stale canonical entry maps,
 // bitwise thread determinism of the overlap-multiplier Schur assembly, and
 // the ADMM on the clustered clock tree the clock_tree benchmark runs.
 #include <gtest/gtest.h>
@@ -192,6 +193,50 @@ TEST(LoweringPipeline, NativeVsSeamVerdictParityOnBandedAndClockTree) {
     EXPECT_EQ(schur_rows[0], c.problem.num_rows()) << c.name;
     EXPECT_GT(schur_rows[1], schur_rows[0]) << c.name;
   }
+}
+
+/// Two problems as one: b's blocks follow a's and its rows refer to them,
+/// so no row touches both halves.
+Problem side_by_side(const Problem& a, const Problem& b) {
+  Problem p;
+  for (const Problem* part : {&a, &b}) {
+    const std::size_t base = p.num_blocks();
+    for (std::size_t j = 0; j < part->num_blocks(); ++j)
+      p.set_block_objective(p.add_block(part->block_size(j)), part->block_objective(j));
+    for (const sdp::Row& r : part->rows()) {
+      sdp::Row row;
+      row.rhs = r.rhs;
+      for (const auto& [j, coeff] : r.blocks) row.blocks[base + j] = coeff;
+      p.add_row(std::move(row));
+    }
+  }
+  return p;
+}
+
+// Two independent banded SDPs lowered chordally give two decomposed cones
+// whose rows and overlap couplings never meet: the IPM's Schur complement
+// is two blocks, each with its own overlap corner to eliminate. The
+// recovered optimum must match the undecomposed solve, and the factored
+// rows still sum to the original row count.
+TEST(LoweringPipeline, IpmEliminatesOverlapsPerSchurBlock) {
+  const Problem original = side_by_side(banded_sdp(30), banded_sdp(24, 1.3));
+  const Solution dense_sol = sdp::IpmSolver().solve(original);
+  ASSERT_EQ(dense_sol.status, SolveStatus::Optimal);
+
+  const Lowering low = sdp::lower(original, chordal_lowering(8));
+  ASSERT_TRUE(low.decomposed());
+  ASSERT_EQ(low.problem.cones().size(), 2u);
+  for (const sdp::DecomposedCone& cone : low.problem.cones())
+    EXPECT_FALSE(cone.overlaps.empty());
+  sdp::SolveContext context;
+  const Solution sol = sdp::IpmSolver().solve(low.problem, context);
+  EXPECT_EQ(sol.schur_rows, original.num_rows());
+  const Solution recovered = sdp::recover(sol, low);
+  ASSERT_EQ(recovered.status, SolveStatus::Optimal);
+  EXPECT_NEAR(recovered.primal_objective, dense_sol.primal_objective,
+              1e-6 * (1.0 + std::fabs(dense_sol.primal_objective)));
+  EXPECT_LT(primal_violation(original, recovered), 1e-6);
+  for (const Matrix& x : recovered.x) EXPECT_GE(linalg::min_eigenvalue(x), -1e-6);
 }
 
 TEST(LoweringPipeline, AdmmSolvesNativeConesWithSeamParity) {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "linalg/eigen_sym.hpp"
@@ -422,6 +423,44 @@ Problem random_free_variable_sdp(std::uint64_t seed) {
 // KKT residual from the problem data alone, so a wrong Schur operator cannot
 // pass it. This makes the solver's answer independently checkable, like the
 // SOS-level audit.
+void expect_kkt_certificate(const Problem& p, const Solution& sol,
+                            const std::string& label) {
+  const double obj_tol = 1e-5 * (1.0 + std::fabs(sol.primal_objective));
+  double dual_objective = 0.0, complementarity = 0.0;
+  for (std::size_t i = 0; i < p.num_rows(); ++i) {
+    dual_objective += p.rhs(i) * sol.y[i];
+    double ax = 0.0;
+    for (const auto& [j, a] : p.rows()[i].blocks) ax += a.dot(sol.x[j]);
+    for (const auto& [v, c] : p.rows()[i].free_coeffs) ax += c * sol.w[v];
+    EXPECT_NEAR(ax, p.rhs(i), 1e-6 * (1.0 + std::fabs(p.rhs(i))))
+        << label << " row " << i;
+  }
+  for (std::size_t v = 0; v < p.num_free(); ++v) {
+    double rf = p.free_objective()[v];
+    for (std::size_t i = 0; i < p.num_rows(); ++i) {
+      const auto it = p.rows()[i].free_coeffs.find(v);
+      if (it != p.rows()[i].free_coeffs.end()) rf -= it->second * sol.y[i];
+    }
+    EXPECT_NEAR(rf, 0.0, 1e-6 * (1.0 + std::fabs(p.free_objective()[v])))
+        << label << " free " << v;
+  }
+  for (std::size_t j = 0; j < p.num_blocks(); ++j) {
+    // Rebuild Z from scratch out of the returned multipliers.
+    Matrix z = p.block_objective(j);
+    for (std::size_t i = 0; i < p.num_rows(); ++i) {
+      const auto it = p.rows()[i].blocks.find(j);
+      if (it == p.rows()[i].blocks.end()) continue;
+      Matrix a_dense(p.block_size(j), p.block_size(j));
+      it->second.add_to(a_dense);
+      z.axpy(-sol.y[i], a_dense);
+    }
+    EXPECT_GT(linalg::min_eigenvalue(z), -1e-7) << label << " block " << j;
+    complementarity += linalg::dot(sol.x[j], z);
+  }
+  EXPECT_NEAR(dual_objective, sol.primal_objective, obj_tol) << label;
+  EXPECT_NEAR(complementarity, 0.0, obj_tol) << label;
+}
+
 TEST(Ipm, DualCertificateVerifiable) {
   Problem tiny;
   const std::size_t b = tiny.add_block(2);
@@ -438,42 +477,107 @@ TEST(Ipm, DualCertificateVerifiable) {
   problems.push_back(random_free_variable_sdp(7));
   problems.push_back(random_free_variable_sdp(41));
   for (std::size_t k = 0; k < problems.size(); ++k) {
-    const Problem& p = problems[k];
-    const Solution sol = IpmSolver(quiet()).solve(p);
+    const Solution sol = IpmSolver(quiet()).solve(problems[k]);
     ASSERT_EQ(sol.status, SolveStatus::Optimal) << k;
-    const double obj_tol = 1e-5 * (1.0 + std::fabs(sol.primal_objective));
+    expect_kkt_certificate(problems[k], sol, std::to_string(k));
+  }
+}
 
-    double dual_objective = 0.0, complementarity = 0.0;
-    for (std::size_t i = 0; i < p.num_rows(); ++i) {
-      dual_objective += p.rhs(i) * sol.y[i];
-      double ax = 0.0;
-      for (const auto& [j, a] : p.rows()[i].blocks) ax += a.dot(sol.x[j]);
-      for (const auto& [v, c] : p.rows()[i].free_coeffs) ax += c * sol.w[v];
-      EXPECT_NEAR(ax, p.rhs(i), 1e-6 * (1.0 + std::fabs(p.rhs(i)))) << k << " row " << i;
-    }
-    for (std::size_t v = 0; v < p.num_free(); ++v) {
-      double rf = p.free_objective()[v];
-      for (std::size_t i = 0; i < p.num_rows(); ++i) {
-        const auto it = p.rows()[i].free_coeffs.find(v);
-        if (it != p.rows()[i].free_coeffs.end()) rf -= it->second * sol.y[i];
+/// Random SDP whose Schur complement splits into four blocks: rows of
+/// component A touch a 6x6 PSD block, rows of component B touch a 5x5 and a
+/// 4x4 block, one row touches only a 1x1 block (a singleton), and one row
+/// carries free coefficients only (a singleton of zero Schur diagonal). Free
+/// variables couple A, B and the free-only row; the 1x1 row has none. Both
+/// sides are strictly feasible as in random_free_variable_sdp. Block
+/// coefficients span [-10, 10] and so do the free-only row's, so the Schur
+/// diagonal is far from 1: a shift ladder relative to the free-only row's
+/// own zero diagonal instead of the whole system's would give it a 1e-13
+/// pivot, swamp S = B^T M^{-1} B with its shift and stall the solve. With
+/// `interleave`, the same rows come in round-robin order across the
+/// components, B first, so the blocks' rows are no longer contiguous and the
+/// block order changes.
+Problem random_multi_component_sdp(std::uint64_t seed, bool interleave) {
+  util::Rng rng(seed);
+  const std::vector<std::size_t> sizes = {6, 5, 4, 1};
+  // Blocks each component's rows touch, and its row count.
+  const std::vector<std::vector<std::size_t>> touches = {{0}, {1, 2}, {3}, {}};
+  const std::vector<std::size_t> counts = {9, 8, 1, 1};
+  const std::size_t nf = 3;
+  std::vector<Matrix> xstar;
+  for (std::size_t n : sizes) {
+    Matrix g(n, n);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c) g(r, c) = rng.uniform(-1.0, 1.0);
+    Matrix x = linalg::transposed_times(g, g);
+    for (std::size_t d = 0; d < n; ++d) x(d, d) += 0.1;
+    xstar.push_back(std::move(x));
+  }
+  const linalg::Vector wstar = rng.uniform_vector(nf, -1.0, 1.0);
+  std::vector<std::vector<Row>> comps(touches.size());
+  linalg::Vector f(nf, 0.0);
+  for (std::size_t k = 0; k < touches.size(); ++k) {
+    for (std::size_t n = 0; n < counts[k]; ++n) {
+      Row row;
+      for (std::size_t j : touches[k]) {
+        SparseSym& a = row.blocks[j];
+        for (int t = 0; t < 3; ++t) {
+          const std::size_t r = rng.index(sizes[j]);
+          const std::size_t c = rng.index(sizes[j]);
+          a.add(std::min(r, c), std::max(r, c), rng.uniform(-10.0, 10.0));
+        }
       }
-      EXPECT_NEAR(rf, 0.0, 1e-6 * (1.0 + std::fabs(p.free_objective()[v]))) << k << " free " << v;
-    }
-    for (std::size_t j = 0; j < p.num_blocks(); ++j) {
-      // Rebuild Z from scratch out of the returned multipliers.
-      Matrix z = p.block_objective(j);
-      for (std::size_t i = 0; i < p.num_rows(); ++i) {
-        const auto it = p.rows()[i].blocks.find(j);
-        if (it == p.rows()[i].blocks.end()) continue;
-        Matrix a_dense(p.block_size(j), p.block_size(j));
-        it->second.add_to(a_dense);
-        z.axpy(-sol.y[i], a_dense);
+      if (k != 2) {
+        const double fscale = k == 3 ? 10.0 : 1.0;
+        for (std::size_t v = 0; v < nf; ++v) {
+          if (n % nf == v || rng.uniform(0.0, 1.0) < 0.3)
+            row.free_coeffs[v] = fscale * rng.uniform(-1.0, 1.0);
+        }
       }
-      EXPECT_GT(linalg::min_eigenvalue(z), -1e-7) << k;
-      complementarity += linalg::dot(sol.x[j], z);
+      const double ystar = rng.uniform(-5e-4, 5e-4);
+      for (const auto& [j, a] : row.blocks) row.rhs += a.dot(xstar[j]);
+      for (const auto& [v, c] : row.free_coeffs) {
+        row.rhs += c * wstar[v];
+        f[v] += c * ystar;
+      }
+      comps[k].push_back(std::move(row));
     }
-    EXPECT_NEAR(dual_objective, sol.primal_objective, obj_tol) << k;
-    EXPECT_NEAR(complementarity, 0.0, obj_tol) << k;
+  }
+  Problem p;
+  for (std::size_t n : sizes) p.set_block_objective(p.add_block(n), Matrix::identity(n));
+  for (std::size_t v = 0; v < nf; ++v) p.add_free(f[v]);
+  if (!interleave) {
+    for (auto& rows : comps)
+      for (Row& row : rows) p.add_row(std::move(row));
+    return p;
+  }
+  const std::vector<std::size_t> round = {1, 0, 3, 2};
+  for (std::size_t n = 0; n < counts[0] || n < counts[1]; ++n) {
+    for (std::size_t k : round) {
+      if (n < comps[k].size()) p.add_row(std::move(comps[k][n]));
+    }
+  }
+  return p;
+}
+
+// The multi-block Schur path end to end: the KKT certificate holds on a
+// problem with several Schur blocks, singletons and a free-variable border,
+// and permuting its rows so the blocks interleave (new local indices, new
+// block order, same global shift scale) leaves the optimum unchanged.
+TEST(Ipm, MultiComponentKktAndRowOrderInvariance) {
+  for (const std::uint64_t seed : {3u, 19u}) {
+    const Problem grouped = random_multi_component_sdp(seed, false);
+    const Problem interleaved = random_multi_component_sdp(seed, true);
+    ASSERT_EQ(grouped.num_rows(), interleaved.num_rows());
+    const Solution a = IpmSolver(quiet()).solve(grouped);
+    const Solution b = IpmSolver(quiet()).solve(interleaved);
+    ASSERT_EQ(a.status, SolveStatus::Optimal) << seed;
+    ASSERT_EQ(b.status, SolveStatus::Optimal) << seed;
+    expect_kkt_certificate(grouped, a, "grouped " + std::to_string(seed));
+    expect_kkt_certificate(interleaved, b, "interleaved " + std::to_string(seed));
+    EXPECT_EQ(a.schur_rows, grouped.num_rows());
+    EXPECT_NEAR(b.primal_objective, a.primal_objective,
+                1e-8 * std::fabs(a.primal_objective))
+        << seed;
   }
 }
 
