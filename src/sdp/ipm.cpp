@@ -13,7 +13,6 @@
 #include "sdp/structure.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace soslock::sdp {
@@ -85,8 +84,7 @@ class Ipm {
  public:
   Ipm(const Problem& p, const IpmOptions& opt, SolveContext& ctx,
       std::shared_ptr<const ProblemStructure> structure)
-      : p_(p), opt_(opt), ctx_(ctx), structure_(std::move(structure)),
-        pool_(opt.threads) {
+      : p_(p), opt_(opt), ctx_(ctx), structure_(std::move(structure)) {
     m_ = p_.num_rows();
     nf_ = p_.num_free();
     nblocks_ = p_.num_blocks();
@@ -123,7 +121,6 @@ class Ipm {
                                 touching[b].coeff->entries.size();
                        });
     }
-    panel_scratch_.resize(std::max<std::size_t>(1, pool_.threads()));
     data_norm_ = 1.0;
     for (std::size_t i = 0; i < m_; ++i) data_norm_ = std::max(data_norm_, std::fabs(p_.rhs(i)));
     c_norm_ = 1.0;
@@ -478,11 +475,8 @@ class Ipm {
   /// symmetrized HKM operator makes the mirror free) — over views sorted
   /// densest-first, with the Z_j^{-1} A_i X_j panel built once per row as a
   /// sum of nnz(A_i) rank-1 outer products (O(nnz n^2), not O(n^3) column
-  /// solves). Panels are independent across rows, so they fan out on the
-  /// pool; every (i, k) entry is written by exactly one task and blocks are
-  /// accumulated in a fixed sequential order, which makes the assembly
-  /// bit-identical across thread counts. All rows of a PSD block lie in one
-  /// Schur block, so each pair lands there at its local indices.
+  /// solves). All rows of a PSD block lie in one Schur block, so each pair
+  /// lands there at its local indices.
   void assemble_schur(const State& s, const std::vector<Matrix>& zinv) {
     for (std::size_t j = 0; j < nblocks_; ++j) {
       const auto& touching = views_[j];
@@ -492,13 +486,10 @@ class Ipm {
       const Matrix& zi = zinv[j];
       const Matrix& xj = s.x[j];
       const auto& order = schur_order_[j];
-      auto panel_task = [&](std::size_t w, std::size_t p) {
-        Matrix& panel = panel_scratch_[w];
-        if (panel.rows() != n || panel.cols() != n) {
-          panel = Matrix(n, n);
-        } else {
-          panel.fill(0.0);
-        }
+      Matrix& panel = panel_;
+      if (panel.rows() != n) panel = Matrix(n, n);
+      for (std::size_t p = 0; p < order.size(); ++p) {
+        panel.fill(0.0);
         const BlockRowView& vi = touching[order[p]];
         // panel = Z^{-1} A_i X = sum over triplets v (zinv_col_r x_row_c +
         // [r != c] zinv_col_c x_row_r); zinv is symmetric, so its columns
@@ -526,16 +517,6 @@ class Ipm {
           if (r1 > r2) std::swap(r1, r2);
           schur(r1, r2) += acc;
         }
-      };
-      // Fan out only when the block carries enough *work* to amortize the
-      // fork-join — rows alone do not cut it: a 1x1 slack touched by a
-      // hundred rows is still microseconds of panel work. Estimate by the
-      // dominant panel cost (rows x n^2); tiny blocks run inline. Both
-      // paths write the same entries in the same per-entry order.
-      if (pool_.threads() > 1 && order.size() >= 8 && order.size() * n * n >= 32768) {
-        pool_.run_all_indexed(order.size(), panel_task);
-      } else {
-        for (std::size_t p = 0; p < order.size(); ++p) panel_task(0, p);
       }
     }
     // Mirror the computed upper triangles onto the lower.
@@ -568,14 +549,14 @@ class Ipm {
     // Factor all Z and X blocks and form the explicit Z^{-1} (used by the
     // Schur panels, the RHS assembly and the direction recovery — computing
     // it once per block per iteration replaces three rounds of per-column
-    // triangular solves with GEMMs). Blocks are independent: fan out.
+    // triangular solves with GEMMs).
     std::vector<Cholesky> chol_z(nblocks_), chol_x(nblocks_);
     std::vector<Matrix> zinv(nblocks_);
-    pool_.run_all(nblocks_, [&](std::size_t j) {
+    for (std::size_t j = 0; j < nblocks_; ++j) {
       chol_z[j] = Cholesky::factor_shifted(s.z[j]);
       chol_x[j] = Cholesky::factor_shifted(s.x[j]);
       zinv[j] = chol_z[j].inverse();
-    });
+    }
     phase_.factor += phase_timer.seconds();
 
     // Assemble the Schur complement M_ik = sum_j <A_ij, Z_j^{-1} A_kj X_j>
@@ -710,14 +691,14 @@ class Ipm {
 
     // RHS shared pieces: for a given complementarity target nu,
     // r1_i = rp_i - sum_j <A_ij, nu Z^{-1} - X - Z^{-1} Rd X + Corr>.
-    // The per-block E_j are independent GEMMs on the precomputed Z^{-1}
-    // (fan out on the pool); the row accumulation runs sequentially because
-    // a row may touch several blocks.
+    // The per-block E_j are GEMMs on the precomputed Z^{-1}; all are formed
+    // before the row accumulation, which walks the blocks in order because a
+    // row may touch several of them.
     auto build_r1 = [&](double nu, const std::vector<Matrix>* corr) {
       Vector r1 = res.rp;
       std::vector<Matrix> e(nblocks_);
-      pool_.run_all(nblocks_, [&](std::size_t j) {
-        if (views_[j].empty()) return;
+      for (std::size_t j = 0; j < nblocks_; ++j) {
+        if (views_[j].empty()) continue;
         // E_j = nu Z^{-1} - X - Z^{-1} (Rd X + Corr).
         Matrix rdx = res.rd[j] * s.x[j];
         if (corr != nullptr) rdx += (*corr)[j];
@@ -727,7 +708,7 @@ class Ipm {
         if (nu != 0.0) ej.axpy(nu, zinv[j]);
         ej.symmetrize();
         e[j] = std::move(ej);
-      });
+      }
       for (std::size_t j = 0; j < nblocks_; ++j) {
         if (views_[j].empty()) continue;
         for (const BlockRowView& v : views_[j]) r1[v.row] -= v.coeff->dot(e[j]);
@@ -739,7 +720,7 @@ class Ipm {
                             std::vector<Matrix>& dx, std::vector<Matrix>& dz) {
       dx.resize(nblocks_);
       dz.resize(nblocks_);
-      pool_.run_all(nblocks_, [&](std::size_t j) {
+      for (std::size_t j = 0; j < nblocks_; ++j) {
         Matrix dzj = res.rd[j];
         for (const BlockRowView& v : views_[j]) v.coeff->add_to(dzj, -dy[v.row]);
         // dX = nu Z^{-1} - X - Z^{-1} (dZ X + Corr), symmetrized.
@@ -752,24 +733,19 @@ class Ipm {
         dxj.symmetrize();
         dx[j] = std::move(dxj);
         dz[j] = std::move(dzj);
-      });
+      }
     };
 
     // Max PSD step lengths over all blocks (one eigendecomposition per
-    // block; independent, order-insensitive min-reduction).
+    // block, min-reduced).
     auto step_lengths = [&](const std::vector<Matrix>& dx_c, const std::vector<Matrix>& dz_c,
                             double cap, double& ap_out, double& ad_out) {
       util::Timer eig_timer;
-      Vector aps(nblocks_, cap), ads(nblocks_, cap);
-      pool_.run_all(nblocks_, [&](std::size_t j) {
-        aps[j] = max_step(chol_x[j], dx_c[j], cap);
-        ads[j] = max_step(chol_z[j], dz_c[j], cap);
-      });
       ap_out = cap;
       ad_out = cap;
       for (std::size_t j = 0; j < nblocks_; ++j) {
-        ap_out = std::min(ap_out, aps[j]);
-        ad_out = std::min(ad_out, ads[j]);
+        ap_out = std::min(ap_out, max_step(chol_x[j], dx_c[j], cap));
+        ad_out = std::min(ad_out, max_step(chol_z[j], dz_c[j], cap));
       }
       phase_.eig += eig_timer.seconds();
     };
@@ -810,8 +786,7 @@ class Ipm {
 
       // Corrector with second-order term dZ_aff * dX_aff.
       std::vector<Matrix> corr(nblocks_);
-      pool_.run_all(nblocks_,
-                    [&](std::size_t j) { corr[j] = dz_aff[j] * dx_aff[j]; });
+      for (std::size_t j = 0; j < nblocks_; ++j) corr[j] = dz_aff[j] * dx_aff[j];
       const Vector r1 = build_r1(sigma * mu, &corr);
       solve_kkt(r1, res.rf, dy, dw);
       recover_dxdz(dy, sigma * mu, &corr, dx, dz);
@@ -880,8 +855,7 @@ class Ipm {
   std::vector<std::size_t> local_;    // extended row -> index within its block
   std::vector<std::size_t> perm_;     // work position -> extended row
   Vector work_;                       // permuted KKT work vector (m + q)
-  util::ThreadPool pool_;
-  std::vector<Matrix> panel_scratch_;  // per-worker Schur panel workspace
+  Matrix panel_;                      // Schur panel Z^{-1} A_i X of one row
   PhaseTimes phase_;
   std::size_t m_ = 0, q_ = 0, mext_ = 0, nf_ = 0, nblocks_ = 0, total_dim_ = 0;
   double data_norm_ = 1.0, c_norm_ = 1.0;

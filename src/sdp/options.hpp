@@ -43,11 +43,6 @@ struct IpmOptions {
   /// to the previous active set (slow steps when the data moved); too large
   /// throws the previous solution away.
   double warm_start_margin = 0.15;
-  /// Worker threads for the per-iteration hot paths (Schur assembly panels,
-  /// block factorizations, direction recovery). 0 = hardware count; 1 =
-  /// serial. The parallel partitioning writes disjoint entries in a fixed
-  /// order, so results are bit-identical across thread counts.
-  std::size_t threads = 1;
   bool verbose = false;
 };
 
@@ -68,9 +63,10 @@ struct AdmmOptions {
   /// oscillation of the splitting on well-posed problems.
   double over_relaxation = 1.6;
   /// Worker threads for the per-iteration PSD projections (one
-  /// eigendecomposition per block; blocks are independent). 0 = hardware
-  /// count; 1 = serial. Deterministic across thread counts (disjoint
-  /// per-block writes, order-independent max-reduction).
+  /// eigendecomposition per block; blocks are independent): the only
+  /// intra-solve fan-out of either backend. 0 = hardware count; 1 = serial.
+  /// Deterministic across thread counts (disjoint per-block writes,
+  /// order-independent max-reduction).
   std::size_t threads = 1;
   bool verbose = false;
 };

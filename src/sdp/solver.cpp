@@ -97,7 +97,6 @@ IpmOptions SolverConfig::resolved_ipm() const {
   if (tolerance > 0.0) out.tolerance = tolerance;
   if (max_iterations > 0) out.max_iterations = max_iterations;
   if (verbose) out.verbose = true;
-  if (threads != 1) out.threads = threads;
   return out;
 }
 

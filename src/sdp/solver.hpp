@@ -144,12 +144,12 @@ struct SolverConfig {
   /// previous iterate into the next structurally identical solve (see
   /// WarmStart). Off = every solve starts cold (the bench A/B switch).
   bool warm_start = true;
-  /// Worker threads for the backends' per-iteration hot paths (IPM Schur
-  /// assembly / factorizations, ADMM PSD projections). 0 = hardware count;
-  /// 1 (default) = serial. sos::BatchSolver::solve_all divides this across
-  /// its batch workers so nested parallelism never oversubscribes. Parallel
-  /// solves are deterministic: the work partition writes disjoint entries in
-  /// a fixed order, so iterates are bit-identical across thread counts.
+  /// Worker threads for the ADMM's per-iteration PSD projections (the IPM
+  /// runs on its caller's thread). 0 = hardware count; 1 (default) = serial.
+  /// sos::BatchSolver::solve_all divides this across its batch workers so
+  /// nested parallelism never oversubscribes. Parallel solves are
+  /// deterministic: each block's projection writes only its own entries, so
+  /// iterates are bit-identical across thread counts.
   std::size_t threads = 1;
   /// "auto": smallest max-block-size at which the first-order backend wins.
   std::size_t auto_block_threshold = 80;

@@ -6,10 +6,10 @@
 // built per task and the backends are stateless, so the only shared state is
 // the result slots (one per task, disjoint).
 //
-// The pool itself is util::ThreadPool (shared with the SDP backends'
-// intra-solve parallelism); BatchSolver is a thin SOS-aware wrapper that
-// also rebalances SolverConfig::threads across its workers so batched
-// solves on multi-threaded backends do not oversubscribe the machine.
+// The pool itself is util::ThreadPool (shared with the ADMM's per-block PSD
+// projections); BatchSolver is a thin SOS-aware wrapper that also
+// rebalances SolverConfig::threads across its workers so batched ADMM
+// solves do not oversubscribe the machine.
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -26,9 +26,6 @@ class BatchSolver {
 
   /// Worker cap after resolving 0 to the hardware count.
   std::size_t threads() const { return pool_.threads(); }
-
-  /// The underlying fork-join pool.
-  const util::ThreadPool& pool() const { return pool_; }
 
   /// Run `count` independent tasks, task(i) for i in [0, count); blocks until
   /// all complete. Tasks run on up to threads() workers (inline when the cap

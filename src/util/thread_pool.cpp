@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
 #include <exception>
 #include <thread>
 #include <vector>
 
+#include "util/log.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace soslock::util {
@@ -16,33 +18,35 @@ ThreadPool::ThreadPool(std::size_t threads) : threads_(threads) {
 }
 
 std::size_t ThreadPool::hardware_threads() {
-  if (const char* env = std::getenv("SOSLOCK_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
+  if (const char* env = std::getenv("SOSLOCK_THREADS"); env != nullptr && env[0] != '\0') {
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(env, &end, 10);
+    if (*end == '\0' && errno == 0 && v > 0) return static_cast<std::size_t>(v);
+    log_warn("SOSLOCK_THREADS=", env, " is not a positive integer; ignoring");
   }
   const std::size_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
 
-void ThreadPool::run_all_indexed(
-    std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& task) const {
+void ThreadPool::run_all(std::size_t count,
+                         const std::function<void(std::size_t)>& task) const {
   if (count == 0) return;
   const std::size_t workers = std::min(threads_, count);
   if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) task(0, i);
+    for (std::size_t i = 0; i < count; ++i) task(i);
     return;
   }
 
   std::atomic<std::size_t> next{0};
   Mutex error_mutex;
   std::exception_ptr first_error;
-  auto worker = [&](std::size_t worker_id) {
+  auto worker = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) return;
       try {
-        task(worker_id, i);
+        task(i);
       } catch (...) {
         const MutexLock lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
@@ -52,15 +56,10 @@ void ThreadPool::run_all_indexed(
 
   std::vector<std::thread> pool;
   pool.reserve(workers - 1);
-  for (std::size_t t = 1; t < workers; ++t) pool.emplace_back(worker, t);
-  worker(0);  // the calling thread participates
+  for (std::size_t t = 1; t < workers; ++t) pool.emplace_back(worker);
+  worker();  // the calling thread participates
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
-}
-
-void ThreadPool::run_all(std::size_t count,
-                         const std::function<void(std::size_t)>& task) const {
-  run_all_indexed(count, [&task](std::size_t, std::size_t i) { task(i); });
 }
 
 std::size_t ThreadPool::run_all_until_failure(

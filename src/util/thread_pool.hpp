@@ -1,8 +1,9 @@
 #pragma once
 // Shared fork-join worker pool used by the batched SOS driver
-// (sos::BatchSolver) and by the SDP backends' intra-solve parallelism (IPM
-// Schur assembly, ADMM per-block PSD projections). Living in util keeps the
-// layering clean: sdp must not depend on sos just to borrow its threads.
+// (sos::BatchSolver) and by the ADMM's per-block PSD projections, the one
+// intra-solve fan-out (the IPM runs on its caller's thread). Living in util
+// keeps the layering clean: sdp must not depend on sos just to borrow its
+// threads.
 //
 // Design notes:
 //  * Fork-join per call, not a persistent task queue: every run_all spawns
@@ -31,21 +32,15 @@ class ThreadPool {
 
   /// std::thread::hardware_concurrency() with the 0-means-unknown case
   /// resolved to 1. Overridable via the SOSLOCK_THREADS environment variable
-  /// (a positive integer) — the sanitizer CI pins the fan-out to 4 with it
-  /// so TSan sees the parallel paths regardless of runner core count.
+  /// (a positive integer; any other value is ignored with a warning) — the
+  /// sanitizer CI pins the fan-out to 4 with it so TSan sees the parallel
+  /// paths regardless of runner core count.
   static std::size_t hardware_threads();
 
   /// Run `count` independent tasks, task(i) for i in [0, count); blocks until
   /// all complete. Tasks run on up to threads() workers (inline when the cap
   /// or count is 1). The first task exception, if any, is rethrown here.
   void run_all(std::size_t count, const std::function<void(std::size_t)>& task) const;
-
-  /// run_all with the worker id (in [0, workers)) passed alongside the task
-  /// index, so tasks can address per-worker scratch buffers without locking.
-  /// The inline path uses worker id 0.
-  void run_all_indexed(
-      std::size_t count,
-      const std::function<void(std::size_t worker, std::size_t index)>& task) const;
 
   /// run_all with early abort: a task returning false skips every task that
   /// has not yet started (in-flight tasks complete), keeping failure paths as

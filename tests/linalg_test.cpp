@@ -9,9 +9,7 @@
 #include "linalg/cholesky.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/kernels.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/qr.hpp"
 #include "util/rng.hpp"
 
 namespace soslock::linalg {
@@ -235,72 +233,6 @@ TEST(Cholesky, LogDetMatchesKnown) {
   const auto chol = Cholesky::factor(a);
   ASSERT_TRUE(chol.has_value());
   EXPECT_NEAR(chol->log_det(), std::log(24.0), 1e-12);
-}
-
-class LuParam : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(LuParam, SolveResidual) {
-  util::Rng rng(GetParam() * 7 + 3);
-  const std::size_t n = GetParam();
-  const Matrix a = random_matrix(n, n, rng);
-  const auto lu = Lu::factor(a);
-  ASSERT_TRUE(lu.has_value());
-  const Vector b = rng.uniform_vector(n, -2.0, 2.0);
-  const Vector x = lu->solve(b);
-  EXPECT_LT(max_abs_diff(a * x, b), 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, LuParam, ::testing::Values(1, 2, 4, 8, 20, 50));
-
-TEST(Lu, DetKnown) {
-  const Matrix a = Matrix::from_rows({{2.0, 0.0}, {1.0, 3.0}});
-  const auto lu = Lu::factor(a);
-  ASSERT_TRUE(lu.has_value());
-  EXPECT_NEAR(lu->det(), 6.0, 1e-12);
-}
-
-TEST(Lu, SingularDetected) {
-  const Matrix a = Matrix::from_rows({{1.0, 2.0}, {2.0, 4.0}});
-  EXPECT_FALSE(Lu::factor(a).has_value());
-}
-
-TEST(Lu, InverseRoundTrip) {
-  util::Rng rng(17);
-  const Matrix a = random_spd(5, rng);
-  const Matrix inv = inverse(a);
-  EXPECT_LT(norm_inf(a * inv - Matrix::identity(5)), 1e-9);
-}
-
-TEST(Qr, LeastSquaresResidualOrthogonal) {
-  util::Rng rng(23);
-  const Matrix a = random_matrix(10, 4, rng);
-  const Vector b = rng.uniform_vector(10, -1.0, 1.0);
-  const Qr qr = Qr::factor(a);
-  const Vector x = qr.solve_least_squares(b);
-  // Normal equations: A^T (A x - b) == 0.
-  Vector res = a * x;
-  axpy(-1.0, b, res);
-  const Vector nt = transposed_times(a, res);
-  EXPECT_LT(norm_inf(nt), 1e-9);
-}
-
-TEST(Qr, ExactSolveWhenSquare) {
-  util::Rng rng(29);
-  const Matrix a = random_spd(5, rng);
-  const Vector b = rng.uniform_vector(5, -1.0, 1.0);
-  const Qr qr = Qr::factor(a);
-  const Vector x = qr.solve_least_squares(b);
-  EXPECT_LT(max_abs_diff(a * x, b), 1e-8);
-}
-
-TEST(Qr, RankDetection) {
-  // Rank-2 matrix embedded in 4 columns.
-  util::Rng rng(31);
-  const Matrix u = random_matrix(8, 2, rng);
-  const Matrix v = random_matrix(4, 2, rng);
-  const Matrix a = times_transposed(u, v);
-  const Qr qr = Qr::factor(a);
-  EXPECT_EQ(qr.rank(1e-8), 2u);
 }
 
 class EigenParam : public ::testing::TestWithParam<std::size_t> {};

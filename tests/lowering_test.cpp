@@ -357,30 +357,6 @@ TEST(LoweringPipeline, DriftGuardRejectsStaleCliqueEntryMaps) {
   EXPECT_TRUE(sdp::remap_warm_start(good, tampered).empty());
 }
 
-TEST(LoweringPipeline, OverlapMultiplierAssemblyIsThreadDeterministic) {
-  // The extended Schur assembly (rows + overlap couplings) fans out on the
-  // pool like the PR 4 kernels; the block elimination runs after the
-  // barrier. Iterates must be bit-identical across thread counts.
-  const Lowering low = sdp::lower(clock_tree_sdp(10), chordal_lowering(4));
-  ASSERT_TRUE(low.decomposed());
-  sdp::IpmOptions serial, parallel;
-  serial.threads = 1;
-  parallel.threads = 4;
-  sdp::SolveContext ctx1, ctx4;
-  const Solution one = sdp::IpmSolver(serial).solve(low.problem, ctx1);
-  const Solution four = sdp::IpmSolver(parallel).solve(low.problem, ctx4);
-  ASSERT_EQ(one.status, four.status);
-  ASSERT_EQ(one.iterations, four.iterations);
-  EXPECT_EQ(one.primal_objective, four.primal_objective);  // bitwise
-  ASSERT_EQ(one.y.size(), four.y.size());
-  for (std::size_t i = 0; i < one.y.size(); ++i) EXPECT_EQ(one.y[i], four.y[i]);
-  for (std::size_t j = 0; j < one.x.size(); ++j) {
-    for (std::size_t r = 0; r < one.x[j].rows(); ++r)
-      for (std::size_t c = 0; c < one.x[j].cols(); ++c)
-        ASSERT_EQ(one.x[j](r, c), four.x[j](r, c)) << j << " " << r << " " << c;
-  }
-}
-
 TEST(LoweringPipeline, AdmmSolvesClusteredClockTreeDeterministically) {
   // The clock_tree benchmark shape at K=16: disjoint crosstalk clusters of 4
   // loops, so each cluster's filter nodes form one clique tied to the rest

@@ -333,26 +333,6 @@ TEST(BatchSolver, EffectiveConfigDividesThreadsAcrossWorkers) {
 
 // --- multi-threaded determinism ----------------------------------------------
 
-TEST(Threading, IpmDeterministicAcrossThreadCounts) {
-  // The parallel Schur/factor/recover partitions write disjoint entries in a
-  // fixed order, so multi-threaded solves must reproduce the single-threaded
-  // iterate *bitwise*: same status, same iteration count, same duals.
-  for (std::uint64_t seed : {3u, 19u}) {
-    const Problem p = random_feasible_sdp(seed, 10, 14);
-    sdp::IpmOptions serial;
-    serial.threads = 1;
-    const Solution a = sdp::IpmSolver(serial).solve(p);
-    sdp::IpmOptions parallel = serial;
-    parallel.threads = 4;
-    const Solution b = sdp::IpmSolver(parallel).solve(p);
-    EXPECT_EQ(a.status, b.status);
-    EXPECT_EQ(a.iterations, b.iterations);
-    ASSERT_EQ(a.y.size(), b.y.size());
-    for (std::size_t i = 0; i < a.y.size(); ++i) EXPECT_EQ(a.y[i], b.y[i]) << "y[" << i << "]";
-    EXPECT_EQ(a.primal_objective, b.primal_objective);
-  }
-}
-
 TEST(Threading, AdmmDeterministicAcrossThreadCounts) {
   const Problem p = random_feasible_sdp(7, 12, 10);
   sdp::AdmmOptions serial;
@@ -372,11 +352,10 @@ TEST(Threading, AdmmDeterministicAcrossThreadCounts) {
 TEST(Threading, ConfigThreadsReachesBackends) {
   sdp::SolverConfig config;
   config.threads = 3;
-  EXPECT_EQ(config.resolved_ipm().threads, 3u);
   EXPECT_EQ(config.resolved_admm().threads, 3u);
   config.threads = 1;  // default passes the per-backend option through
-  config.ipm.threads = 2;
-  EXPECT_EQ(config.resolved_ipm().threads, 2u);
+  config.admm.threads = 2;
+  EXPECT_EQ(config.resolved_admm().threads, 2u);
 }
 
 TEST(PhaseTimers, BackendsRecordPhaseBreakdown) {
