@@ -38,7 +38,7 @@ struct PipelineOptions {
   bool escape_fallback = true;        // Algorithm 1 lines 13-18
 
   /// Route every SOS query of the pipeline through one solver backend
-  /// ("ipm" | "admm" | "auto" | any registered name).
+  /// ("ipm" | "admm" | "auto").
   void use_backend(const std::string& name) {
     lyapunov.solver.backend = name;
     level.solver.backend = name;

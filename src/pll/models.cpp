@@ -1,5 +1,6 @@
 #include "pll/models.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -241,6 +242,55 @@ ReducedModel make_averaged_vertices(const Params& params, const ModelOptions& op
   return model;
 }
 
+namespace {
+
+/// Row `r` of the closed-loop clock-tree state matrix A (x' = A x), written
+/// densely into `row` (state layout [s, v_1, e_1, ...]). The rail leaks to
+/// ground and averages the leaf filter nodes. Each leaf filter node v_i
+/// relaxes, takes the duty-cycle-averaged pump rho*e_i, and couples to the
+/// rail; each phase error e_i integrates -kappa*v_i. Leaves talk to each
+/// other only through s unless neighbor_coupling adds the banded crosstalk
+/// terms. The model's flow rows and the coupling SDP's sparsity pattern both
+/// read A through this, one row at a time, so no n x n matrix is formed.
+void clock_tree_state_row(const LoopConstants& k, const ClockTreeOptions& options,
+                          std::size_t r, linalg::Vector& row) {
+  const std::size_t loops = options.loops;
+  const double c = options.coupling;
+  row.assign(1 + 2 * loops, 0.0);
+  if (r == 0) {
+    row[0] = -options.rail_leak - c;
+    const double per_loop = c / static_cast<double>(loops);
+    for (std::size_t i = 0; i < loops; ++i) row[1 + 2 * i] = per_loop;
+    return;
+  }
+  const std::size_t i = (r - 1) / 2, v = 1 + 2 * i;
+  if (r != v) {  // e_i
+    row[v] = -k.kappa;
+    return;
+  }
+  row[0] = c;
+  row[v + 1] = k.rho;
+  const double nc = options.neighbor_coupling;
+  const std::size_t hops = nc != 0.0 ? options.neighbor_hops : 0;
+  const auto same_cluster = [&options](std::size_t a, std::size_t b) {
+    return options.cluster == 0 || a / options.cluster == b / options.cluster;
+  };
+  double self = -1.0 - c;
+  for (std::size_t h = 1; h <= hops; ++h) {
+    if (i >= h && same_cluster(i, i - h)) {
+      row[1 + 2 * (i - h)] += nc;
+      self -= nc;
+    }
+    if (i + h < loops && same_cluster(i, i + h)) {
+      row[1 + 2 * (i + h)] += nc;
+      self -= nc;
+    }
+  }
+  row[v] = self;
+}
+
+}  // namespace
+
 ClockTreeModel make_clock_tree(const Params& params, const ClockTreeOptions& options) {
   ClockTreeModel model;
   model.loops = options.loops;
@@ -251,8 +301,6 @@ ClockTreeModel make_clock_tree(const Params& params, const ClockTreeOptions& opt
 
   const std::size_t nstates = 1 + 2 * options.loops;
   const std::size_t nvars = nstates;  // no uncertain parameters
-  const double c = options.coupling;
-  const double per_loop = c / static_cast<double>(options.loops);
 
   HybridSystem sys(nstates, 0);
   {
@@ -264,46 +312,16 @@ ClockTreeModel make_clock_tree(const Params& params, const ClockTreeOptions& opt
     sys.set_state_names(names);
   }
 
-  // Rail: leaks to ground and averages the leaf filter nodes. Each leaf
-  // filter node v_i relaxes, takes the duty-cycle-averaged pump rho*e_i, and
-  // couples to the rail; each phase error e_i integrates -kappa*v_i. Leaves
-  // talk to each other only through s unless neighbor_coupling adds the
-  // banded crosstalk terms. Every flow row is affine, so each is built from
-  // one coefficient vector instead of merged variable polynomials — the
-  // shared-rail row used to be re-merged K times, which made K-in-the-
-  // hundreds trees quadratically slow to even construct.
+  // Every flow row is affine, so each is built from its row of A in one
+  // pass: merging variable polynomials would re-merge the shared-rail row
+  // K times, quadratic in the tree size.
   Mode avg;
   avg.name = "clock-tree";
   std::vector<Polynomial> flow;
   flow.reserve(nstates);
-  linalg::Vector lin(nstates, 0.0);
-  lin[model.rail_index] = -options.rail_leak - c;
-  for (std::size_t i = 0; i < options.loops; ++i) lin[model.v_index(i)] = per_loop;
-  flow.push_back(Polynomial::affine(nvars, lin, 0.0));
-  const double nc = options.neighbor_coupling;
-  const std::size_t hops = nc != 0.0 ? options.neighbor_hops : 0;
-  const auto same_cluster = [&options](std::size_t i, std::size_t j) {
-    return options.cluster == 0 || i / options.cluster == j / options.cluster;
-  };
-  for (std::size_t i = 0; i < options.loops; ++i) {
-    lin.assign(nstates, 0.0);
-    lin[model.rail_index] = c;
-    lin[model.e_index(i)] = k.rho;
-    double self = -1.0 - c;
-    for (std::size_t h = 1; h <= hops; ++h) {
-      if (i >= h && same_cluster(i, i - h)) {
-        lin[model.v_index(i - h)] += nc;
-        self -= nc;
-      }
-      if (i + h < options.loops && same_cluster(i, i + h)) {
-        lin[model.v_index(i + h)] += nc;
-        self -= nc;
-      }
-    }
-    lin[model.v_index(i)] = self;
-    flow.push_back(Polynomial::affine(nvars, lin, 0.0));
-    lin.assign(nstates, 0.0);
-    lin[model.v_index(i)] = -k.kappa;
+  linalg::Vector lin;
+  for (std::size_t r = 0; r < nstates; ++r) {
+    clock_tree_state_row(k, options, r, lin);
     flow.push_back(Polynomial::affine(nvars, lin, 0.0));
   }
   avg.flow = std::move(flow);
@@ -323,65 +341,56 @@ ClockTreeModel make_clock_tree(const Params& params, const ClockTreeOptions& opt
   return model;
 }
 
-linalg::Matrix clock_tree_state_matrix(const LoopConstants& k,
-                                       const ClockTreeOptions& options) {
-  const std::size_t kk = options.loops;
-  const std::size_t n = 1 + 2 * kk;
-  const double c = options.coupling;
-  const double per_loop = c / static_cast<double>(kk);
-  const double nc = options.neighbor_coupling;
-  const std::size_t hops = nc != 0.0 ? options.neighbor_hops : 0;
-  const auto same_cluster = [&options](std::size_t i, std::size_t j) {
-    return options.cluster == 0 || i / options.cluster == j / options.cluster;
-  };
-  linalg::Matrix a(n, n);
-  a(0, 0) = -options.rail_leak - c;
-  for (std::size_t i = 0; i < kk; ++i) {
-    const std::size_t v = 1 + 2 * i, e = 2 + 2 * i;
-    a(0, v) = per_loop;
-    a(v, 0) = c;
-    double self = -1.0 - c;
-    for (std::size_t h = 1; h <= hops; ++h) {
-      if (i >= h && same_cluster(i, i - h)) {
-        a(v, 1 + 2 * (i - h)) += nc;
-        self -= nc;
-      }
-      if (i + h < kk && same_cluster(i, i + h)) {
-        a(v, 1 + 2 * (i + h)) += nc;
-        self -= nc;
-      }
-    }
-    a(v, v) = self;
-    a(v, e) = k.rho;
-    a(e, v) = -k.kappa;
-  }
-  return a;
-}
-
 sdp::Problem clock_tree_coupling_sdp(const LoopConstants& k,
                                      const ClockTreeOptions& options) {
-  const linalg::Matrix a = clock_tree_state_matrix(k, options);
-  const std::size_t n = a.rows();
+  const std::size_t n = 1 + 2 * options.loops;
 
-  // PSD witness with the coupling pattern: diagonally dominant, off-diagonal
-  // mass on the coupling edges only.
-  linalg::Matrix xstar(n, n);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = r + 1; c < n; ++c)
-      if (a(r, c) != 0.0 || a(c, r) != 0.0) {
-        const double v = 0.4 + 0.1 * static_cast<double>((r + c) % 3);
-        xstar(r, c) = v;
-        xstar(c, r) = v;
+  // Coupling graph: r ~ c wherever a_rc or a_cr is nonzero. Neighbor lists
+  // ascend, so every loop below visits pairs in row-major order.
+  std::vector<std::vector<std::size_t>> nbr(n);
+  {
+    linalg::Vector row;
+    for (std::size_t r = 0; r < n; ++r) {
+      clock_tree_state_row(k, options, r, row);
+      for (std::size_t c = 0; c < n; ++c) {
+        if (c == r || row[c] == 0.0) continue;
+        nbr[r].push_back(c);
+        nbr[c].push_back(r);
       }
+    }
+    for (auto& list : nbr) {
+      std::sort(list.begin(), list.end());
+      list.erase(std::unique(list.begin(), list.end()), list.end());
+    }
+  }
+
+  // PSD witness X* with the coupling pattern: diagonally dominant,
+  // off-diagonal mass on the coupling edges only. Only its diagonal is
+  // stored; witness() reads X* off the pattern.
+  const auto edge_value = [](std::size_t r, std::size_t c) {
+    return 0.4 + 0.1 * static_cast<double>((r + c) % 3);
+  };
+  linalg::Vector diag(n);
   for (std::size_t r = 0; r < n; ++r) {
     double off = 0.0;
-    for (std::size_t c = 0; c < n; ++c) off += r == c ? 0.0 : std::fabs(xstar(r, c));
-    xstar(r, r) = 1.0 + off + 0.05 * static_cast<double>(r % 4);
+    for (const std::size_t c : nbr[r]) off += std::fabs(edge_value(r, c));
+    diag[r] = 1.0 + off + 0.05 * static_cast<double>(r % 4);
   }
+  const auto witness = [&](std::size_t r, std::size_t c) {
+    return r == c ? diag[r] : edge_value(r, c);
+  };
+  // <A, X*> for a coefficient on the pattern (SparseSym::dot's sum order).
+  const auto witness_dot = [&](const sdp::SparseSym& a) {
+    double acc = 0.0;
+    for (const sdp::Triplet& t : a.entries)
+      acc += (t.r == t.c ? 1.0 : 2.0) * t.v * witness(t.r, t.c);
+    return acc;
+  };
 
   sdp::Problem p;
   const std::size_t blk = p.add_block(n);
-  p.set_block_objective(blk, linalg::Matrix::identity(n));
+  linalg::Matrix& objective = p.mutable_block_objective(blk);  // min trace
+  for (std::size_t r = 0; r < n; ++r) objective(r, r) = 1.0;
   // Clustered trees coarsen the measurement rows: instead of one row per
   // coupling edge (m grows with the g^2/2 crosstalk pairs of each
   // g-loop cluster, and the dense normal/Schur systems with m^2), the three
@@ -397,8 +406,8 @@ sdp::Problem clock_tree_coupling_sdp(const LoopConstants& k,
   const char* family_name[] = {"rail", "cross", "leaf"};
   std::vector<sdp::SparseSym> agg(3 * nclusters);
   for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = r + 1; c < n; ++c) {
-      if (a(r, c) == 0.0 && a(c, r) == 0.0) continue;
+    for (const std::size_t c : nbr[r]) {
+      if (c < r) continue;
       sdp::SparseSym coeff;
       coeff.add(r, r, 1.0);
       coeff.add(r, c, 0.5 + 0.1 * static_cast<double>((r + c) % 2));
@@ -416,7 +425,7 @@ sdp::Problem clock_tree_coupling_sdp(const LoopConstants& k,
       // Sparse <A, X*> directly: densifying each 3-entry coefficient into an
       // n x n scratch made assembly cubic in the tree size, which dominated
       // the solve itself from K ~ 64 up.
-      row.rhs = coeff.dot(xstar);
+      row.rhs = witness_dot(coeff);
       row.label = "edge." + std::to_string(r) + "." + std::to_string(c);
       row.blocks[blk] = std::move(coeff);
       p.add_row(std::move(row));
@@ -427,7 +436,7 @@ sdp::Problem clock_tree_coupling_sdp(const LoopConstants& k,
       sdp::SparseSym& coeff = agg[3 * cl + fam];
       if (coeff.empty()) continue;
       sdp::Row row;
-      row.rhs = coeff.dot(xstar);
+      row.rhs = witness_dot(coeff);
       row.label = std::string("cluster.") + std::to_string(cl) + "." + family_name[fam];
       row.blocks[blk] = std::move(coeff);
       p.add_row(std::move(row));
@@ -435,6 +444,7 @@ sdp::Problem clock_tree_coupling_sdp(const LoopConstants& k,
   }
   return p;
 }
+
 
 linalg::Matrix averaged_state_matrix(const LoopConstants& k) {
   if (k.order == 3) {

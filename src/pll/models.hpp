@@ -118,14 +118,9 @@ struct ClockTreeModel {
 /// in milliseconds — the scale the clock-tree benchmark and examples run at.
 ClockTreeModel make_clock_tree(const Params& params, const ClockTreeOptions& options = {});
 
-/// Closed-loop clock-tree state matrix A (x' = A x). Its off-diagonal
-/// pattern is the star-of-loops coupling graph; analysis, tests and the
-/// directly-built coupling SDPs of the decomposed-cone benches key on it.
-linalg::Matrix clock_tree_state_matrix(const LoopConstants& k,
-                                       const ClockTreeOptions& options);
-
 /// Feasible min-trace SDP whose aggregate sparsity IS the clock-tree
-/// coupling graph: one PSD block over all states, one equality row per
+/// coupling graph (the off-diagonal pattern of the closed-loop state matrix
+/// A, x' = A x): one PSD block over all states, one equality row per
 /// coupling edge, rhs taken from a known diagonally-dominant PSD witness
 /// with that pattern. This is the workload of the decomposed-cone tests and
 /// the clock-tree benchmark: its chordal cliques are the

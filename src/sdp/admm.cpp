@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <optional>
 #include <string>
@@ -26,6 +25,17 @@ using linalg::Matrix;
 using linalg::Vector;
 
 namespace {
+
+/// Over-relaxation factor alpha: ~1.6 damps the tail oscillation of the
+/// splitting on well-posed problems.
+constexpr double kOverRelaxation = 1.6;
+/// Residual-balanced rho updates: checked every kRhoUpdateInterval
+/// iterations, triggered when the residual ratio leaves
+/// [1/kResidualBalance, kResidualBalance], and clamped to one kRhoScale
+/// step per update.
+constexpr int kRhoUpdateInterval = 50;
+constexpr double kResidualBalance = 10.0;
+constexpr double kRhoScale = 2.0;
 
 /// Eigensplit of U into S = U^+ and X = -rho U^- (both PSD, complementary up
 /// to eigensolver roundoff). The negative side — the side that becomes the
@@ -143,8 +153,6 @@ class AdmmEngine {
   std::size_t m_ = 0, q_ = 0, mext_ = 0, nf_ = 0, nblocks_ = 0, total_dim_ = 0;
   double data_norm_ = 1.0, c_norm_ = 1.0;
   double rho_ = 1.0;
-  double alpha_ = 1.6;
-  int rho_interval_ = 50;
   /// Phase the watchdog blamed for a ControlAction::Diverged ("gap",
   /// "primal-residual", "iterate", ...); copied to Solution::faulted_phase.
   std::string diverged_phase_;
@@ -313,10 +321,8 @@ double AdmmEngine::project_block(std::size_t j, const Vector& y, double rho, Mat
   // the tail oscillation of the plain splitting.
   Matrix u = p_.block_objective(j);
   for (const BlockRowView& v : views_[j]) v.coeff->add_to(u, -y[v.row]);
-  if (alpha_ != 1.0) {
-    u.scale(alpha_);
-    u.axpy(1.0 - alpha_, s_j);
-  }
+  u.scale(kOverRelaxation);
+  u.axpy(1.0 - kOverRelaxation, s_j);
   u.axpy(-1.0 / rho, x_j);
   u.symmetrize();
   Matrix splus, xnew;
@@ -339,7 +345,7 @@ double AdmmEngine::update_w(const Vector& y, Vector& w, double rho) const {
   }
   for (std::size_t v = 0; v < nf_; ++v) {
     const double viol = bty[v] - p_.free_objective()[v];
-    w[v] += alpha_ * rho * viol;
+    w[v] += kOverRelaxation * rho * viol;
     dres = std::max(dres, std::fabs(viol) / (1.0 + c_norm_));
   }
   return dres;
@@ -434,9 +440,9 @@ AdmmEngine::ControlAction AdmmEngine::control_step(int iter, double pres, double
   info.gap = gap;
   ctx_.notify(info);
 
-  if (opt_.verbose && iter % 100 == 0) {
-    std::fprintf(stderr, "  admm %5d  rho=%8.2e  rp=%9.2e  rd=%9.2e  gap=%9.2e\n", iter,
-                 rho_, pres, dres, gap);
+  if (iter % 100 == 0) {
+    util::log_trace("admm ", iter, " rho=", rho_, " rp=", pres, " rd=", dres, " gap=",
+                    gap);
   }
 
   // Best-iterate tracking: first-order iterates oscillate, and on degenerate
@@ -487,16 +493,15 @@ AdmmEngine::ControlAction AdmmEngine::control_step(int iter, double pres, double
   // --- residual balancing (Boyd et al. sec. 3.4.1 mapped to the dual
   // splitting: dres is the penalized constraint, pres the multiplier), made
   // proportional — rescale by sqrt(ratio) toward balance, clamped to one
-  // rho_scale step per update. The PR 1 stall came from the unguarded branch
+  // kRhoScale step per update. The PR 1 stall came from the unguarded branch
   // below: when dres collapses to machine noise the ratio says nothing about
   // rho (the degenerate-drift regime handled above), yet the old rule kept
   // halving rho until the multiplier steps were too small to ever move pres
   // again. Guard: leave rho alone once dres is noise-level.
-  if (opt_.adaptive_rho && iter > 0 && iter % rho_interval_ == 0 && dres > 1e-10 &&
-      pres > 0.0) {
+  if (iter > 0 && iter % kRhoUpdateInterval == 0 && dres > 1e-10 && pres > 0.0) {
     const double ratio = dres / pres;
-    if (ratio > opt_.residual_balance || ratio < 1.0 / opt_.residual_balance) {
-      const double factor = std::clamp(std::sqrt(ratio), 1.0 / opt_.rho_scale, opt_.rho_scale);
+    if (ratio > kResidualBalance || ratio < 1.0 / kResidualBalance) {
+      const double factor = std::clamp(std::sqrt(ratio), 1.0 / kRhoScale, kRhoScale);
       rho_ = std::clamp(rho_ * factor, 1e-6, 1e6);
     }
   }
@@ -524,8 +529,6 @@ bool AdmmEngine::iterate_finite(const std::vector<Matrix>& x,
 
 Solution AdmmEngine::run() {
   rho_ = std::max(opt_.rho, 1e-8);
-  rho_interval_ = std::max(opt_.rho_update_interval, 1);
-  alpha_ = std::clamp(opt_.over_relaxation, 1.0, 1.95);
   setup_normal();
   init_state();
 

@@ -1,5 +1,5 @@
 #pragma once
-// First-order ADMM backend ("admm" in the registry): alternating-direction
+// First-order ADMM backend ("admm" to make_solver): alternating-direction
 // augmented-Lagrangian method on the dual SDP (the boundary-point scheme of
 // Povh-Rendl-Wiegele / Wen-Goldfarb-Yin, adapted to the free-variable rows
 // of our SOS relaxations):
@@ -26,14 +26,6 @@ class AdmmSolver : public SolverBackend {
   Solution solve(const Problem& problem, SolveContext& context) const override;
 
   std::string name() const override { return "admm"; }
-  Capabilities capabilities() const override {
-    Capabilities caps;
-    caps.cheap_large_blocks = true;
-    caps.warm_startable = true;
-    return caps;
-  }
-
-  const AdmmOptions& options() const { return options_; }
 
  private:
   AdmmOptions options_;

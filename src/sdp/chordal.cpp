@@ -14,6 +14,10 @@ using linalg::Matrix;
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
+/// Skip the decomposition of a block when the largest clique still covers
+/// more than this fraction of it (nothing to win, couplings to lose).
+constexpr double kMaxCliqueFraction = 0.9;
+
 /// Moore–Penrose pseudo-inverse of a (nearly) PSD matrix via the symmetric
 /// eigendecomposition; eigenvalues below a relative cutoff are treated as 0.
 Matrix pinv_psd(const Matrix& a) {
@@ -64,24 +68,37 @@ util::Adjacency aggregate_adjacency(const Problem& p, std::size_t j) {
 
 BlockEntryIndex index_decomposed_block(const util::CliqueForest& forest, std::size_t n) {
   BlockEntryIndex idx;
-  idx.n = n;
-  idx.entry_clique.assign(n * n, BlockEntryIndex::kNone);
-  idx.local.resize(forest.cliques.size());
+  idx.slots.resize(n);
   for (std::size_t k = 0; k < forest.cliques.size(); ++k) {
-    idx.local[k].assign(n, BlockEntryIndex::kNone);
     const auto& clique = forest.cliques[k];
-    for (std::size_t a = 0; a < clique.size(); ++a) idx.local[k][clique[a]] = a;
-    for (std::size_t a = 0; a < clique.size(); ++a) {
-      for (std::size_t b = a; b < clique.size(); ++b) {
-        const std::size_t r = clique[a], c = clique[b];
-        if (idx.entry_clique[r * n + c] == BlockEntryIndex::kNone) {
-          idx.entry_clique[r * n + c] = k;
-          idx.entry_clique[c * n + r] = k;
-        }
-      }
-    }
+    for (std::size_t a = 0; a < clique.size(); ++a)
+      if (clique[a] < n) idx.slots[clique[a]].push_back({k, a});
   }
   return idx;
+}
+
+std::size_t BlockEntryIndex::local(std::size_t k, std::size_t v) const {
+  if (v >= slots.size()) return kNone;
+  const auto it = std::lower_bound(slots[v].begin(), slots[v].end(), k,
+                                   [](const Slot& s, std::size_t key) { return s.clique < key; });
+  return it != slots[v].end() && it->clique == k ? it->local : kNone;
+}
+
+BlockEntryIndex::Entry BlockEntryIndex::find(std::size_t r, std::size_t c) const {
+  if (r >= slots.size() || c >= slots.size()) return {};
+  // Both membership lists ascend by clique: the first common clique is the
+  // canonical one.
+  auto a = slots[r].begin(), b = slots[c].begin();
+  while (a != slots[r].end() && b != slots[c].end()) {
+    if (a->clique < b->clique) {
+      ++a;
+    } else if (b->clique < a->clique) {
+      ++b;
+    } else {
+      return {a->clique, a->local, b->local};
+    }
+  }
+  return {};
 }
 
 std::size_t ChordalMap::max_clique_size() const {
@@ -110,7 +127,7 @@ ConversionPlan plan_decomposition(const Problem& p, const ChordalOptions& option
     util::CliqueForest forest = util::chordal_cliques(n, adj);
     if (forest.cliques.size() <= 1 || !forest.covers(n)) continue;
     if (static_cast<double>(forest.max_clique_size()) >
-        options.max_clique_fraction * static_cast<double>(n)) {
+        kMaxCliqueFraction * static_cast<double>(n)) {
       continue;
     }
     max_clique = std::max(max_clique, forest.max_clique_size());
@@ -163,10 +180,9 @@ ChordalMap apply_decomposition(Problem& p, const ConversionPlan& conversion) {
       for (std::size_t r = 0; r < n; ++r) {
         for (std::size_t cc = r; cc < n; ++cc) {
           if (c(r, cc) == 0.0 && c(cc, r) == 0.0) continue;
-          const std::size_t k = indices[j].entry_clique[r * n + cc];
-          const std::size_t lr = indices[j].local[k][r], lc = indices[j].local[k][cc];
-          clique_obj[k](lr, lc) += c(r, cc);
-          if (lr != lc) clique_obj[k](lc, lr) += c(cc, r);
+          const BlockEntryIndex::Entry e = indices[j].find(r, cc);
+          clique_obj[e.clique](e.r, e.c) += c(r, cc);
+          if (e.r != e.c) clique_obj[e.clique](e.c, e.r) += c(cc, r);
         }
       }
     }
@@ -196,8 +212,8 @@ ChordalMap apply_decomposition(Problem& p, const ConversionPlan& conversion) {
         }
       }
       for (const Triplet& t : a.entries) {
-        const std::size_t k = idx.entry_clique[t.r * idx.n + t.c];
-        nr.blocks[plan->converted_block[k]].add(idx.local[k][t.r], idx.local[k][t.c], t.v);
+        const BlockEntryIndex::Entry e = idx.find(t.r, t.c);
+        nr.blocks[plan->converted_block[e.clique]].add(e.r, e.c, t.v);
       }
     }
     conv.add_row(std::move(nr));
@@ -223,22 +239,24 @@ ChordalMap apply_decomposition(Problem& p, const ConversionPlan& conversion) {
     for (std::size_t k = 0; k < plan.forest.cliques.size(); ++k) {
       const std::size_t parent = plan.forest.parent[k];
       if (parent == k) continue;
-      std::vector<std::size_t> sep;
-      for (const std::size_t v : plan.forest.cliques[k]) {
-        if (idx.local[parent][v] != kNone) sep.push_back(v);
+      // Separator vertices as (local in k, local in parent) pairs.
+      std::vector<std::pair<std::size_t, std::size_t>> sep;
+      const auto& clique = plan.forest.cliques[k];
+      for (std::size_t a = 0; a < clique.size(); ++a) {
+        const std::size_t pa = idx.local(parent, clique[a]);
+        if (pa != kNone) sep.emplace_back(a, pa);
       }
       for (std::size_t a = 0; a < sep.size(); ++a) {
         for (std::size_t b = a; b < sep.size(); ++b) {
-          const std::size_t r = sep[a], c = sep[b];
           // <A, X> doubles off-diagonal triplets, so 0.5 ties the entries 1:1.
-          const double w = r == c ? 1.0 : 0.5;
+          const double w = a == b ? 1.0 : 0.5;
           Row orow;
           orow.label = "chordal.ov.b" + std::to_string(plan.original_block) + ".c" +
                        std::to_string(k);
           SparseSym child;
-          child.add(idx.local[k][r], idx.local[k][c], w);
+          child.add(sep[a].first, sep[b].first, w);
           SparseSym par;
-          par.add(idx.local[parent][r], idx.local[parent][c], -w);
+          par.add(sep[a].second, sep[b].second, -w);
           orow.blocks[plan.converted_block[k]] = std::move(child);
           orow.blocks[plan.converted_block[parent]] = std::move(par);
           cone.overlaps.push_back(std::move(orow));

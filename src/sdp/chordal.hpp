@@ -61,17 +61,32 @@ struct ChordalMap {
   std::size_t max_clique_size() const;
 };
 
-/// Canonical-assignment index of one decomposed block: for every pattern
-/// entry (r, c) the clique that holds its canonical copy, plus per-clique
-/// global->local vertex maps. This is the layout apply_decomposition uses to
-/// retarget coefficients at clique blocks; the coefficient-update pass
+/// Canonical-assignment index of one decomposed block: for every vertex the
+/// cliques that hold it, so that a pattern entry (r, c) resolves to the
+/// clique holding its canonical copy (the first clique containing both) and
+/// to its local position there. This is the layout apply_decomposition uses
+/// to retarget coefficients at clique blocks; the coefficient-update pass
 /// (sdp::LoweringCache) rebuilds the same index from the cached BlockPlan to
-/// rewrite fresh values in place without re-running the decomposition.
+/// rewrite fresh values in place without re-running the decomposition. Its
+/// size is the sum of the clique sizes, not n x n.
 struct BlockEntryIndex {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::size_t n = 0;
-  std::vector<std::size_t> entry_clique;        // n*n, kNone off-pattern
-  std::vector<std::vector<std::size_t>> local;  // per clique: global -> local
+  /// One membership: clique `clique` holds the vertex at local index `local`.
+  struct Slot {
+    std::size_t clique = kNone, local = kNone;
+  };
+  /// Where entry (r, c) lives: its canonical clique (kNone off-pattern) and
+  /// the local indices of r and c in it.
+  struct Entry {
+    std::size_t clique = kNone, r = kNone, c = kNone;
+  };
+  /// Per vertex of the original block, its memberships by ascending clique.
+  std::vector<std::vector<Slot>> slots;
+
+  std::size_t n() const { return slots.size(); }
+  /// Local index of vertex v in clique k; kNone when k does not hold v.
+  std::size_t local(std::size_t k, std::size_t v) const;
+  Entry find(std::size_t r, std::size_t c) const;
 };
 BlockEntryIndex index_decomposed_block(const util::CliqueForest& forest, std::size_t n);
 

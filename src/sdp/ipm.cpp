@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <numeric>
 
@@ -21,6 +20,10 @@ namespace {
 using linalg::Cholesky;
 using linalg::Matrix;
 using linalg::Vector;
+
+constexpr double kStepFraction = 0.98;            // of the distance to the boundary
+constexpr double kFreeVarRegularization = 1e-10;  // delta on the free-var Schur block
+constexpr double kInfeasibilityThreshold = 1e8;   // ||y|| blowup => infeasibility cert
 
 /// Per-iteration state of the IPM. With native decomposed cones, y is
 /// extended: entries [0, m) are the equality-row multipliers and entries
@@ -191,10 +194,8 @@ class Ipm {
       info.gap = gap;
       ctx_.notify(info);
 
-      if (opt_.verbose) {
-        std::fprintf(stderr, "  ipm %3d  mu=%9.2e  rp=%9.2e  rd=%9.2e  rf=%9.2e  gap=%9.2e\n",
-                     iter, mu, res.rp_rel, res.rd_rel, res.rf_rel, gap);
-      }
+      util::log_trace("ipm ", iter, " mu=", mu, " rp=", res.rp_rel, " rd=", res.rd_rel,
+                      " rf=", res.rf_rel, " gap=", gap);
 
       const double merit = res.rp_rel + res.rd_rel + res.rf_rel + gap;
       if (merit < 0.99 * best_merit) {
@@ -455,7 +456,7 @@ class Ipm {
     // proportionality guard avoids misfiring on ill-conditioned feasible
     // problems whose multipliers are merely large.
     const double ynorm = linalg::norm_inf(s.y);
-    if (ynorm < opt_.infeasibility_threshold) return false;
+    if (ynorm < kInfeasibilityThreshold) return false;
     return res.rd_rel < 1e-6 && res.rf_rel < 1e-6 &&
            dual_objective(s) > 1e-8 * ynorm && dual_objective(s) > 1.0;
   }
@@ -466,7 +467,7 @@ class Ipm {
     double xnorm = 0.0;
     for (const Matrix& xj : s.x) xnorm = std::max(xnorm, linalg::norm_inf(xj));
     xnorm = std::max(xnorm, linalg::norm_inf(s.w));
-    if (xnorm < opt_.infeasibility_threshold) return false;
+    if (xnorm < kInfeasibilityThreshold) return false;
     return res.rp_rel < 1e-5 && primal_objective(s) < -1.0;
   }
 
@@ -614,7 +615,7 @@ class Ipm {
         kern.gemm_acc(nf_, nf_, c.nreal, vt.data(), vt.cols(), c.vfree.data(), nf_,
                       s_free.data(), nf_);
       }
-      for (std::size_t v = 0; v < nf_; ++v) s_free(v, v) += opt_.free_var_regularization;
+      for (std::size_t v = 0; v < nf_; ++v) s_free(v, v) += kFreeVarRegularization;
       chol_s = Cholesky::factor_shifted(s_free, 1e-13);
     }
     phase_.factor += phase_timer.seconds();
@@ -755,7 +756,7 @@ class Ipm {
     double sigma = 0.2;
 
     util::Timer recover_timer;
-    if (opt_.predictor_corrector && total_dim_ > 0) {
+    if (total_dim_ > 0) {
       // Predictor: pure Newton (nu = 0).
       const Vector r1_aff = build_r1(0.0, nullptr);
       Vector dy_aff, dw_aff;
@@ -792,6 +793,8 @@ class Ipm {
       recover_dxdz(dy, sigma * mu, &corr, dx, dz);
       phase_.recover += recover_timer.seconds();
     } else {
+      // No PSD dimension (every cone empty): nothing to predict, so one
+      // plain centering step on the rows and free variables.
       const Vector r1 = build_r1(sigma * mu, nullptr);
       solve_kkt(r1, res.rf, dy, dw);
       recover_dxdz(dy, sigma * mu, nullptr, dx, dz);
@@ -800,9 +803,9 @@ class Ipm {
 
     // Step lengths.
     double ap = 1.0, ad = 1.0;
-    step_lengths(dx, dz, 1.0 / opt_.step_fraction, ap, ad);
-    ap = std::min(opt_.step_fraction * ap, 1.0);
-    ad = std::min(opt_.step_fraction * ad, 1.0);
+    step_lengths(dx, dz, 1.0 / kStepFraction, ap, ad);
+    ap = std::min(kStepFraction * ap, 1.0);
+    ad = std::min(kStepFraction * ad, 1.0);
     if (!(ap > 1e-10) || !(ad > 1e-10)) {
       util::log_debug("ipm: step collapsed (ap=", ap, ", ad=", ad, ")");
       return false;

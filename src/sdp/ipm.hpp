@@ -4,7 +4,7 @@
 // predictor-corrector; free variables are handled exactly via block
 // elimination on the Schur complement.
 //
-// The second-order, high-accuracy SolverBackend ("ipm" in the registry); the
+// The second-order, high-accuracy SolverBackend ("ipm" to make_solver); the
 // workhorse behind every SOS feasibility/optimization query in the
 // verification pipeline.
 #include "sdp/options.hpp"
@@ -24,15 +24,6 @@ class IpmSolver : public SolverBackend {
   Solution solve(const Problem& problem, SolveContext& context) const override;
 
   std::string name() const override { return "ipm"; }
-  Capabilities capabilities() const override {
-    Capabilities caps;
-    caps.detects_infeasibility = true;
-    caps.high_accuracy = true;
-    caps.warm_startable = true;
-    return caps;
-  }
-
-  const IpmOptions& options() const { return options_; }
 
  private:
   IpmOptions options_;

@@ -1,5 +1,6 @@
 #include "sdp/lowering.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -147,6 +148,12 @@ std::vector<int> entry_multiplicity(const BlockPlan& plan) {
   return mult;
 }
 
+/// Are both blob blocks n x n? A non-square block (a corrupt checkpoint
+/// lane) would be read out of bounds by the backend's warm restore.
+bool square_pair(const Matrix& x, const Matrix& z, std::size_t n) {
+  return x.rows() == n && x.cols() == n && z.rows() == n && z.cols() == n;
+}
+
 }  // namespace
 
 WarmStart remap_warm_start(const WarmStart& original, const Lowering& lowering) {
@@ -179,7 +186,7 @@ WarmStart remap_warm_start(const WarmStart& original, const Lowering& lowering) 
   out.z.assign(lowering.problem.num_blocks(), Matrix());
   if (lowering.map.identity()) {
     for (std::size_t j = 0; j < base_blocks; ++j) {
-      if (original.x[j].rows() != lowering.problem.block_size(j)) {
+      if (!square_pair(original.x[j], original.z[j], lowering.problem.block_size(j))) {
         util::log_debug("lowering: warm blob block ", j, " shape drifted; cold start");
         return WarmStart{};
       }
@@ -193,7 +200,7 @@ WarmStart remap_warm_start(const WarmStart& original, const Lowering& lowering) 
   for (std::size_t j = 0; j < base_blocks; ++j) {
     const std::size_t cb = lowering.map.block_map[j];
     if (cb == ChordalMap::kNotMapped) continue;
-    if (original.x[j].rows() != lowering.problem.block_size(cb)) {
+    if (!square_pair(original.x[j], original.z[j], lowering.problem.block_size(cb))) {
       util::log_debug("lowering: warm blob block ", j, " shape drifted; cold start");
       return WarmStart{};
     }
@@ -208,7 +215,7 @@ WarmStart remap_warm_start(const WarmStart& original, const Lowering& lowering) 
     // blob's block. A blob from before the map changed (the remap analog of
     // a fingerprint collision) is rejected whole — replaying a misaligned
     // clique would scatter unrelated entries into the backend's iterate.
-    if (x.rows() != n || z.rows() != n) {
+    if (!square_pair(x, z, n)) {
       util::log_debug("lowering: warm blob cone ", plan.original_block,
                       " shape drifted (", x.rows(), " vs ", n, "); cold start");
       return WarmStart{};
@@ -257,8 +264,7 @@ constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
 
 bool LoweringCache::options_match(const LoweringOptions& options) const {
   return options.sparsity == options_.sparsity &&
-         options.chordal.min_block_size == options_.chordal.min_block_size &&
-         options.chordal.max_clique_fraction == options_.chordal.max_clique_fraction;
+         options.chordal.min_block_size == options_.chordal.min_block_size;
 }
 
 const Lowering& LoweringCache::lower(Problem problem, const LoweringOptions& options) {
@@ -319,12 +325,10 @@ bool LoweringCache::build_update_plan(const Problem& base) {
       // distinct inside a clique and different cliques are different blocks
       // — so every lowered entry is owned by exactly one base triplet.
       for (const Triplet& t : a.entries) {
-        if (t.r >= idx.n || t.c >= idx.n) return false;
-        const std::size_t k = idx.entry_clique[t.r * idx.n + t.c];
-        if (k == BlockEntryIndex::kNone) return false;
-        const std::size_t db = bp.converted_block[k];
-        std::size_t lr = idx.local[k][t.r], lc = idx.local[k][t.c];
-        if (lr > lc) std::swap(lr, lc);
+        const BlockEntryIndex::Entry entry = idx.find(t.r, t.c);
+        if (entry.clique == BlockEntryIndex::kNone) return false;
+        const std::size_t db = bp.converted_block[entry.clique];
+        const std::size_t lr = std::min(entry.r, entry.c), lc = std::max(entry.r, entry.c);
         const auto dit = lrow.blocks.find(db);
         if (dit == lrow.blocks.end()) return false;
         std::size_t e = kNoEntry;
@@ -379,7 +383,7 @@ bool LoweringCache::try_update(Problem& problem) {
       for (std::size_t r = 0; r < bp.original_size; ++r) {
         for (std::size_t cc = r; cc < bp.original_size; ++cc) {
           if (c(r, cc) == 0.0 && c(cc, r) == 0.0) continue;
-          if (idx.entry_clique[r * idx.n + cc] == BlockEntryIndex::kNone) return false;
+          if (idx.find(r, cc).clique == BlockEntryIndex::kNone) return false;
         }
       }
     }
@@ -437,10 +441,9 @@ bool LoweringCache::try_update(Problem& problem) {
         for (std::size_t r = 0; r < n; ++r) {
           for (std::size_t cc = r; cc < n; ++cc) {
             if (c(r, cc) == 0.0 && c(cc, r) == 0.0) continue;
-            const std::size_t k = idx.entry_clique[r * n + cc];
-            const std::size_t lr = idx.local[k][r], lc = idx.local[k][cc];
-            clique_obj[k](lr, lc) += c(r, cc);
-            if (lr != lc) clique_obj[k](lc, lr) += c(cc, r);
+            const BlockEntryIndex::Entry e = idx.find(r, cc);
+            clique_obj[e.clique](e.r, e.c) += c(r, cc);
+            if (e.r != e.c) clique_obj[e.clique](e.c, e.r) += c(cc, r);
           }
         }
       }

@@ -18,9 +18,9 @@
 // Warm-start blobs live in the *base* (pre-lowering) space: a blob exported
 // from one lowering replays into any other lowering of the same compiled
 // problem via per-clique remapping (remap_warm_start), so pass-parameter
-// changes — min_block_size, max_clique_fraction, even the sparsity mode when it does not
-// change the compiled blocks — no longer orphan solver state the way the
-// old fingerprint salting did.
+// changes — min_block_size, even the sparsity mode when it does not change
+// the compiled blocks — no longer orphan solver state the way the old
+// fingerprint salting did.
 //
 // Adding a pass: run it inside lower() between the existing stages, mutate
 // `Lowering::problem`, and push a PassRecord (name, post-pass structure

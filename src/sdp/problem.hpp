@@ -148,9 +148,8 @@ std::string to_string(SolveStatus status);
 
 /// One step the resilience layer (sdp/resilience) took to keep a solve
 /// alive: a same-backend retry with perturbed options, or a fallback to the
-/// next backend in the policy chain. Recorded on Solution::recoveries in
-/// the order taken — the audit trail behind "this certificate survived a
-/// diverged solve".
+/// IPM. Recorded on Solution::recoveries in the order taken — the audit
+/// trail behind "this certificate survived a diverged solve".
 struct RecoveryRecord {
   std::string action;  // "retry" | "fallback"
   std::string from;    // failing backend/driver

@@ -1,12 +1,10 @@
 #include "sdp/resilience.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,6 +14,11 @@ namespace soslock::sdp {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The one same-backend retry scales the ADMM rho and the IPM warm-start
+/// margin by this factor: a deterministic perturbation of the failing
+/// tuning, no RNG, so a retried solve is reproducible.
+constexpr double kRetryScale = 1.5;
 
 /// Typed reason string for the recovery records, e.g.
 /// "Diverged(phase=primal-residual)".
@@ -36,14 +39,14 @@ double quality(const Solution& sol) {
 
 /// Retries help transient and numerical failures; a deterministic stall
 /// (MaxIterations with bad residuals) replays identically, so it escalates
-/// straight to the fallback chain.
+/// straight to the fallback.
 bool retryable(const Solution& sol) {
   return sol.status == SolveStatus::Diverged || sol.status == SolveStatus::Faulted ||
          sol.status == SolveStatus::NumericalProblem;
 }
 
 /// One backend attempt that never leaks an exception: a throwing backend
-/// becomes a typed Faulted result the policy can act on. Backend *lookup*
+/// becomes a typed Faulted result the recovery can act on. Backend *lookup*
 /// stays outside the net — an unknown name is a configuration error, not a
 /// solver failure, and must keep throwing std::invalid_argument.
 Solution attempt(const std::string& backend_name, const SolverConfig& config,
@@ -60,14 +63,6 @@ Solution attempt(const std::string& backend_name, const SolverConfig& config,
     sol.faulted_phase = e.what();
     return sol;
   }
-}
-
-/// Deterministic perturbation factor for retry k >= 1: 1+j, 1/(1+j), 1+2j,
-/// 1/(1+2j), ... — alternating expansion/contraction probes both sides of
-/// the failing tuning without any RNG, so a retried solve is reproducible.
-double jitter_factor(double jitter, int k) {
-  const double step = 1.0 + jitter * static_cast<double>((k + 1) / 2);
-  return k % 2 == 1 ? step : 1.0 / step;
 }
 
 }  // namespace
@@ -92,21 +87,18 @@ bool solve_unusable(const Solution& solution) {
 
 Solution resilient_solve(const Problem& problem, SolveContext& context,
                          const SolverConfig& config) {
-  const ResiliencePolicy& policy = config.resilience;
   const std::string primary =
       config.backend == "auto" ? auto_backend_for(problem, config) : config.backend;
-  if (!policy.enabled) return make_solver(primary, config)->solve(problem, context);
 
   Solution sol = attempt(primary, config, problem, context);
   if (!solve_unusable(sol) || context.interrupted()) return sol;
 
-  // The recovery loop. `sol` always carries the cumulative iteration/time
+  // The recovery steps. `sol` always carries the cumulative iteration/time
   // telemetry; `best` tracks the highest-quality unusable iterate for the
   // final handover (and donates the warm start of every recovery attempt).
   std::vector<RecoveryRecord> records = std::move(sol.recoveries);
   sol.recoveries.clear();
   Solution best = sol;
-  std::string current = primary;
   int attempt_no = 0;
   WarmStart rescue;
   const WarmStart* caller_warm = context.warm_start;
@@ -116,17 +108,13 @@ Solution resilient_solve(const Problem& problem, SolveContext& context,
     ++attempt_no;
     RecoveryRecord rec;
     rec.action = action;
-    rec.from = current;
+    rec.from = primary;
     rec.to = name;
     rec.reason = failure_reason(sol);
     rec.attempt = attempt_no;
     util::log_info("solver resilience: ", rec.action, " #", attempt_no, " ",
                    rec.from, " -> ", rec.to, " after ", rec.reason);
     records.push_back(std::move(rec));
-    if (policy.backoff_seconds > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(policy.backoff_seconds));
-    }
     // Warm-start the attempt from the best usable iterate so far, honoring
     // the cold-start A/B switch; a divergent/faulted iterate never donates.
     rescue = WarmStart{};
@@ -145,26 +133,20 @@ Solution resilient_solve(const Problem& problem, SolveContext& context,
     for (RecoveryRecord& r : next.recoveries) records.push_back(std::move(r));
     next.recoveries.clear();
     sol = std::move(next);
-    current = name;
     if (quality(sol) < quality(best)) best = sol;
   };
 
-  for (int k = 1; k <= policy.max_retries; ++k) {
-    if (!solve_unusable(sol) || !retryable(sol) || context.interrupted()) break;
-    SolverConfig jittered = config;
-    const double f = jitter_factor(policy.rho_jitter, k);
-    jittered.admm.rho = std::clamp(config.admm.rho * f, 1e-6, 1e6);
-    jittered.ipm.warm_start_margin =
-        std::clamp(config.ipm.warm_start_margin * f, 1e-6, 0.9);
-    run_recovery("retry", primary, jittered);
+  if (retryable(sol) && !context.interrupted()) {
+    SolverConfig retry_config = config;
+    retry_config.admm.rho = std::clamp(config.admm.rho * kRetryScale, 1e-6, 1e6);
+    retry_config.ipm.warm_start_margin =
+        std::clamp(config.ipm.warm_start_margin * kRetryScale, 1e-6, 0.9);
+    run_recovery("retry", primary, retry_config);
   }
 
-  std::vector<std::string> chain = policy.fallback_chain;
-  if (chain.empty() && primary != "ipm") chain.push_back("ipm");
-  for (const std::string& next_backend : chain) {
-    if (!solve_unusable(sol) || context.interrupted()) break;
-    run_recovery("fallback", next_backend, config);
-  }
+  // The high-accuracy backend is the fallback of every other one.
+  if (primary != "ipm" && solve_unusable(sol) && !context.interrupted())
+    run_recovery("fallback", "ipm", config);
 
   // Every attempt failed: hand over the best-quality iterate seen, with the
   // cumulative telemetry, rather than whatever the last backend produced.

@@ -1,16 +1,15 @@
 #pragma once
-// Pluggable SDP solver-backend API. Every SOS query in the verification
-// pipeline routes through this interface, so solvers can be swapped (or
-// auto-selected per problem) without touching the SOS or core layers:
+// SDP solver-backend API. Every SOS query in the verification pipeline
+// routes through this interface, so solvers can be swapped (or auto-selected
+// per problem) without touching the SOS or core layers:
 //
-//   auto solver = sdp::make_solver("admm");       // or "ipm", "auto", ...
+//   auto solver = sdp::make_solver("admm");       // or "ipm", "auto"
 //   sdp::SolveContext ctx;
 //   ctx.time_budget_seconds = 5.0;
 //   sdp::Solution sol = solver->solve(problem, ctx);
 //
-// Backends register themselves in a process-wide registry under a string
-// name; "auto" is a meta-backend that picks per problem by block size (large
-// Gram blocks favor the first-order backend, whose per-iteration cost is an
+// "auto" is a meta-backend that picks per problem by block size (large Gram
+// blocks favor the first-order backend, whose per-iteration cost is an
 // eigendecomposition instead of a Schur-complement assembly).
 #include <atomic>
 #include <cstdint>
@@ -44,8 +43,9 @@ struct WarmStart {
   linalg::Vector w;                // free variables
 
   bool empty() const { return x.empty() && y.empty(); }
-  /// Does the blob's shape fit `problem`? (Block sizes and counts; callers
-  /// that track fingerprints should also compare those.)
+  /// Does the blob's shape fit `problem`? (Block counts, and every x and z
+  /// block square of its cone's size; callers that track fingerprints should
+  /// also compare those.)
   bool fits(const Problem& problem) const;
 };
 
@@ -75,11 +75,11 @@ class SolveContext {
   std::atomic<bool>* cancel = nullptr;
   /// Invoked once per iteration from the solving thread (may be empty).
   std::function<void(const IterationInfo&)> on_iteration;
-  /// Optional warm start (caller-owned, must outlive the solve). Backends
-  /// with Capabilities::warm_startable restore it when it fits the problem;
-  /// an ill-fitting blob is silently ignored (cold start). The caller is
-  /// responsible for only passing blobs whose structure fingerprint matches
-  /// the problem being solved.
+  /// Optional warm start (caller-owned, must outlive the solve). Both
+  /// backends restore it when it fits the problem; an ill-fitting blob is
+  /// silently ignored (cold start). The caller is responsible for only
+  /// passing blobs whose structure fingerprint matches the problem being
+  /// solved.
   const WarmStart* warm_start = nullptr;
 
   /// Restart the budget clock.
@@ -101,15 +101,6 @@ class SolveContext {
   util::Timer timer_;
 };
 
-/// What a backend can do; consulted by the auto-selection heuristic and
-/// by callers that need e.g. certified infeasibility detection.
-struct Capabilities {
-  bool detects_infeasibility = false;  // can return Primal/DualInfeasible
-  bool high_accuracy = false;          // tolerances ~1e-8 are realistic
-  bool cheap_large_blocks = false;     // first-order per-iteration cost
-  bool warm_startable = false;         // honors SolveContext::warm_start
-};
-
 class SolverBackend {
  public:
   virtual ~SolverBackend() = default;
@@ -119,7 +110,6 @@ class SolverBackend {
   virtual Solution solve(const Problem& problem, SolveContext& context) const = 0;
 
   virtual std::string name() const = 0;
-  virtual Capabilities capabilities() const = 0;
 
   /// Convenience: solve with a fresh default context.
   Solution solve(const Problem& problem) const {
@@ -129,16 +119,15 @@ class SolverBackend {
 };
 
 /// Shared solver configuration carried by every options struct in the core
-/// verification layer. `backend` selects from the registry; the shared
-/// tolerance/verbose fields override the per-backend ones, and
+/// verification layer. `backend` names the backend; the shared
+/// tolerance/max_iterations fields override the per-backend ones, and
 /// max_iterations = 0 keeps each backend's own default (the sensible budgets
 /// differ by two orders of magnitude between second- and first-order
 /// methods).
 struct SolverConfig {
-  std::string backend = "auto";   // "ipm" | "admm" | "auto" | registered name
+  std::string backend = "auto";   // "ipm" | "admm" | "auto"
   double tolerance = 0.0;         // 0 = backend default
   int max_iterations = 0;         // 0 = backend default
-  bool verbose = false;
   double time_budget_seconds = 0.0;  // per-solve wall-clock budget (0 = none)
   /// Let the retry/sweep loops in the core verification steps replay the
   /// previous iterate into the next structurally identical solve (see
@@ -159,29 +148,19 @@ struct SolverConfig {
   SparsityOptions sparsity = SparsityOptions::Off;
   ChordalOptions chordal;
 
-  IpmOptions ipm;    // backend-specific tuning (shared fields above win)
+  /// Backend-specific tuning (shared fields above win). The recovery
+  /// retry of sdp::resilient_solve perturbs admm.rho and
+  /// ipm.warm_start_margin.
+  IpmOptions ipm;
   AdmmOptions admm;
-
-  /// Retry/fallback policy applied by sdp::resilient_solve (and with it by
-  /// the "auto" meta-backend) when a solve comes back unusable.
-  ResiliencePolicy resilience;
 
   /// Backend options with the shared overrides applied.
   IpmOptions resolved_ipm() const;
   AdmmOptions resolved_admm() const;
 };
 
-using BackendFactory =
-    std::function<std::unique_ptr<SolverBackend>(const SolverConfig&)>;
-
-/// Register a backend factory under `name`; returns false (and leaves the
-/// registry unchanged) when the name is already taken.
-bool register_backend(const std::string& name, BackendFactory factory);
-
-/// Names available to make_solver, sorted ("auto" included).
-std::vector<std::string> registered_backends();
-
-/// Build a backend by name. Throws std::invalid_argument on unknown names.
+/// Build a backend by name ("ipm", "admm" or "auto"). Throws
+/// std::invalid_argument on any other name.
 std::unique_ptr<SolverBackend> make_solver(const std::string& name,
                                            const SolverConfig& config = {});
 /// Build the backend named by config.backend.

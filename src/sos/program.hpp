@@ -112,7 +112,7 @@ class SosProgram {
 
   // --- Solve ----------------------------------------------------------------
 
-  /// Compile and solve with the backend selected by `config` (registry name
+  /// Compile and solve with the backend selected by `config` (backend name
   /// "ipm" / "admm" / "auto"; see sdp/solver.hpp). `warm` optionally replays
   /// a previous solve's iterate (SolveResult::warm): it is restored when its
   /// structure fingerprint matches the compiled program and ignored
@@ -225,7 +225,7 @@ struct SolveResult {
   /// retry loops never re-derive what the aborted solve already knew. The
   /// blob lives in the base (pre-lowering, unequilibrated) space: the next
   /// solve re-lowers it through sdp::remap_warm_start, so it survives
-  /// lowering-parameter changes (min_block_size, max_clique_fraction, ...).
+  /// lowering-parameter changes (min_block_size, the sparsity mode).
   sdp::WarmStart warm;
 
   double value(const poly::LinExpr& e) const { return e.eval(decision_values); }

@@ -36,11 +36,14 @@ bool read_vector(std::FILE* f, const char* tag, linalg::Vector& v) {
   return true;
 }
 
+/// Warm-chain blocks are square PSD cones; anything else is corrupt. The
+/// 2^13 side cap is read_vector's 2^26-element cap, checked before the
+/// allocation.
 bool read_matrix(std::FILE* f, linalg::Matrix& m) {
   char seen[8] = {0};
   std::uint64_t rows = 0, cols = 0;
   if (std::fscanf(f, "%7s %" SCNu64 " %" SCNu64, seen, &rows, &cols) != 3) return false;
-  if (std::string(seen) != "m" || rows > (1u << 16) || cols > (1u << 16)) return false;
+  if (std::string(seen) != "m" || rows != cols || rows > (1u << 13)) return false;
   m = linalg::Matrix(rows, cols);
   const std::uint64_t n = rows * cols;
   for (std::uint64_t i = 0; i < n; ++i) {

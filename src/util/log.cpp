@@ -8,19 +8,6 @@
 namespace soslock::util {
 namespace {
 
-LogLevel level_from_env() {
-  const char* env = std::getenv("SOSLOCK_LOG");
-  if (env == nullptr) return LogLevel::Warn;
-  if (std::strcmp(env, "error") == 0) return LogLevel::Error;
-  if (std::strcmp(env, "warn") == 0) return LogLevel::Warn;
-  if (std::strcmp(env, "info") == 0) return LogLevel::Info;
-  if (std::strcmp(env, "debug") == 0) return LogLevel::Debug;
-  if (std::strcmp(env, "trace") == 0) return LogLevel::Trace;
-  return LogLevel::Warn;
-}
-
-std::atomic<LogLevel> g_level{level_from_env()};
-
 const char* tag(LogLevel level) {
   switch (level) {
     case LogLevel::Error: return "ERROR";
@@ -31,6 +18,22 @@ const char* tag(LogLevel level) {
   }
   return "?";
 }
+
+LogLevel level_from_env() {
+  const char* env = std::getenv("SOSLOCK_LOG");
+  if (env == nullptr) return LogLevel::Warn;
+  if (std::strcmp(env, "error") == 0) return LogLevel::Error;
+  if (std::strcmp(env, "warn") == 0) return LogLevel::Warn;
+  if (std::strcmp(env, "info") == 0) return LogLevel::Info;
+  if (std::strcmp(env, "debug") == 0) return LogLevel::Debug;
+  if (std::strcmp(env, "trace") == 0) return LogLevel::Trace;
+  // Straight to log_line: the threshold this initializes does not exist yet.
+  log_line(LogLevel::Warn, std::string("SOSLOCK_LOG=") + env +
+                           " is not one of error|warn|info|debug|trace; using warn");
+  return LogLevel::Warn;
+}
+
+std::atomic<LogLevel> g_level{level_from_env()};
 
 }  // namespace
 

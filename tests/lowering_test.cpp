@@ -5,11 +5,12 @@
 // Schur-complement geometry claim (zero overlap rows in the factored
 // system; one overlap elimination per Schur block on independent cones),
 // base-space warm blobs surviving min_block_size changes via per-clique
-// remapping, the drift guard on stale canonical entry maps,
-// bitwise thread determinism of the overlap-multiplier Schur assembly, and
-// the ADMM on the clustered clock tree the clock_tree benchmark runs.
+// remapping, the drift guard on stale canonical entry maps, the canonical
+// entry index against a clique scan, and the ADMM on the clustered clock
+// tree the clock_tree benchmark runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -345,6 +346,18 @@ TEST(LoweringPipeline, DriftGuardRejectsStaleCliqueEntryMaps) {
   shrunk.z[0] = Matrix(10, 10);
   EXPECT_TRUE(sdp::remap_warm_start(shrunk, low).empty());
 
+  // Right row count, wrong column count: the per-clique restriction would
+  // read past the block, and the identity map would copy it to the backend.
+  sdp::WarmStart narrow = good;
+  narrow.x[0] = Matrix(30, 1);
+  EXPECT_TRUE(sdp::remap_warm_start(narrow, low).empty());
+  const Lowering identity = sdp::lower(original, LoweringOptions{});
+  ASSERT_FALSE(identity.decomposed());
+  ASSERT_FALSE(sdp::remap_warm_start(good, identity).empty());
+  narrow = good;
+  narrow.z[0] = Matrix(30, 1);
+  EXPECT_TRUE(sdp::remap_warm_start(narrow, identity).empty());
+
   // Blob row space drifted.
   sdp::WarmStart wrong_rows = good;
   wrong_rows.y.push_back(0.0);
@@ -398,6 +411,58 @@ TEST(LoweringPipeline, AdmmSolvesClusteredClockTreeDeterministically) {
   ASSERT_EQ(recovered.status, SolveStatus::Optimal);
   EXPECT_NEAR(recovered.primal_objective, ipm.primal_objective,
               1e-3 * std::fabs(ipm.primal_objective));
+}
+
+TEST(LoweringPipeline, EntryIndexResolvesTheFirstCommonClique) {
+  // The clustered clock tree puts the rail in one clique per cluster and
+  // each filter node in two; the band chains every vertex through two
+  // consecutive cliques. Every (r, c) must resolve to the first clique
+  // holding both, at their positions in it, exactly as a scan finds it.
+  pll::ClockTreeOptions tree;
+  tree.loops = 16;
+  tree.cluster = 4;
+  tree.neighbor_coupling = 0.05;
+  tree.neighbor_hops = tree.cluster - 1;
+  const pll::ClockTreeModel model =
+      pll::make_clock_tree(pll::Params::paper_third_order(), tree);
+  for (const Problem& p : {pll::clock_tree_coupling_sdp(model.constants, tree), banded_sdp(12)}) {
+    const sdp::ConversionPlan plan = sdp::plan_decomposition(p, chordal_lowering(4).chordal);
+    ASSERT_TRUE(plan.split[0]);
+    const util::CliqueForest& forest = plan.forests[0];
+    const std::size_t n = p.block_size(0);
+    const sdp::BlockEntryIndex idx = sdp::index_decomposed_block(forest, n);
+    ASSERT_EQ(idx.n(), n);
+    const auto position = [&](std::size_t k, std::size_t v) {
+      const auto& clique = forest.cliques[k];
+      const auto it = std::find(clique.begin(), clique.end(), v);
+      return it == clique.end() ? sdp::BlockEntryIndex::kNone
+                                : static_cast<std::size_t>(it - clique.begin());
+    };
+    std::size_t on_pattern = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) {
+        std::size_t first = sdp::BlockEntryIndex::kNone;
+        for (std::size_t k = 0; k < forest.cliques.size() && first == sdp::BlockEntryIndex::kNone;
+             ++k) {
+          if (position(k, r) != sdp::BlockEntryIndex::kNone &&
+              position(k, c) != sdp::BlockEntryIndex::kNone)
+            first = k;
+        }
+        const sdp::BlockEntryIndex::Entry e = idx.find(r, c);
+        ASSERT_EQ(e.clique, first) << r << " " << c;
+        if (first == sdp::BlockEntryIndex::kNone) continue;
+        ++on_pattern;
+        EXPECT_EQ(e.r, position(first, r));
+        EXPECT_EQ(e.c, position(first, c));
+      }
+      for (std::size_t k = 0; k < forest.cliques.size(); ++k)
+        EXPECT_EQ(idx.local(k, r), position(k, r)) << k << " " << r;
+    }
+    EXPECT_GT(on_pattern, n);
+    EXPECT_LT(on_pattern, n * n);
+    EXPECT_EQ(idx.find(n, 0).clique, sdp::BlockEntryIndex::kNone);
+    EXPECT_EQ(idx.local(0, n), sdp::BlockEntryIndex::kNone);
+  }
 }
 
 TEST(LoweringCache, InPlaceUpdateMatchesFreshLoweringAcrossModes) {

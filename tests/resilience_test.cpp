@@ -2,12 +2,10 @@
 // checkpoint/resume machinery — the behaviors that hold in Release builds
 // with SOSLOCK_FAULTS compiled out:
 //
-//   * policy semantics: a stalled primary escalates down the fallback chain
-//     with RecoveryRecords, enabled=false returns the raw failure, an
-//     Interrupted solve is never retried, and recovery is deterministic
-//     (two runs agree bitwise);
-//   * the "auto" meta-backend routes through the same policy (the hard-coded
-//     ADMM → IPM rescue it replaced);
+//   * recovery semantics: a stalled primary falls back to the IPM with a
+//     RecoveryRecord, an Interrupted solve is never retried, and recovery is
+//     deterministic (two runs agree bitwise);
+//   * the "auto" meta-backend routes through the same recovery;
 //   * cancellation mid-lowering-pass (fault-callback trigger, Debug builds)
 //     and mid-ADMM-solve leave caches and partial Solutions consistent;
 //   * sweep checkpoints: save/load round-trip, corrupt-file fail-soft, and
@@ -19,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -131,9 +130,9 @@ TEST(ResiliencePolicy, StalledPrimaryFallsBackDownTheChain) {
   // Telemetry is cumulative across the chain: the failed ADMM attempt's
   // iterations ride along with the rescuing IPM's.
   sdp::SolveContext raw_context;
-  sdp::SolverConfig raw = starved_admm_config();
-  raw.resilience.enabled = false;
-  const Solution failed = sdp::resilient_solve(random_feasible_sdp(5), raw_context, raw);
+  const Solution failed = sdp::make_solver("admm", starved_admm_config())
+                              ->solve(random_feasible_sdp(5), raw_context);
+  EXPECT_EQ(failed.status, SolveStatus::MaxIterations);
   EXPECT_GT(sol.iterations, failed.iterations);
 }
 
@@ -149,27 +148,6 @@ TEST(ResiliencePolicy, RecoveryIsDeterministic) {
   for (std::size_t i = 0; i < a.recoveries.size(); ++i) {
     EXPECT_EQ(a.recoveries[i].reason, b.recoveries[i].reason);
   }
-}
-
-TEST(ResiliencePolicy, DisabledPolicyReturnsTheRawFailure) {
-  sdp::SolverConfig config = starved_admm_config();
-  config.resilience.enabled = false;
-  sdp::SolveContext context;
-  const Solution sol = sdp::resilient_solve(random_feasible_sdp(5), context, config);
-  EXPECT_EQ(sol.status, SolveStatus::MaxIterations);
-  EXPECT_TRUE(sol.recoveries.empty());
-}
-
-TEST(ResiliencePolicy, CustomFallbackChainIsFollowedInOrder) {
-  sdp::SolverConfig config = starved_admm_config();
-  config.resilience.fallback_chain = {"admm", "ipm"};
-  sdp::SolveContext context;
-  const Solution sol = sdp::resilient_solve(random_feasible_sdp(5), context, config);
-  EXPECT_EQ(sol.status, SolveStatus::Optimal);
-  ASSERT_EQ(sol.recoveries.size(), 2u);
-  EXPECT_EQ(sol.recoveries[0].to, "admm");
-  EXPECT_EQ(sol.recoveries[1].to, "ipm");
-  EXPECT_EQ(sol.recoveries[1].attempt, 2);
 }
 
 TEST(ResiliencePolicy, InterruptedSolveIsNeverRetried) {
@@ -191,8 +169,8 @@ TEST(ResiliencePolicy, UnknownBackendNamesStillThrowConfigErrors) {
 }
 
 TEST(ResiliencePolicy, AutoBackendRoutesThroughTheSamePolicy) {
-  // Force the auto heuristic to the starved ADMM so the old hard-coded
-  // ADMM → IPM rescue path now runs through resilient_solve.
+  // Force the auto heuristic to the starved ADMM so its ADMM → IPM rescue
+  // runs through resilient_solve.
   sdp::SolverConfig config = starved_admm_config();
   config.backend = "auto";
   config.auto_block_threshold = 1;
@@ -322,11 +300,21 @@ TEST(SweepCheckpoint, MissingOrCorruptFilesFailSoft) {
   EXPECT_TRUE(sweep::load_checkpoint("no_such_checkpoint_file.txt").empty());
 
   const char* path = "resilience_ckpt_corrupt.txt";
-  std::FILE* f = std::fopen(path, "w");
-  ASSERT_NE(f, nullptr);
-  std::fprintf(f, "soslock-sweep-checkpoint v1\ngrid 6 1\npoint 2 1 truncated");
-  std::fclose(f);
-  EXPECT_TRUE(sweep::load_checkpoint(path).empty());
+  const char* point = "point 2 1 0 7 0 0 0.25 1e-9 3\n";
+  const std::string inputs[] = {
+      "point 2 1 truncated",
+      // A non-square warm-chain block: the restore would read it as 3 x 3.
+      std::string(point) + "lane 0 1 42\nx 1\nm 3 1 1 0 0\nz 1\nm 1 1 1\ny 0\nw 0\n",
+      // Rejected before the 2^32-element allocation, not after.
+      std::string(point) + "lane 0 1 42\nx 1\nm 65536 65536\n",
+  };
+  for (const std::string& body : inputs) {
+    std::FILE* f = std::fopen(path, "w");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f, "soslock-sweep-checkpoint v1\ngrid 6 1\n%s", body.c_str());
+    std::fclose(f);
+    EXPECT_TRUE(sweep::load_checkpoint(path).empty()) << body;
+  }
   std::remove(path);
 }
 

@@ -613,24 +613,5 @@ TEST(Ipm, EmptyProblemTrivial) {
   EXPECT_TRUE(sol.feasible());
 }
 
-// No predictor-corrector (pure centering path) must still converge.
-TEST(Ipm, PlainCenteringConverges) {
-  Problem p;
-  const std::size_t b = p.add_block(2);
-  p.set_block_objective(b, Matrix::identity(2));
-  Row row;
-  SparseSym a;
-  a.add(0, 1, 0.5);
-  row.blocks[b] = a;
-  row.rhs = 1.0;
-  p.add_row(std::move(row));
-  IpmOptions o = quiet();
-  o.predictor_corrector = false;
-  o.max_iterations = 200;
-  const Solution sol = IpmSolver(o).solve(p);
-  ASSERT_EQ(sol.status, SolveStatus::Optimal);
-  EXPECT_NEAR(sol.primal_objective, 2.0, 1e-4);
-}
-
 }  // namespace
 }  // namespace soslock::sdp

@@ -1,6 +1,6 @@
-// Tests for the pluggable solver-backend API: registry lookup and
-// registration, auto-selection, IPM-vs-ADMM parity, SolveContext controls
-// (cancellation, budget, telemetry), and batched parallel SOS solves.
+// Tests for the solver-backend API: lookup by name, auto-selection,
+// IPM-vs-ADMM parity, SolveContext controls (cancellation, budget,
+// telemetry), and batched parallel SOS solves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,13 +60,6 @@ Problem random_feasible_sdp(std::uint64_t seed, std::size_t n = 0, std::size_t m
   return p;
 }
 
-TEST(SolverRegistry, BuiltinBackendsRegistered) {
-  const std::vector<std::string> names = sdp::registered_backends();
-  EXPECT_NE(std::find(names.begin(), names.end(), "ipm"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "admm"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "auto"), names.end());
-}
-
 TEST(SolverRegistry, MakeSolverByName) {
   EXPECT_EQ(sdp::make_solver("ipm")->name(), "ipm");
   EXPECT_EQ(sdp::make_solver("admm")->name(), "admm");
@@ -75,25 +68,6 @@ TEST(SolverRegistry, MakeSolverByName) {
 
 TEST(SolverRegistry, UnknownBackendThrows) {
   EXPECT_THROW(sdp::make_solver("no-such-solver"), std::invalid_argument);
-}
-
-TEST(SolverRegistry, CustomBackendRegistration) {
-  const bool registered = sdp::register_backend(
-      "test-custom", [](const sdp::SolverConfig& config) {
-        return std::make_unique<sdp::IpmSolver>(config.resolved_ipm());
-      });
-  EXPECT_TRUE(registered);
-  // Duplicate names are rejected; "auto" is reserved.
-  EXPECT_FALSE(sdp::register_backend("test-custom", [](const sdp::SolverConfig&) {
-    return std::unique_ptr<sdp::SolverBackend>();
-  }));
-  EXPECT_FALSE(sdp::register_backend("auto", [](const sdp::SolverConfig&) {
-    return std::unique_ptr<sdp::SolverBackend>();
-  }));
-
-  const auto solver = sdp::make_solver("test-custom");
-  const Solution sol = solver->solve(random_feasible_sdp(3));
-  EXPECT_EQ(sol.status, SolveStatus::Optimal);
 }
 
 TEST(SolverRegistry, ConfigSharedFieldsOverrideBackendOptions) {

@@ -1,5 +1,5 @@
 // Tests for the incremental-solve path: structure fingerprints, the
-// WarmStart capability of both backends, state preservation on interrupted
+// WarmStart restore of both backends, state preservation on interrupted
 // solves, the pattern cache, warm-start threading through the core retry
 // loops, and the maximize_region ADMM stall regression (classification by
 // the first-order backend, recovery through the "auto" policy backend).
@@ -207,6 +207,14 @@ TEST(WarmStart, FitsChecksShapes) {
   EXPECT_TRUE(ws.fits(p));
   const Problem other = random_feasible_sdp(6, 5, 8);  // different block size
   EXPECT_FALSE(ws.fits(other));
+  // Right row count, wrong column count (a corrupt checkpoint lane): the
+  // warm restore would read the block as n x n.
+  sdp::WarmStart narrow_x = ws;
+  narrow_x.x[0] = Matrix(6, 1);
+  EXPECT_FALSE(narrow_x.fits(p));
+  sdp::WarmStart narrow_z = ws;
+  narrow_z.z[0] = Matrix(6, 2);
+  EXPECT_FALSE(narrow_z.fits(p));
 }
 
 TEST(WarmStart, IpmShiftedRestoreConvergesFaster) {
@@ -237,11 +245,6 @@ TEST(WarmStart, AdmmRawRestoreConvergesFaster) {
   EXPECT_LE(warm.iterations, cold.iterations / 2);
   EXPECT_NEAR(warm.primal_objective, cold.primal_objective,
               1e-4 * (1.0 + std::fabs(cold.primal_objective)));
-}
-
-TEST(WarmStart, BothBackendsAdvertiseTheCapability) {
-  EXPECT_TRUE(sdp::IpmSolver().capabilities().warm_startable);
-  EXPECT_TRUE(sdp::AdmmSolver().capabilities().warm_startable);
 }
 
 sos::SosProgram small_sos_program() {
