@@ -21,11 +21,12 @@ void report(const char* name, const core::LyapunovResult& r, double seconds) {
               r.success ? "feasible" : "infeasible", seconds);
 }
 
-core::LyapunovResult run(const hybrid::HybridSystem& sys, core::LyapunovOptions opt,
-                         double& seconds) {
-  opt.solver.max_iterations = 80;
+core::LyapunovResult run(const hybrid::HybridSystem& sys,
+                         const core::LyapunovOptions& opt, double& seconds) {
+  sdp::SolverConfig config;
+  config.max_iterations = 80;
   util::Timer t;
-  const core::LyapunovResult r = core::LyapunovSynthesizer(opt).synthesize(sys);
+  const core::LyapunovResult r = core::LyapunovSynthesizer(opt, config).synthesize(sys);
   seconds = t.seconds();
   return r;
 }

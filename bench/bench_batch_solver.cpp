@@ -3,8 +3,9 @@
 // value {Ip_lo, Ip_nom, Ip_hi}, no jumps, so the per-mode Lyapunov programs
 // are genuinely independent). Reports:
 //   1. joint coupled SDP (the pre-redesign baseline: one solve, 3x blocks),
-//   2. decoupled per-mode solves, sequential (threads = 1),
-//   3. decoupled per-mode solves, batched on the thread pool,
+//   2. decoupled per-mode solves, sequential (SolverConfig::threads = 1),
+//   3. decoupled per-mode solves, batched on the thread pool
+//      (SolverConfig::threads = 0, the hardware count),
 // then the same sequential-vs-batched comparison for the per-mode
 // level-curve maximisation step (SOS program 2). Speedups require hardware
 // parallelism; the thread count is printed so single-core runs are legible.
@@ -43,20 +44,28 @@ hybrid::HybridSystem three_vertex_pll(const pll::Params& params) {
   return sys;
 }
 
-core::LyapunovOptions lyapunov_options(bool parallel, std::size_t threads) {
+core::LyapunovOptions lyapunov_options(bool parallel) {
   core::LyapunovOptions opt;
   opt.certificate_degree = 4;
   opt.flow_decrease = core::FlowDecrease::Strict;
   opt.strict_margin = 1e-4;
   opt.mode_parallel = parallel;
-  opt.threads = threads;
   return opt;
 }
 
-double run_lyapunov(const hybrid::HybridSystem& sys, const core::LyapunovOptions& opt,
+/// The worker knob: SolverConfig::threads (0 = hardware count).
+sdp::SolverConfig with_threads(std::size_t threads) {
+  sdp::SolverConfig config;
+  config.threads = threads;
+  return config;
+}
+
+double run_lyapunov(const hybrid::HybridSystem& sys, bool parallel, std::size_t threads,
                     const char* label) {
   util::Timer timer;
-  const core::LyapunovResult r = core::LyapunovSynthesizer(opt).synthesize(sys);
+  const core::LyapunovResult r =
+      core::LyapunovSynthesizer(lyapunov_options(parallel), with_threads(threads))
+          .synthesize(sys);
   const double seconds = timer.seconds();
   std::printf("  %-34s %-10s %8.3fs   %s\n", label, r.success ? "ok" : "FAILED", seconds,
               r.solver.str().c_str());
@@ -77,9 +86,9 @@ int main() {
               sys.modes().size(), sys.nstates());
 
   std::printf("P1 Lyapunov synthesis (degree 4, strict):\n");
-  const double joint = run_lyapunov(sys, lyapunov_options(false, 1), "joint coupled SDP");
-  const double seq = run_lyapunov(sys, lyapunov_options(true, 1), "decoupled, sequential");
-  const double par = run_lyapunov(sys, lyapunov_options(true, 0), "decoupled, batched");
+  const double joint = run_lyapunov(sys, false, 1, "joint coupled SDP");
+  const double seq = run_lyapunov(sys, true, 1, "decoupled, sequential");
+  const double par = run_lyapunov(sys, true, 0, "decoupled, batched");
   if (par > 0.0) {
     std::printf("  speedup: batched vs joint %.2fx, batched vs sequential %.2fx\n\n",
                 joint / par, seq / par);
@@ -87,16 +96,14 @@ int main() {
 
   // Level-curve maximisation (SOS program 2) over the synthesized V_q.
   const core::LyapunovResult certs =
-      core::LyapunovSynthesizer(lyapunov_options(true, 0)).synthesize(sys);
+      core::LyapunovSynthesizer(lyapunov_options(true), with_threads(0)).synthesize(sys);
   if (!certs.success) {
     std::printf("no certificates for the level-set stage: %s\n", certs.message.c_str());
     return 1;
   }
   std::printf("P1 level-curve maximisation (per-mode SDPs):\n");
   for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
-    core::LevelSetOptions lopt;
-    lopt.threads = threads == 0 ? 0 : 1;
-    const core::LevelSetMaximizer maximizer(lopt);
+    const core::LevelSetMaximizer maximizer({}, with_threads(threads));
     util::Timer timer;
     const core::LevelSetResult levels = maximizer.maximize(sys, certs.certificates);
     std::printf("  %-34s %-10s %8.3fs   %s\n",

@@ -85,6 +85,9 @@ LoopCost run_incremental_loops(bool warm,
   const pll::Params params = pll::Params::paper_third_order();
   const util::Timer timer;
   LoopCost cost;
+  sdp::SolverConfig config;
+  config.warm_start = warm;
+  config.sparsity = sparsity;
 
   // Level curves on the 2-mode pump-vertex model (structurally identical
   // per-mode programs: the warm path seeds mode 1+ from mode 0).
@@ -92,11 +95,8 @@ LoopCost run_incremental_loops(bool warm,
     const pll::ReducedModel model = pll::make_averaged_vertices(params);
     core::LyapunovOptions lopt = bench::pll_lyapunov_options(3, false);
     const core::LyapunovResult lyap = core::LyapunovSynthesizer(lopt).synthesize(model.system);
-    core::LevelSetOptions levopt;
-    levopt.solver.warm_start = warm;
-    levopt.solver.sparsity = sparsity;
     const core::LevelSetResult lev =
-        core::LevelSetMaximizer(levopt).maximize(model.system, lyap.certificates);
+        core::LevelSetMaximizer({}, config).maximize(model.system, lyap.certificates);
     cost.level_iters = lev.solver.iterations;
   }
 
@@ -108,21 +108,13 @@ LoopCost run_incremental_loops(bool warm,
     const pll::ReducedModel model = pll::make_averaged(params);
     core::LyapunovOptions lopt = bench::pll_lyapunov_options(3, false);
     const core::LyapunovResult lyap = core::LyapunovSynthesizer(lopt).synthesize(model.system);
-    core::LevelSetOptions levopt;
-    levopt.solver.warm_start = warm;
-    levopt.solver.sparsity = sparsity;
     const core::LevelSetResult lev =
-        core::LevelSetMaximizer(levopt).maximize(model.system, lyap.certificates);
+        core::LevelSetMaximizer({}, config).maximize(model.system, lyap.certificates);
     if (level_cone != nullptr) *level_cone = lev.solver.max_cone;
 
-    core::AdvectionOptions aopt = bench::pll_advection_options(3);
-    aopt.solver.warm_start = warm;
-    aopt.solver.sparsity = sparsity;
-    const core::AdvectionEngine engine(model.system, aopt);
-    core::InclusionOptions iopt;
-    iopt.solver.warm_start = warm;
-    iopt.solver.sparsity = sparsity;
-    const core::InclusionChecker inclusion(iopt);
+    const core::AdvectionEngine engine(model.system, bench::pll_advection_options(3),
+                                       config);
+    const core::InclusionChecker inclusion({}, config);
     poly::Polynomial b = bench::ellipsoid(model.system.nvars(), {5.0, 4.2, 0.9});
     sos::SolveStats advect_stats, inclusion_stats;
     for (int it = 0; it < 6; ++it) {

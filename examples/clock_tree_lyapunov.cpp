@@ -42,9 +42,10 @@ int main(int argc, char** argv) {
     opt.flow_decrease = core::FlowDecrease::Strict;
     opt.strict_margin = 1e-5;
     opt.sparse_template = sparse;
-    opt.solver.sparsity =
+    sdp::SolverConfig config;
+    config.sparsity =
         sparse ? sdp::SparsityOptions::Correlative : sdp::SparsityOptions::Off;
-    return core::LyapunovSynthesizer(opt).synthesize(model.system);
+    return core::LyapunovSynthesizer(opt, config).synthesize(model.system);
   };
   const core::LyapunovResult dense = synthesize(false);
   const core::LyapunovResult sparse = synthesize(true);

@@ -45,7 +45,7 @@ int main() {
                    backend);
       return 2;
     }
-    opt.use_backend(backend);
+    opt.solver.backend = backend;
     std::printf("solver backend: %s\n\n", backend);
   }
 

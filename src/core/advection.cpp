@@ -53,7 +53,7 @@ AdvectionStepResult AdvectionEngine::step_with_eps(const Polynomial& b_prev, dou
 
   sos::SosProgram prog(nvars);
   prog.set_trace_regularization(options_.trace_regularization);
-  prog.set_sparsity(options_.solver);
+  prog.set_sparsity(config_);
 
   // Unknown advected polynomial over the states (constant term included).
   const std::vector<Monomial> support =
@@ -71,7 +71,7 @@ AdvectionStepResult AdvectionEngine::step_with_eps(const Polynomial& b_prev, dou
     prog.add_linear_ge(coeff + poly::LinExpr(options_.coeff_cap), "coeff cap-");
   }
 
-  poly::MultiplierSparsity csp = sos::multiplier_plan(nvars, options_.solver);
+  poly::MultiplierSparsity csp = sos::multiplier_plan(nvars, config_);
   auto add_domain_multipliers = [&](PolyLin& expr, const SemialgebraicSet& dom,
                                     const std::string& tag) {
     for (std::size_t k = 0; k < dom.constraints().size(); ++k) {
@@ -174,9 +174,9 @@ AdvectionStepResult AdvectionEngine::step_with_eps(const Polynomial& b_prev, dou
     prog.maximize(volume_proxy);
   }
 
-  const bool reuse = options_.solver.warm_start;
+  const bool reuse = config_.warm_start;
   const sos::SolveResult solved =
-      prog.solve(options_.solver, reuse && !warm_cache_.empty() ? &warm_cache_ : nullptr);
+      prog.solve(config_, reuse && !warm_cache_.empty() ? &warm_cache_ : nullptr);
   // An infeasible attempt exports no blob; keep the previous one for the
   // next rung of the ladder instead of clearing the cache.
   if (reuse && !solved.warm.empty()) warm_cache_ = solved.warm;

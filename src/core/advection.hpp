@@ -14,6 +14,7 @@
 // S-procedure. Because all jump maps are identity after the Remark-1
 // reduction, level sets pass through jumps unchanged (paper's Remark 2) and
 // one common b covers all modes.
+#include <utility>
 #include <vector>
 
 #include "hybrid/system.hpp"
@@ -49,7 +50,6 @@ struct AdvectionOptions {
   /// preventing unbounded steepening across iterations (the set is
   /// scale-invariant).
   double origin_normalization = 0.5;
-  sdp::SolverConfig solver;
 };
 
 struct AdvectionStepResult {
@@ -63,8 +63,9 @@ struct AdvectionStepResult {
 
 class AdvectionEngine {
  public:
-  AdvectionEngine(const hybrid::HybridSystem& system, AdvectionOptions options)
-      : system_(system), options_(options) {}
+  AdvectionEngine(const hybrid::HybridSystem& system, AdvectionOptions options,
+                  sdp::SolverConfig config = {})
+      : system_(system), options_(options), config_(std::move(config)) {}
 
   /// One advection step from the level set {b_prev <= 0}.
   AdvectionStepResult step(const poly::Polynomial& b_prev) const;
@@ -77,10 +78,11 @@ class AdvectionEngine {
 
   const hybrid::HybridSystem& system_;
   AdvectionOptions options_;
+  sdp::SolverConfig config_;
   /// Iterate of the most recent SDP solve, replayed into the next attempt
   /// when the compiled structure matches (the eps/lambda retry ladder and
   /// successive advection steps share one program shape, so nearly every
-  /// solve after the first starts warm). Gated by options.solver.warm_start;
+  /// solve after the first starts warm). Gated by SolverConfig::warm_start;
   /// the engine is driven sequentially, so no synchronization is needed.
   mutable sdp::WarmStart warm_cache_;
 };

@@ -35,7 +35,7 @@ BarrierResult BarrierCertifier::certify(const hybrid::HybridSystem& system,
 
   sos::SosProgram prog(nvars);
   prog.set_trace_regularization(options_.trace_regularization);
-  prog.set_sparsity(options_.solver);
+  prog.set_sparsity(config_);
 
   // Barrier polynomials over the states (constant term included: the zero
   // level surface separates X0 from Xu).
@@ -52,7 +52,7 @@ BarrierResult BarrierCertifier::certify(const hybrid::HybridSystem& system,
   // Pre-couple every mode's (and jump's) data before the first multiplier
   // is created: clique bases must come from the full csp graph, not an
   // order-dependent prefix of it.
-  poly::MultiplierSparsity csp = sos::multiplier_plan(nvars, options_.solver);
+  poly::MultiplierSparsity csp = sos::multiplier_plan(nvars, config_);
   for (std::size_t q = 0; q < num_modes; ++q) {
     csp.couple(b[q]);
     csp.couple(-b[q].lie_derivative(system.modes()[q].flow));
@@ -114,9 +114,9 @@ BarrierResult BarrierCertifier::certify(const hybrid::HybridSystem& system,
 
   // Repeated-structure warm start: successive certify() calls (margin or
   // degree sweeps, per-scenario safety checks) share one compiled shape.
-  const bool reuse = options_.solver.warm_start;
+  const bool reuse = config_.warm_start;
   const sos::SolveResult solved =
-      prog.solve(options_.solver, reuse && !warm_cache_.empty() ? &warm_cache_ : nullptr);
+      prog.solve(config_, reuse && !warm_cache_.empty() ? &warm_cache_ : nullptr);
   if (reuse && !solved.warm.empty()) warm_cache_ = solved.warm;
   result.solver.absorb(solved);
   if (sos::solve_hard_failed(solved)) {

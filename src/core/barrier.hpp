@@ -8,6 +8,8 @@
 // proves that no trajectory from X0 ever reaches Xu. For the CP PLL this
 // verifies e.g. "the control voltage never exceeds the supply rail while
 // acquiring lock" — the safety companion of the inevitability property.
+#include <utility>
+
 #include "hybrid/system.hpp"
 #include "sos/checker.hpp"
 #include "sos/program.hpp"
@@ -20,7 +22,6 @@ struct BarrierOptions {
   double unsafe_margin = 1e-3;  // B >= margin on the unsafe set
   bool common_certificate = true;  // single B across modes (else one per mode)
   double trace_regularization = 1e-7;
-  sdp::SolverConfig solver;
 };
 
 struct BarrierResult {
@@ -33,7 +34,8 @@ struct BarrierResult {
 
 class BarrierCertifier {
  public:
-  explicit BarrierCertifier(BarrierOptions options = {}) : options_(options) {}
+  explicit BarrierCertifier(BarrierOptions options = {}, sdp::SolverConfig config = {})
+      : options_(options), config_(std::move(config)) {}
 
   /// Synthesize a barrier separating `initial` from `unsafe` under every
   /// mode's flow (both sets over the full variable space of `system`).
@@ -43,10 +45,11 @@ class BarrierCertifier {
 
  private:
   BarrierOptions options_;
+  sdp::SolverConfig config_;
   /// Iterate of the most recent solve, replayed into the next certify()
   /// call — margin/degree sweeps re-certify one compiled shape over and
   /// over (a mismatched blob is rejected by its fingerprint and solves
-  /// cold). Gated by options.solver.warm_start; driven sequentially.
+  /// cold). Gated by SolverConfig::warm_start; driven sequentially.
   mutable sdp::WarmStart warm_cache_;
 };
 

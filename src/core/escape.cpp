@@ -2,8 +2,8 @@
 
 #include "core/lyapunov.hpp"
 #include "poly/sparsity.hpp"
-#include "sos/batch.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace soslock::core {
 
@@ -24,6 +24,7 @@ EscapeResult solve_escape(const hybrid::HybridSystem& system,
                           const std::vector<std::size_t>& modes,
                           const std::vector<SemialgebraicSet>& sets,
                           const EscapeOptions& options,
+                          const sdp::SolverConfig& config,
                           const sdp::WarmStart* warm = nullptr,
                           sdp::WarmStart* warm_out = nullptr) {
   EscapeResult result;
@@ -32,7 +33,7 @@ EscapeResult solve_escape(const hybrid::HybridSystem& system,
 
   sos::SosProgram prog(nvars);
   prog.set_trace_regularization(options.trace_regularization);
-  prog.set_sparsity(options.solver);
+  prog.set_sparsity(config);
 
   // E: states only, degrees 1..d (the constant shifts nothing).
   const PolyLin e_poly =
@@ -48,7 +49,7 @@ EscapeResult solve_escape(const hybrid::HybridSystem& system,
   // Two-phase: couple every mode's target before the first multiplier is
   // created, so the clique bases come from the full csp graph regardless of
   // mode order.
-  poly::MultiplierSparsity csp = sos::multiplier_plan(nvars, options.solver);
+  poly::MultiplierSparsity csp = sos::multiplier_plan(nvars, config);
   std::vector<PolyLin> exprs;
   exprs.reserve(modes.size());
   for (const std::size_t q : modes) {
@@ -81,7 +82,7 @@ EscapeResult solve_escape(const hybrid::HybridSystem& system,
   }
 
   prog.maximize(rho);
-  const sos::SolveResult solved = prog.solve(options.solver, warm);
+  const sos::SolveResult solved = prog.solve(config, warm);
   if (warm_out != nullptr && !solved.warm.empty()) *warm_out = solved.warm;
   result.solver.absorb(solved);
   if (sos::solve_hard_failed(solved)) {
@@ -126,42 +127,41 @@ EscapeResult EscapeCertifier::certify(const hybrid::HybridSystem& system,
   }
 
   if (!options_.per_mode) {
-    return solve_escape(system, modes, sets, options_);
+    return solve_escape(system, modes, sets, options_, config_);
   }
 
   // Independent certificate per mode (mirrors the paper's "2 certificates");
-  // the per-mode programs are independent SDPs, solved on the batch pool
+  // the per-mode programs are independent SDPs, solved on the thread pool
   // (modes after the first failure are skipped). With warm starts on, mode 0
   // solves first and its iterate seeds the remaining modes — the per-mode
   // programs are structurally identical whenever the mode sets have the same
   // shape (a mismatch is rejected by the blob's fingerprint and solves cold).
   std::vector<EscapeResult> per_mode(modes.size());
-  const sos::BatchSolver batch(options_.threads);
-  const bool reuse = options_.solver.warm_start && modes.size() > 1;
-  // Concurrent per-mode solves share the backend thread budget (the same
-  // anti-oversubscription division BatchSolver::solve_all applies).
-  EscapeOptions batched_options = options_;
-  batched_options.solver =
-      batch.effective_config(options_.solver, reuse ? modes.size() - 1 : modes.size());
+  const util::ThreadPool pool(config_.threads);
+  const bool reuse = config_.warm_start && modes.size() > 1;
+  // Concurrent per-mode solves share the backend thread budget.
+  const sdp::SolverConfig batched =
+      sdp::share_threads(config_, reuse ? modes.size() - 1 : modes.size());
   std::size_t failed = modes.size();
   if (reuse) {
     sdp::WarmStart seed;
-    per_mode[0] = solve_escape(system, {modes[0]}, {sets[0]}, options_, nullptr, &seed);
+    per_mode[0] =
+        solve_escape(system, {modes[0]}, {sets[0]}, options_, config_, nullptr, &seed);
     if (!per_mode[0].success) {
       failed = 0;
     } else {
       const std::size_t rest =
-          batch.run_all_until_failure(modes.size() - 1, [&](std::size_t i) {
+          pool.run_all_until_failure(modes.size() - 1, [&](std::size_t i) {
             const std::size_t idx = i + 1;
-            per_mode[idx] = solve_escape(system, {modes[idx]}, {sets[idx]}, batched_options,
-                                         seed.empty() ? nullptr : &seed);
+            per_mode[idx] = solve_escape(system, {modes[idx]}, {sets[idx]}, options_,
+                                         batched, seed.empty() ? nullptr : &seed);
             return per_mode[idx].success;
           });
       if (rest < modes.size() - 1) failed = rest + 1;
     }
   } else {
-    failed = batch.run_all_until_failure(modes.size(), [&](std::size_t idx) {
-      per_mode[idx] = solve_escape(system, {modes[idx]}, {sets[idx]}, batched_options);
+    failed = pool.run_all_until_failure(modes.size(), [&](std::size_t idx) {
+      per_mode[idx] = solve_escape(system, {modes[idx]}, {sets[idx]}, options_, batched);
       return per_mode[idx].success;
     });
   }
@@ -189,7 +189,7 @@ EscapeResult EscapeCertifier::certify(const hybrid::HybridSystem& system,
 
 EscapeResult EscapeCertifier::certify_set(const hybrid::HybridSystem& system, std::size_t mode,
                                           const SemialgebraicSet& set) const {
-  return solve_escape(system, {mode}, {set}, options_);
+  return solve_escape(system, {mode}, {set}, options_, config_);
 }
 
 }  // namespace soslock::core

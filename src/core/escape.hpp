@@ -5,6 +5,7 @@
 // we search a differentiable E with dE/dx · f_q <= -rho (rho > 0) on T_q.
 // Trajectories then leave T_q in finite time; since they cannot cross back
 // through the advected front, they enter the attractive invariant.
+#include <utility>
 #include <vector>
 
 #include "hybrid/system.hpp"
@@ -21,10 +22,6 @@ struct EscapeOptions {
   double coeff_cap = 100.0;         // bound on |E| coefficients (scale fix)
   bool per_mode = true;             // one certificate per mode (as the paper)
   double trace_regularization = 1e-7;
-  /// Worker cap for the per-mode certificate solves (independent SDPs when
-  /// per_mode, dispatched through sos::BatchSolver); 0 = hardware concurrency.
-  std::size_t threads = 0;
-  sdp::SolverConfig solver;
 };
 
 struct EscapeResult {
@@ -40,9 +37,12 @@ struct EscapeResult {
 
 class EscapeCertifier {
  public:
-  explicit EscapeCertifier(EscapeOptions options = {}) : options_(options) {}
+  explicit EscapeCertifier(EscapeOptions options = {}, sdp::SolverConfig config = {})
+      : options_(options), config_(std::move(config)) {}
 
   /// Certify escape from S(region) ∩ {V_q >= level} for each mode in `modes`.
+  /// With per_mode the certificates are independent SDPs, solved on a pool
+  /// of SolverConfig::threads workers.
   EscapeResult certify(const hybrid::HybridSystem& system,
                        const std::vector<std::size_t>& modes,
                        const poly::Polynomial& region,
@@ -56,6 +56,7 @@ class EscapeCertifier {
 
  private:
   EscapeOptions options_;
+  sdp::SolverConfig config_;
 };
 
 }  // namespace soslock::core

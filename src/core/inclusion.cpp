@@ -37,13 +37,13 @@ InclusionResult InclusionChecker::subset_on(const Polynomial& b1, const Polynomi
 
   sos::SosProgram prog(nvars);
   prog.set_trace_regularization(options_.trace_regularization);
-  prog.set_sparsity(options_.solver);
+  prog.set_sparsity(config_);
 
   // sigma * b1 - b2 - sum sigma_k g_k ∈ Σ on the domain. The multiplier
   // bases are restricted to the csp cliques of the (scaled) set data; the
   // inclusion sets live on the states, so parameter monomials drop out of
   // every multiplier (lossless — the data never couples them).
-  poly::MultiplierSparsity csp = sos::multiplier_plan(nvars, options_.solver);
+  poly::MultiplierSparsity csp = sos::multiplier_plan(nvars, config_);
   csp.couple(b1s);
   csp.couple(b2s);
   const PolyLin sigma = prog.add_sos_poly(
@@ -58,7 +58,7 @@ InclusionResult InclusionChecker::subset_on(const Polynomial& b1, const Polynomi
   }
   prog.add_sos_constraint(expr, "incl");
 
-  const sos::SolveResult solved = prog.solve(options_.solver, warm);
+  const sos::SolveResult solved = prog.solve(config_, warm);
   // Infeasible outcomes (a not-yet-immersed iterate) export no blob; keep
   // the caller's previous one rather than clearing its cache.
   if (warm_out != nullptr && !solved.warm.empty()) *warm_out = solved.warm;
@@ -78,7 +78,7 @@ InclusionResult InclusionChecker::subset_of_invariant(
     const std::vector<Polynomial>& certificates, double level) const {
   InclusionResult result;
   result.included = true;
-  const bool reuse = options_.solver.warm_start;
+  const bool reuse = config_.warm_start;
   for (std::size_t q = 0; q < system.modes().size(); ++q) {
     // S(b) ∩ C_q ⊆ {V_q <= level}: treat V_q - level as the outer set.
     const Polynomial outer = certificates[q] - level;

@@ -5,6 +5,7 @@
 // Used by Algorithm 1 to decide when an advected level set has immersed into
 // the attractive invariant.
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "core/level_set.hpp"
@@ -17,7 +18,6 @@ namespace soslock::core {
 struct InclusionOptions {
   unsigned multiplier_degree = 2;
   double trace_regularization = 1e-7;
-  sdp::SolverConfig solver;
 };
 
 struct InclusionResult {
@@ -31,7 +31,8 @@ struct InclusionResult {
 
 class InclusionChecker {
  public:
-  explicit InclusionChecker(InclusionOptions options = {}) : options_(options) {}
+  explicit InclusionChecker(InclusionOptions options = {}, sdp::SolverConfig config = {})
+      : options_(options), config_(std::move(config)) {}
 
   /// Certify S(b1) ⊆ S(b2) globally.
   InclusionResult subset(const poly::Polynomial& b1, const poly::Polynomial& b2) const;
@@ -55,9 +56,10 @@ class InclusionChecker {
 
  private:
   InclusionOptions options_;
+  sdp::SolverConfig config_;
   /// Per-mode warm-start blobs chained across the repeated immersion checks
   /// of the advection loop (the mode-q program shape is identical from one
-  /// advection iterate to the next). Gated by options.solver.warm_start; the
+  /// advection iterate to the next). Gated by SolverConfig::warm_start; the
   /// checker is driven sequentially by the pipeline, so no synchronization.
   mutable std::map<std::size_t, sdp::WarmStart> mode_warm_cache_;
 };

@@ -1,13 +1,13 @@
 #include "core/level_set.hpp"
 
 #include "poly/sparsity.hpp"
-#include "sos/batch.hpp"
 #include "sos/checker.hpp"
 
 #include <algorithm>
 #include <cmath>
 
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace soslock::core {
 
@@ -33,8 +33,7 @@ bool AttractiveInvariant::contains_consistent(const linalg::Vector& x_full) cons
 LevelSetResult LevelSetMaximizer::maximize_one(const Polynomial& v,
                                                const SemialgebraicSet& domain,
                                                const sdp::WarmStart* warm,
-                                               sdp::WarmStart* warm_out,
-                                               const sdp::SolverConfig* config) const {
+                                               sdp::WarmStart* warm_out) const {
   LevelSetResult result;
   const std::size_t nvars = v.nvars();
 
@@ -54,7 +53,7 @@ LevelSetResult LevelSetMaximizer::maximize_one(const Polynomial& v,
     domain_scaled.add_constraint(g.substitute(scale_map));
 
   sos::SosProgram prog(nvars);
-  prog.set_sparsity(options_.solver);
+  prog.set_sparsity(config_);
 
   const LinExpr c = prog.add_scalar("c");
   prog.add_linear_ge(c, "c >= 0");
@@ -63,7 +62,7 @@ LevelSetResult LevelSetMaximizer::maximize_one(const Polynomial& v,
   // Multiplier bases restricted to the csp clique of V's variables: the
   // level program never touches the parameters, so their monomials are dead
   // weight in every dense multiplier (a provably lossless restriction).
-  poly::MultiplierSparsity csp = sos::multiplier_plan(nvars, options_.solver);
+  poly::MultiplierSparsity csp = sos::multiplier_plan(nvars, config_);
   csp.couple(v_scaled);
 
   for (std::size_t k = 0; k < domain_scaled.constraints().size(); ++k) {
@@ -81,8 +80,7 @@ LevelSetResult LevelSetMaximizer::maximize_one(const Polynomial& v,
   }
 
   prog.maximize(c);
-  const sos::SolveResult solved =
-      prog.solve(config != nullptr ? *config : options_.solver, warm);
+  const sos::SolveResult solved = prog.solve(config_, warm);
   if (warm_out != nullptr && !solved.warm.empty()) *warm_out = solved.warm;
   result.solver.absorb(solved);
   // Audit-based acceptance: a stalled iterate still certifies a (possibly
@@ -108,18 +106,17 @@ LevelSetResult LevelSetMaximizer::maximize(const hybrid::HybridSystem& system,
   const std::size_t num_modes = system.modes().size();
 
   // The per-mode maximisations are independent SDPs: dispatch them onto the
-  // batch thread pool (modes after the first failure are skipped, keeping
-  // the failure path as cheap as the old sequential early exit). With warm
+  // thread pool (modes after the first failure are skipped, keeping the
+  // failure path as cheap as the old sequential early exit). With warm
   // starts on, mode 0 solves first and seeds the remaining modes — their
   // programs are structurally identical (same domain shape, same multiplier
   // degrees), so the previous iterate is a close starting point.
   std::vector<LevelSetResult> per_mode(num_modes);
-  const sos::BatchSolver batch(options_.threads);
-  const bool reuse = options_.solver.warm_start && num_modes > 1;
-  // Concurrent per-mode solves share the backend thread budget (the same
-  // anti-oversubscription division BatchSolver::solve_all applies).
-  const sdp::SolverConfig batched_cfg =
-      batch.effective_config(options_.solver, reuse ? num_modes - 1 : num_modes);
+  const util::ThreadPool pool(config_.threads);
+  const bool reuse = config_.warm_start && num_modes > 1;
+  // Concurrent per-mode solves share the backend thread budget.
+  const LevelSetMaximizer batched(
+      options_, sdp::share_threads(config_, reuse ? num_modes - 1 : num_modes));
   sdp::WarmStart seed;
   std::size_t failed = num_modes;
   if (reuse) {
@@ -127,18 +124,18 @@ LevelSetResult LevelSetMaximizer::maximize(const hybrid::HybridSystem& system,
     if (!per_mode[0].success) {
       failed = 0;
     } else {
-      const std::size_t rest = batch.run_all_until_failure(num_modes - 1, [&](std::size_t i) {
-        const std::size_t q = i + 1;
-        per_mode[q] = maximize_one(certificates[q], system.modes()[q].domain,
-                                   seed.empty() ? nullptr : &seed, nullptr, &batched_cfg);
-        return per_mode[q].success;
-      });
+      const std::size_t rest =
+          pool.run_all_until_failure(num_modes - 1, [&](std::size_t i) {
+            const std::size_t q = i + 1;
+            per_mode[q] = batched.maximize_one(certificates[q], system.modes()[q].domain,
+                                               seed.empty() ? nullptr : &seed);
+            return per_mode[q].success;
+          });
       if (rest < num_modes - 1) failed = rest + 1;
     }
   } else {
-    failed = batch.run_all_until_failure(num_modes, [&](std::size_t q) {
-      per_mode[q] = maximize_one(certificates[q], system.modes()[q].domain, nullptr, nullptr,
-                                 &batched_cfg);
+    failed = pool.run_all_until_failure(num_modes, [&](std::size_t q) {
+      per_mode[q] = batched.maximize_one(certificates[q], system.modes()[q].domain);
       return per_mode[q].success;
     });
   }

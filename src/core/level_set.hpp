@@ -6,6 +6,7 @@
 // which proves {g_k <= 0} => {V_q >= c_q}, i.e. the open sublevel set lies in
 // the interior of C_q. Since c_q enters affinely, the maximisation is a
 // single SDP per mode — no bisection needed.
+#include <utility>
 #include <vector>
 
 #include "hybrid/system.hpp"
@@ -16,10 +17,6 @@ namespace soslock::core {
 struct LevelSetOptions {
   unsigned multiplier_degree = 2;
   double level_cap = 1e6;  // upper bound keeping the SDP bounded
-  /// Worker cap for the per-mode maximisations (independent SDPs, dispatched
-  /// through sos::BatchSolver); 0 = hardware concurrency.
-  std::size_t threads = 0;
-  sdp::SolverConfig solver;
 };
 
 struct LevelSetResult {
@@ -47,21 +44,21 @@ struct AttractiveInvariant {
 
 class LevelSetMaximizer {
  public:
-  explicit LevelSetMaximizer(LevelSetOptions options = {}) : options_(options) {}
+  explicit LevelSetMaximizer(LevelSetOptions options = {}, sdp::SolverConfig config = {})
+      : options_(options), config_(std::move(config)) {}
 
   /// Maximize the level of `v` inside `domain` (one mode). `warm` optionally
   /// replays a structurally matching previous iterate (see
   /// SosProgram::solve); `warm_out`, when non-null, receives this solve's
-  /// iterate for chaining. `config` overrides options.solver for this solve
-  /// (maximize() passes a thread-rebalanced copy to its concurrent calls).
+  /// iterate for chaining.
   LevelSetResult maximize_one(const poly::Polynomial& v,
                               const hybrid::SemialgebraicSet& domain,
                               const sdp::WarmStart* warm = nullptr,
-                              sdp::WarmStart* warm_out = nullptr,
-                              const sdp::SolverConfig* config = nullptr) const;
+                              sdp::WarmStart* warm_out = nullptr) const;
 
-  /// All modes of a system; returns per-mode levels + the consistent level.
-  /// With options.solver.warm_start the first mode's iterate warm-starts the
+  /// All modes of a system, solved on a pool of SolverConfig::threads
+  /// workers; returns per-mode levels + the consistent level. With
+  /// SolverConfig::warm_start the first mode's iterate warm-starts the
   /// remaining modes (PLL mode programs are structurally identical, so this
   /// costs one sequential solve and accelerates the parallel rest).
   LevelSetResult maximize(const hybrid::HybridSystem& system,
@@ -69,6 +66,7 @@ class LevelSetMaximizer {
 
  private:
   LevelSetOptions options_;
+  sdp::SolverConfig config_;
 };
 
 }  // namespace soslock::core

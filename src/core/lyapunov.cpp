@@ -6,8 +6,8 @@
 
 #include "poly/basis.hpp"
 #include "poly/sparsity.hpp"
-#include "sos/batch.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace soslock::core {
 
@@ -199,7 +199,8 @@ LyapunovResult LyapunovSynthesizer::synthesize(const HybridSystem& system) const
 }
 
 LyapunovProgram build_lyapunov_program(const HybridSystem& system,
-                                       const LyapunovOptions& options) {
+                                       const LyapunovOptions& options,
+                                       const sdp::SolverConfig& config) {
   LyapunovProgram lp{sos::SosProgram(system.nvars()), {}};
   const std::size_t nstates = system.nstates();
   const std::size_t nvars = system.nvars();
@@ -208,7 +209,7 @@ LyapunovProgram build_lyapunov_program(const HybridSystem& system,
 
   sos::SosProgram& prog = lp.program;
   prog.set_trace_regularization(options.trace_regularization);
-  prog.set_sparsity(options.solver);
+  prog.set_sparsity(config);
 
   // Unknown certificates: monomials of degree 2..deg_v in the states only
   // (V(0) = 0 by construction; no linear terms so the origin can be a local
@@ -232,7 +233,7 @@ LyapunovProgram build_lyapunov_program(const HybridSystem& system,
   // multiplier is created: clique bases must come from the full csp graph,
   // not the prefix built so far (an order-dependent under-coupled basis
   // would be a stricter restriction than the Waki relaxation intends).
-  poly::MultiplierSparsity csp = sos::multiplier_plan(nvars, options.solver);
+  poly::MultiplierSparsity csp = sos::multiplier_plan(nvars, config);
   for (std::size_t q = 0; q < num_modes; ++q) {
     csp.couple(v[q] - PolyLin(options.positivity_margin * x_norm2));
     csp.couple(-v[q].lie_derivative(system.modes()[q].flow));
@@ -296,11 +297,11 @@ LyapunovProgram build_lyapunov_program(const HybridSystem& system,
 LyapunovResult LyapunovSynthesizer::synthesize_joint(const HybridSystem& system) const {
   LyapunovResult result;
   const std::size_t num_modes = system.modes().size();
-  LyapunovProgram lp = build_lyapunov_program(system, options_);
+  LyapunovProgram lp = build_lyapunov_program(system, options_, config_);
   const sos::SosProgram& prog = lp.program;
   const std::vector<PolyLin>& v = lp.v;
 
-  const sos::SolveResult solved = prog.solve(options_.solver);
+  const sos::SolveResult solved = prog.solve(config_);
   result.status = solved.status;
   result.solver.absorb(solved);
   // Acceptance policy: reject certified-infeasible outcomes outright; for
@@ -351,12 +352,12 @@ LyapunovResult LyapunovSynthesizer::synthesize_decoupled(const HybridSystem& sys
   for (std::size_t q = 0; q < num_modes; ++q) {
     progs.emplace_back(nvars);
     progs[q].set_trace_regularization(options_.trace_regularization);
-    progs[q].set_sparsity(options_.solver);
+    progs[q].set_sparsity(config_);
     v.push_back(progs[q].add_poly(v_support, "V" + std::to_string(q)));
     // Pre-couple both of the mode's targets before the first multiplier is
     // drawn (same invariant as the joint path: clique bases come from the
     // full per-program csp graph, not an order-dependent prefix).
-    poly::MultiplierSparsity csp = sos::multiplier_plan(nvars, options_.solver);
+    poly::MultiplierSparsity csp = sos::multiplier_plan(nvars, config_);
     csp.couple(v[q] - PolyLin(options_.positivity_margin * x_norm2));
     csp.couple(-v[q].lie_derivative(system.modes()[q].flow));
     add_mode_conditions(progs[q], v[q], system, q, options_, x_norm2, csp);
@@ -366,23 +367,20 @@ LyapunovResult LyapunovSynthesizer::synthesize_decoupled(const HybridSystem& sys
 
   // With warm starts on, mode 0 solves first and its iterate seeds the
   // remaining (structurally identical) mode programs on the pool.
-  const sos::BatchSolver batch(options_.threads);
+  // Mode 0 then runs alone (full thread budget); the concurrent rest share it.
+  const util::ThreadPool pool(config_.threads);
   std::vector<sos::SolveResult> solves(num_modes);
-  if (options_.solver.warm_start && num_modes > 1) {
-    solves[0] = progs[0].solve(options_.solver);
-    const sdp::WarmStart& seed = solves[0].warm;
-    // Mode 0 ran alone (full thread budget); the concurrent rest share it.
-    const sdp::SolverConfig batched_cfg =
-        batch.effective_config(options_.solver, num_modes - 1);
-    batch.run_all(num_modes - 1, [&](std::size_t i) {
-      solves[i + 1] = progs[i + 1].solve(batched_cfg, seed.empty() ? nullptr : &seed);
-    });
-  } else {
-    std::vector<const sos::SosProgram*> prog_ptrs;
-    prog_ptrs.reserve(num_modes);
-    for (const sos::SosProgram& p : progs) prog_ptrs.push_back(&p);
-    solves = batch.solve_all(prog_ptrs, options_.solver);
+  std::size_t first = 0;
+  const sdp::WarmStart* seed = nullptr;
+  if (config_.warm_start && num_modes > 1) {
+    solves[0] = progs[0].solve(config_);
+    if (!solves[0].warm.empty()) seed = &solves[0].warm;
+    first = 1;
   }
+  const sdp::SolverConfig batched = sdp::share_threads(config_, num_modes - first);
+  pool.run_all(num_modes - first, [&](std::size_t i) {
+    solves[first + i] = progs[first + i].solve(batched, seed);
+  });
 
   result.status = sdp::SolveStatus::Optimal;
   result.certificates.reserve(num_modes);
@@ -424,16 +422,16 @@ LyapunovResult LyapunovSynthesizer::synthesize_decoupled(const HybridSystem& sys
 
     sos::SosProgram check(nvars);
     check.set_trace_regularization(options_.trace_regularization);
-    check.set_sparsity(options_.solver);
+    check.set_sparsity(config_);
     PolyLin expr(target);
-    poly::MultiplierSparsity jump_csp = sos::multiplier_plan(nvars, options_.solver);
+    poly::MultiplierSparsity jump_csp = sos::multiplier_plan(nvars, config_);
     jump_csp.couple(expr);
     subtract_multipliers(check, expr, jump.guard, options_.multiplier_degree,
                          "jumpcheck" + std::to_string(l), jump_csp);
     check.add_sos_constraint(expr, "jumpcheck" + std::to_string(l) + ".nonincrease");
-    const bool reuse = options_.solver.warm_start;
+    const bool reuse = config_.warm_start;
     const sos::SolveResult solved =
-        check.solve(options_.solver, reuse && !jump_seed.empty() ? &jump_seed : nullptr);
+        check.solve(config_, reuse && !jump_seed.empty() ? &jump_seed : nullptr);
     if (reuse && !solved.warm.empty()) jump_seed = solved.warm;
     result.solver.absorb(solved);
     if (sos::solve_hard_failed(solved) || !sos::audit(check, solved).ok) {

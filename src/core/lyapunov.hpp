@@ -10,6 +10,7 @@
 // with all domain restrictions done by the S-procedure (one SOS multiplier
 // per inequality of C_q, D_l and of the parameter box U).
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hybrid/system.hpp"
@@ -49,15 +50,13 @@ struct LyapunovOptions {
   /// span essentially the whole voltage box (Figs. 2-3).
   bool maximize_region = false;
   double trace_regularization = 1e-7;
-  /// Solve the modes as independent per-mode SOS programs on a thread pool
-  /// (sos::BatchSolver) instead of one joint SDP. The only cross-mode
-  /// coupling is the jump non-increase condition (c), so the decoupled
-  /// certificates are re-audited against every jump afterwards; when a jump
-  /// audit fails the synthesizer falls back to the joint coupled solve.
+  /// Solve the modes as independent per-mode SOS programs on a pool of
+  /// SolverConfig::threads workers instead of one joint SDP. The only
+  /// cross-mode coupling is the jump non-increase condition (c), so the
+  /// decoupled certificates are re-audited against every jump afterwards;
+  /// when a jump audit fails the synthesizer falls back to the joint coupled
+  /// solve.
   bool mode_parallel = false;
-  /// Worker cap for mode_parallel; 0 = hardware concurrency.
-  std::size_t threads = 0;
-  sdp::SolverConfig solver;
 };
 
 struct LyapunovResult {
@@ -86,12 +85,17 @@ struct LyapunovProgram {
 /// objective when requested. The caller is responsible for a valid system
 /// and an even certificate degree >= 2 (LyapunovSynthesizer::synthesize
 /// checks both before coming here).
+/// `config` contributes only its sparsity fields (the Gram structure is
+/// fixed at constraint-add time).
 LyapunovProgram build_lyapunov_program(const hybrid::HybridSystem& system,
-                                       const LyapunovOptions& options);
+                                       const LyapunovOptions& options,
+                                       const sdp::SolverConfig& config = {});
 
 class LyapunovSynthesizer {
  public:
-  explicit LyapunovSynthesizer(LyapunovOptions options = {}) : options_(options) {}
+  explicit LyapunovSynthesizer(LyapunovOptions options = {},
+                               sdp::SolverConfig config = {})
+      : options_(options), config_(std::move(config)) {}
 
   /// Synthesize certificates for `system`. States are variables
   /// [0, nstates); parameters enter through system.parameter_set().
@@ -107,6 +111,7 @@ class LyapunovSynthesizer {
   LyapunovResult synthesize_decoupled(const hybrid::HybridSystem& system) const;
 
   LyapunovOptions options_;
+  sdp::SolverConfig config_;
 };
 
 /// Monomials of total degree in [min_deg, max_deg] involving only the first

@@ -46,7 +46,7 @@ PipelineReport InevitabilityVerifier::verify(const hybrid::HybridSystem& system,
 
   // --- P1, step 1: attractive invariant (multiple Lyapunov certificates).
   timer.reset();
-  const LyapunovSynthesizer lyap(options_.lyapunov);
+  const LyapunovSynthesizer lyap(options_.lyapunov, options_.solver);
   report.lyapunov = lyap.synthesize(system);
   report.timings.add("Attractive Invariant", timer.seconds(),
                      "degree " + std::to_string(options_.lyapunov.certificate_degree) + ", " +
@@ -59,7 +59,7 @@ PipelineReport InevitabilityVerifier::verify(const hybrid::HybridSystem& system,
 
   // --- P1, step 2: maximized level curves.
   timer.reset();
-  const LevelSetMaximizer levels(options_.level);
+  const LevelSetMaximizer levels(options_.level, options_.solver);
   report.levels = levels.maximize(system, report.lyapunov.certificates);
   report.timings.add("Max.Level Curves", timer.seconds(), report.levels.solver.str());
   if (!report.levels.success) {
@@ -72,8 +72,8 @@ PipelineReport InevitabilityVerifier::verify(const hybrid::HybridSystem& system,
   report.invariant.consistent_level = report.levels.consistent_level;
 
   // --- P2: bounded advection with immersion checks.
-  const AdvectionEngine advect(system, options_.advection);
-  const InclusionChecker inclusion(options_.inclusion);
+  const AdvectionEngine advect(system, options_.advection, options_.solver);
+  const InclusionChecker inclusion(options_.inclusion, options_.solver);
   report.advection_iterates.push_back(b_init);
 
   double advect_time = 0.0, inclusion_time = 0.0;
@@ -124,7 +124,7 @@ PipelineReport InevitabilityVerifier::verify(const hybrid::HybridSystem& system,
   // --- Algorithm 1 lines 13-18: escape certificates on the residual region.
   if (options_.escape_fallback && !report.residual_modes.empty()) {
     timer.reset();
-    const EscapeCertifier escaper(options_.escape);
+    const EscapeCertifier escaper(options_.escape, options_.solver);
     report.escape =
         escaper.certify(system, report.residual_modes, current,
                         report.invariant.certificates, report.invariant.consistent_level);

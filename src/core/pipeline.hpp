@@ -36,34 +36,10 @@ struct PipelineOptions {
   InclusionOptions inclusion;
   int max_advection_iterations = 20;  // the paper's bounded N
   bool escape_fallback = true;        // Algorithm 1 lines 13-18
-
-  /// Route every SOS query of the pipeline through one solver backend
-  /// ("ipm" | "admm" | "auto").
-  void use_backend(const std::string& name) {
-    lyapunov.solver.backend = name;
-    level.solver.backend = name;
-    advection.solver.backend = name;
-    escape.solver.backend = name;
-    inclusion.solver.backend = name;
-  }
-
-  /// Worker cap for every batched per-mode stage (0 = hardware concurrency).
-  void use_threads(std::size_t threads) {
-    lyapunov.threads = threads;
-    level.threads = threads;
-    escape.threads = threads;
-  }
-
-  /// Sparsity exploitation of every SOS query in the pipeline: Correlative
-  /// splits Gram bases along csp-graph cliques, Chordal additionally
-  /// decomposes remaining large PSD blocks at the SDP level (sdp/chordal).
-  void use_sparsity(sdp::SparsityOptions sparsity) {
-    lyapunov.solver.sparsity = sparsity;
-    level.solver.sparsity = sparsity;
-    advection.solver.sparsity = sparsity;
-    escape.solver.sparsity = sparsity;
-    inclusion.solver.sparsity = sparsity;
-  }
+  /// The one solver configuration every stage's SOS queries run under:
+  /// backend ("ipm" | "admm" | "auto"), sparsity exploitation, warm starts,
+  /// and the thread budget of the batched per-mode stages.
+  sdp::SolverConfig solver;
 };
 
 struct PipelineReport {

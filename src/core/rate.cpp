@@ -36,10 +36,11 @@ struct ScalarBound {
 /// maximize t s.t. v - t*|x|^2 - sigmas*g ∈ Σ      (lower quadratic bound)
 ScalarBound quadratic_lower(const hybrid::HybridSystem& system, std::size_t q,
                             const Polynomial& v, const RateOptions& options,
-                            const sdp::WarmStart* warm, sdp::WarmStart* warm_out) {
+                            const sdp::SolverConfig& config, const sdp::WarmStart* warm,
+                            sdp::WarmStart* warm_out) {
   sos::SosProgram prog(system.nvars());
   prog.set_trace_regularization(options.trace_regularization);
-  prog.set_sparsity(options.solver);
+  prog.set_sparsity(config);
   const LinExpr t = prog.add_scalar("m");
   prog.add_linear_ge(t, "m >= 0");
   prog.add_linear_ge(LinExpr(options.alpha_cap) - t, "m cap");
@@ -48,13 +49,13 @@ ScalarBound quadratic_lower(const hybrid::HybridSystem& system, std::size_t q,
   const Polynomial n2 = poly::squared_norm(system.nvars(), system.nstates());
   for (const auto& [m, c] : n2.terms()) tn.add_term(m, c * t);
   expr -= tn;
-  poly::MultiplierSparsity csp = sos::multiplier_plan(system.nvars(), options.solver);
+  poly::MultiplierSparsity csp = sos::multiplier_plan(system.nvars(), config);
   csp.couple(expr);
   add_set_multipliers(prog, expr, system.modes()[q].domain, options.multiplier_degree, "ql",
                       csp);
   prog.add_sos_constraint(expr, "quadratic lower");
   prog.maximize(t);
-  const sos::SolveResult r = prog.solve(options.solver, warm);
+  const sos::SolveResult r = prog.solve(config, warm);
   if (warm_out != nullptr && !r.warm.empty()) *warm_out = r.warm;
   ScalarBound out;
   out.solver.absorb(r);
@@ -67,10 +68,11 @@ ScalarBound quadratic_lower(const hybrid::HybridSystem& system, std::size_t q,
 /// minimize T s.t. T*|x|^2 - v - sigmas*g ∈ Σ      (upper quadratic bound)
 ScalarBound quadratic_upper(const hybrid::HybridSystem& system, std::size_t q,
                             const Polynomial& v, const RateOptions& options,
-                            const sdp::WarmStart* warm, sdp::WarmStart* warm_out) {
+                            const sdp::SolverConfig& config, const sdp::WarmStart* warm,
+                            sdp::WarmStart* warm_out) {
   sos::SosProgram prog(system.nvars());
   prog.set_trace_regularization(options.trace_regularization);
-  prog.set_sparsity(options.solver);
+  prog.set_sparsity(config);
   const LinExpr t = prog.add_scalar("M");
   prog.add_linear_ge(t, "M >= 0");
   prog.add_linear_ge(LinExpr(1e6) - t, "M cap");
@@ -79,13 +81,13 @@ ScalarBound quadratic_upper(const hybrid::HybridSystem& system, std::size_t q,
   const Polynomial n2 = poly::squared_norm(system.nvars(), system.nstates());
   for (const auto& [m, c] : n2.terms()) tn.add_term(m, c * t);
   expr += tn;
-  poly::MultiplierSparsity csp = sos::multiplier_plan(system.nvars(), options.solver);
+  poly::MultiplierSparsity csp = sos::multiplier_plan(system.nvars(), config);
   csp.couple(expr);
   add_set_multipliers(prog, expr, system.modes()[q].domain, options.multiplier_degree, "qu",
                       csp);
   prog.add_sos_constraint(expr, "quadratic upper");
   prog.minimize(t);
-  const sos::SolveResult r = prog.solve(options.solver, warm);
+  const sos::SolveResult r = prog.solve(config, warm);
   if (warm_out != nullptr && !r.warm.empty()) *warm_out = r.warm;
   ScalarBound out;
   out.solver.absorb(r);
@@ -117,7 +119,7 @@ RateResult RateCertifier::certify(const hybrid::HybridSystem& system, std::size_
   // alpha enters -V̇ - alpha*V affinely since V is numeric here.
   sos::SosProgram prog(system.nvars());
   prog.set_trace_regularization(options_.trace_regularization);
-  prog.set_sparsity(options_.solver);
+  prog.set_sparsity(config_);
   const LinExpr alpha = prog.add_scalar("alpha");
   prog.add_linear_ge(alpha, "alpha >= 0");
   prog.add_linear_ge(LinExpr(options_.alpha_cap) - alpha, "alpha cap");
@@ -126,7 +128,7 @@ RateResult RateCertifier::certify(const hybrid::HybridSystem& system, std::size_
   PolyLin alpha_v(system.nvars());
   for (const auto& [m, c] : v.terms()) alpha_v.add_term(m, c * alpha);
   expr -= alpha_v;
-  poly::MultiplierSparsity csp = sos::multiplier_plan(system.nvars(), options_.solver);
+  poly::MultiplierSparsity csp = sos::multiplier_plan(system.nvars(), config_);
   csp.couple(expr);
   add_set_multipliers(prog, expr, system.modes()[q].domain, options_.multiplier_degree,
                       "rate.dom", csp);
@@ -138,9 +140,9 @@ RateResult RateCertifier::certify(const hybrid::HybridSystem& system, std::size_
   // Repeated-structure warm start: per-mode rate certifications share one
   // compiled shape, so each solve replays the previous iterate (the blob's
   // fingerprint rejects it when the shape drifted).
-  const bool reuse = options_.solver.warm_start;
+  const bool reuse = config_.warm_start;
   const sos::SolveResult solved =
-      prog.solve(options_.solver, reuse && !rate_warm_.empty() ? &rate_warm_ : nullptr);
+      prog.solve(config_, reuse && !rate_warm_.empty() ? &rate_warm_ : nullptr);
   if (reuse && !solved.warm.empty()) rate_warm_ = solved.warm;
   result.solver.absorb(solved);
   if (sos::solve_hard_failed(solved)) {
@@ -156,7 +158,7 @@ RateResult RateCertifier::certify(const hybrid::HybridSystem& system, std::size_
   result.success = result.alpha > 0.0;
 
   const ScalarBound lower =
-      quadratic_lower(system, q, v, options_,
+      quadratic_lower(system, q, v, options_, config_,
                       reuse && !lower_warm_.empty() ? &lower_warm_ : nullptr,
                       reuse ? &lower_warm_ : nullptr);
   // The upper envelope shares the lower's compiled *structure* but runs the
@@ -164,7 +166,7 @@ RateResult RateCertifier::certify(const hybrid::HybridSystem& system, std::size_
   // for it (the fingerprint cannot tell them apart — it hashes structure,
   // not objective values). Each family therefore keeps its own cache.
   const ScalarBound upper =
-      quadratic_upper(system, q, v, options_,
+      quadratic_upper(system, q, v, options_, config_,
                       reuse && !upper_warm_.empty() ? &upper_warm_ : nullptr,
                       reuse ? &upper_warm_ : nullptr);
   result.solver.merge(lower.solver);

@@ -9,6 +9,8 @@
 // with bounds  m*||x||^2 <= V <= M*||x||^2  (also certified here), this gives
 // an explicit bound on the time to reach any sublevel set — e.g. the time to
 // phase lock from the initial region.
+#include <utility>
+
 #include "hybrid/system.hpp"
 #include "sos/checker.hpp"
 #include "sos/program.hpp"
@@ -19,7 +21,6 @@ struct RateOptions {
   unsigned multiplier_degree = 2;
   double alpha_cap = 100.0;   // keeps the maximisation bounded
   double trace_regularization = 1e-7;
-  sdp::SolverConfig solver;
 };
 
 struct RateResult {
@@ -40,7 +41,8 @@ struct RateResult {
 
 class RateCertifier {
  public:
-  explicit RateCertifier(RateOptions options = {}) : options_(options) {}
+  explicit RateCertifier(RateOptions options = {}, sdp::SolverConfig config = {})
+      : options_(options), config_(std::move(config)) {}
 
   /// Certify a decay rate of `v` along mode `q` of `system`.
   RateResult certify(const hybrid::HybridSystem& system, std::size_t q,
@@ -48,10 +50,11 @@ class RateCertifier {
 
  private:
   RateOptions options_;
+  sdp::SolverConfig config_;
   /// Iterates of the most recent rate / quadratic-envelope solves, replayed
   /// into the next certify() call (per-mode certification loops share one
   /// compiled shape per program family; a mismatched blob is rejected by its
-  /// fingerprint and solves cold). Gated by options.solver.warm_start; the
+  /// fingerprint and solves cold). Gated by SolverConfig::warm_start; the
   /// certifier is driven sequentially, so no synchronization is needed.
   mutable sdp::WarmStart rate_warm_, lower_warm_, upper_warm_;
 };

@@ -70,8 +70,8 @@ void admm_split_psd(const Matrix& u, double rho, Matrix& splus_out, Matrix& xnew
 /// residual-balanced adaptive rho).
 class AdmmEngine {
  public:
-  AdmmEngine(const Problem& p, const AdmmOptions& opt, SolveContext& ctx,
-             const ProblemStructure& structure);
+  AdmmEngine(const Problem& p, const AdmmOptions& opt, std::size_t threads,
+             SolveContext& ctx, const ProblemStructure& structure);
 
   /// Setup (normal factor, initial state), then the iteration loop.
   Solution run();
@@ -142,7 +142,7 @@ class AdmmEngine {
   const Problem& p_;
   const AdmmOptions& opt_;
   SolveContext& ctx_;
-  util::ThreadPool pool_;  // projection fan-out (opt_.threads)
+  util::ThreadPool pool_;  // projection fan-out (AdmmSolver's threads)
   PhaseTimes phase_;
   std::vector<std::vector<BlockRowView>> views_;
   std::vector<const Row*> overlap_rows_;  // native-cone couplings, rows [m, m+q)
@@ -158,9 +158,9 @@ class AdmmEngine {
   std::string diverged_phase_;
 };
 
-AdmmEngine::AdmmEngine(const Problem& p, const AdmmOptions& opt, SolveContext& ctx,
-                       const ProblemStructure& structure)
-    : p_(p), opt_(opt), ctx_(ctx), pool_(opt.threads) {
+AdmmEngine::AdmmEngine(const Problem& p, const AdmmOptions& opt, std::size_t threads,
+                       SolveContext& ctx, const ProblemStructure& structure)
+    : p_(p), opt_(opt), ctx_(ctx), pool_(threads) {
   m_ = p_.num_rows();
   nf_ = p_.num_free();
   nblocks_ = p_.num_blocks();
@@ -608,7 +608,8 @@ Solution AdmmSolver::solve(const Problem& problem, SolveContext& context) const 
   // Row equilibration is the caller's job (SosProgram::solve applies it to
   // every compiled program); see IpmSolver::solve for the warm-start rationale.
   const util::Timer timer;
-  AdmmEngine engine(problem, options_, context, *StructureCache::global().get(problem));
+  AdmmEngine engine(problem, options_, threads_, context,
+                    *StructureCache::global().get(problem));
   Solution sol = engine.run();
   sol.backend = name();
   sol.solve_seconds = timer.seconds();

@@ -12,6 +12,8 @@
 // keeps every primal block PSD by construction (a Gram product of the
 // negative eigenpanel) and complementary to S_j up to eigensolver roundoff, so
 // iterates are always certificate-shaped; accuracy is first-order (~1e-6).
+#include <cstddef>
+
 #include "sdp/options.hpp"
 #include "sdp/problem.hpp"
 #include "sdp/solver.hpp"
@@ -20,15 +22,23 @@ namespace soslock::sdp {
 
 class AdmmSolver : public SolverBackend {
  public:
-  explicit AdmmSolver(AdmmOptions options = {}) : options_(options) {}
+  /// `threads` = workers for the per-iteration PSD projections (one
+  /// eigendecomposition per block; blocks are independent), the only
+  /// intra-solve fan-out of either backend. 0 = hardware count; 1 = serial.
+  /// Deterministic across thread counts (disjoint per-block writes,
+  /// order-independent max-reduction).
+  explicit AdmmSolver(AdmmOptions options = {}, std::size_t threads = 1)
+      : options_(options), threads_(threads) {}
 
   using SolverBackend::solve;
   Solution solve(const Problem& problem, SolveContext& context) const override;
 
   std::string name() const override { return "admm"; }
+  std::size_t threads() const { return threads_; }
 
  private:
   AdmmOptions options_;
+  std::size_t threads_;
 };
 
 }  // namespace soslock::sdp

@@ -9,7 +9,7 @@ namespace soslock::sdp {
 
 /// How aggressively the pipeline exploits sparsity when compiling and
 /// solving SOS programs. Threaded through sdp::SolverConfig (and with it
-/// through every core options struct and PipelineOptions).
+/// through every core certifier and PipelineOptions::solver).
 enum class SparsityOptions {
   Off,          // one dense Gram block per SOS constraint (the PR 2 baseline)
   Correlative,  // split each Gram basis along the csp-graph cliques (poly/sparsity)
@@ -45,12 +45,6 @@ struct AdmmOptions {
   double tolerance = 1e-6;        // max of primal/dual residual and gap
   int max_iterations = 20000;
   double rho = 1.0;               // initial augmented-Lagrangian penalty
-  /// Worker threads for the per-iteration PSD projections (one
-  /// eigendecomposition per block; blocks are independent): the only
-  /// intra-solve fan-out of either backend. 0 = hardware count; 1 = serial.
-  /// Deterministic across thread counts (disjoint per-block writes,
-  /// order-independent max-reduction).
-  std::size_t threads = 1;
 };
 
 }  // namespace soslock::sdp

@@ -7,6 +7,7 @@
 #include "sdp/ipm.hpp"
 #include "sdp/resilience.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace soslock::sdp {
 namespace {
@@ -74,14 +75,22 @@ AdmmOptions SolverConfig::resolved_admm() const {
   AdmmOptions out = admm;
   if (tolerance > 0.0) out.tolerance = tolerance;
   if (max_iterations > 0) out.max_iterations = max_iterations;
-  if (threads != 1) out.threads = threads;
+  return out;
+}
+
+SolverConfig share_threads(const SolverConfig& config, std::size_t workers) {
+  SolverConfig out = config;
+  const std::size_t want =
+      config.threads == 0 ? util::ThreadPool::hardware_threads() : config.threads;
+  out.threads = std::max<std::size_t>(1, want / std::max<std::size_t>(1, workers));
   return out;
 }
 
 std::unique_ptr<SolverBackend> make_solver(const std::string& name,
                                            const SolverConfig& config) {
   if (name == "ipm") return std::make_unique<IpmSolver>(config.resolved_ipm());
-  if (name == "admm") return std::make_unique<AdmmSolver>(config.resolved_admm());
+  if (name == "admm")
+    return std::make_unique<AdmmSolver>(config.resolved_admm(), config.threads);
   if (name == "auto") return std::make_unique<AutoSolver>(config);
   throw std::invalid_argument("unknown SDP solver backend: " + name);
 }

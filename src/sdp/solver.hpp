@@ -118,8 +118,9 @@ class SolverBackend {
   }
 };
 
-/// Shared solver configuration carried by every options struct in the core
-/// verification layer. `backend` names the backend; the shared
+/// Solver configuration of one verification: every core certifier takes it
+/// beside its certificate options, and PipelineOptions::solver hands the one
+/// copy to every stage. `backend` names the backend; the shared
 /// tolerance/max_iterations fields override the per-backend ones, and
 /// max_iterations = 0 keeps each backend's own default (the sensible budgets
 /// differ by two orders of magnitude between second- and first-order
@@ -133,10 +134,12 @@ struct SolverConfig {
   /// previous iterate into the next structurally identical solve (see
   /// WarmStart). Off = every solve starts cold (the bench A/B switch).
   bool warm_start = true;
-  /// Worker threads for the ADMM's per-iteration PSD projections (the IPM
-  /// runs on its caller's thread). 0 = hardware count; 1 (default) = serial.
-  /// sos::BatchSolver::solve_all divides this across its batch workers so
-  /// nested parallelism never oversubscribes. Parallel solves are
+  /// The thread budget of a verification. 0 = hardware count; 1 (default)
+  /// = serial. The batched per-mode stages (level curves, escape, decoupled
+  /// Lyapunov synthesis) run on a pool of this many workers, and each
+  /// concurrent solve gets share_threads(config, workers) for the ADMM's
+  /// per-iteration PSD projections (the IPM runs on its caller's thread),
+  /// so nested parallelism never oversubscribes. Parallel solves are
   /// deterministic: each block's projection writes only its own entries, so
   /// iterates are bit-identical across thread counts.
   std::size_t threads = 1;
@@ -158,6 +161,10 @@ struct SolverConfig {
   IpmOptions resolved_ipm() const;
   AdmmOptions resolved_admm() const;
 };
+
+/// The config each of `workers` concurrent solves gets: `threads` (0 =
+/// hardware count) divided by `workers`, floored at 1.
+SolverConfig share_threads(const SolverConfig& config, std::size_t workers);
 
 /// Build a backend by name ("ipm", "admm" or "auto"). Throws
 /// std::invalid_argument on any other name.

@@ -84,7 +84,8 @@ struct StructureCacheTelemetry {
 /// Both backends consult the process-wide instance (global()), so the
 /// pipeline's repeated structurally equal solves skip the pattern rebuild
 /// even though a fresh backend object is constructed per solve — including
-/// from sos::BatchSolver worker threads, which hit it concurrently.
+/// from the batched per-mode stages' and sweep lanes' worker threads, which
+/// hit it concurrently.
 ///
 /// Concurrency contract (exercised by the warmstart_test stress test):
 ///  * every access to `slots_`/`hits_` happens under `mutex_` — the LRU
@@ -125,8 +126,7 @@ class StructureCache {
   /// Change the LRU entry cap; excess least-recently-used entries are
   /// evicted immediately (counted). The process-wide cache is long-lived, so
   /// an unbounded (or oversized) cap would leak one pattern per distinct
-  /// shape ever solved — thousand-point sweeps keep it bounded via
-  /// sweep::SweepOptions::structure_cache_capacity.
+  /// shape ever solved; the default of 16 keeps it bounded.
   void set_capacity(std::size_t capacity);
   std::size_t capacity() const;
 

@@ -101,7 +101,7 @@ class SosProgram {
   /// remap per clique, so they survive pass-parameter changes; modes that
   /// compile different Gram blocks (Off vs Correlative) still separate
   /// naturally through the compiled structure fingerprint. The core
-  /// certifiers forward options.solver.sparsity.
+  /// certifiers forward SolverConfig::sparsity.
   void set_sparsity(sdp::SparsityOptions sparsity) { sparsity_ = sparsity; }
   sdp::SparsityOptions sparsity() const { return sparsity_; }
   /// Tuning for the Chordal conversion pass (block-size threshold etc).

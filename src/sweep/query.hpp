@@ -32,6 +32,12 @@ struct CertificationQuery {
 struct LyapunovQueryOptions {
   pll::ModelOptions model;
   core::LyapunovOptions lyapunov;
+  /// Sparsity exploitation of the compiled program (the Gram structure is
+  /// fixed at build time). A sweep whose SweepOptions::solver enables
+  /// sparsity should set the same values here so the compiled structure
+  /// matches what the sweep solves.
+  sdp::SparsityOptions sparsity = sdp::SparsityOptions::Off;
+  sdp::ChordalOptions chordal;
   /// Use make_averaged_vertices (one mode per extreme pump value) instead of
   /// the single-mode averaged model.
   bool vertices = false;
@@ -44,9 +50,7 @@ struct LyapunovQueryOptions {
 };
 
 /// The stock query: does a Lyapunov certificate exist for the averaged PLL
-/// at this design point? Callers that sweep with a sparsity-enabled solver
-/// config should set options.lyapunov.solver to the same config so the
-/// compiled Gram structure matches what the sweep solves.
+/// at this design point?
 CertificationQuery lyapunov_query(const LyapunovQueryOptions& options = {});
 
 }  // namespace soslock::sweep

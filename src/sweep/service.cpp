@@ -7,12 +7,12 @@
 #include <utility>
 
 #include "sdp/lowering.hpp"
-#include "sos/batch.hpp"
 #include "sos/checker.hpp"
 #include "sweep/checkpoint.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/log.hpp"
 #include "util/thread_annotations.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace soslock::sweep {
@@ -122,17 +122,15 @@ SweepReport run_sweep(const Grid& grid, const CertificationQuery& query,
 
   const util::Timer request_timer;
   const sdp::StructureCacheTelemetry cache_before = sdp::StructureCache::global().telemetry();
-  if (options.structure_cache_capacity > 0)
-    sdp::StructureCache::global().set_capacity(options.structure_cache_capacity);
 
   // Axis-0 rows are the warm-chaining direction; lanes take contiguous row
   // chunks and walk them serpentine, so consecutive solves within a lane are
   // always grid neighbors.
   const std::size_t row_len = grid.dims() == 0 ? 1 : grid.axes()[0].count;
   const std::size_t rows = total / row_len;
-  const sos::BatchSolver batch(options.threads);
-  const std::size_t lanes = std::max<std::size_t>(1, std::min(batch.threads(), rows));
-  const sdp::SolverConfig lane_config = batch.effective_config(options.solver, lanes);
+  const util::ThreadPool pool(options.threads);
+  const std::size_t lanes = std::max<std::size_t>(1, std::min(pool.threads(), rows));
+  const sdp::SolverConfig lane_config = sdp::share_threads(options.solver, lanes);
   std::vector<LaneStats> lane_stats(lanes);
   std::atomic<bool> out_of_budget{false};
 
@@ -157,12 +155,10 @@ SweepReport run_sweep(const Grid& grid, const CertificationQuery& query,
   for (const PointRecord& rec : resume.completed) resumed_at[rec.index] = &rec;
 
   const bool checkpointing = !options.checkpoint_path.empty();
-  const std::size_t ckpt_every = std::max<std::size_t>(1, options.checkpoint_every);
   util::Mutex ckpt_mutex;
   std::vector<char> completed(total, 0);
   std::vector<sdp::WarmStart> lane_chains(resume.lane_chains);
   lane_chains.resize(lanes);
-  std::size_t completed_since = 0;
   std::atomic<std::size_t> solved_points{0};
   for (const PointRecord& rec : resume.completed) completed[rec.index] = 1;
   auto write_checkpoint_locked = [&] {
@@ -246,7 +242,7 @@ SweepReport run_sweep(const Grid& grid, const CertificationQuery& query,
         auto solve_once = [&](const sdp::WarmStart* warm) {
           sdp::SolveContext context;
           context.cancel = options.cancel;
-          double budget = options.point_budget_seconds;
+          double budget = options.solver.time_budget_seconds;
           if (remaining > 0.0) budget = budget > 0.0 ? std::min(budget, remaining) : remaining;
           context.time_budget_seconds = budget;
           context.warm_start = warm;
@@ -298,17 +294,14 @@ SweepReport run_sweep(const Grid& grid, const CertificationQuery& query,
           const util::MutexLock lock(ckpt_mutex);
           lane_chains[lane] = chain;
           completed[index] = 1;
-          if (++completed_since >= ckpt_every) {
-            completed_since = 0;
-            write_checkpoint_locked();
-          }
+          write_checkpoint_locked();
         }
       }
     }
     lane_stats[lane].full_lowerings = cache.full_lowerings();
     lane_stats[lane].updates = cache.updates();
   };
-  batch.run_all(lanes, run_lane);
+  pool.run_all(lanes, run_lane);
   if (checkpointing) {
     const util::MutexLock lock(ckpt_mutex);
     write_checkpoint_locked();

@@ -2,7 +2,7 @@
 // The certification sweep service: design-space exploration over pll::Params
 // grids with a recompile-free hot path. One request = one Grid × one
 // CertificationQuery; the engine partitions the grid into lanes (contiguous
-// strips of axis-0 rows), fans the lanes out over sos::BatchSolver workers,
+// strips of axis-0 rows), fans the lanes out over util::ThreadPool workers,
 // and walks each lane serpentine so consecutive points are grid neighbors.
 // Per lane it keeps
 //   - an sdp::LoweringCache: from the second point on, the structurally
@@ -33,32 +33,28 @@
 namespace soslock::sweep {
 
 struct SweepOptions {
-  /// Solver + sparsity configuration for every point (solver.warm_start off
-  /// disables chaining too — the A/B switch the throughput bench flips).
+  /// Backend configuration for every point: solver.time_budget_seconds is
+  /// the per-point solve budget (0 = none; capped by the remaining request
+  /// budget either way), and solver.warm_start off disables chaining too —
+  /// the A/B switch the throughput bench flips. Its thread budget is divided
+  /// across the lanes. Sparsity is not set here: the query's program decides
+  /// it when it is built (LyapunovQueryOptions::sparsity).
   sdp::SolverConfig solver;
-  /// Sweep lanes (BatchSolver workers); 0 = hardware count. Lanes are
+  /// Sweep lanes (thread-pool workers); 0 = hardware count. Lanes are
   /// independent: each has its own backend, lowering cache and warm chain.
   std::size_t threads = 1;
   /// Wall-clock budget for the whole request; 0 = none. Points that the
   /// budget cuts off are marked skipped.
   double time_budget_seconds = 0.0;
-  /// Per-point solve budget; 0 = none. Capped by the remaining request
-  /// budget either way.
-  double point_budget_seconds = 0.0;
   /// Cooperative cancellation (caller-owned, may be null): checked between
   /// points and threaded into every solve's SolveContext.
   std::atomic<bool>* cancel = nullptr;
   /// Chain warm starts along each lane (requires solver.warm_start).
   bool warm_chaining = true;
-  /// When > 0, bound the process-wide StructureCache to this many entries
-  /// for the request (satellite of the sweep service: long sweeps must not
-  /// grow the cache one pattern per shape ever solved).
-  std::size_t structure_cache_capacity = 0;
-  /// Non-empty: periodically serialize completed points + lane warm chains
-  /// to this file (atomic tmp+rename), so a killed sweep can resume.
+  /// Non-empty: serialize completed points + lane warm chains to this file
+  /// after every completed point (atomic tmp+rename), so a killed sweep can
+  /// resume.
   std::string checkpoint_path;
-  /// Rewrite the checkpoint after this many newly completed points (>= 1).
-  std::size_t checkpoint_every = 1;
   /// Non-empty: load this checkpoint and skip its already-completed points,
   /// replaying the lane warm chains. A missing/corrupt/mismatched file is
   /// ignored (cold sweep) — resume can never change a verdict.

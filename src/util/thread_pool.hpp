@@ -1,9 +1,9 @@
 #pragma once
-// Shared fork-join worker pool used by the batched SOS driver
-// (sos::BatchSolver) and by the ADMM's per-block PSD projections, the one
-// intra-solve fan-out (the IPM runs on its caller's thread). Living in util
-// keeps the layering clean: sdp must not depend on sos just to borrow its
-// threads.
+// Shared fork-join worker pool used by the batched per-mode stages of the
+// core certifiers, the sweep lanes, and the ADMM's per-block PSD
+// projections, the one intra-solve fan-out (the IPM runs on its caller's
+// thread). Living in util keeps the layering clean: sdp must not depend on
+// sos just to borrow its threads.
 //
 // Design notes:
 //  * Fork-join per call, not a persistent task queue: every run_all spawns

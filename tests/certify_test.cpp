@@ -98,9 +98,9 @@ TEST(Inclusion, NestedDisks) {
 TEST(Inclusion, NonSubsetRejected) {
   const Polynomial b1 = var(2, 0) * var(2, 0) + var(2, 1) * var(2, 1) - 1.0;
   const Polynomial b2 = var(2, 0) * var(2, 0) + var(2, 1) * var(2, 1) - 0.5;
-  InclusionOptions opt;
-  opt.solver.max_iterations = 50;
-  const InclusionResult r = InclusionChecker(opt).subset(b1, b2);
+  sdp::SolverConfig config;
+  config.max_iterations = 50;
+  const InclusionResult r = InclusionChecker({}, config).subset(b1, b2);
   EXPECT_FALSE(r.included);
 }
 
@@ -116,9 +116,9 @@ TEST(Inclusion, DomainRestrictionMatters) {
   // globally it is not (x -> -inf).
   const Polynomial b1 = var(1, 0) - 1.0;
   const Polynomial b2 = var(1, 0) * var(1, 0) - 4.0;
-  InclusionOptions opt;
-  opt.solver.max_iterations = 50;
-  EXPECT_FALSE(InclusionChecker(opt).subset(b1, b2).included);
+  sdp::SolverConfig config;
+  config.max_iterations = 50;
+  EXPECT_FALSE(InclusionChecker({}, config).subset(b1, b2).included);
   SemialgebraicSet half(1);
   half.add_constraint(var(1, 0));
   EXPECT_TRUE(InclusionChecker().subset_on(b1, b2, half).included);
@@ -228,8 +228,9 @@ TEST(Escape, NoEscapeFromInvariantRegion) {
   t.add_interval(0, -1.0, 1.0);
   EscapeOptions opt;
   opt.certificate_degree = 4;
-  opt.solver.max_iterations = 50;
-  const EscapeResult r = EscapeCertifier(opt).certify_set(sys, 0, t);
+  sdp::SolverConfig config;
+  config.max_iterations = 50;
+  const EscapeResult r = EscapeCertifier(opt, config).certify_set(sys, 0, t);
   EXPECT_FALSE(r.success);
 }
 

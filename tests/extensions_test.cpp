@@ -119,8 +119,9 @@ TEST(Barrier, InfeasibleWhenUnsafeReachable) {
   xu.add_interval(0, 1.5, 2.0);
   BarrierOptions opt;
   opt.certificate_degree = 4;
-  opt.solver.max_iterations = 60;
-  const BarrierResult r = BarrierCertifier(opt).certify(sys, x0, xu);
+  sdp::SolverConfig config;
+  config.max_iterations = 60;
+  const BarrierResult r = BarrierCertifier(opt, config).certify(sys, x0, xu);
   EXPECT_FALSE(r.success);
 }
 

@@ -216,7 +216,6 @@ TEST_F(FaultScenario, AdmmIterateNanBailsWithPhaseNamed) {
   ASSERT_TRUE(low.decomposed());
   FaultInjector::arm(site::kIterateNan, /*fire_after=*/3);
   sdp::AdmmOptions opt;
-  opt.threads = 1;
   sdp::SolveContext context;
   const Solution sol = sdp::AdmmSolver(opt).solve(low.problem, context);
   // Satellite fix: the poisoned iterate stops at the watchdog (phase named),
@@ -235,10 +234,8 @@ TEST_F(FaultScenario, LoweringPassFaultLeavesCachesUntouched) {
   // clean, and the lowered problem solves and certifies as usual.
   const Lowering low = sdp::lower(banded_sdp(22), chordal_lowering(8));
   ASSERT_TRUE(low.decomposed());
-  sdp::AdmmOptions opt;
-  opt.threads = 1;
   sdp::SolveContext context;
-  EXPECT_EQ(sdp::AdmmSolver(opt).solve(low.problem, context).status,
+  EXPECT_EQ(sdp::AdmmSolver().solve(low.problem, context).status,
             SolveStatus::Optimal);
 }
 

@@ -387,13 +387,11 @@ TEST(LoweringPipeline, AdmmSolvesClusteredClockTreeDeterministically) {
 
   const Lowering low = sdp::lower(original, chordal_lowering(4));
   ASSERT_TRUE(low.decomposed());
-  sdp::AdmmOptions serial, parallel;
-  serial.tolerance = parallel.tolerance = 1e-5;
-  serial.threads = 1;
-  parallel.threads = 2;
+  sdp::AdmmOptions options;
+  options.tolerance = 1e-5;
   sdp::SolveContext ctx1, ctx2;
-  const Solution one = sdp::AdmmSolver(serial).solve(low.problem, ctx1);
-  const Solution two = sdp::AdmmSolver(parallel).solve(low.problem, ctx2);
+  const Solution one = sdp::AdmmSolver(options, 1).solve(low.problem, ctx1);
+  const Solution two = sdp::AdmmSolver(options, 2).solve(low.problem, ctx2);
   ASSERT_EQ(one.status, SolveStatus::Optimal);
   ASSERT_EQ(two.status, SolveStatus::Optimal);
   ASSERT_EQ(one.iterations, two.iterations);

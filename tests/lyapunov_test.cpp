@@ -155,8 +155,9 @@ TEST(Lyapunov, HybridPll3FatGuardAbstractionHasNoCertificate) {
   opt.certificate_degree = 4;
   opt.common_certificate = true;
   opt.flow_decrease = FlowDecrease::NonStrict;
-  opt.solver.max_iterations = 60;
-  const LyapunovResult r = LyapunovSynthesizer(opt).synthesize(m.system);
+  sdp::SolverConfig config;
+  config.max_iterations = 60;
+  const LyapunovResult r = LyapunovSynthesizer(opt, config).synthesize(m.system);
   EXPECT_FALSE(r.success);
 }
 
@@ -195,13 +196,14 @@ TEST(Lyapunov, AveragedPll3RippleNeedsBallExclusion) {
   strict.certificate_degree = 2;
   strict.flow_decrease = FlowDecrease::Strict;
   strict.strict_margin = 1e-3;
-  strict.solver.max_iterations = 60;
-  EXPECT_FALSE(LyapunovSynthesizer(strict).synthesize(m.system).success);
+  sdp::SolverConfig config;
+  config.max_iterations = 60;
+  EXPECT_FALSE(LyapunovSynthesizer(strict, config).synthesize(m.system).success);
 
   LyapunovOptions ball = strict;
   ball.strict_margin = 1e-4;
   ball.exclude_ball_radius = 2.0;  // radius 1.0 is infeasible at this ripple
-  const LyapunovResult r = LyapunovSynthesizer(ball).synthesize(m.system);
+  const LyapunovResult r = LyapunovSynthesizer(ball, config).synthesize(m.system);
   EXPECT_TRUE(r.success) << r.message;
 }
 
@@ -264,8 +266,9 @@ TEST(Lyapunov, ModeParallelNoJumpsSolvesDecoupled) {
   opt.flow_decrease = FlowDecrease::Strict;
   opt.strict_margin = 1e-3;
   opt.mode_parallel = true;
-  opt.threads = 2;
-  const LyapunovResult r = LyapunovSynthesizer(opt).synthesize(sys);
+  sdp::SolverConfig config;
+  config.threads = 2;
+  const LyapunovResult r = LyapunovSynthesizer(opt, config).synthesize(sys);
   ASSERT_TRUE(r.success) << r.message;
   ASSERT_EQ(r.certificates.size(), 2u);
   EXPECT_EQ(r.solver.solves, 2);  // no jump checks, no joint fallback
@@ -304,8 +307,9 @@ TEST(Lyapunov, ModeParallelInfeasibleSystemStillRejected) {
   opt.certificate_degree = 4;
   opt.flow_decrease = FlowDecrease::NonStrict;
   opt.mode_parallel = true;
-  opt.solver.max_iterations = 60;
-  const LyapunovResult r = LyapunovSynthesizer(opt).synthesize(m.system);
+  sdp::SolverConfig config;
+  config.max_iterations = 60;
+  const LyapunovResult r = LyapunovSynthesizer(opt, config).synthesize(m.system);
   EXPECT_FALSE(r.success);
 }
 
@@ -318,8 +322,9 @@ TEST(Lyapunov, HybridPll3StrictIdleInfeasible) {
   opt.common_certificate = true;
   opt.flow_decrease = FlowDecrease::Strict;
   opt.strict_margin = 1e-3;
-  opt.solver.max_iterations = 60;
-  const LyapunovResult r = LyapunovSynthesizer(opt).synthesize(m.system);
+  sdp::SolverConfig config;
+  config.max_iterations = 60;
+  const LyapunovResult r = LyapunovSynthesizer(opt, config).synthesize(m.system);
   EXPECT_FALSE(r.success);
 }
 

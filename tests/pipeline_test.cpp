@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
+#include "hybrid/system.hpp"
 #include "pll/models.hpp"
 #include "pll/params.hpp"
 
@@ -90,10 +91,40 @@ TEST(Pipeline, FailsOnUnstableSystem) {
   PipelineOptions opt;
   opt.lyapunov.certificate_degree = 2;
   opt.lyapunov.flow_decrease = FlowDecrease::Strict;
-  opt.lyapunov.solver.max_iterations = 50;
+  opt.solver.max_iterations = 50;
   const Polynomial b_init = ellipsoid(1, {0.5});
   const PipelineReport report = InevitabilityVerifier(opt).verify(sys, b_init);
   EXPECT_EQ(report.verdict, Verdict::Failed);
+}
+
+TEST(Pipeline, SolverConfigReachesEveryStage) {
+  // PipelineOptions::solver is the one config every stage solves under:
+  // routing it to the first-order backend shows up in all five stages'
+  // telemetry (the default "auto" picks the IPM for blocks this small).
+  hybrid::HybridSystem sys(2, 0);
+  hybrid::Mode mode;
+  mode.name = "contract";
+  mode.flow = {-1.0 * Polynomial::variable(2, 0), -1.0 * Polynomial::variable(2, 1)};
+  mode.domain = hybrid::SemialgebraicSet(2);
+  mode.domain.add_interval(0, -2.0, 2.0);
+  mode.domain.add_interval(1, -2.0, 2.0);
+  mode.contains_equilibrium = true;
+  sys.add_mode(std::move(mode));
+  PipelineOptions opt;
+  opt.lyapunov.certificate_degree = 2;
+  opt.escape.certificate_degree = 2;
+  opt.max_advection_iterations = 1;  // too few to immerse: escape must run
+  opt.advection.eps_retries = 0;
+  opt.solver.backend = "admm";
+  const PipelineReport report =
+      InevitabilityVerifier(opt).verify(sys, ellipsoid(2, {3.0, 0.5}));
+  EXPECT_EQ(report.lyapunov.solver.backend, "admm");
+  EXPECT_EQ(report.levels.solver.backend, "admm");
+  EXPECT_EQ(report.escape.solver.backend, "admm");
+  const auto entries = report.timings.entries();
+  ASSERT_EQ(entries.size(), 5u);
+  for (const auto& entry : entries)
+    EXPECT_NE(entry.note.find("backend=admm"), std::string::npos) << entry.name;
 }
 
 TEST(Pipeline, TimingRowsMatchTable2Structure) {

@@ -224,8 +224,6 @@ TEST(Cancellation, MidAdmmSolveLeavesPartialSolutionConsistent) {
   const sdp::Lowering low = sdp::lower(banded_sdp(30), lopt);
   ASSERT_TRUE(low.decomposed());
 
-  sdp::AdmmOptions opt;
-  opt.threads = 1;
   std::atomic<bool> cancel{false};
   sdp::SolveContext context;
   context.cancel = &cancel;
@@ -233,7 +231,7 @@ TEST(Cancellation, MidAdmmSolveLeavesPartialSolutionConsistent) {
   context.on_iteration = [&](const sdp::IterationInfo&) {
     if (++rounds == 3) cancel.store(true, std::memory_order_relaxed);
   };
-  const Solution sol = sdp::AdmmSolver(opt).solve(low.problem, context);
+  const Solution sol = sdp::AdmmSolver().solve(low.problem, context);
   EXPECT_EQ(sol.status, SolveStatus::Interrupted);
   EXPECT_TRUE(sol.recoveries.empty());  // cancellation is not a failure
 
@@ -250,7 +248,7 @@ TEST(Cancellation, MidAdmmSolveLeavesPartialSolutionConsistent) {
   // The same engine solves clean immediately afterwards.
   cancel.store(false);
   sdp::SolveContext clean;
-  EXPECT_EQ(sdp::AdmmSolver(opt).solve(low.problem, clean).status, SolveStatus::Optimal);
+  EXPECT_EQ(sdp::AdmmSolver().solve(low.problem, clean).status, SolveStatus::Optimal);
 }
 
 TEST(SweepCheckpoint, SaveLoadRoundTripIsExact) {

@@ -13,10 +13,10 @@
 #include "sdp/admm.hpp"
 #include "sdp/ipm.hpp"
 #include "sdp/solver.hpp"
-#include "sos/batch.hpp"
 #include "sos/checker.hpp"
 #include "sos/program.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace soslock {
@@ -250,17 +250,19 @@ TEST(SosBackends, SolveStatsAggregateAcrossBackends) {
   EXPECT_EQ(stats.solves, 5);
 }
 
-TEST(BatchSolver, MatchesSequentialResults) {
-  // N independent copies of the same feasibility program: the batched solve
-  // must produce the same status/objective as solving them one by one.
+TEST(BatchedSolves, MatchesSequentialResults) {
+  // N independent copies of the same feasibility program solved concurrently
+  // on the pool (the batched per-mode stages' pattern) must produce the same
+  // status/objective as solving them one by one.
   std::vector<sos::SosProgram> programs;
   for (int i = 0; i < 4; ++i) programs.push_back(motzkin_like_program());
-  std::vector<const sos::SosProgram*> ptrs;
-  for (const sos::SosProgram& p : programs) ptrs.push_back(&p);
 
-  const sos::BatchSolver batch(4);
-  EXPECT_GE(batch.threads(), 1u);
-  const std::vector<sos::SolveResult> results = batch.solve_all(ptrs);
+  const util::ThreadPool pool(4);
+  EXPECT_GE(pool.threads(), 1u);
+  const sdp::SolverConfig config = sdp::share_threads({}, pool.threads());
+  std::vector<sos::SolveResult> results(programs.size());
+  pool.run_all(programs.size(),
+               [&](std::size_t i) { results[i] = programs[i].solve(config); });
   ASSERT_EQ(results.size(), 4u);
   const sos::SolveResult reference = programs.front().solve();
   for (const sos::SolveResult& r : results) {
@@ -270,52 +272,33 @@ TEST(BatchSolver, MatchesSequentialResults) {
   }
 }
 
-TEST(BatchSolver, RunAllCoversEveryIndexConcurrently) {
-  const sos::BatchSolver batch(4);
-  constexpr std::size_t kCount = 64;
-  std::vector<std::atomic<int>> hits(kCount);
-  batch.run_all(kCount, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(BatchSolver, PropagatesTaskExceptions) {
-  const sos::BatchSolver batch(2);
-  EXPECT_THROW(batch.run_all(8,
-                             [&](std::size_t i) {
-                               if (i == 3) throw std::runtime_error("boom");
-                             }),
-               std::runtime_error);
-}
-
-TEST(BatchSolver, EffectiveConfigDividesThreadsAcrossWorkers) {
-  const sos::BatchSolver batch(4);
+TEST(BatchedSolves, ShareThreadsDividesThreadsAcrossWorkers) {
   sdp::SolverConfig config;
   config.threads = 8;
-  // 4 batch workers share the 8 backend threads: 2 each.
-  EXPECT_EQ(batch.effective_config(config, 4).threads, 2u);
+  // 4 concurrent solves share the 8 backend threads: 2 each.
+  EXPECT_EQ(sdp::share_threads(config, 4).threads, 2u);
+  // A 4-worker pool runs at most 4 of 100 tasks at once.
+  const std::size_t workers = std::min<std::size_t>(util::ThreadPool(4).threads(), 100);
+  EXPECT_EQ(sdp::share_threads(config, workers).threads, 2u);
   // More workers than threads: floor at 1, never oversubscribe to 0.
-  EXPECT_EQ(batch.effective_config(config, 100).threads, 2u);  // workers capped at 4
   config.threads = 2;
-  EXPECT_EQ(batch.effective_config(config, 4).threads, 1u);
+  EXPECT_EQ(sdp::share_threads(config, 4).threads, 1u);
   // The serial default stays serial regardless of batch width.
   config.threads = 1;
-  EXPECT_EQ(batch.effective_config(config, 4).threads, 1u);
+  EXPECT_EQ(sdp::share_threads(config, 4).threads, 1u);
   // A single-program batch passes the request through unchanged.
   config.threads = 8;
-  EXPECT_EQ(batch.effective_config(config, 1).threads, 8u);
+  EXPECT_EQ(sdp::share_threads(config, 1).threads, 8u);
 }
 
 // --- multi-threaded determinism ----------------------------------------------
 
 TEST(Threading, AdmmDeterministicAcrossThreadCounts) {
   const Problem p = random_feasible_sdp(7, 12, 10);
-  sdp::AdmmOptions serial;
-  serial.threads = 1;
-  serial.max_iterations = 600;
-  const Solution a = sdp::AdmmSolver(serial).solve(p);
-  sdp::AdmmOptions parallel = serial;
-  parallel.threads = 4;
-  const Solution b = sdp::AdmmSolver(parallel).solve(p);
+  sdp::AdmmOptions options;
+  options.max_iterations = 600;
+  const Solution a = sdp::AdmmSolver(options, 1).solve(p);
+  const Solution b = sdp::AdmmSolver(options, 4).solve(p);
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.primal_objective, b.primal_objective);
@@ -325,11 +308,10 @@ TEST(Threading, AdmmDeterministicAcrossThreadCounts) {
 
 TEST(Threading, ConfigThreadsReachesBackends) {
   sdp::SolverConfig config;
+  config.backend = "admm";
   config.threads = 3;
-  EXPECT_EQ(config.resolved_admm().threads, 3u);
-  config.threads = 1;  // default passes the per-backend option through
-  config.admm.threads = 2;
-  EXPECT_EQ(config.resolved_admm().threads, 2u);
+  const std::unique_ptr<sdp::SolverBackend> solver = sdp::make_solver(config);
+  EXPECT_EQ(dynamic_cast<const sdp::AdmmSolver&>(*solver).threads(), 3u);
 }
 
 TEST(PhaseTimers, BackendsRecordPhaseBreakdown) {

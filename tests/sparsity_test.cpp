@@ -357,10 +357,10 @@ TEST(SparsePipeline, PumpVertexLyapunovVerdictsMatchDense) {
   core::LyapunovOptions dense_opt = base;
   const core::LyapunovResult dense = core::LyapunovSynthesizer(dense_opt).synthesize(model.system);
 
-  core::LyapunovOptions sparse_opt = base;
-  sparse_opt.solver.sparsity = sdp::SparsityOptions::Chordal;
+  sdp::SolverConfig chordal;
+  chordal.sparsity = sdp::SparsityOptions::Chordal;
   const core::LyapunovResult sparse =
-      core::LyapunovSynthesizer(sparse_opt).synthesize(model.system);
+      core::LyapunovSynthesizer(base, chordal).synthesize(model.system);
 
   EXPECT_EQ(dense.success, sparse.success);
   if (dense.success) {
@@ -390,9 +390,10 @@ TEST(SparsePipeline, ClockTreeSparseTemplateSplitsConesAndMatchesDenseVerdict) {
 
   core::LyapunovOptions sparse_opt = base;
   sparse_opt.sparse_template = true;
-  sparse_opt.solver.sparsity = sdp::SparsityOptions::Correlative;
+  sdp::SolverConfig correlative;
+  correlative.sparsity = sdp::SparsityOptions::Correlative;
   const core::LyapunovResult sparse =
-      core::LyapunovSynthesizer(sparse_opt).synthesize(model.system);
+      core::LyapunovSynthesizer(sparse_opt, correlative).synthesize(model.system);
   EXPECT_TRUE(sparse.success);
   EXPECT_TRUE(sparse.audit.ok);
 

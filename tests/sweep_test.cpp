@@ -141,6 +141,28 @@ TEST(SweepService, ExhaustedBudgetSkipsRemainingPoints) {
   }
 }
 
+TEST(SweepService, SolverTimeBudgetBoundsEveryPointSolve) {
+  // SweepOptions::solver.time_budget_seconds is the per-point solve budget:
+  // at 1e-9 s every solve stops at its first budget check, so no point
+  // certifies and every solved point reports Interrupted.
+  const sweep::Grid grid(pll::Params::paper_third_order(),
+                         {{sweep::Axis::Ip, 4, 400e-6, 600e-6, 5e-6}});
+  sweep::SweepOptions options = ipm_options();
+  options.solver.time_budget_seconds = 1e-9;
+  const sweep::SweepReport report =
+      sweep::run_sweep(grid, sweep::lyapunov_query(), options);
+  EXPECT_EQ(report.certified, 0u);
+  EXPECT_TRUE(report.interrupted);
+  std::size_t solved = 0;
+  for (const sweep::PointRecord& rec : report.points) {
+    if (rec.skipped) continue;
+    ++solved;
+    EXPECT_FALSE(rec.certified) << rec.index;
+    EXPECT_EQ(rec.status, sdp::SolveStatus::Interrupted) << rec.index;
+  }
+  EXPECT_GT(solved, 0u);
+}
+
 TEST(SweepService, CancellationSkipsEverything) {
   const sweep::Grid grid(pll::Params::paper_third_order(),
                          {{sweep::Axis::Ip, 3, 400e-6, 600e-6, 5e-6}});

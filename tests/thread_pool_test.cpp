@@ -1,5 +1,6 @@
 // Tests for the shared fork-join worker pool (util/thread_pool.hpp): the
-// substrate under sos::BatchSolver and the ADMM's PSD-projection fan-out.
+// substrate under the batched per-mode stages, the sweep lanes and the ADMM's
+// PSD-projection fan-out.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -103,7 +103,7 @@ TEST(StructureCache, RepeatedStructurallyEqualProblemsHit) {
 
 TEST(StructureCache, ConcurrentMixedShapeStress) {
   // ThreadSanitizer-style stress of the process-wide pattern cache as
-  // sos::BatchSolver workers drive it: many threads, more distinct shapes
+  // the batched stages' workers drive it: many threads, more distinct shapes
   // than slots (every insert evicts), every get() validated against a
   // from-scratch rebuild. Run under -fsanitize=thread this doubles as a
   // data-race detector; without it, it still catches iterator invalidation
@@ -320,6 +320,13 @@ poly::Polynomial ellipsoid(std::size_t nvars, const std::vector<double>& semiaxe
   return b;
 }
 
+/// The default solver config with warm starts switched on or off.
+sdp::SolverConfig warm_config(bool warm) {
+  sdp::SolverConfig config;
+  config.warm_start = warm;
+  return config;
+}
+
 core::LyapunovOptions third_order_lyapunov_options() {
   core::LyapunovOptions opt;
   opt.certificate_degree = 2;
@@ -337,8 +344,7 @@ std::pair<sos::SolveStats, poly::Polynomial> run_advection(
   opt.h = 0.01;
   opt.gamma = 0.008;
   opt.eps = 0.3;
-  opt.solver.warm_start = warm;
-  const core::AdvectionEngine engine(system, opt);
+  const core::AdvectionEngine engine(system, opt, warm_config(warm));
   poly::Polynomial b = ellipsoid(system.nvars(), {5.0, 4.2, 0.9});
   sos::SolveStats stats;
   for (int it = 0; it < steps; ++it) {
@@ -375,14 +381,10 @@ TEST(WarmStartLoops, LevelCurvesWarmSeedMatchesColdLevels) {
       core::LyapunovSynthesizer(third_order_lyapunov_options()).synthesize(model.system);
   ASSERT_TRUE(lyap.success);
 
-  core::LevelSetOptions cold_opt;
-  cold_opt.solver.warm_start = false;
-  core::LevelSetOptions warm_opt;
-  warm_opt.solver.warm_start = true;
-  const core::LevelSetResult cold =
-      core::LevelSetMaximizer(cold_opt).maximize(model.system, lyap.certificates);
-  const core::LevelSetResult warm =
-      core::LevelSetMaximizer(warm_opt).maximize(model.system, lyap.certificates);
+  const core::LevelSetResult cold = core::LevelSetMaximizer({}, warm_config(false))
+                                        .maximize(model.system, lyap.certificates);
+  const core::LevelSetResult warm = core::LevelSetMaximizer({}, warm_config(true))
+                                        .maximize(model.system, lyap.certificates);
   ASSERT_TRUE(cold.success);
   ASSERT_TRUE(warm.success);
   ASSERT_EQ(cold.levels.size(), warm.levels.size());
@@ -407,8 +409,7 @@ TEST(WarmStartLoops, EscapePerModeSeedingSucceedsWithFewerOrEqualIterations) {
   auto run = [&](bool warm) {
     core::EscapeOptions opt;
     opt.certificate_degree = 2;
-    opt.solver.warm_start = warm;
-    const core::EscapeCertifier certifier(opt);
+    const core::EscapeCertifier certifier(opt, warm_config(warm));
     return certifier.certify(model.system, {0, 1}, region, lyap.certificates, 0.05);
   };
   const core::EscapeResult cold = run(false);
@@ -432,15 +433,11 @@ TEST(WarmStartLoops, RateRepeatedCertifyReusesIterates) {
       core::LyapunovSynthesizer(third_order_lyapunov_options()).synthesize(model.system);
   ASSERT_TRUE(lyap.success);
 
-  core::RateOptions warm_opt;
-  warm_opt.solver.warm_start = true;
-  const core::RateCertifier warm_certifier(warm_opt);
+  const core::RateCertifier warm_certifier({}, warm_config(true));
   const core::RateResult first = warm_certifier.certify(model.system, 0, lyap.certificates[0]);
   const core::RateResult second = warm_certifier.certify(model.system, 1, lyap.certificates[1]);
 
-  core::RateOptions cold_opt;
-  cold_opt.solver.warm_start = false;
-  const core::RateCertifier cold_certifier(cold_opt);
+  const core::RateCertifier cold_certifier({}, warm_config(false));
   const core::RateResult cold0 = cold_certifier.certify(model.system, 0, lyap.certificates[0]);
   const core::RateResult cold1 = cold_certifier.certify(model.system, 1, lyap.certificates[1]);
 
@@ -464,16 +461,13 @@ TEST(WarmStartLoops, BarrierRepeatedCertifyReusesIterates) {
   hybrid::SemialgebraicSet unsafe(model.system.nvars());
   unsafe.add_interval(2, 0.9, 1.5);
 
-  core::BarrierOptions warm_opt;
-  warm_opt.certificate_degree = 2;
-  warm_opt.solver.warm_start = true;
-  const core::BarrierCertifier warm_certifier(warm_opt);
+  core::BarrierOptions opt;
+  opt.certificate_degree = 2;
+  const core::BarrierCertifier warm_certifier(opt, warm_config(true));
   const core::BarrierResult first = warm_certifier.certify(model.system, initial, unsafe);
   const core::BarrierResult second = warm_certifier.certify(model.system, initial, unsafe);
 
-  core::BarrierOptions cold_opt = warm_opt;
-  cold_opt.solver.warm_start = false;
-  const core::BarrierCertifier cold_certifier(cold_opt);
+  const core::BarrierCertifier cold_certifier(opt, warm_config(false));
   const core::BarrierResult cold = cold_certifier.certify(model.system, initial, unsafe);
 
   EXPECT_EQ(first.success, cold.success);
@@ -493,9 +487,10 @@ TEST(AdmmStallRegression, MaximizeRegionClassifiesInsteadOfStalling) {
   // returns the best iterate with honest residuals (the program is solvable
   // — the IPM proves it — but not by this splitting from a cold start).
   const pll::ReducedModel model = pll::make_averaged(pll::Params::paper_third_order());
-  core::LyapunovOptions opt = third_order_lyapunov_options();
-  opt.solver.backend = "admm";
-  const core::LyapunovResult result = core::LyapunovSynthesizer(opt).synthesize(model.system);
+  sdp::SolverConfig config;
+  config.backend = "admm";
+  const core::LyapunovSynthesizer synthesizer(third_order_lyapunov_options(), config);
+  const core::LyapunovResult result = synthesizer.synthesize(model.system);
 
   // No stall: the classification fires long before the iteration budget.
   EXPECT_LT(result.solver.iterations, sdp::AdmmOptions{}.max_iterations / 4);
@@ -514,10 +509,11 @@ TEST(AdmmStallRegression, AutoRecoversMaximizeRegionThroughWarmHandoff) {
   // audited certificates. This is what lets "auto" route by block size
   // without special-casing the maximize_region objective.
   const pll::ReducedModel model = pll::make_averaged(pll::Params::paper_third_order());
-  core::LyapunovOptions opt = third_order_lyapunov_options();
-  opt.solver.backend = "auto";
-  opt.solver.auto_block_threshold = 1;  // force the first-order delegate
-  const core::LyapunovResult result = core::LyapunovSynthesizer(opt).synthesize(model.system);
+  sdp::SolverConfig config;
+  config.backend = "auto";
+  config.auto_block_threshold = 1;  // force the first-order delegate
+  const core::LyapunovSynthesizer synthesizer(third_order_lyapunov_options(), config);
+  const core::LyapunovResult result = synthesizer.synthesize(model.system);
   EXPECT_TRUE(result.success) << result.message;
   EXPECT_TRUE(result.audit.ok);
 }
