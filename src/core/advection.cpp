@@ -2,14 +2,11 @@
 
 #include <cmath>
 
+#include "core/certifier_common.hpp"
 #include "core/lyapunov.hpp"
-#include "poly/basis.hpp"
-#include "poly/sparsity.hpp"
-#include "util/log.hpp"
 
 namespace soslock::core {
 
-using hybrid::SemialgebraicSet;
 using poly::Monomial;
 using poly::Polynomial;
 using poly::PolyLin;
@@ -72,15 +69,8 @@ AdvectionStepResult AdvectionEngine::step_with_eps(const Polynomial& b_prev, dou
   }
 
   poly::MultiplierSparsity csp = sos::multiplier_plan(nvars, config_);
-  auto add_domain_multipliers = [&](PolyLin& expr, const SemialgebraicSet& dom,
-                                    const std::string& tag) {
-    for (std::size_t k = 0; k < dom.constraints().size(); ++k) {
-      const PolyLin s = prog.add_sos_poly(
-          csp.multiplier_basis(dom.constraints()[k], options_.multiplier_degree),
-          tag + ".g" + std::to_string(k));
-      expr -= s * dom.constraints()[k];
-    }
-  };
+  const unsigned deg_sigma = options_.multiplier_degree;
+  const hybrid::SemialgebraicSet& params = system_.parameter_set();
 
   // Advection data per mode, built up front so the csp plan couples *every*
   // mode's target before the first multiplier basis is drawn from it
@@ -125,10 +115,10 @@ AdvectionStepResult AdvectionEngine::step_with_eps(const Polynomial& b_prev, dou
 
     // (A) progress: on C_q x U, b_prev <= 0 => T b + gamma <= 0.
     {
-      const PolyLin sa = prog.add_sos_poly(options_.multiplier_degree, 0, tag + ".sa");
+      const PolyLin sa = prog.add_sos_poly(deg_sigma, 0, tag + ".sa");
       PolyLin expr = -tb - PolyLin(Polynomial::constant(nvars, gamma)) + sa * b_prev;
-      add_domain_multipliers(expr, mode.domain, tag + ".A");
-      add_domain_multipliers(expr, system_.parameter_set(), tag + ".Au");
+      subtract_multipliers(prog, expr, mode.domain, deg_sigma, tag + ".A.g", csp);
+      subtract_multipliers(prog, expr, params, deg_sigma, tag + ".Au.g", csp);
       prog.add_sos_constraint(expr, tag + ".progress");
     }
 
@@ -138,21 +128,21 @@ AdvectionStepResult AdvectionEngine::step_with_eps(const Polynomial& b_prev, dou
     {
       PolyLin expr = PolyLin(Polynomial::constant(nvars, eps) - b_prev) + lambda * tb -
                      PolyLin(Polynomial::constant(nvars, lambda * gamma));
-      add_domain_multipliers(expr, mode.domain, tag + ".B");
-      add_domain_multipliers(expr, system_.parameter_set(), tag + ".Bu");
+      subtract_multipliers(prog, expr, mode.domain, deg_sigma, tag + ".B.g", csp);
+      subtract_multipliers(prog, expr, params, deg_sigma, tag + ".Bu.g", csp);
       prog.add_sos_constraint(expr, tag + ".bounded");
     }
 
     // (C) curvature bound |R| <= kappa on {b_prev <= eps} ∩ C_q x U.
     for (int sign = -1; sign <= 1; sign += 2) {
-      const PolyLin sc = prog.add_sos_poly(options_.multiplier_degree, 0,
-                                           tag + ".sc" + std::to_string(sign));
+      const std::string c = std::to_string(sign);
+      const PolyLin sc = prog.add_sos_poly(deg_sigma, 0, tag + ".sc" + c);
       PolyLin expr = PolyLin(Polynomial::constant(nvars, kappa)) -
                      static_cast<double>(sign) * r -
                      sc * (Polynomial::constant(nvars, eps) - b_prev);
-      add_domain_multipliers(expr, mode.domain, tag + ".C" + std::to_string(sign));
-      add_domain_multipliers(expr, system_.parameter_set(), tag + ".Cu" + std::to_string(sign));
-      prog.add_sos_constraint(expr, tag + ".curvature" + std::to_string(sign));
+      subtract_multipliers(prog, expr, mode.domain, deg_sigma, tag + ".C" + c + ".g", csp);
+      subtract_multipliers(prog, expr, params, deg_sigma, tag + ".Cu" + c + ".g", csp);
+      prog.add_sos_constraint(expr, tag + ".curvature" + c);
     }
   }
 
@@ -174,27 +164,17 @@ AdvectionStepResult AdvectionEngine::step_with_eps(const Polynomial& b_prev, dou
     prog.maximize(volume_proxy);
   }
 
-  const bool reuse = config_.warm_start;
-  const sos::SolveResult solved =
-      prog.solve(config_, reuse && !warm_cache_.empty() ? &warm_cache_ : nullptr);
-  // An infeasible attempt exports no blob; keep the previous one for the
-  // next rung of the ladder instead of clearing the cache.
-  if (reuse && !solved.warm.empty()) warm_cache_ = solved.warm;
-  result.solver.absorb(solved);
-  // Audit-based acceptance: only certified-infeasible statuses or large
-  // residuals are rejected outright; a stalled-but-valid iterate passes the
-  // audit below and yields a sound (merely less tight) step.
-  if (sos::solve_hard_failed(solved)) {
-    result.message = "advection step infeasible (" + sdp::to_string(solved.status) +
-                     ") at eps=" + std::to_string(eps);
+  // An infeasible attempt exports no blob; the previous one survives for the
+  // next rung of the ladder. A stalled-but-valid iterate passes the audit
+  // and yields a sound (merely less tight) step.
+  const AuditedSolve solved = solve_and_audit(prog, config_, "advection step", result.solver,
+                                              WarmChain::through(warm_cache_, config_));
+  result.audit = solved.audit;
+  if (!solved.ok()) {
+    result.message = solved.message + " at eps=" + std::to_string(eps);
     return result;
   }
-  result.audit = sos::audit(prog, solved);
-  if (!result.audit.ok) {
-    result.message = "advection certificate failed audit";
-    return result;
-  }
-  result.next = solved.value(b_next).pruned(1e-12);
+  result.next = solved.solved.value(b_next).pruned(1e-12);
   // Reject degenerate (near-flat) iterates: they arise when an escalated eps
   // makes condition (B) vacuous and describe "the whole space", which would
   // silently stall the advection loop.

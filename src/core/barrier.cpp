@@ -1,7 +1,7 @@
 #include "core/barrier.hpp"
 
+#include "core/certifier_common.hpp"
 #include "core/lyapunov.hpp"
-#include "poly/sparsity.hpp"
 #include "util/log.hpp"
 
 namespace soslock::core {
@@ -10,20 +10,6 @@ using hybrid::SemialgebraicSet;
 using poly::Monomial;
 using poly::Polynomial;
 using poly::PolyLin;
-
-namespace {
-
-void add_set_multipliers(sos::SosProgram& prog, PolyLin& expr, const SemialgebraicSet& set,
-                         unsigned degree, const std::string& tag,
-                         const poly::MultiplierSparsity& csp) {
-  for (std::size_t k = 0; k < set.constraints().size(); ++k) {
-    const PolyLin sigma = prog.add_sos_poly(
-        csp.multiplier_basis(set.constraints()[k], degree), tag + std::to_string(k));
-    expr -= sigma * set.constraints()[k];
-  }
-}
-
-}  // namespace
 
 BarrierResult BarrierCertifier::certify(const hybrid::HybridSystem& system,
                                         const SemialgebraicSet& initial,
@@ -65,22 +51,22 @@ BarrierResult BarrierCertifier::certify(const hybrid::HybridSystem& system,
     // (i) B <= 0 on X0: -B - sigmas*g ∈ Σ.
     {
       PolyLin expr = -b[q];
-      add_set_multipliers(prog, expr, initial, options_.multiplier_degree, tag + ".x0.", csp);
+      subtract_multipliers(prog, expr, initial, options_.multiplier_degree, tag + ".x0.", csp);
       prog.add_sos_constraint(expr, tag + ".initial");
     }
     // (ii) B >= margin on Xu: B - margin - sigmas*g ∈ Σ.
     {
       PolyLin expr = b[q] - PolyLin(Polynomial::constant(nvars, options_.unsafe_margin));
-      add_set_multipliers(prog, expr, unsafe, options_.multiplier_degree, tag + ".xu.", csp);
+      subtract_multipliers(prog, expr, unsafe, options_.multiplier_degree, tag + ".xu.", csp);
       prog.add_sos_constraint(expr, tag + ".unsafe");
     }
     // (iii) dB/dx·f_q <= 0 on C_q x U: -LieB - sigmas*g ∈ Σ.
     {
       PolyLin expr = -b[q].lie_derivative(system.modes()[q].flow);
-      add_set_multipliers(prog, expr, system.modes()[q].domain, options_.multiplier_degree,
-                          tag + ".flow.", csp);
-      add_set_multipliers(prog, expr, system.parameter_set(), options_.multiplier_degree,
-                          tag + ".u.", csp);
+      subtract_multipliers(prog, expr, system.modes()[q].domain, options_.multiplier_degree,
+                           tag + ".flow.", csp);
+      subtract_multipliers(prog, expr, system.parameter_set(), options_.multiplier_degree,
+                           tag + ".u.", csp);
       prog.add_sos_constraint(expr, tag + ".decrease");
     }
   }
@@ -90,46 +76,24 @@ BarrierResult BarrierCertifier::certify(const hybrid::HybridSystem& system,
     for (std::size_t l = 0; l < system.jumps().size(); ++l) {
       const auto& jump = system.jumps()[l];
       if (jump.from == jump.to) continue;
-      PolyLin b_after;
-      if (jump.is_identity_reset()) {
-        b_after = b[jump.to];
-      } else {
-        std::vector<Polynomial> repl;
-        for (std::size_t i = 0; i < nstates; ++i) repl.push_back(jump.reset[i]);
-        for (std::size_t i = nstates; i < nvars; ++i)
-          repl.push_back(Polynomial::variable(nvars, i));
-        PolyLin composed(nvars);
-        for (const auto& [m, coeff] : b[jump.to].terms()) {
-          const Polynomial cm = Polynomial::from_monomial(m, 1.0).substitute(repl);
-          for (const auto& [mm, cc] : cm.terms()) composed.add_term(mm, cc * coeff);
-        }
-        b_after = composed;
-      }
-      PolyLin expr = b[jump.from] - b_after;
-      add_set_multipliers(prog, expr, jump.guard, options_.multiplier_degree,
-                          "barrier.j" + std::to_string(l) + ".", csp);
+      PolyLin expr = b[jump.from] - compose_with_reset(b[jump.to], jump);
+      subtract_multipliers(prog, expr, jump.guard, options_.multiplier_degree,
+                           "barrier.j" + std::to_string(l) + ".", csp);
       prog.add_sos_constraint(expr, "barrier.jump" + std::to_string(l));
     }
   }
 
   // Repeated-structure warm start: successive certify() calls (margin or
   // degree sweeps, per-scenario safety checks) share one compiled shape.
-  const bool reuse = config_.warm_start;
-  const sos::SolveResult solved =
-      prog.solve(config_, reuse && !warm_cache_.empty() ? &warm_cache_ : nullptr);
-  if (reuse && !solved.warm.empty()) warm_cache_ = solved.warm;
-  result.solver.absorb(solved);
-  if (sos::solve_hard_failed(solved)) {
-    result.message = "barrier SOS infeasible (" + sdp::to_string(solved.status) + ")";
-    return result;
-  }
-  result.audit = sos::audit(prog, solved);
-  if (!result.audit.ok) {
-    result.message = "barrier certificate failed audit";
+  const AuditedSolve solved = solve_and_audit(prog, config_, "barrier", result.solver,
+                                              WarmChain::through(warm_cache_, config_));
+  result.audit = solved.audit;
+  if (!solved.ok()) {
+    result.message = solved.message;
     return result;
   }
   for (std::size_t q = 0; q < num_modes; ++q)
-    result.certificates.push_back(solved.value(b[q]).pruned(1e-12));
+    result.certificates.push_back(solved.solved.value(b[q]).pruned(1e-12));
   result.success = true;
   util::log_info("barrier: synthesized (", result.audit.checked, " identities audited)");
   return result;

@@ -1,9 +1,7 @@
 #include "core/escape.hpp"
 
+#include "core/certifier_common.hpp"
 #include "core/lyapunov.hpp"
-#include "poly/sparsity.hpp"
-#include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace soslock::core {
 
@@ -16,17 +14,13 @@ using poly::PolyLin;
 namespace {
 
 /// Build and solve one escape program: E over `modes` (shared E when several
-/// modes are passed), each restricted to its own semialgebraic set. `warm`
-/// optionally replays a structurally identical previous iterate (the
-/// per-mode programs share one shape, so mode 0 seeds the rest);
-/// `warm_out` receives this solve's exported blob.
+/// modes are passed), each restricted to its own semialgebraic set.
 EscapeResult solve_escape(const hybrid::HybridSystem& system,
                           const std::vector<std::size_t>& modes,
                           const std::vector<SemialgebraicSet>& sets,
                           const EscapeOptions& options,
                           const sdp::SolverConfig& config,
-                          const sdp::WarmStart* warm = nullptr,
-                          sdp::WarmStart* warm_out = nullptr) {
+                          WarmChain warm = {}) {
   EscapeResult result;
   const std::size_t nstates = system.nstates();
   const std::size_t nvars = system.nvars();
@@ -65,42 +59,26 @@ EscapeResult solve_escape(const hybrid::HybridSystem& system,
     const std::size_t q = modes[idx];
     const std::string tag = "esc.m" + std::to_string(q);
     PolyLin expr = std::move(exprs[idx]);
-    for (std::size_t k = 0; k < sets[idx].constraints().size(); ++k) {
-      const PolyLin s = prog.add_sos_poly(
-          csp.multiplier_basis(sets[idx].constraints()[k], options.multiplier_degree),
-          tag + ".g" + std::to_string(k));
-      expr -= s * sets[idx].constraints()[k];
-    }
-    for (std::size_t k = 0; k < system.parameter_set().constraints().size(); ++k) {
-      const PolyLin s = prog.add_sos_poly(
-          csp.multiplier_basis(system.parameter_set().constraints()[k],
-                               options.multiplier_degree),
-          tag + ".u" + std::to_string(k));
-      expr -= s * system.parameter_set().constraints()[k];
-    }
+    subtract_multipliers(prog, expr, sets[idx], options.multiplier_degree, tag + ".g", csp);
+    subtract_multipliers(prog, expr, system.parameter_set(), options.multiplier_degree,
+                         tag + ".u", csp);
     prog.add_sos_constraint(expr, tag + ".escape");
   }
 
   prog.maximize(rho);
-  const sos::SolveResult solved = prog.solve(config, warm);
-  if (warm_out != nullptr && !solved.warm.empty()) *warm_out = solved.warm;
-  result.solver.absorb(solved);
-  if (sos::solve_hard_failed(solved)) {
-    result.message = "escape SOS infeasible (" + sdp::to_string(solved.status) + ")";
+  const AuditedSolve solved = solve_and_audit(prog, config, "escape", result.solver, warm);
+  result.audit = solved.audit;
+  if (!solved.ok()) {
+    result.message = solved.message;
     return result;
   }
-  result.audit = sos::audit(prog, solved);
-  if (!result.audit.ok) {
-    result.message = "escape certificate failed audit";
-    return result;
-  }
-  const double rate = solved.value(rho);
+  const double rate = solved.solved.value(rho);
   if (!(rate >= options.rho_min)) {
     result.message = "escape rate below rho_min";
     return result;
   }
   result.success = true;
-  const Polynomial e_num = solved.value(e_poly).pruned(1e-12);
+  const Polynomial e_num = solved.solved.value(e_poly).pruned(1e-12);
   for (std::size_t idx = 0; idx < modes.size(); ++idx) {
     result.certificates.push_back(e_num);
     result.rates.push_back(rate);
@@ -116,6 +94,12 @@ EscapeResult EscapeCertifier::certify(const hybrid::HybridSystem& system,
                                       const Polynomial& region,
                                       const std::vector<Polynomial>& certificates,
                                       double level) const {
+  EscapeResult combined;
+  combined.message = certificate_count_error(system, certificates);
+  for (const std::size_t q : modes) {
+    if (q >= system.modes().size()) combined.message = "mode index out of range";
+  }
+  if (!combined.message.empty()) return combined;
   // Region per mode: S(region) ∩ {V_q >= level} ∩ C_q.
   std::vector<SemialgebraicSet> sets;
   sets.reserve(modes.size());
@@ -130,46 +114,21 @@ EscapeResult EscapeCertifier::certify(const hybrid::HybridSystem& system,
     return solve_escape(system, modes, sets, options_, config_);
   }
 
-  // Independent certificate per mode (mirrors the paper's "2 certificates");
-  // the per-mode programs are independent SDPs, solved on the thread pool
-  // (modes after the first failure are skipped). With warm starts on, mode 0
-  // solves first and its iterate seeds the remaining modes — the per-mode
-  // programs are structurally identical whenever the mode sets have the same
-  // shape (a mismatch is rejected by the blob's fingerprint and solves cold).
+  // Independent certificate per mode (mirrors the paper's "2 certificates")
+  // on the per-mode schedule. The per-mode programs are structurally
+  // identical whenever the mode sets have the same shape, so mode 0's
+  // iterate seeds the rest.
   std::vector<EscapeResult> per_mode(modes.size());
-  const util::ThreadPool pool(config_.threads);
-  const bool reuse = config_.warm_start && modes.size() > 1;
-  // Concurrent per-mode solves share the backend thread budget.
-  const sdp::SolverConfig batched =
-      sdp::share_threads(config_, reuse ? modes.size() - 1 : modes.size());
-  std::size_t failed = modes.size();
-  if (reuse) {
-    sdp::WarmStart seed;
-    per_mode[0] =
-        solve_escape(system, {modes[0]}, {sets[0]}, options_, config_, nullptr, &seed);
-    if (!per_mode[0].success) {
-      failed = 0;
-    } else {
-      const std::size_t rest =
-          pool.run_all_until_failure(modes.size() - 1, [&](std::size_t i) {
-            const std::size_t idx = i + 1;
-            per_mode[idx] = solve_escape(system, {modes[idx]}, {sets[idx]}, options_,
-                                         batched, seed.empty() ? nullptr : &seed);
-            return per_mode[idx].success;
-          });
-      if (rest < modes.size() - 1) failed = rest + 1;
-    }
-  } else {
-    failed = pool.run_all_until_failure(modes.size(), [&](std::size_t idx) {
-      per_mode[idx] = solve_escape(system, {modes[idx]}, {sets[idx]}, options_, batched);
-      return per_mode[idx].success;
-    });
-  }
+  const std::size_t failed = run_per_mode(
+      modes.size(), config_,
+      [&](std::size_t idx, const sdp::SolverConfig& config, WarmChain warm) {
+        per_mode[idx] =
+            solve_escape(system, {modes[idx]}, {sets[idx]}, options_, config, warm);
+        return per_mode[idx].success;
+      });
 
-  EscapeResult combined;
   for (const EscapeResult& one : per_mode) {
-    combined.audit.checked += one.audit.checked;
-    combined.audit.failed += one.audit.failed;
+    combined.audit.merge(one.audit);
     combined.solver.merge(one.solver);
   }
   if (failed < modes.size()) {
@@ -183,7 +142,6 @@ EscapeResult EscapeCertifier::certify(const hybrid::HybridSystem& system,
     combined.rates.push_back(one.rates.front());
     ++combined.num_certificates;
   }
-  combined.audit.ok = combined.audit.failed == 0;
   return combined;
 }
 

@@ -1,10 +1,6 @@
 #include "core/inclusion.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "poly/sparsity.hpp"
-#include "util/log.hpp"
+#include "core/certifier_common.hpp"
 
 namespace soslock::core {
 
@@ -25,15 +21,9 @@ InclusionResult InclusionChecker::subset_on(const Polynomial& b1, const Polynomi
 
   // Variable scaling to the domain box (conditioning; inclusion between the
   // sets is invariant under the change of coordinates).
-  const auto box = hybrid::estimate_box(domain, nvars);
-  std::vector<Polynomial> scale_map;
-  scale_map.reserve(nvars);
-  for (std::size_t i = 0; i < nvars; ++i) {
-    const double s = std::max({std::fabs(box[i].first), std::fabs(box[i].second), 1e-9});
-    scale_map.push_back(s * Polynomial::variable(nvars, i));
-  }
-  const Polynomial b1s = b1.substitute(scale_map);
-  const Polynomial b2s = b2.substitute(scale_map);
+  const BoxScaling scale(domain, nvars);
+  const Polynomial b1s = scale(b1);
+  const Polynomial b2s = scale(b2);
 
   sos::SosProgram prog(nvars);
   prog.set_trace_regularization(options_.trace_regularization);
@@ -49,27 +39,16 @@ InclusionResult InclusionChecker::subset_on(const Polynomial& b1, const Polynomi
   const PolyLin sigma = prog.add_sos_poly(
       csp.multiplier_basis(b1s, options_.multiplier_degree), "incl.sigma");
   PolyLin expr = sigma * b1s - PolyLin(b2s);
-  for (std::size_t k = 0; k < domain.constraints().size(); ++k) {
-    const Polynomial gk = domain.constraints()[k].substitute(scale_map);
-    const PolyLin sg = prog.add_sos_poly(
-        csp.multiplier_basis(gk, options_.multiplier_degree),
-        "incl.dom" + std::to_string(k));
-    expr -= sg * gk;
-  }
+  subtract_multipliers(prog, expr, scale(domain), options_.multiplier_degree, "incl.dom", csp);
   prog.add_sos_constraint(expr, "incl");
 
-  const sos::SolveResult solved = prog.solve(config_, warm);
-  // Infeasible outcomes (a not-yet-immersed iterate) export no blob; keep
-  // the caller's previous one rather than clearing its cache.
-  if (warm_out != nullptr && !solved.warm.empty()) *warm_out = solved.warm;
-  result.solver.absorb(solved);
-  if (sos::solve_hard_failed(solved)) {
-    result.message = "inclusion SOS infeasible (" + sdp::to_string(solved.status) + ")";
-    return result;
-  }
-  result.audit = sos::audit(prog, solved);
-  result.included = result.audit.ok;
-  if (!result.audit.ok) result.message = "inclusion certificate failed audit";
+  // A not-yet-immersed iterate is infeasible and exports no blob, so the
+  // caller's previous one survives.
+  const AuditedSolve solved =
+      solve_and_audit(prog, config_, "inclusion", result.solver, {warm, warm_out});
+  result.audit = solved.audit;
+  result.included = solved.ok();
+  result.message = solved.message;
   return result;
 }
 
@@ -77,17 +56,16 @@ InclusionResult InclusionChecker::subset_of_invariant(
     const Polynomial& b, const hybrid::HybridSystem& system,
     const std::vector<Polynomial>& certificates, double level) const {
   InclusionResult result;
+  result.message = certificate_count_error(system, certificates);
+  if (!result.message.empty()) return result;
   result.included = true;
-  const bool reuse = config_.warm_start;
   for (std::size_t q = 0; q < system.modes().size(); ++q) {
     // S(b) ∩ C_q ⊆ {V_q <= level}: treat V_q - level as the outer set.
     const Polynomial outer = certificates[q] - level;
-    sdp::WarmStart& cache = mode_warm_cache_[q];
+    const WarmChain warm = WarmChain::through(mode_warm_cache_[q], config_);
     const InclusionResult one =
-        subset_on(b, outer, system.modes()[q].domain,
-                  reuse && !cache.empty() ? &cache : nullptr, reuse ? &cache : nullptr);
-    result.audit.checked += one.audit.checked;
-    result.audit.failed += one.audit.failed;
+        subset_on(b, outer, system.modes()[q].domain, warm.in, warm.out);
+    result.audit.merge(one.audit);
     result.solver.merge(one.solver);
     if (!one.included) {
       result.included = false;

@@ -1,13 +1,9 @@
 #include "core/level_set.hpp"
 
-#include "poly/sparsity.hpp"
-#include "sos/checker.hpp"
-
 #include <algorithm>
-#include <cmath>
 
+#include "core/certifier_common.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace soslock::core {
 
@@ -37,20 +33,11 @@ LevelSetResult LevelSetMaximizer::maximize_one(const Polynomial& v,
   LevelSetResult result;
   const std::size_t nvars = v.nvars();
 
-  // Scale the variables to the domain box: high-degree monomials over wide
-  // voltage boxes otherwise span many orders of magnitude and wreck the SDP
-  // conditioning. The level value c is coordinate-free.
-  const auto box = hybrid::estimate_box(domain, nvars);
-  std::vector<Polynomial> scale_map;
-  scale_map.reserve(nvars);
-  for (std::size_t i = 0; i < nvars; ++i) {
-    const double s = std::max({std::fabs(box[i].first), std::fabs(box[i].second), 1e-9});
-    scale_map.push_back(s * Polynomial::variable(nvars, i));
-  }
-  const Polynomial v_scaled = v.substitute(scale_map);
-  SemialgebraicSet domain_scaled(nvars);
-  for (const Polynomial& g : domain.constraints())
-    domain_scaled.add_constraint(g.substitute(scale_map));
+  // Scale the variables to the domain box; the level value c is
+  // coordinate-free.
+  const BoxScaling scale(domain, nvars);
+  const Polynomial v_scaled = scale(v);
+  const SemialgebraicSet domain_scaled = scale(domain);
 
   sos::SosProgram prog(nvars);
   prog.set_sparsity(config_);
@@ -80,22 +67,15 @@ LevelSetResult LevelSetMaximizer::maximize_one(const Polynomial& v,
   }
 
   prog.maximize(c);
-  const sos::SolveResult solved = prog.solve(config_, warm);
-  if (warm_out != nullptr && !solved.warm.empty()) *warm_out = solved.warm;
-  result.solver.absorb(solved);
-  // Audit-based acceptance: a stalled iterate still certifies a (possibly
-  // smaller) level; only certified infeasibility or residual blowup fails.
-  if (sos::solve_hard_failed(solved)) {
-    result.message = "level maximisation failed (" + sdp::to_string(solved.status) + ")";
-    return result;
-  }
-  const sos::AuditReport audit_report = sos::audit(prog, solved);
-  if (!audit_report.ok) {
-    result.message = "level certificate failed audit";
+  // A stalled iterate still certifies a (possibly smaller) level.
+  const AuditedSolve solved =
+      solve_and_audit(prog, config_, "level", result.solver, {warm, warm_out});
+  if (!solved.ok()) {
+    result.message = solved.message;
     return result;
   }
   result.success = true;
-  result.levels = {solved.value(c)};
+  result.levels = {solved.solved.value(c)};
   result.consistent_level = result.levels.front();
   return result;
 }
@@ -104,41 +84,23 @@ LevelSetResult LevelSetMaximizer::maximize(const hybrid::HybridSystem& system,
                                            const std::vector<Polynomial>& certificates) const {
   LevelSetResult result;
   const std::size_t num_modes = system.modes().size();
+  result.message =
+      num_modes == 0 ? "system has no modes" : certificate_count_error(system, certificates);
+  if (!result.message.empty()) return result;
 
-  // The per-mode maximisations are independent SDPs: dispatch them onto the
-  // thread pool (modes after the first failure are skipped, keeping the
-  // failure path as cheap as the old sequential early exit). With warm
-  // starts on, mode 0 solves first and seeds the remaining modes — their
-  // programs are structurally identical (same domain shape, same multiplier
-  // degrees), so the previous iterate is a close starting point.
+  // The per-mode maximisations are independent SDPs on the per-mode
+  // schedule: their programs are structurally identical (same domain shape,
+  // same multiplier degrees), so mode 0's iterate is a close starting point
+  // for the rest.
   std::vector<LevelSetResult> per_mode(num_modes);
-  const util::ThreadPool pool(config_.threads);
-  const bool reuse = config_.warm_start && num_modes > 1;
-  // Concurrent per-mode solves share the backend thread budget.
-  const LevelSetMaximizer batched(
-      options_, sdp::share_threads(config_, reuse ? num_modes - 1 : num_modes));
-  sdp::WarmStart seed;
-  std::size_t failed = num_modes;
-  if (reuse) {
-    per_mode[0] = maximize_one(certificates[0], system.modes()[0].domain, nullptr, &seed);
-    if (!per_mode[0].success) {
-      failed = 0;
-    } else {
-      const std::size_t rest =
-          pool.run_all_until_failure(num_modes - 1, [&](std::size_t i) {
-            const std::size_t q = i + 1;
-            per_mode[q] = batched.maximize_one(certificates[q], system.modes()[q].domain,
-                                               seed.empty() ? nullptr : &seed);
-            return per_mode[q].success;
-          });
-      if (rest < num_modes - 1) failed = rest + 1;
-    }
-  } else {
-    failed = pool.run_all_until_failure(num_modes, [&](std::size_t q) {
-      per_mode[q] = batched.maximize_one(certificates[q], system.modes()[q].domain);
-      return per_mode[q].success;
-    });
-  }
+  const std::size_t failed = run_per_mode(
+      num_modes, config_,
+      [&](std::size_t q, const sdp::SolverConfig& config, WarmChain warm) {
+        per_mode[q] = LevelSetMaximizer(options_, config)
+                          .maximize_one(certificates[q], system.modes()[q].domain, warm.in,
+                                        warm.out);
+        return per_mode[q].success;
+      });
 
   for (std::size_t q = 0; q < num_modes; ++q) result.solver.merge(per_mode[q].solver);
   if (failed < num_modes) {

@@ -1,13 +1,12 @@
 #include "core/lyapunov.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
+#include "core/certifier_common.hpp"
 #include "poly/basis.hpp"
 #include "poly/sparsity.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace soslock::core {
 
@@ -90,22 +89,6 @@ void couple_jump_reset(poly::MultiplierSparsity& csp, const Jump& jump,
 
 namespace {
 
-/// Add S-procedure multipliers for every constraint of `set`, subtracting
-/// sigma_k * g_k from `expr`. With sparsity enabled, each multiplier's Gram
-/// basis is restricted to the csp clique covering vars(g_k) (see
-/// poly::MultiplierSparsity); otherwise it runs over all variables.
-void subtract_multipliers(sos::SosProgram& prog, PolyLin& expr,
-                          const hybrid::SemialgebraicSet& set, unsigned multiplier_degree,
-                          const std::string& label, const poly::MultiplierSparsity& csp) {
-  for (std::size_t k = 0; k < set.constraints().size(); ++k) {
-    const Polynomial& g = set.constraints()[k];
-    const PolyLin sigma = prog.add_sos_poly(csp.multiplier_basis(g, multiplier_degree),
-                                            label + ".sigma" + std::to_string(k));
-    expr -= sigma * g;
-  }
-}
-
-
 /// Conditions (a) positivity and (b) flow decrease for one mode; shared by
 /// the joint and the decoupled (mode-parallel) synthesis paths.
 void add_mode_conditions(sos::SosProgram& prog, const PolyLin& v_q, const HybridSystem& system,
@@ -119,7 +102,7 @@ void add_mode_conditions(sos::SosProgram& prog, const PolyLin& v_q, const Hybrid
   {
     PolyLin expr = v_q - PolyLin(options.positivity_margin * x_norm2);
     csp.couple(expr);
-    subtract_multipliers(prog, expr, mode.domain, deg_sigma, tag + ".pos", csp);
+    subtract_multipliers(prog, expr, mode.domain, deg_sigma, tag + ".pos.sigma", csp);
     prog.add_sos_constraint(expr, tag + ".positivity");
   }
 
@@ -130,14 +113,15 @@ void add_mode_conditions(sos::SosProgram& prog, const PolyLin& v_q, const Hybrid
       expr -= PolyLin(options.strict_margin * x_norm2);
     }
     csp.couple(expr);
-    subtract_multipliers(prog, expr, mode.domain, deg_sigma, tag + ".flow", csp);
-    subtract_multipliers(prog, expr, system.parameter_set(), deg_sigma, tag + ".flowu", csp);
+    subtract_multipliers(prog, expr, mode.domain, deg_sigma, tag + ".flow.sigma", csp);
+    subtract_multipliers(prog, expr, system.parameter_set(), deg_sigma, tag + ".flowu.sigma",
+                         csp);
     if (options.exclude_ball_radius > 0.0) {
       // Decrease required only on {||x||^2 >= r^2}.
       const double r2 = options.exclude_ball_radius * options.exclude_ball_radius;
       hybrid::SemialgebraicSet outside(prog.nvars());
       outside.add_constraint(x_norm2 - r2);
-      subtract_multipliers(prog, expr, outside, deg_sigma, tag + ".ball", csp);
+      subtract_multipliers(prog, expr, outside, deg_sigma, tag + ".ball.sigma", csp);
     }
     prog.add_sos_constraint(expr, tag + ".decrease");
   }
@@ -159,17 +143,6 @@ poly::LinExpr mode_moment_objective(const PolyLin& v_q,
     objective += moment * coeff;
   }
   return objective;
-}
-
-/// V_to composed with the (numeric) reset map of `jump`.
-Polynomial compose_with_reset(const Polynomial& v_to, const Jump& jump, std::size_t nvars,
-                              std::size_t nstates) {
-  if (jump.is_identity_reset()) return v_to;
-  std::vector<Polynomial> repl;
-  repl.reserve(nvars);
-  for (std::size_t i = 0; i < nstates; ++i) repl.push_back(jump.reset[i]);
-  for (std::size_t i = nstates; i < nvars; ++i) repl.push_back(Polynomial::variable(nvars, i));
-  return v_to.substitute(repl);
 }
 
 }  // namespace
@@ -249,32 +222,13 @@ LyapunovProgram build_lyapunov_program(const HybridSystem& system,
     for (std::size_t l = 0; l < system.jumps().size(); ++l) {
       const Jump& jump = system.jumps()[l];
       if (jump.from == jump.to) continue;
-      PolyLin v_to_after;  // V_to composed with the reset map
-      if (jump.is_identity_reset()) {
-        v_to_after = v[jump.to];
-      } else {
-        // Compose each monomial of the unknown V_to with the numeric reset.
-        PolyLin composed(nvars);
-        std::vector<Polynomial> repl;
-        repl.reserve(nvars);
-        for (std::size_t i = 0; i < nstates; ++i) repl.push_back(jump.reset[i]);
-        for (std::size_t i = nstates; i < nvars; ++i)
-          repl.push_back(Polynomial::variable(nvars, i));
-        for (const auto& [m, coeff] : v[jump.to].terms()) {
-          const Polynomial composed_monomial =
-              Polynomial::from_monomial(m, 1.0).substitute(repl);
-          for (const auto& [mm, cc] : composed_monomial.terms())
-            composed.add_term(mm, cc * coeff);
-        }
-        v_to_after = composed;
-      }
-      PolyLin expr = v[jump.from] - v_to_after;
+      PolyLin expr = v[jump.from] - compose_with_reset(v[jump.to], jump);
       if (options.jump_margin > 0.0) {
         expr -= PolyLin(options.jump_margin * x_norm2);
       }
       const std::string tag = "jump" + std::to_string(l);
       csp.couple(expr);
-      subtract_multipliers(prog, expr, jump.guard, deg_sigma, tag, csp);
+      subtract_multipliers(prog, expr, jump.guard, deg_sigma, tag + ".sigma", csp);
       prog.add_sos_constraint(expr, tag + ".nonincrease");
     }
   }
@@ -297,35 +251,19 @@ LyapunovProgram build_lyapunov_program(const HybridSystem& system,
 LyapunovResult LyapunovSynthesizer::synthesize_joint(const HybridSystem& system) const {
   LyapunovResult result;
   const std::size_t num_modes = system.modes().size();
-  LyapunovProgram lp = build_lyapunov_program(system, options_, config_);
-  const sos::SosProgram& prog = lp.program;
-  const std::vector<PolyLin>& v = lp.v;
-
-  const sos::SolveResult solved = prog.solve(config_);
-  result.status = solved.status;
-  result.solver.absorb(solved);
-  // Acceptance policy: reject certified-infeasible outcomes outright; for
-  // anything else (including objective-stalled MaxIterations iterates) the
-  // independent audit below is the verdict — a feasible-but-suboptimal
-  // iterate still yields sound certificates.
-  if (sos::solve_hard_failed(solved)) {
-    result.message = "SOS program infeasible or unsolved (" + sdp::to_string(solved.status) + ")";
-    return result;
-  }
-
-  result.audit = sos::audit(prog, solved);
-  result.certificates.reserve(num_modes);
-  for (std::size_t q = 0; q < num_modes; ++q) {
-    result.certificates.push_back(solved.value(v[q]).pruned(1e-12));
-  }
-  result.success = result.audit.ok;
-  if (!result.audit.ok) {
-    result.message = "certificate audit failed: " +
-                     (result.audit.failures.empty() ? "?" : result.audit.failures.front());
-  }
+  const LyapunovProgram lp = build_lyapunov_program(system, options_, config_);
+  const AuditedSolve solved = solve_and_audit(lp.program, config_, "Lyapunov", result.solver);
+  result.status = solved.solved.status;
+  result.audit = solved.audit;
+  result.message = solved.message;
   util::log_info("lyapunov: status=", sdp::to_string(result.status),
                  " audit_ok=", result.audit.ok, " worst_residual=", result.audit.worst_residual,
                  " ", result.solver.str());
+  if (!solved.ok()) return result;
+  result.success = true;
+  result.certificates.reserve(num_modes);
+  for (std::size_t q = 0; q < num_modes; ++q)
+    result.certificates.push_back(solved.solved.value(lp.v[q]).pruned(1e-12));
   return result;
 }
 
@@ -365,45 +303,28 @@ LyapunovResult LyapunovSynthesizer::synthesize_decoupled(const HybridSystem& sys
       progs[q].minimize(mode_moment_objective(v[q], box, nstates));
   }
 
-  // With warm starts on, mode 0 solves first and its iterate seeds the
-  // remaining (structurally identical) mode programs on the pool.
-  // Mode 0 then runs alone (full thread budget); the concurrent rest share it.
-  const util::ThreadPool pool(config_.threads);
-  std::vector<sos::SolveResult> solves(num_modes);
-  std::size_t first = 0;
-  const sdp::WarmStart* seed = nullptr;
-  if (config_.warm_start && num_modes > 1) {
-    solves[0] = progs[0].solve(config_);
-    if (!solves[0].warm.empty()) seed = &solves[0].warm;
-    first = 1;
+  // The per-mode schedule: with warm starts on, mode 0 solves first and its
+  // iterate seeds the remaining (structurally identical) mode programs.
+  std::vector<AuditedSolve> solves(num_modes);
+  std::vector<sos::SolveStats> stats(num_modes);
+  const std::size_t failed = run_per_mode(
+      num_modes, config_,
+      [&](std::size_t q, const sdp::SolverConfig& config, WarmChain warm) {
+        solves[q] = solve_and_audit(progs[q], config, "Lyapunov", stats[q], warm);
+        return solves[q].ok();
+      });
+  for (const sos::SolveStats& one : stats) result.solver.merge(one);
+  if (failed < num_modes) {
+    result.message = "mode " + std::to_string(failed) + ": " + solves[failed].message;
+    return result;
   }
-  const sdp::SolverConfig batched = sdp::share_threads(config_, num_modes - first);
-  pool.run_all(num_modes - first, [&](std::size_t i) {
-    solves[first + i] = progs[first + i].solve(batched, seed);
-  });
-
   result.status = sdp::SolveStatus::Optimal;
   result.certificates.reserve(num_modes);
   for (std::size_t q = 0; q < num_modes; ++q) {
-    result.solver.absorb(solves[q]);
-    if (solves[q].status != sdp::SolveStatus::Optimal) result.status = solves[q].status;
-    if (sos::solve_hard_failed(solves[q])) {
-      result.message = "mode " + std::to_string(q) + " SOS program infeasible or unsolved (" +
-                       sdp::to_string(solves[q].status) + ")";
-      return result;
-    }
-    const sos::AuditReport mode_audit = sos::audit(progs[q], solves[q]);
-    result.audit.checked += mode_audit.checked;
-    result.audit.failed += mode_audit.failed;
-    result.audit.worst_residual = std::max(result.audit.worst_residual, mode_audit.worst_residual);
-    result.audit.worst_eigenvalue =
-        std::min(result.audit.worst_eigenvalue, mode_audit.worst_eigenvalue);
-    for (const std::string& f : mode_audit.failures) result.audit.failures.push_back(f);
-    if (!mode_audit.ok) {
-      result.message = "mode " + std::to_string(q) + " certificate audit failed";
-      return result;
-    }
-    result.certificates.push_back(solves[q].value(v[q]).pruned(1e-12));
+    if (solves[q].solved.status != sdp::SolveStatus::Optimal)
+      result.status = solves[q].solved.status;
+    result.audit.merge(solves[q].audit);
+    result.certificates.push_back(solves[q].solved.value(v[q]).pruned(1e-12));
   }
 
   // Jump re-audit: the decoupled certificates must still be non-increasing
@@ -415,9 +336,8 @@ LyapunovResult LyapunovSynthesizer::synthesize_decoupled(const HybridSystem& sys
   for (std::size_t l = 0; l < system.jumps().size(); ++l) {
     const Jump& jump = system.jumps()[l];
     if (jump.from == jump.to) continue;
-    const Polynomial v_to_after =
-        compose_with_reset(result.certificates[jump.to], jump, nvars, nstates);
-    Polynomial target = result.certificates[jump.from] - v_to_after;
+    Polynomial target = result.certificates[jump.from] -
+                        compose_with_reset(result.certificates[jump.to], jump);
     if (options_.jump_margin > 0.0) target -= options_.jump_margin * x_norm2;
 
     sos::SosProgram check(nvars);
@@ -427,21 +347,17 @@ LyapunovResult LyapunovSynthesizer::synthesize_decoupled(const HybridSystem& sys
     poly::MultiplierSparsity jump_csp = sos::multiplier_plan(nvars, config_);
     jump_csp.couple(expr);
     subtract_multipliers(check, expr, jump.guard, options_.multiplier_degree,
-                         "jumpcheck" + std::to_string(l), jump_csp);
+                         "jumpcheck" + std::to_string(l) + ".sigma", jump_csp);
     check.add_sos_constraint(expr, "jumpcheck" + std::to_string(l) + ".nonincrease");
-    const bool reuse = config_.warm_start;
-    const sos::SolveResult solved =
-        check.solve(config_, reuse && !jump_seed.empty() ? &jump_seed : nullptr);
-    if (reuse && !solved.warm.empty()) jump_seed = solved.warm;
-    result.solver.absorb(solved);
-    if (sos::solve_hard_failed(solved) || !sos::audit(check, solved).ok) {
+    if (!solve_and_audit(check, config_, "jump check", result.solver,
+                         WarmChain::through(jump_seed, config_))
+             .ok()) {
       result.message = "decoupled certificates violate jump " + std::to_string(l) +
                        " non-increase";
       return result;
     }
   }
 
-  result.audit.ok = result.audit.failed == 0;
   result.success = true;
   util::log_info("lyapunov: decoupled synthesis over ", num_modes, " modes accepted, ",
                  result.solver.str());

@@ -1,100 +1,63 @@
 #include "core/rate.hpp"
 
 #include <cmath>
+#include <optional>
 
-#include "poly/sparsity.hpp"
+#include "core/certifier_common.hpp"
 #include "util/log.hpp"
 
 namespace soslock::core {
 
-using hybrid::SemialgebraicSet;
 using poly::LinExpr;
-using poly::Monomial;
 using poly::Polynomial;
 using poly::PolyLin;
 
 namespace {
 
-void add_set_multipliers(sos::SosProgram& prog, PolyLin& expr, const SemialgebraicSet& set,
-                         unsigned degree, const std::string& tag,
-                         const poly::MultiplierSparsity& csp) {
-  for (std::size_t k = 0; k < set.constraints().size(); ++k) {
-    const PolyLin sigma = prog.add_sos_poly(
-        csp.multiplier_basis(set.constraints()[k], degree), tag + std::to_string(k));
-    expr -= sigma * set.constraints()[k];
+/// Cap on the upper quadratic envelope M (keeps "minimize M" bounded).
+constexpr double kUpperQuadraticCap = 1e6;
+
+/// A certified quadratic envelope coefficient of V on mode q's domain:
+///   lower: maximize m s.t.  V - m*|x|^2 - sigmas*g ∈ Σ,
+///   upper: minimize M s.t.  M*|x|^2 - V - sigmas*g ∈ Σ.
+/// nullopt when the bound cannot be certified (the envelope programs also
+/// require a feasible iterate).
+std::optional<double> quadratic_bound(const hybrid::HybridSystem& system, std::size_t q,
+                                      const Polynomial& v, bool upper,
+                                      const RateOptions& options,
+                                      const sdp::SolverConfig& config, sdp::WarmStart& cache,
+                                      sos::SolveStats& stats) {
+  sos::SosProgram prog(system.nvars());
+  prog.set_trace_regularization(options.trace_regularization);
+  prog.set_sparsity(config);
+  const std::string name = upper ? "M" : "m";
+  const LinExpr t = prog.add_scalar(name);
+  prog.add_linear_ge(t, name + " >= 0");
+  prog.add_linear_ge(LinExpr(upper ? kUpperQuadraticCap : options.alpha_cap) - t,
+                     name + " cap");
+  PolyLin expr(upper ? -1.0 * v : v);
+  PolyLin tn(system.nvars());
+  const Polynomial n2 = poly::squared_norm(system.nvars(), system.nstates());
+  for (const auto& [m, c] : n2.terms()) tn.add_term(m, c * t);
+  if (upper) {
+    expr += tn;
+  } else {
+    expr -= tn;
   }
-}
-
-/// Maximize t subject to (sign ? v - t*n2 : t_cap... ) via bisection-free
-/// direct SDP: expr(t) must stay affine in t.
-struct ScalarBound {
-  bool success = false;
-  double value = 0.0;
-  sos::SolveStats solver;
-};
-
-/// maximize t s.t. v - t*|x|^2 - sigmas*g ∈ Σ      (lower quadratic bound)
-ScalarBound quadratic_lower(const hybrid::HybridSystem& system, std::size_t q,
-                            const Polynomial& v, const RateOptions& options,
-                            const sdp::SolverConfig& config, const sdp::WarmStart* warm,
-                            sdp::WarmStart* warm_out) {
-  sos::SosProgram prog(system.nvars());
-  prog.set_trace_regularization(options.trace_regularization);
-  prog.set_sparsity(config);
-  const LinExpr t = prog.add_scalar("m");
-  prog.add_linear_ge(t, "m >= 0");
-  prog.add_linear_ge(LinExpr(options.alpha_cap) - t, "m cap");
-  PolyLin expr(v);
-  PolyLin tn(system.nvars());
-  const Polynomial n2 = poly::squared_norm(system.nvars(), system.nstates());
-  for (const auto& [m, c] : n2.terms()) tn.add_term(m, c * t);
-  expr -= tn;
   poly::MultiplierSparsity csp = sos::multiplier_plan(system.nvars(), config);
   csp.couple(expr);
-  add_set_multipliers(prog, expr, system.modes()[q].domain, options.multiplier_degree, "ql",
-                      csp);
-  prog.add_sos_constraint(expr, "quadratic lower");
-  prog.maximize(t);
-  const sos::SolveResult r = prog.solve(config, warm);
-  if (warm_out != nullptr && !r.warm.empty()) *warm_out = r.warm;
-  ScalarBound out;
-  out.solver.absorb(r);
-  if (!r.feasible || !sos::audit(prog, r).ok) return out;
-  out.success = true;
-  out.value = r.value(t);
-  return out;
-}
-
-/// minimize T s.t. T*|x|^2 - v - sigmas*g ∈ Σ      (upper quadratic bound)
-ScalarBound quadratic_upper(const hybrid::HybridSystem& system, std::size_t q,
-                            const Polynomial& v, const RateOptions& options,
-                            const sdp::SolverConfig& config, const sdp::WarmStart* warm,
-                            sdp::WarmStart* warm_out) {
-  sos::SosProgram prog(system.nvars());
-  prog.set_trace_regularization(options.trace_regularization);
-  prog.set_sparsity(config);
-  const LinExpr t = prog.add_scalar("M");
-  prog.add_linear_ge(t, "M >= 0");
-  prog.add_linear_ge(LinExpr(1e6) - t, "M cap");
-  PolyLin expr(-1.0 * v);
-  PolyLin tn(system.nvars());
-  const Polynomial n2 = poly::squared_norm(system.nvars(), system.nstates());
-  for (const auto& [m, c] : n2.terms()) tn.add_term(m, c * t);
-  expr += tn;
-  poly::MultiplierSparsity csp = sos::multiplier_plan(system.nvars(), config);
-  csp.couple(expr);
-  add_set_multipliers(prog, expr, system.modes()[q].domain, options.multiplier_degree, "qu",
-                      csp);
-  prog.add_sos_constraint(expr, "quadratic upper");
-  prog.minimize(t);
-  const sos::SolveResult r = prog.solve(config, warm);
-  if (warm_out != nullptr && !r.warm.empty()) *warm_out = r.warm;
-  ScalarBound out;
-  out.solver.absorb(r);
-  if (!r.feasible || !sos::audit(prog, r).ok) return out;
-  out.success = true;
-  out.value = r.value(t);
-  return out;
+  subtract_multipliers(prog, expr, system.modes()[q].domain, options.multiplier_degree,
+                       upper ? "qu" : "ql", csp);
+  prog.add_sos_constraint(expr, upper ? "quadratic upper" : "quadratic lower");
+  if (upper) {
+    prog.minimize(t);
+  } else {
+    prog.maximize(t);
+  }
+  const AuditedSolve solved = solve_and_audit(prog, config, "quadratic envelope", stats,
+                                              WarmChain::through(cache, config));
+  if (!solved.ok() || !solved.solved.feasible) return std::nullopt;
+  return solved.solved.value(t);
 }
 
 }  // namespace
@@ -130,49 +93,36 @@ RateResult RateCertifier::certify(const hybrid::HybridSystem& system, std::size_
   expr -= alpha_v;
   poly::MultiplierSparsity csp = sos::multiplier_plan(system.nvars(), config_);
   csp.couple(expr);
-  add_set_multipliers(prog, expr, system.modes()[q].domain, options_.multiplier_degree,
-                      "rate.dom", csp);
-  add_set_multipliers(prog, expr, system.parameter_set(), options_.multiplier_degree,
-                      "rate.u", csp);
+  subtract_multipliers(prog, expr, system.modes()[q].domain, options_.multiplier_degree,
+                       "rate.dom", csp);
+  subtract_multipliers(prog, expr, system.parameter_set(), options_.multiplier_degree,
+                       "rate.u", csp);
   prog.add_sos_constraint(expr, "rate");
   prog.maximize(alpha);
 
   // Repeated-structure warm start: per-mode rate certifications share one
   // compiled shape, so each solve replays the previous iterate (the blob's
   // fingerprint rejects it when the shape drifted).
-  const bool reuse = config_.warm_start;
-  const sos::SolveResult solved =
-      prog.solve(config_, reuse && !rate_warm_.empty() ? &rate_warm_ : nullptr);
-  if (reuse && !solved.warm.empty()) rate_warm_ = solved.warm;
-  result.solver.absorb(solved);
-  if (sos::solve_hard_failed(solved)) {
-    result.message = "rate SOS infeasible (" + sdp::to_string(solved.status) + ")";
+  const AuditedSolve solved = solve_and_audit(prog, config_, "rate", result.solver,
+                                              WarmChain::through(rate_warm_, config_));
+  result.audit = solved.audit;
+  if (!solved.ok()) {
+    result.message = solved.message;
     return result;
   }
-  result.audit = sos::audit(prog, solved);
-  if (!result.audit.ok) {
-    result.message = "rate certificate failed audit";
-    return result;
-  }
-  result.alpha = solved.value(alpha);
+  result.alpha = solved.solved.value(alpha);
   result.success = result.alpha > 0.0;
 
-  const ScalarBound lower =
-      quadratic_lower(system, q, v, options_, config_,
-                      reuse && !lower_warm_.empty() ? &lower_warm_ : nullptr,
-                      reuse ? &lower_warm_ : nullptr);
   // The upper envelope shares the lower's compiled *structure* but runs the
   // opposite objective, so the lower's optimum is the worst possible seed
   // for it (the fingerprint cannot tell them apart — it hashes structure,
   // not objective values). Each family therefore keeps its own cache.
-  const ScalarBound upper =
-      quadratic_upper(system, q, v, options_, config_,
-                      reuse && !upper_warm_.empty() ? &upper_warm_ : nullptr,
-                      reuse ? &upper_warm_ : nullptr);
-  result.solver.merge(lower.solver);
-  result.solver.merge(upper.solver);
-  if (lower.success) result.lower_quadratic = lower.value;
-  if (upper.success) result.upper_quadratic = upper.value;
+  const std::optional<double> lower =
+      quadratic_bound(system, q, v, false, options_, config_, lower_warm_, result.solver);
+  const std::optional<double> upper =
+      quadratic_bound(system, q, v, true, options_, config_, upper_warm_, result.solver);
+  result.lower_quadratic = lower.value_or(0.0);
+  result.upper_quadratic = upper.value_or(0.0);
   util::log_info("rate: alpha=", result.alpha, " m=", result.lower_quadratic,
                  " M=", result.upper_quadratic);
   return result;

@@ -127,7 +127,6 @@ SampleReport sample_minimum(const Polynomial& p, const hybrid::SemialgebraicSet&
 AuditReport audit(const SosProgram& program, const SolveResult& result,
                   const CheckOptions& options) {
   AuditReport report;
-  report.worst_eigenvalue = std::numeric_limits<double>::infinity();
 
   // (a) every explicit SOS constraint: identity + PSD. A sparse constraint
   // owns one Gram block per clique; they recombine into the dense
@@ -172,6 +171,15 @@ AuditReport audit(const SosProgram& program, const SolveResult& result,
 
   report.ok = report.failed == 0;
   return report;
+}
+
+void AuditReport::merge(const AuditReport& other) {
+  checked += other.checked;
+  failed += other.failed;
+  worst_residual = std::max(worst_residual, other.worst_residual);
+  worst_eigenvalue = std::min(worst_eigenvalue, other.worst_eigenvalue);
+  failures.insert(failures.end(), other.failures.begin(), other.failures.end());
+  ok = failed == 0;
 }
 
 }  // namespace soslock::sos

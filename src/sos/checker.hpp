@@ -4,6 +4,7 @@
 // (ii) Gram positive semidefiniteness. The IPM returns approximate iterates,
 // so every certificate produced by the pipeline is re-audited here with
 // tolerances that are explicit and separate from solver tolerances.
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -62,13 +63,19 @@ SampleReport sample_minimum(const poly::Polynomial& p, const hybrid::Semialgebra
 /// Full audit of a solved program: every recorded `p ∈ Σ` constraint is
 /// re-checked (identity residual + Gram PSD margin), and every auxiliary
 /// Gram block (SOS polynomial variables / multipliers) is checked for PSD.
+/// A default report has checked nothing (worst_eigenvalue = +inf).
 struct AuditReport {
   bool ok = false;
   std::size_t checked = 0;
   std::size_t failed = 0;
   double worst_residual = 0.0;
-  double worst_eigenvalue = 0.0;
+  double worst_eigenvalue = std::numeric_limits<double>::infinity();
   std::vector<std::string> failures;
+
+  /// Combine with the audit of another program (a per-mode batch): counts
+  /// and failures add up, the worst values are the worst of both, and ok
+  /// holds iff no check of either failed. A default report is the identity.
+  void merge(const AuditReport& other);
 };
 AuditReport audit(const SosProgram& program, const SolveResult& result,
                   const CheckOptions& options = {});

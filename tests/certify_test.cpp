@@ -247,5 +247,122 @@ TEST(Escape, AnnulusWithOutwardDrift) {
   EXPECT_TRUE(r.success) << r.message;
 }
 
+// Three modes with constant drifts on differently sized boxes: every mode's
+// level and escape programs share one shape, so the per-mode schedule seeds
+// modes 1 and 2 from mode 0 when warm starts are on.
+HybridSystem three_drift_modes() {
+  HybridSystem sys(2, 0);
+  const double drift[3][2] = {{1.0, 0.2}, {-0.5, 1.0}, {0.3, -1.0}};
+  for (int q = 0; q < 3; ++q) {
+    Mode m;
+    m.flow = {Polynomial::constant(2, drift[q][0]), Polynomial::constant(2, drift[q][1])};
+    m.domain = SemialgebraicSet(2);
+    m.domain.add_interval(0, -2.0 - 0.5 * q, 2.0);
+    m.domain.add_interval(1, -2.0, 2.0 + 0.5 * q);
+    sys.add_mode(std::move(m));
+  }
+  return sys;
+}
+
+std::vector<Polynomial> three_drift_certificates() {
+  std::vector<Polynomial> certs;
+  for (int q = 0; q < 3; ++q)
+    certs.push_back((1.0 + 0.5 * q) * var(2, 0) * var(2, 0) + 0.1 * var(2, 0) * var(2, 1) +
+                    var(2, 1) * var(2, 1));
+  return certs;
+}
+
+EscapeResult three_drift_escape(const sdp::SolverConfig& config,
+                                const std::vector<std::size_t>& modes) {
+  EscapeOptions opt;
+  opt.certificate_degree = 2;
+  const Polynomial region = var(2, 0) * var(2, 0) + var(2, 1) * var(2, 1) - 4.0;
+  return EscapeCertifier(opt, config)
+      .certify(three_drift_modes(), modes, region, three_drift_certificates(), 0.25);
+}
+
+TEST(PerModeSchedule, ThreadCountDoesNotChangeResults) {
+  const HybridSystem sys = three_drift_modes();
+  const std::vector<Polynomial> certs = three_drift_certificates();
+  for (const bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "warm_start on" : "warm_start off");
+    sdp::SolverConfig one;
+    one.warm_start = warm;
+    sdp::SolverConfig three = one;
+    three.threads = 3;
+
+    const LevelSetResult l1 = LevelSetMaximizer({}, one).maximize(sys, certs);
+    const LevelSetResult l3 = LevelSetMaximizer({}, three).maximize(sys, certs);
+    ASSERT_TRUE(l1.success) << l1.message;
+    ASSERT_TRUE(l3.success) << l3.message;
+    EXPECT_EQ(l1.levels, l3.levels);
+    EXPECT_EQ(l1.consistent_level, l3.consistent_level);
+    EXPECT_EQ(l1.solver.iterations, l3.solver.iterations);
+
+    const EscapeResult e1 = three_drift_escape(one, {0, 1, 2});
+    const EscapeResult e3 = three_drift_escape(three, {0, 1, 2});
+    ASSERT_TRUE(e1.success) << e1.message;
+    ASSERT_TRUE(e3.success) << e3.message;
+    EXPECT_EQ(e1.rates, e3.rates);
+    ASSERT_EQ(e1.certificates.size(), 3u);
+    EXPECT_EQ(e1.certificates, e3.certificates);
+    EXPECT_EQ(e1.solver.iterations, e3.solver.iterations);
+  }
+}
+
+TEST(Escape, PerModeAuditKeepsWorstValues) {
+  // Cold solves make each mode of the batch the same program as that mode
+  // certified alone, so the combined audit must be the merge of the three.
+  sdp::SolverConfig config;
+  config.warm_start = false;
+  const EscapeResult all = three_drift_escape(config, {0, 1, 2});
+  ASSERT_TRUE(all.success) << all.message;
+  sos::AuditReport expected;
+  for (std::size_t q = 0; q < 3; ++q) {
+    const EscapeResult one = three_drift_escape(config, {q});
+    ASSERT_TRUE(one.success) << one.message;
+    expected.merge(one.audit);
+  }
+  EXPECT_TRUE(all.audit.ok);
+  EXPECT_EQ(all.audit.checked, expected.checked);
+  EXPECT_GT(all.audit.worst_residual, 0.0);
+  EXPECT_EQ(all.audit.worst_residual, expected.worst_residual);
+  EXPECT_EQ(all.audit.worst_eigenvalue, expected.worst_eigenvalue);
+}
+
+TEST(LevelSet, MaximizeRejectsMissingCertificates) {
+  const HybridSystem sys = three_drift_modes();
+  const LevelSetResult r = LevelSetMaximizer().maximize(sys, {three_drift_certificates()[0]});
+  EXPECT_FALSE(r.success);
+  EXPECT_NE(r.message.find("one certificate per mode"), std::string::npos) << r.message;
+  const LevelSetResult none = LevelSetMaximizer().maximize(HybridSystem(2, 0), {});
+  EXPECT_FALSE(none.success);
+  EXPECT_FALSE(none.message.empty());
+}
+
+TEST(Inclusion, SubsetOfInvariantRejectsMissingCertificates) {
+  const HybridSystem sys = three_drift_modes();
+  const Polynomial b = var(2, 0) * var(2, 0) + var(2, 1) * var(2, 1) - 0.1;
+  const InclusionResult r =
+      InclusionChecker().subset_of_invariant(b, sys, {three_drift_certificates()[0]}, 1.0);
+  EXPECT_FALSE(r.included);
+  EXPECT_EQ(r.solver.solves, 0);
+  EXPECT_NE(r.message.find("one certificate per mode"), std::string::npos) << r.message;
+}
+
+TEST(Escape, CertifyRejectsOutOfRangeModes) {
+  const HybridSystem sys = three_drift_modes();
+  const Polynomial region = var(2, 0) * var(2, 0) + var(2, 1) * var(2, 1) - 4.0;
+  const std::vector<Polynomial> certs = three_drift_certificates();
+  const EscapeCertifier escaper;
+  const EscapeResult bad_mode = escaper.certify(sys, {0, 3}, region, certs, 0.25);
+  EXPECT_FALSE(bad_mode.success);
+  EXPECT_NE(bad_mode.message.find("out of range"), std::string::npos) << bad_mode.message;
+  const EscapeResult bad_cert =
+      escaper.certify(sys, {0, 2}, region, {certs[0], certs[1]}, 0.25);
+  EXPECT_FALSE(bad_cert.success);
+  EXPECT_EQ(bad_cert.solver.solves, 0);
+}
+
 }  // namespace
 }  // namespace soslock::core

@@ -275,6 +275,49 @@ TEST(Lyapunov, ModeParallelNoJumpsSolvesDecoupled) {
   EXPECT_TRUE(r.audit.ok);
 }
 
+TEST(Lyapunov, ModeParallelAuditKeepsWorstValues) {
+  // Three stable modes, no jumps, cold solves: each decoupled mode program is
+  // the joint program of that mode alone, so the combined audit must report
+  // the worst residual and Gram eigenvalue of the three single-mode audits.
+  HybridSystem sys(2, 0);
+  const Polynomial x = Polynomial::variable(2, 0);
+  const Polynomial y = Polynomial::variable(2, 1);
+  std::vector<HybridSystem> alone;
+  for (double k : {0.5, 1.0, 1.5}) {
+    Mode m;
+    m.flow = {-k * x + y, -1.0 * x - k * y};
+    m.domain = SemialgebraicSet(2);
+    m.domain.add_interval(0, -2.0, 2.0);
+    m.domain.add_interval(1, -2.0, 2.0);
+    m.contains_equilibrium = true;
+    alone.emplace_back(2, 0);
+    alone.back().add_mode(m);
+    sys.add_mode(std::move(m));
+  }
+  LyapunovOptions opt;
+  opt.certificate_degree = 2;
+  opt.flow_decrease = FlowDecrease::Strict;
+  opt.strict_margin = 1e-3;
+  opt.mode_parallel = true;
+  sdp::SolverConfig config;
+  config.warm_start = false;
+  const LyapunovResult r = LyapunovSynthesizer(opt, config).synthesize(sys);
+  ASSERT_TRUE(r.success) << r.message;
+  EXPECT_EQ(r.solver.solves, 3);  // decoupled, no fallback
+  sos::AuditReport expected;
+  for (const HybridSystem& one : alone) {
+    const LyapunovResult single = LyapunovSynthesizer(opt, config).synthesize(one);
+    ASSERT_TRUE(single.success) << single.message;
+    expected.merge(single.audit);
+  }
+  EXPECT_TRUE(r.audit.ok);
+  EXPECT_EQ(r.audit.checked, expected.checked);
+  EXPECT_EQ(r.audit.worst_residual, expected.worst_residual);
+  // Every Gram of an interior-point iterate is positive definite.
+  EXPECT_GT(r.audit.worst_eigenvalue, 0.0);
+  EXPECT_EQ(r.audit.worst_eigenvalue, expected.worst_eigenvalue);
+}
+
 TEST(Lyapunov, ModeParallelWithJumpsStillSound) {
   // Surface-guard switched system: the decoupled certificates must pass the
   // jump re-audit or the synthesizer must fall back to the joint coupled
