@@ -9,8 +9,10 @@
 //
 // SOSLOCK_PAPER_DEGREES=1 -> degree-6 certificate for order 3 (paper).
 //
-// Also prints the cold-vs-warm iteration comparison for the advection and
-// level-curve loops (the incremental-solve acceptance gate), the dense vs
+// At the default degrees, gates the IPM iteration count of the two verify()
+// runs against its recorded value (3% headroom). Also prints the
+// cold-vs-warm iteration comparison for the advection and level-curve loops
+// (the incremental-solve acceptance gate), the dense vs
 // clique cone sizes, and checks the Newton-pruned Gram-basis size on the
 // pump-vertex model against the pruned baseline. Every gate is a
 // deterministic count, never a wall time; a regression fails the process
@@ -32,6 +34,8 @@ namespace {
 struct RowSet {
   double invariant = 0, levels = 0, advection = 0, inclusion = 0, escape = 0;
   int advect_iters = 0, escape_certs = 0;
+  int solver_iters = 0;  // every SOS solve of verify(), summed
+  std::string backend;
   unsigned degree = 0;
   std::string verdict;
 };
@@ -57,6 +61,8 @@ RowSet run_order(int order, bool paper_degrees) {
   rows.degree = opt.lyapunov.certificate_degree;
   rows.advect_iters = report.advection_iterations;
   rows.escape_certs = report.escape.num_certificates;
+  rows.solver_iters = report.solver.iterations;
+  rows.backend = report.solver.backend;
   rows.verdict = core::to_string(report.verdict);
   for (const auto& entry : report.timings.entries()) {
     if (entry.name == "Attractive Invariant") rows.invariant = entry.seconds;
@@ -216,6 +222,8 @@ int main() {
   std::printf("%-28s %11.3f (%d crt) %11.3f (%d crt)\n", "Escape Certificate", o3.escape,
               o3.escape_certs, o4.escape, o4.escape_certs);
   std::printf("%-28s %18s %18s\n", "Verdict", o3.verdict.c_str(), o4.verdict.c_str());
+  std::printf("%-28s %11d (%4s) %11d (%4s)\n", "Solver iterations", o3.solver_iters,
+              o3.backend.c_str(), o4.solver_iters, o4.backend.c_str());
 
   std::printf("\nPaper reference values (2.6 GHz i5, 4 GB, YALMIP/MATLAB):\n");
   std::printf("%-28s %18s %18s\n", "Attractive Invariant", "1381.7 (deg 6)", "10021 (deg 4)");
@@ -307,7 +315,22 @@ int main() {
               dense_gram.total, dense_gram.max_block, clique_gram.total,
               clique_gram.max_block, kPrunedGramBudget, kMaxCliqueBudget);
 
+  // IPM iterations of the two verify() runs above at the default degrees,
+  // against the count before the Cholesky-screened step lengths: 154 (pll3)
+  // + 350 (pll4) = 504, the same under SOSLOCK_SIMD=scalar, avx2 and native
+  // (avx512). A change to the step-length or direction code may raise the
+  // count by at most 3%.
+  constexpr int kVerifyIterations = 504;
+  const int verify_iters = o3.solver_iters + o4.solver_iters;
+  std::printf("verify() IPM iterations (pll3 + pll4): %d (budget %d + 3%%)\n",
+              verify_iters, kVerifyIterations);
+
   int failures = 0;
+  if (!paper_degrees && 100 * verify_iters > 103 * kVerifyIterations) {
+    std::printf("FAIL: verify() took %d IPM iterations, more than 3%% over %d\n",
+                verify_iters, kVerifyIterations);
+    ++failures;
+  }
   // Current ratio is ~1.53x; the gate sits below it so cross-platform
   // iteration-count jitter cannot trip CI, while a real warm-start
   // regression (ratio -> 1.0) still fails loudly.

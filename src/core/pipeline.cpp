@@ -48,6 +48,7 @@ PipelineReport InevitabilityVerifier::verify(const hybrid::HybridSystem& system,
   timer.reset();
   const LyapunovSynthesizer lyap(options_.lyapunov, options_.solver);
   report.lyapunov = lyap.synthesize(system);
+  report.solver.merge(report.lyapunov.solver);
   report.timings.add("Attractive Invariant", timer.seconds(),
                      "degree " + std::to_string(options_.lyapunov.certificate_degree) + ", " +
                          report.lyapunov.solver.str());
@@ -61,6 +62,7 @@ PipelineReport InevitabilityVerifier::verify(const hybrid::HybridSystem& system,
   timer.reset();
   const LevelSetMaximizer levels(options_.level, options_.solver);
   report.levels = levels.maximize(system, report.lyapunov.certificates);
+  report.solver.merge(report.levels.solver);
   report.timings.add("Max.Level Curves", timer.seconds(), report.levels.solver.str());
   if (!report.levels.success) {
     report.verdict = Verdict::Failed;
@@ -114,6 +116,8 @@ PipelineReport InevitabilityVerifier::verify(const hybrid::HybridSystem& system,
                      std::to_string(report.advection_iterations) + " iterations, " +
                          advect_stats.str());
   report.timings.add("Checking Set Inclusion", inclusion_time, inclusion_stats.str());
+  report.solver.merge(advect_stats);
+  report.solver.merge(inclusion_stats);
   report.residual_modes = incl.failed_modes;
 
   if (report.advection_included) {
@@ -128,6 +132,7 @@ PipelineReport InevitabilityVerifier::verify(const hybrid::HybridSystem& system,
     report.escape =
         escaper.certify(system, report.residual_modes, current,
                         report.invariant.certificates, report.invariant.consistent_level);
+    report.solver.merge(report.escape.solver);
     report.timings.add("Escape Certificate", timer.seconds(),
                        std::to_string(report.escape.num_certificates) + " certificates, " +
                            report.escape.solver.str());

@@ -53,6 +53,9 @@ struct PipelineReport {
   bool advection_included = false;
   std::vector<std::size_t> residual_modes;  // where immersion failed
   EscapeResult escape;
+  /// Every SOS solve of the run merged: the stages above plus the advection
+  /// and inclusion loops, whose per-step telemetry is not kept.
+  sos::SolveStats solver;
   util::TimingTable timings;  // rows named after the paper's Table 2
   std::string message;
 

@@ -23,30 +23,15 @@ constexpr std::size_t kPanel = 48;
 /// substitution and allocates no GEMM scratch.
 constexpr std::size_t kSolvePanel = 32;
 
-/// In-place attempt; returns false when a non-positive pivot appears.
-/// Blocked right-looking factorization: the factor is built in the lower
-/// triangle of a working copy of `a` (plus `shift` on the diagonal); the
-/// strictly-upper part is zeroed on success.
+/// Factor `a` (plus `shift` on the diagonal) into `l`; returns false when a
+/// non-positive pivot appears. The strictly-upper part is zeroed on success.
 bool try_factor(const Matrix& a, double shift, Matrix& l) {
   const std::size_t n = a.rows();
-  const Kernels& kern = active_kernels();
   l = a;
   if (shift != 0.0) {
     for (std::size_t i = 0; i < n; ++i) l(i, i) += shift;
   }
-  for (std::size_t k0 = 0; k0 < n; k0 += kPanel) {
-    const std::size_t kb = std::min(kPanel, n - k0);
-    const std::size_t t0 = k0 + kb;  // first trailing row
-    // 1+2. Factor the kb x kb diagonal block and solve the panel below it
-    //    (L21 = A21 * L11^{-T}) in one kernel call — columns < k0 were
-    //    already folded in by the trailing updates of previous rounds, so
-    //    the whole column panel is self-contained from column k0 on.
-    if (!kern.chol_factor_panel(kb, n - t0, l.row_ptr(k0) + k0, l.cols())) return false;
-    // 3. Trailing syrk update A22 -= L21 * L21^T, lower triangle only.
-    //    Vector tables may scribble on the dead strictly-upper cells of the
-    //    trailing block; the zeroing pass below reclaims them.
-    kern.chol_trailing_update(n - t0, kb, l.row_ptr(t0) + k0, l.cols());
-  }
+  if (!factor_in_place(l)) return false;
   for (std::size_t r = 0; r < n; ++r) {
     double* lr = l.row_ptr(r);
     for (std::size_t c = r + 1; c < n; ++c) lr[c] = 0.0;
@@ -61,6 +46,27 @@ double diag_scale(const Matrix& a) {
 }
 
 }  // namespace
+
+bool factor_in_place(Matrix& a) {
+  // Blocked right-looking factorization: the factor is built in the lower
+  // triangle of `a` itself.
+  const std::size_t n = a.rows();
+  const Kernels& kern = active_kernels();
+  for (std::size_t k0 = 0; k0 < n; k0 += kPanel) {
+    const std::size_t kb = std::min(kPanel, n - k0);
+    const std::size_t t0 = k0 + kb;  // first trailing row
+    // 1+2. Factor the kb x kb diagonal block and solve the panel below it
+    //    (L21 = A21 * L11^{-T}) in one kernel call — columns < k0 were
+    //    already folded in by the trailing updates of previous rounds, so
+    //    the whole column panel is self-contained from column k0 on.
+    if (!kern.chol_factor_panel(kb, n - t0, a.row_ptr(k0) + k0, a.cols())) return false;
+    // 3. Trailing syrk update A22 -= L21 * L21^T, lower triangle only.
+    //    Vector tables may scribble on the dead strictly-upper cells of the
+    //    trailing block.
+    kern.chol_trailing_update(n - t0, kb, a.row_ptr(t0) + k0, a.cols());
+  }
+  return true;
+}
 
 std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
   assert(a.rows() == a.cols());
@@ -220,12 +226,6 @@ double Cholesky::log_det() const {
   double acc = 0.0;
   for (std::size_t i = 0; i < l_.rows(); ++i) acc += std::log(l_(i, i));
   return 2.0 * acc;
-}
-
-bool is_positive_definite(const Matrix& a, double tol) {
-  Matrix l;
-  const double shift = tol * diag_scale(a);
-  return try_factor(a, shift, l);
 }
 
 }  // namespace soslock::linalg

@@ -60,8 +60,12 @@ class Cholesky {
   double shift_ = 0.0;
 };
 
-/// Convenience: is the symmetric matrix numerically positive definite
-/// (allowing diagonal shift `tol * max|diag|`)?
-bool is_positive_definite(const Matrix& a, double tol = 0.0);
+/// Unshifted Cholesky of the symmetric `a` in its own storage: true when
+/// every pivot is positive (`a` is numerically positive definite), with L
+/// in the lower triangle of `a` (the strict upper triangle is left
+/// unspecified); false at the first non-positive pivot, with `a` partly
+/// overwritten. It allocates nothing, so a caller that tests many matrices
+/// reuses one buffer.
+bool factor_in_place(Matrix& a);
 
 }  // namespace soslock::linalg

@@ -1,6 +1,7 @@
 #pragma once
 // Symmetric eigensolvers. Used for:
-//  * exact maximum step length to the PSD cone boundary in the IPM,
+//  * the exact step length to the PSD cone boundary of an IPM block whose
+//    Cholesky screen fails (sdp::psd_step_length),
 //  * the ADMM's per-block projection onto the PSD cone (dominant cost of
 //    first-order solves on large Gram blocks),
 //  * Gram-matrix PSD margins in the independent certificate checker,

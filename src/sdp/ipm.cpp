@@ -45,7 +45,8 @@ Matrix congruence_inv(const Cholesky& chol, const Matrix& s) {
   return t;
 }
 
-/// Largest alpha in (0, cap] with X + alpha*dX PSD, given chol(X).
+/// Largest alpha in (0, cap] with X + alpha*dX PSD, given chol(X): the
+/// exact bound from the smallest eigenvalue of L^{-1} dX L^{-T}.
 double max_step(const Cholesky& chol_x, const Matrix& dx, double cap) {
   if (dx.rows() == 0) return cap;
   // 1x1 block: the congruence is the scalar dx / L00^2, its own eigenvalue.
@@ -234,9 +235,9 @@ class Ipm {
         return best;
       }
 
-      if (!step(s, res, mu)) {
+      if (const char* phase = step(s, res, mu)) {
         best.status = SolveStatus::NumericalProblem;
-        best.faulted_phase = "factor";
+        best.faulted_phase = phase;
         return best;
       }
     }
@@ -540,12 +541,12 @@ class Ipm {
     }
   }
 
-  /// One predictor-corrector step; returns false on numerical breakdown.
-  bool step(State& s, const Residuals& res, double mu) {
-    // Injected factorization failure: the step reports no progress exactly
-    // as it does when the real step lengths collapse, and run_inner
-    // classifies it as NumericalProblem with phase "factor".
-    SOSLOCK_FAULT_HOOK(util::fault_site::kIpmFactorization, { return false; });
+  /// One predictor-corrector step. Returns nullptr on success, else the
+  /// phase that broke down, which run_inner reports as a NumericalProblem:
+  /// "step" when the step lengths collapse, "factor" for the injected
+  /// factorization fault (the shifted factorizations themselves never fail).
+  const char* step(State& s, const Residuals& res, double mu) {
+    SOSLOCK_FAULT_HOOK(util::fault_site::kIpmFactorization, { return "factor"; });
     util::Timer phase_timer;
     // Factor all Z and X blocks and form the explicit Z^{-1} (used by the
     // Schur panels, the RHS assembly and the direction recovery — computing
@@ -737,17 +738,15 @@ class Ipm {
       }
     };
 
-    // Max PSD step lengths over all blocks (one eigendecomposition per
-    // block, min-reduced).
+    // Max PSD step lengths over all blocks (psd_step_length: a Cholesky
+    // screen per block at the running step, an eigenvalue only for the
+    // blocks that fail it). Each side's scan starts at the block that bound
+    // its previous call.
     auto step_lengths = [&](const std::vector<Matrix>& dx_c, const std::vector<Matrix>& dz_c,
                             double cap, double& ap_out, double& ad_out) {
       util::Timer eig_timer;
-      ap_out = cap;
-      ad_out = cap;
-      for (std::size_t j = 0; j < nblocks_; ++j) {
-        ap_out = std::min(ap_out, max_step(chol_x[j], dx_c[j], cap));
-        ad_out = std::min(ad_out, max_step(chol_z[j], dz_c[j], cap));
-      }
+      ap_out = psd_step_length(s.x, chol_x, dx_c, cap, x_start_, step_scratch_);
+      ad_out = psd_step_length(s.z, chol_z, dz_c, cap, z_start_, step_scratch_);
       phase_.eig += eig_timer.seconds();
     };
 
@@ -808,7 +807,7 @@ class Ipm {
     ad = std::min(kStepFraction * ad, 1.0);
     if (!(ap > 1e-10) || !(ad > 1e-10)) {
       util::log_debug("ipm: step collapsed (ap=", ap, ", ad=", ad, ")");
-      return false;
+      return "step";
     }
 
     for (std::size_t j = 0; j < nblocks_; ++j) {
@@ -819,7 +818,7 @@ class Ipm {
     // w is a *primal* variable: it must advance with the primal step so that
     // the primal residual contracts by (1 - ap) per iteration.
     if (nf_ > 0) linalg::axpy(ap, dw, s.w);
-    return true;
+    return nullptr;
   }
 
   void fill_solution(const State& s, const Residuals& res, double gap, double mu, int iter,
@@ -859,12 +858,43 @@ class Ipm {
   std::vector<std::size_t> perm_;     // work position -> extended row
   Vector work_;                       // permuted KKT work vector (m + q)
   Matrix panel_;                      // Schur panel Z^{-1} A_i X of one row
+  // psd_step_length state: the block that bound each side's previous step,
+  // and the screen's one work matrix.
+  std::size_t x_start_ = 0, z_start_ = 0;
+  Matrix step_scratch_;
   PhaseTimes phase_;
   std::size_t m_ = 0, q_ = 0, mext_ = 0, nf_ = 0, nblocks_ = 0, total_dim_ = 0;
   double data_norm_ = 1.0, c_norm_ = 1.0;
 };
 
 }  // namespace
+
+double psd_step_length(const std::vector<Matrix>& x, const std::vector<Cholesky>& chol,
+                       const std::vector<Matrix>& dx, double cap, std::size_t& start,
+                       Matrix& scratch) {
+  const std::size_t nblocks = x.size(), first = start;
+  double alpha = cap;
+  for (std::size_t k = 0; k < nblocks; ++k) {
+    const std::size_t j = (first + k) % nblocks;
+    const std::size_t n = x[j].rows();
+    if (n == 0) continue;
+    // The screen: for PD X, {alpha >= 0 : X + alpha dX PSD} is an interval
+    // from 0, so a block that still factors at the running step cannot
+    // lower it. A shifted factor means X itself is not numerically PD, so
+    // only the exact bound applies.
+    if (n >= 2 && chol[j].shift() == 0.0) {
+      scratch = x[j];
+      scratch.axpy(alpha, dx[j]);
+      if (linalg::factor_in_place(scratch)) continue;
+    }
+    const double alpha_j = max_step(chol[j], dx[j], alpha);
+    if (alpha_j < alpha) {
+      alpha = alpha_j;
+      start = j;
+    }
+  }
+  return alpha;
+}
 
 Solution IpmSolver::solve(const Problem& problem, SolveContext& context) const {
   // Row equilibration is the caller's job (SosProgram::solve applies it to

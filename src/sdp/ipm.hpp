@@ -7,6 +7,10 @@
 // The second-order, high-accuracy SolverBackend ("ipm" to make_solver); the
 // workhorse behind every SOS feasibility/optimization query in the
 // verification pipeline.
+#include <cstddef>
+#include <vector>
+
+#include "linalg/cholesky.hpp"
 #include "sdp/options.hpp"
 #include "sdp/problem.hpp"
 #include "sdp/solver.hpp"
@@ -28,5 +32,22 @@ class IpmSolver : public SolverBackend {
  private:
   IpmOptions options_;
 };
+
+/// Largest alpha in (0, cap] with X_j + alpha dX_j PSD for every block j,
+/// given PD blocks X_j and their Cholesky factors: the IPM's primal (X, dX)
+/// and dual (Z, dZ) step bound, `cap` when no block binds. The scan starts
+/// at block `start` and screens each block of size >= 2 with an unshifted
+/// Cholesky of X_j + alpha dX_j at the running alpha: a block that factors
+/// cannot lower alpha and needs no eigenvalue; one that does not gets the
+/// exact bound from the smallest eigenvalue of L^{-1} dX_j L^{-T}. A block
+/// whose factor carries a shift (X_j not numerically PD) gets the exact
+/// bound unscreened; 1x1 blocks take the closed form. On return `start`
+/// names the block that bound (unchanged when none did), so the next call
+/// tries it first. `scratch` is the screen's work matrix, reused across
+/// calls.
+double psd_step_length(const std::vector<linalg::Matrix>& x,
+                       const std::vector<linalg::Cholesky>& chol,
+                       const std::vector<linalg::Matrix>& dx, double cap,
+                       std::size_t& start, linalg::Matrix& scratch);
 
 }  // namespace soslock::sdp

@@ -165,8 +165,9 @@ struct RecoveryRecord {
 ///             normal solves.
 ///   factor  — Cholesky factorizations (blocks + Schur/normal matrix) and
 ///             explicit block inverses.
-///   eig     — eigendecompositions (IPM step-length bounds; ADMM PSD
-///             projections, where this phase dominates).
+///   eig     — IPM: step lengths (Cholesky screens, plus the smallest
+///             eigenvalue of each block that fails one); ADMM: PSD
+///             projections, where this phase dominates.
 ///   recover — RHS assembly, search-direction / iterate recovery, residuals.
 /// Two phases live *outside* the backends, stamped by the lowering pipeline
 /// (sdp/lowering) so decomposed-vs-dense comparisons account for the full
@@ -178,6 +179,7 @@ struct RecoveryRecord {
 struct PhaseTimes {
   double schur = 0.0;
   double factor = 0.0;
+  /// IPM: step lengths; ADMM: PSD projections.
   double eig = 0.0;
   double recover = 0.0;
   double convert = 0.0;

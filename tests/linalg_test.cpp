@@ -130,6 +130,11 @@ TEST_P(CholeskyParam, ReconstructsAndSolves) {
   const Vector x = chol->solve(b);
   const Vector r = a * x;
   EXPECT_LT(max_abs_diff(r, b), 1e-9);
+  // The in-place factorization leaves the same factor in the lower triangle.
+  Matrix in_place = a;
+  ASSERT_TRUE(factor_in_place(in_place));
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j) EXPECT_EQ(in_place(i, j), chol->lower()(i, j));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyParam, ::testing::Values(1, 2, 3, 5, 10, 25, 60));
@@ -137,7 +142,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyParam, ::testing::Values(1, 2, 3, 5, 10,
 TEST(Cholesky, RejectsIndefinite) {
   Matrix a = Matrix::from_rows({{1.0, 2.0}, {2.0, 1.0}});  // eigenvalues 3, -1
   EXPECT_FALSE(Cholesky::factor(a).has_value());
-  EXPECT_FALSE(is_positive_definite(a));
+  EXPECT_FALSE(factor_in_place(a));
 }
 
 TEST(Cholesky, ShiftedFactorizationHandlesSingular) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "linalg/cholesky.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "sdp/ipm.hpp"
 #include "sdp/problem.hpp"
@@ -604,6 +605,107 @@ TEST(Ipm, SolutionInvariantUnderRowScaling) {
   EXPECT_NEAR(s1.x[0](0, 1), s2.x[0](0, 1), 1e-5);
   // Dual multipliers differ by exactly the row scale.
   EXPECT_NEAR(s1.y[0], s2.y[0] * 1e6, 1e-4);
+}
+
+// --- psd_step_length: the screened step bound against a full-eig oracle ---
+
+/// Blocks of sizes 1, 2, 6 and 20: random PD X (G G^T + I) with their
+/// factors, and random symmetric directions dX.
+struct StepBlocks {
+  std::vector<Matrix> x, dx;
+  std::vector<linalg::Cholesky> chol;
+};
+
+Matrix random_square(std::size_t n, util::Rng& rng) {
+  Matrix g(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) g(r, c) = rng.uniform(-1.0, 1.0);
+  return g;
+}
+
+StepBlocks random_step_blocks(std::uint64_t seed) {
+  util::Rng rng(seed);
+  StepBlocks b;
+  for (const std::size_t n : {1, 2, 6, 20}) {
+    const Matrix g = random_square(n, rng);
+    Matrix x = g * g.transposed();
+    for (std::size_t d = 0; d < n; ++d) x(d, d) += 1.0;
+    Matrix dx = random_square(n, rng);
+    dx.symmetrize();
+    dx.scale(rng.uniform(0.5, 20.0));
+    b.chol.push_back(linalg::Cholesky::factor_shifted(x));
+    b.x.push_back(std::move(x));
+    b.dx.push_back(std::move(dx));
+  }
+  return b;
+}
+
+/// The full-eigenvalue step bound of one block: min(cap, -1/lambda_min) of
+/// L^{-1} dX L^{-T}, or cap when that congruence is PSD.
+double oracle_block_step(const linalg::Cholesky& chol, const Matrix& dx, double cap) {
+  Matrix t = chol.solve_lower(chol.solve_lower(dx).transposed());
+  t.symmetrize();
+  const double lambda_min = linalg::min_eigenvalue(t);
+  return lambda_min < 0.0 ? std::min(cap, -1.0 / lambda_min) : cap;
+}
+
+TEST(PsdStepLength, MatchesFullEigenOracleFromEveryStart) {
+  const double cap = 1.0 / 0.98;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const StepBlocks b = random_step_blocks(seed);
+    double oracle = cap;
+    std::size_t binding = 0;
+    for (std::size_t j = 0; j < b.x.size(); ++j) {
+      const double step = oracle_block_step(b.chol[j], b.dx[j], cap);
+      if (step < oracle) {
+        oracle = step;
+        binding = j;
+      }
+    }
+    Matrix scratch;
+    std::size_t start = 0;
+    const double first = psd_step_length(b.x, b.chol, b.dx, cap, start, scratch);
+    EXPECT_NEAR(first, oracle, 1e-6 * oracle) << "seed " << seed;
+    if (oracle < cap) {
+      EXPECT_EQ(start, binding) << "seed " << seed;
+    }
+    for (std::size_t s0 = 1; s0 < b.x.size(); ++s0) {
+      start = s0;
+      EXPECT_DOUBLE_EQ(psd_step_length(b.x, b.chol, b.dx, cap, start, scratch), first)
+          << "seed " << seed << ", start " << s0;
+    }
+  }
+}
+
+TEST(PsdStepLength, PsdDirectionsReturnCap) {
+  const double cap = 1.0 / 0.98;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    StepBlocks b = random_step_blocks(seed);
+    util::Rng rng(seed + 100);
+    for (Matrix& dx : b.dx) {
+      const Matrix h = random_square(dx.rows(), rng);
+      dx = h * h.transposed();
+    }
+    Matrix scratch;
+    std::size_t start = 2;
+    EXPECT_EQ(psd_step_length(b.x, b.chol, b.dx, cap, start, scratch), cap) << seed;
+    EXPECT_EQ(start, 2u);
+  }
+}
+
+TEST(PsdStepLength, HugeNegativeDirectionCollapsesTheStep) {
+  for (std::size_t j = 0; j < 4; ++j) {
+    StepBlocks b = random_step_blocks(7);
+    const std::size_t n = b.dx[j].rows();
+    b.dx[j] = Matrix::identity(n);
+    b.dx[j].scale(-1e12);
+    Matrix scratch;
+    std::size_t start = 0;
+    const double step = psd_step_length(b.x, b.chol, b.dx, 1.0, start, scratch);
+    EXPECT_GT(step, 0.0) << "block " << j;
+    EXPECT_LE(step, 1e-10) << "block " << j;
+    EXPECT_EQ(start, j);
+  }
 }
 
 TEST(Ipm, EmptyProblemTrivial) {
