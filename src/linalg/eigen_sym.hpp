@@ -2,8 +2,9 @@
 // Symmetric eigensolvers. Used for:
 //  * the exact step length to the PSD cone boundary of an IPM block whose
 //    Cholesky screen fails (sdp::psd_step_length),
-//  * the ADMM's per-block projection onto the PSD cone (dominant cost of
-//    first-order solves on large Gram blocks),
+//  * the ADMM's per-block projection onto the PSD cone for blocks of size
+//    >= 3 (dominant cost of first-order solves on large Gram blocks; 1x1
+//    and 2x2 blocks split in closed form in sdp::admm_split_psd),
 //  * Gram-matrix PSD margins in the independent certificate checker,
 //  * extracting SOS decompositions (square roots of Gram matrices).
 //

@@ -37,30 +37,40 @@ constexpr int kRhoUpdateInterval = 50;
 constexpr double kResidualBalance = 10.0;
 constexpr double kRhoScale = 2.0;
 
-/// Eigensplit of U into S = U^+ and X = -rho U^- (both PSD, complementary up
-/// to eigensolver roundoff). The negative side — the side that becomes the
-/// primal X — is reconstructed as a GEMM on the scaled eigenvector panel,
-/// U^- = (Q sqrt(-lambda))(Q sqrt(-lambda))^T, so X keeps its
-/// Gram/certificate shape by construction; the slack side falls out of
-/// U^+ = U + U^-.
-void admm_split_psd(const Matrix& u, double rho, Matrix& splus_out, Matrix& xnew_out) {
-  const std::size_t n = u.rows();
-  const linalg::EigenSym eig = linalg::eigen_sym(u);
-  std::size_t nneg = 0;  // values ascending: negatives first
-  while (nneg < n && eig.values[nneg] < 0.0) ++nneg;
-  Matrix panel(n, nneg);
-  for (std::size_t c = 0; c < nneg; ++c) {
-    const double scale = std::sqrt(-eig.values[c]);
-    for (std::size_t r = 0; r < n; ++r) panel(r, c) = eig.vectors(r, c) * scale;
+/// Closed-form eigensplit of a symmetric n x n U (row-major `u`, n <= 2)
+/// into s = U^+ = U + U^- and x = rho U^-, written in place; returns
+/// max_k |x'_k - x_k|. For n = 2 with mid = (a+c)/2, half = (a-c)/2 and
+/// rad = hypot(half, b), the eigenvalues are mid -+ rad and, when they have
+/// opposite signs, U^- = -(mid - rad) P with P = (I - (U - mid I)/rad)/2 the
+/// projector on the negative eigenvector. A NaN anywhere in U fails both
+/// sign tests and reaches every entry of U^-.
+double split_small(const double* u, std::size_t n, double rho, double* s, double* x) {
+  double neg[4] = {0.0, 0.0, 0.0, 0.0};  // U^-, row-major n x n
+  if (n == 2) {
+    const double a = u[0], b = u[1], c = u[3];
+    const double mid = 0.5 * (a + c), half = 0.5 * (a - c);
+    const double rad = std::hypot(half, b);
+    if (mid + rad <= 0.0) {  // both eigenvalues <= 0: U^- = -U
+      neg[0] = -a;
+      neg[1] = neg[2] = -b;
+      neg[3] = -c;
+    } else if (!(mid - rad >= 0.0)) {  // one eigenvalue each side (or NaN)
+      const double f = -0.5 * (mid - rad);
+      neg[0] = f * (1.0 - half / rad);
+      neg[1] = neg[2] = -f * (b / rad);
+      neg[3] = f * (1.0 + half / rad);
+    }
+  } else if (n == 1) {
+    if (!(u[0] >= 0.0)) neg[0] = -u[0];
   }
-  const Matrix neg = linalg::times_transposed(panel, panel);  // U^-
-  // Fused recombination: S^+ = U + U^-, X' = rho U^- in one pass over the
-  // eigensplit output (linalg::Kernels::split_recombine).
-  Matrix pos(n, n), xnew(n, n);
-  linalg::active_kernels().split_recombine(neg.data(), u.data(), rho, pos.data(),
-                                           xnew.data(), n * n);
-  splus_out = std::move(pos);
-  xnew_out = std::move(xnew);
+  double change = 0.0;
+  for (std::size_t k = 0; k < n * n; ++k) {
+    const double xk = rho * neg[k];
+    change = std::max(change, std::fabs(xk - x[k]));
+    s[k] = neg[k] + u[k];
+    x[k] = xk;
+  }
+  return change;
 }
 
 /// One solve of the backend: normal-matrix setup, the y-update solve, the
@@ -88,10 +98,13 @@ class AdmmEngine {
   linalg::Vector solve_y(const std::vector<linalg::Matrix>& x,
                          const std::vector<linalg::Matrix>& s,
                          const linalg::Vector& w, double rho) const;
-  /// (S, X)-update of one block: over-relaxed eigensplit projection given
-  /// the current y. Returns the block's scaled dual residual.
+  /// (S, X)-update of one block, in place: over-relaxed eigensplit
+  /// projection given the current y. Blocks of size <= 2 build U on the
+  /// stack, larger ones in `u_j`, the block's scratch. Returns the block's
+  /// scaled dual residual.
   double project_block(std::size_t j, const linalg::Vector& y, double rho,
-                       linalg::Matrix& x_j, linalg::Matrix& s_j) const;
+                       linalg::Matrix& x_j, linalg::Matrix& s_j,
+                       linalg::Matrix& u_j) const;
   /// w-update (multiplier ascent on B'y = f, over-relaxed step); returns the
   /// free-variable dual residual.
   double update_w(const linalg::Vector& y, linalg::Vector& w, double rho) const;
@@ -149,6 +162,7 @@ class AdmmEngine {
   std::optional<linalg::Cholesky> chol_m_;  // reduced Nyy - W^T W (m x m)
   OverlapElimination elim_;                 // overlap-corner factors (q > 0 only)
   std::vector<linalg::Matrix> x_, s_;
+  std::vector<linalg::Matrix> u_;  // per-block U scratch (blocks of size >= 3)
   linalg::Vector y_, w_, rhs0_;
   std::size_t m_ = 0, q_ = 0, mext_ = 0, nf_ = 0, nblocks_ = 0, total_dim_ = 0;
   double data_norm_ = 1.0, c_norm_ = 1.0;
@@ -165,6 +179,12 @@ AdmmEngine::AdmmEngine(const Problem& p, const AdmmOptions& opt, std::size_t thr
   nf_ = p_.num_free();
   nblocks_ = p_.num_blocks();
   total_dim_ = p_.total_psd_dim();
+  // U scratch of the blocks that go through eigen_sym, allocated once per
+  // solve: the projections then reuse it every iteration.
+  u_.resize(nblocks_);
+  for (std::size_t j = 0; j < nblocks_; ++j) {
+    if (p_.block_size(j) > 2) u_[j] = Matrix(p_.block_size(j), p_.block_size(j));
+  }
   views_ = build_block_row_views(p_, structure);
   // Native decomposed cones: overlap couplings join the dual update as
   // virtual rows [m, m+q) with consensus multipliers of their own. Their
@@ -231,7 +251,7 @@ void AdmmEngine::setup_normal() {
 
 void AdmmEngine::init_state() {
   // State: primal (X, w), dual (y, S). X stays PSD by construction (it is
-  // rebuilt each iteration as a Gram product of the negative eigenpanel).
+  // overwritten each iteration with rho U^-, the negative eigenpart).
   if (const WarmStart* ws = ctx_.warm_start; ws != nullptr && ws->fits(p_)) {
     // First-order iterates need no interior margin: restore the raw state.
     x_ = ws->x;
@@ -314,25 +334,42 @@ Vector AdmmEngine::solve_y(const std::vector<Matrix>& x, const std::vector<Matri
 }
 
 double AdmmEngine::project_block(std::size_t j, const Vector& y, double rho, Matrix& x_j,
-                                 Matrix& s_j) const {
+                                 Matrix& s_j, Matrix& u_j) const {
   // U_j = alpha (C_j - A*_j y) + (1-alpha) S_j - X_j/rho; the eigensplit
-  // gives S_j = U_j^+ and X_j = -rho U_j^-, PSD by construction and
+  // gives S_j = U_j^+ and X_j = rho U_j^-, PSD by construction and
   // complementary up to eigensolver roundoff, with over-relaxation damping
   // the tail oscillation of the plain splitting.
-  Matrix u = p_.block_objective(j);
-  for (const BlockRowView& v : views_[j]) v.coeff->add_to(u, -y[v.row]);
-  u.scale(kOverRelaxation);
-  u.axpy(1.0 - kOverRelaxation, s_j);
-  u.axpy(-1.0 / rho, x_j);
-  u.symmetrize();
-  Matrix splus, xnew;
-  admm_split_psd(u, rho, splus, xnew);
-  Matrix diff = xnew;
-  diff -= x_j;
-  const double dres = linalg::norm_inf(diff) / (rho * (1.0 + c_norm_));
-  s_j = std::move(splus);
-  x_j = std::move(xnew);
-  return dres;
+  const std::size_t n = p_.block_size(j);
+  double change = 0.0;
+  if (n <= 2) {
+    // The same U as the Matrix path below, on the stack.
+    double u[4] = {0.0, 0.0, 0.0, 0.0};  // row-major n x n
+    const double* c = p_.block_objective(j).data();
+    for (std::size_t k = 0; k < n * n; ++k) u[k] = c[k];
+    for (const BlockRowView& v : views_[j]) {
+      const double f = -y[v.row];
+      for (const Triplet& t : v.coeff->entries) {
+        u[t.r * n + t.c] += f * t.v;
+        if (t.r != t.c) u[t.c * n + t.r] += f * t.v;
+      }
+    }
+    const double* sd = s_j.data();
+    const double* xd = x_j.data();
+    const double inv_rho = 1.0 / rho;
+    for (std::size_t k = 0; k < n * n; ++k) {
+      u[k] = kOverRelaxation * u[k] + (1.0 - kOverRelaxation) * sd[k] - inv_rho * xd[k];
+    }
+    change = split_small(u, n, rho, s_j.data(), x_j.data());
+  } else {
+    u_j = p_.block_objective(j);  // copy-assignment keeps u_j's storage
+    for (const BlockRowView& v : views_[j]) v.coeff->add_to(u_j, -y[v.row]);
+    u_j.scale(kOverRelaxation);
+    u_j.axpy(1.0 - kOverRelaxation, s_j);
+    u_j.axpy(-1.0 / rho, x_j);
+    u_j.symmetrize();
+    change = admm_split_psd(u_j, rho, s_j, x_j);
+  }
+  return change / (rho * (1.0 + c_norm_));
 }
 
 double AdmmEngine::update_w(const Vector& y, Vector& w, double rho) const {
@@ -544,12 +581,12 @@ Solution AdmmEngine::run() {
     y_ = solve_y(x_, s_, w_, rho_);
     phase_.schur += phase_timer.seconds();
     phase_timer.reset();
-    // Blocks are independent given y (read-only here): one eigendecomposition
-    // per block, fanned out on the pool. Each task writes only its own
-    // x_[j] / s_[j] slot and dres slot, and the final max-reduction is
+    // Blocks are independent given y (read-only here): one eigensplit per
+    // block, fanned out on the pool. Each task writes only its own x_[j] /
+    // s_[j] / u_[j] slot and dres slot, and the final max-reduction is
     // order-independent, so results are identical across thread counts.
     pool_.run_all(nblocks_, [&](std::size_t j) {
-      dres_per_block[j] = project_block(j, y_, rho_, x_[j], s_[j]);
+      dres_per_block[j] = project_block(j, y_, rho_, x_[j], s_[j], u_[j]);
     });
     dres = 0.0;
     for (double d : dres_per_block) dres = std::max(dres, d);
@@ -603,6 +640,35 @@ Solution AdmmEngine::run() {
 }
 
 }  // namespace
+
+double admm_split_psd(const Matrix& u, double rho, Matrix& s, Matrix& x) {
+  const std::size_t n = u.rows();
+  if (s.rows() != n || s.cols() != n) s = Matrix(n, n);
+  if (x.rows() != n || x.cols() != n) x = Matrix(n, n);
+  if (n <= 2) return split_small(u.data(), n, rho, s.data(), x.data());
+  // U^- = (Q sqrt(-lambda))(Q sqrt(-lambda))^T as a GEMM on the scaled
+  // negative eigenvector panel, so X keeps its Gram shape; the slack side
+  // falls out of U^+ = U + U^-.
+  const linalg::EigenSym eig = linalg::eigen_sym(u);
+  std::size_t nneg = 0;  // values ascending: negatives first
+  while (nneg < n && eig.values[nneg] < 0.0) ++nneg;
+  Matrix panel(n, nneg);
+  for (std::size_t c = 0; c < nneg; ++c) {
+    const double scale = std::sqrt(-eig.values[c]);
+    for (std::size_t r = 0; r < n; ++r) panel(r, c) = eig.vectors(r, c) * scale;
+  }
+  const Matrix neg = linalg::times_transposed(panel, panel);  // U^-
+  // The change against the old X first, then the fused recombination
+  // S = U + U^-, X = rho U^- straight into the caller's storage
+  // (linalg::Kernels::split_recombine).
+  const double* pn = neg.data();
+  const double* px = x.data();
+  double change = 0.0;
+  for (std::size_t k = 0; k < n * n; ++k)
+    change = std::max(change, std::fabs(rho * pn[k] - px[k]));
+  linalg::active_kernels().split_recombine(pn, u.data(), rho, s.data(), x.data(), n * n);
+  return change;
+}
 
 Solution AdmmSolver::solve(const Problem& problem, SolveContext& context) const {
   // Row equilibration is the caller's job (SosProgram::solve applies it to

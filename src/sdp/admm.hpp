@@ -7,13 +7,16 @@
 //   dual:  max b'y   s.t.  C_j - sum_i y_i A_ij = S_j >= 0,   B'y = f.
 //
 // One iteration solves a cached m x m normal-equation system for y, projects
-// per block onto the PSD cone (via linalg::eigen_sym), and takes a multiplier
-// ascent step in the primal (X, w). The multiplier update X_j = rho * U_j^-
-// keeps every primal block PSD by construction (a Gram product of the
-// negative eigenpanel) and complementary to S_j up to eigensolver roundoff, so
-// iterates are always certificate-shaped; accuracy is first-order (~1e-6).
+// per block onto the PSD cone (admm_split_psd: closed form for blocks of
+// size <= 2, linalg::eigen_sym above), and takes a multiplier ascent step in
+// the primal (X, w). The multiplier update X_j = rho * U_j^- keeps every
+// primal block PSD by construction (a Gram product of the negative
+// eigenpanel, or its closed form) and complementary to S_j up to eigensolver
+// roundoff, so iterates are always certificate-shaped; accuracy is
+// first-order (~1e-6).
 #include <cstddef>
 
+#include "linalg/matrix.hpp"
 #include "sdp/options.hpp"
 #include "sdp/problem.hpp"
 #include "sdp/solver.hpp"
@@ -40,5 +43,18 @@ class AdmmSolver : public SolverBackend {
   AdmmOptions options_;
   std::size_t threads_;
 };
+
+/// The ADMM's per-block PSD projection: the eigensplit of a symmetric U into
+/// S = U^+ and X = rho U^-, where U^+ and U^- (both PSD, U = U^+ - U^-) are
+/// the parts of U on its positive and negative eigenvalues. Both are written
+/// into the existing storage of `s` and `x` (resized only when not n x n);
+/// `x` holds the previous X on entry, and the return value is the change
+/// max_ij |X'_ij - X_ij|, the block's unscaled dual residual.
+///   n <= 2: closed form on the stack, no eigensolver and no allocation.
+///   n >= 3: linalg::eigen_sym, with U^- rebuilt as a Gram product of the
+///           scaled negative eigenvectors so X keeps its certificate shape.
+/// A NaN in U comes back as a non-finite entry of S or X.
+double admm_split_psd(const linalg::Matrix& u, double rho, linalg::Matrix& s,
+                      linalg::Matrix& x);
 
 }  // namespace soslock::sdp

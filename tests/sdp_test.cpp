@@ -3,11 +3,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/eigen_sym.hpp"
+#include "sdp/admm.hpp"
 #include "sdp/ipm.hpp"
 #include "sdp/problem.hpp"
 #include "sdp/scaling.hpp"
@@ -705,6 +707,121 @@ TEST(PsdStepLength, HugeNegativeDirectionCollapsesTheStep) {
     EXPECT_GT(step, 0.0) << "block " << j;
     EXPECT_LE(step, 1e-10) << "block " << j;
     EXPECT_EQ(start, j);
+  }
+}
+
+// --- admm_split_psd: the closed-form small-block split against eigen_sym ---
+
+/// The eigen_sym split of U: S = U + U^-, X = rho U^-, with U^- the Gram
+/// product of the scaled negative eigenvectors.
+void eigen_split(const Matrix& u, double rho, Matrix& s, Matrix& x) {
+  const std::size_t n = u.rows();
+  const linalg::EigenSym eig = linalg::eigen_sym(u);
+  Matrix neg(n, n);
+  for (std::size_t k = 0; k < n && eig.values[k] < 0.0; ++k) {
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c)
+        neg(r, c) -= eig.values[k] * eig.vectors(r, k) * eig.vectors(c, k);
+  }
+  s = u + neg;
+  x = rho * neg;
+}
+
+/// Symmetric test inputs of size 1 and 2: random, mixed-sign diagonals,
+/// b = 0, equal eigenvalues, zero, negative and positive definite, and
+/// random entries near 1e150 and 1e-150. A few random blocks of size 3 and
+/// 7 cover the eigen_sym path.
+std::vector<Matrix> split_inputs() {
+  std::vector<Matrix> inputs;
+  util::Rng rng(2024);
+  for (const std::size_t n : {1, 2}) {
+    for (int k = 0; k < 200; ++k) {
+      Matrix u = random_square(n, rng);
+      u.symmetrize();
+      u.scale(std::pow(10.0, rng.uniform(-3.0, 3.0)));
+      inputs.push_back(u);
+    }
+    for (const double scale : {1e150, 1e-150}) {
+      for (int k = 0; k < 20; ++k) {
+        Matrix u = random_square(n, rng);
+        u.symmetrize();
+        u.scale(scale);
+        inputs.push_back(u);
+      }
+    }
+    inputs.push_back(Matrix(n, n));
+  }
+  for (const double a : {-3.0, 1e-9, 2.5}) {
+    for (const double c : {-0.7, 4.0}) {
+      inputs.push_back(Matrix::from_rows({{a, 0.0}, {0.0, c}}));  // b = 0
+      inputs.push_back(Matrix::from_rows({{a, 0.3}, {0.3, c}}));
+    }
+  }
+  inputs.push_back(Matrix::from_rows({{2.0, 0.0}, {0.0, 2.0}}));  // equal eigenvalues
+  inputs.push_back(Matrix::from_rows({{-2.0, 0.0}, {0.0, -2.0}}));
+  inputs.push_back(Matrix::from_rows({{-2.0, 1.0}, {1.0, -3.0}}));  // negative definite
+  inputs.push_back(Matrix::from_rows({{2.0, 1.0}, {1.0, 3.0}}));    // positive definite
+  inputs.push_back(Matrix::from_rows({{1.0, 1.0}, {1.0, 1.0}}));    // PSD, singular
+  inputs.push_back(Matrix::from_rows({{-1.0, 1.0}, {1.0, -1.0}}));  // NSD, singular
+  inputs.push_back(Matrix::from_rows({{1.0, 1e-9}, {1e-9, -1.0}}));
+  inputs.push_back(Matrix::from_rows({{1e150, -3e150}, {-3e150, 2e150}}));
+  inputs.push_back(Matrix::from_rows({{-1e-150, 2e-150}, {2e-150, 5e-151}}));
+  for (const std::size_t n : {3, 7}) {
+    for (int k = 0; k < 5; ++k) {
+      Matrix u = random_square(n, rng);
+      u.symmetrize();
+      inputs.push_back(u);
+    }
+  }
+  return inputs;
+}
+
+TEST(AdmmSplit, MatchesEigenSplit) {
+  const double tol = 1e-13;
+  for (const Matrix& u : split_inputs()) {
+    const double unorm = std::max(linalg::norm_inf(u), 1e-300);
+    for (const double rho : {1.0, 0.37, 25.0}) {
+      Matrix s_ref, x_ref;
+      eigen_split(u, rho, s_ref, x_ref);
+      const Matrix x_old = Matrix::identity(u.rows());
+      Matrix s(u.rows(), u.rows()), x = x_old;
+      const double change = admm_split_psd(u, rho, s, x);
+      const std::string where = u.str(17) + " rho " + std::to_string(rho);
+      EXPECT_LE(linalg::norm_inf(s - s_ref), tol * unorm) << where;
+      EXPECT_LE(linalg::norm_inf(x - x_ref), tol * rho * unorm) << where;
+      EXPECT_EQ(change, linalg::norm_inf(x - x_old)) << where;
+      // S and X are PSD, S - X/rho = U, and X S vanishes to rounding.
+      EXPECT_GE(linalg::min_eigenvalue(s), -tol * unorm) << where;
+      EXPECT_GE(linalg::min_eigenvalue(x), -tol * rho * unorm) << where;
+      Matrix back = s;
+      back.axpy(-1.0 / rho, x);
+      EXPECT_LE(linalg::norm_inf(back - u), tol * unorm) << where;
+      EXPECT_LE(linalg::norm_inf(x * s), tol * rho * unorm * unorm) << where;
+    }
+  }
+}
+
+TEST(AdmmSplit, NanInUComesBackNonFinite) {
+  // The ADMM watchdog (iterate_finite) sums every entry of S and X: a NaN
+  // in U must not come back as a finite iterate, wherever it sits.
+  util::Rng rng(5);
+  for (const std::size_t n : {1, 2, 3}) {
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = r; c < n; ++c) {
+        for (const double scale : {-1.0, 1.0}) {
+          Matrix u = random_square(n, rng);
+          u.symmetrize();
+          u.scale(scale);
+          u(r, c) = u(c, r) = std::numeric_limits<double>::quiet_NaN();
+          Matrix s, x;
+          admm_split_psd(u, 1.0, s, x);
+          double sum = 0.0;
+          for (std::size_t k = 0; k < n * n; ++k) sum += s.data()[k] + x.data()[k];
+          EXPECT_FALSE(std::isfinite(sum))
+              << "n " << n << " at (" << r << ", " << c << ")";
+        }
+      }
+    }
   }
 }
 
