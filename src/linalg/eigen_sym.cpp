@@ -10,88 +10,106 @@
 namespace soslock::linalg {
 namespace {
 
-/// Householder reduction of the symmetric matrix held in `z` to tridiagonal
-/// form (EISPACK tred2 lineage): on return d holds the diagonal, e the
-/// subdiagonal (e[0] unused), and — when `want_vectors` — z the accumulated
-/// orthogonal transformation Q with A = Q T Q^T. Without vectors, z is
-/// scratch and only d/e are meaningful.
-void tridiagonalize(Matrix& z, Vector& d, Vector& e, bool want_vectors) {
-  const int n = static_cast<int>(z.rows());
-  for (int i = n - 1; i > 0; --i) {
-    const int l = i - 1;
-    double h = 0.0, scale = 0.0;
-    if (l > 0) {
-      for (int k = 0; k <= l; ++k) scale += std::fabs(z(i, k));
-      if (scale == 0.0) {
-        e[i] = z(i, l);
-      } else {
-        for (int k = 0; k <= l; ++k) {
-          z(i, k) /= scale;
-          h += z(i, k) * z(i, k);
-        }
-        double f = z(i, l);
-        double g = f >= 0.0 ? -std::sqrt(h) : std::sqrt(h);
-        e[i] = scale * g;
-        h -= f * g;
-        z(i, l) = f - g;
-        f = 0.0;
-        const Kernels& kern = active_kernels();
-        const double* zi = z.row_ptr(static_cast<std::size_t>(i));
-        for (int j = 0; j <= l; ++j) {
-          if (want_vectors) z(j, i) = z(i, j) / h;
-          // Row j is contiguous up to its diagonal; the strided tail walks
-          // column j below it.
-          g = kern.dot(z.row_ptr(static_cast<std::size_t>(j)), zi,
-                       static_cast<std::size_t>(j) + 1);
-          for (int k = j + 1; k <= l; ++k) g += z(k, j) * z(i, k);
-          e[j] = g / h;
-          f += e[j] * z(i, j);
-        }
-        const double hh = f / (h + h);
-        for (int j = 0; j <= l; ++j) {
-          f = z(i, j);
-          e[j] = g = e[j] - hh * f;
-          kern.sub_scaled2(f, e.data(), g, zi, z.row_ptr(static_cast<std::size_t>(j)),
-                           static_cast<std::size_t>(j) + 1);
-        }
-      }
-    } else {
-      e[i] = z(i, l);
+/// sqrt(f^2 + g^2), the radius of a QL Givens rotation. The plain form is
+/// within an ulp or two of std::hypot while the sum lies inside
+/// [2^-1000, 2^1000]: no square overflowed, and one that fell below the
+/// normal range is too small against the sum to matter. Outside that range
+/// (or on a NaN) the overflow- and underflow-safe std::hypot answers. The
+/// rotation chain is latency-bound, and std::hypot's scaling costs about as
+/// much as the rest of a rotation.
+inline double rotation_radius(double f, double g) {
+  const double ss = f * f + g * g;
+  if (ss >= 0x1p-1000 && ss <= 0x1p+1000) return std::sqrt(ss);
+  return std::hypot(f, g);
+}
+
+/// Top-down Householder reduction of the symmetric n x n matrix held in `w`
+/// (both triangles) to tridiagonal form T = Q^T A Q, on whole rows: step k
+/// reflects the tail of row k (= column k below the diagonal) and applies
+/// the dsytd2-style rank-2 update A22 -= u q^T + q u^T, one row dot and one
+/// sub_scaled2 per trailing row. Each column is scaled by the sum of its
+/// magnitudes first (tred2's scaling), so no norm overflows. On return d is
+/// T's diagonal and e its superdiagonal (e[n-1] = 0); for k < n-2, row k of
+/// `w` holds the reflector u_k in columns k+1..n-1 and tau[k] its scale,
+/// H_k = I - u_k u_k^T / tau[k] (tau[k] = 0: H_k = I), with
+/// Q = H_0 H_1 ... H_{n-3}. The rest of `w` is scratch.
+void tridiagonalize(Matrix& w, Vector& d, Vector& e, Vector& tau) {
+  const Kernels& kern = active_kernels();
+  const std::size_t n = w.rows();
+  for (std::size_t k = 0; k + 2 < n; ++k) {
+    const std::size_t m = n - k - 1;
+    double* u = w.row_ptr(k) + k + 1;
+    d[k] = w(k, k);
+    double scale = 0.0;
+    for (std::size_t i = 0; i < m; ++i) scale += std::fabs(u[i]);
+    if (scale == 0.0) {
+      e[k] = 0.0;
+      tau[k] = 0.0;
+      continue;
     }
-    d[i] = h;
+    for (std::size_t i = 0; i < m; ++i) u[i] /= scale;  // 1/scale may overflow
+    double h = kern.dot(u, u, m);
+    const double f = u[0];
+    const double g = f >= 0.0 ? -std::sqrt(h) : std::sqrt(h);
+    e[k] = scale * g;
+    h -= f * g;
+    u[0] = f - g;
+    tau[k] = h;
+    // p = A22 u / h, then q = p - (u^T p / 2h) u, both in e[k+1..n), which
+    // the later steps overwrite.
+    double* q = e.data() + k + 1;
+    double* a22 = w.row_ptr(k + 1) + k + 1;
+    for (std::size_t i = 0; i < m; ++i) q[i] = kern.dot(a22 + i * n, u, m) / h;
+    const double hh = kern.dot(u, q, m) / (h + h);
+    for (std::size_t i = 0; i < m; ++i) q[i] -= hh * u[i];
+    for (std::size_t i = 0; i < m; ++i)
+      kern.sub_scaled2(u[i], q, q[i], u, a22 + i * n, m);
   }
-  if (want_vectors) d[0] = 0.0;
-  e[0] = 0.0;
-  for (int i = 0; i < n; ++i) {
-    if (want_vectors) {
-      if (d[i] != 0.0) {
-        for (int j = 0; j < i; ++j) {
-          double g = 0.0;
-          for (int k = 0; k < i; ++k) g += z(i, k) * z(k, j);
-          for (int k = 0; k < i; ++k) z(k, j) -= g * z(k, i);
-        }
-      }
-      d[i] = z(i, i);
-      z(i, i) = 1.0;
-      for (int j = 0; j < i; ++j) {
-        z(j, i) = 0.0;
-        z(i, j) = 0.0;
-      }
-    } else {
-      d[i] = z(i, i);
-    }
+  if (n >= 2) {
+    d[n - 2] = w(n - 2, n - 2);
+    e[n - 2] = w(n - 2, n - 1);
+  }
+  if (n >= 1) {
+    d[n - 1] = w(n - 1, n - 1);
+    e[n - 1] = 0.0;
   }
 }
 
-/// Implicit-shift QL on the tridiagonal (d, e) (EISPACK tql2/tql1 lineage).
-/// Rotations are accumulated into *z when non-null. Returns false if any
+/// Q^T = H_{n-3} ... H_1 H_0 from the reflectors tridiagonalize left in `w`,
+/// built in `qt` from the identity by M <- H_k M for k ascending. Rows 1..n-1
+/// of M are zero in column 0, so each step is two passes of axpys over
+/// contiguous row tails of length n-1 (for n = 25, three AVX-512 registers
+/// and no remainder): t = u_k^T M[k+1:, 1:], then M[k+1:, 1:] -= u_k t^T /
+/// tau[k]. t lives in the last row of `w`, which the reduction has spent.
+void accumulate_qt(Matrix& w, const Vector& tau, Matrix& qt) {
+  const Kernels& kern = active_kernels();
+  const std::size_t n = w.rows();
+  qt.fill(0.0);
+  for (std::size_t i = 0; i < n; ++i) qt(i, i) = 1.0;
+  for (std::size_t k = 0; k + 2 < n; ++k) {
+    if (tau[k] == 0.0) continue;
+    const std::size_t m = n - k - 1;
+    const double* u = w.row_ptr(k) + k + 1;
+    double* t = w.row_ptr(n - 1);
+    std::fill(t, t + n - 1, 0.0);
+    for (std::size_t j = 0; j < m; ++j)
+      kern.axpy(u[j], qt.row_ptr(k + 1 + j) + 1, t, n - 1);
+    const double inv = -1.0 / tau[k];
+    for (std::size_t j = 0; j < m; ++j)
+      kern.axpy(inv * u[j], t, qt.row_ptr(k + 1 + j) + 1, n - 1);
+  }
+}
+
+/// Implicit-shift QL on the tridiagonal (d, e), e[i] = T(i, i+1) and
+/// e[n-1] = 0 (EISPACK tql2/tql1 lineage). Each rotation is applied to rows
+/// i and i+1 of *qt when non-null, interleaved with the chain so the
+/// row update fills the latency of the next radius. Returns false if any
 /// eigenvalue fails to converge within 50 shifts (caller falls back to the
 /// Jacobi reference).
-bool ql_implicit_shift(Vector& d, Vector& e, Matrix* z) {
+bool ql_implicit_shift(Vector& d, Vector& e, Matrix* qt) {
   const int n = static_cast<int>(d.size());
   if (n <= 1) return true;
-  for (int i = 1; i < n; ++i) e[i - 1] = e[i];
-  e[n - 1] = 0.0;
+  const Kernels& kern = active_kernels();
   for (int l = 0; l < n; ++l) {
     int iter = 0;
     int m;
@@ -107,14 +125,14 @@ bool ql_implicit_shift(Vector& d, Vector& e, Matrix* z) {
       if (m != l) {
         if (iter++ == 50) return false;
         double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-        double r = std::hypot(g, 1.0);
+        double r = rotation_radius(g, 1.0);
         g = d[m] - d[l] + e[l] / (g + std::copysign(r, g));
         double s = 1.0, c = 1.0, p = 0.0;
         int i = m - 1;
         for (; i >= l; --i) {
-          double f = s * e[i];
+          const double f = s * e[i];
           const double b = c * e[i];
-          r = std::hypot(f, g);
+          r = rotation_radius(f, g);
           e[i + 1] = r;
           if (r == 0.0) {
             // Deflation mid-sweep: the split is below i; undo the shift on
@@ -130,13 +148,10 @@ bool ql_implicit_shift(Vector& d, Vector& e, Matrix* z) {
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
-          if (z != nullptr) {
-            const int nn = n;
-            for (int k = 0; k < nn; ++k) {
-              f = (*z)(k, i + 1);
-              (*z)(k, i + 1) = s * (*z)(k, i) + c * f;
-              (*z)(k, i) = c * (*z)(k, i) - s * f;
-            }
+          if (qt != nullptr) {
+            kern.rot(c, s, qt->row_ptr(static_cast<std::size_t>(i)),
+                     qt->row_ptr(static_cast<std::size_t>(i) + 1),
+                     static_cast<std::size_t>(n));
           }
         }
         if (r == 0.0 && i >= l) continue;
@@ -149,8 +164,9 @@ bool ql_implicit_shift(Vector& d, Vector& e, Matrix* z) {
   return true;
 }
 
-/// Sort eigenvalues ascending, permuting eigenvector columns to match.
-EigenSym sorted_result(Vector d, Matrix z) {
+/// Sort eigenvalues ascending; column j of the result is the row of `rows`
+/// that belongs to the j-th smallest.
+EigenSym sorted_result(const Vector& d, const Matrix& rows) {
   const std::size_t n = d.size();
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
@@ -161,7 +177,8 @@ EigenSym sorted_result(Vector d, Matrix z) {
   out.vectors = Matrix(n, n);
   for (std::size_t j = 0; j < n; ++j) {
     out.values[j] = d[order[j]];
-    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = z(i, order[j]);
+    const double* v = rows.row_ptr(order[j]);
+    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = v[i];
   }
   return out;
 }
@@ -172,7 +189,7 @@ EigenSym eigen_sym_jacobi(const Matrix& a, double tol, int max_sweeps) {
   assert(a.rows() == a.cols());
   const std::size_t n = a.rows();
   Matrix d = a;
-  Matrix v = Matrix::identity(n);
+  Matrix vt = Matrix::identity(n);  // eigenvectors as rows
 
   auto off_norm = [&d, n]() {
     double s = 0.0;
@@ -206,9 +223,9 @@ EigenSym eigen_sym_jacobi(const Matrix& a, double tol, int max_sweeps) {
           d(q, k) = s * dpk + c * dqk;
         }
         for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p), vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
+          const double vkp = vt(p, k), vkq = vt(q, k);
+          vt(p, k) = c * vkp - s * vkq;
+          vt(q, k) = s * vkp + c * vkq;
         }
       }
     }
@@ -216,24 +233,34 @@ EigenSym eigen_sym_jacobi(const Matrix& a, double tol, int max_sweeps) {
 
   Vector values(n);
   for (std::size_t i = 0; i < n; ++i) values[i] = d(i, i);
-  return sorted_result(std::move(values), std::move(v));
+  return sorted_result(values, vt);
+}
+
+EigenWork::EigenWork(std::size_t n)
+    : values(n), vectors_t(n, n), reduced(n, n), offdiag(n), tau(n) {}
+
+void eigen_sym_rows(const Matrix& a, EigenWork& work) {
+  assert(a.rows() == a.cols());
+  const std::size_t n = a.rows();
+  if (work.reduced.rows() != n || work.vectors_t.rows() != n || work.values.size() != n ||
+      work.offdiag.size() != n || work.tau.size() != n)
+    work = EigenWork(n);
+  work.reduced = a;  // same shape: the copy keeps the storage
+  tridiagonalize(work.reduced, work.values, work.offdiag, work.tau);
+  accumulate_qt(work.reduced, work.tau, work.vectors_t);
+  if (ql_implicit_shift(work.values, work.offdiag, &work.vectors_t)) return;
+  const EigenSym jac = eigen_sym_jacobi(a);
+  work.values = jac.values;
+  for (std::size_t k = 0; k < n; ++k)
+    for (std::size_t i = 0; i < n; ++i) work.vectors_t(k, i) = jac.vectors(i, k);
 }
 
 EigenSym eigen_sym(const Matrix& a) {
   assert(a.rows() == a.cols());
-  const std::size_t n = a.rows();
-  if (n == 0) return {};
-  if (n == 1) {
-    EigenSym out;
-    out.values = {a(0, 0)};
-    out.vectors = Matrix::identity(1);
-    return out;
-  }
-  Matrix z = a;
-  Vector d(n), e(n);
-  tridiagonalize(z, d, e, /*want_vectors=*/true);
-  if (!ql_implicit_shift(d, e, &z)) return eigen_sym_jacobi(a);
-  return sorted_result(std::move(d), std::move(z));
+  if (a.rows() == 0) return {};
+  EigenWork work(a.rows());
+  eigen_sym_rows(a, work);
+  return sorted_result(work.values, work.vectors_t);
 }
 
 Vector eigen_values_sym(const Matrix& a) {
@@ -241,9 +268,9 @@ Vector eigen_values_sym(const Matrix& a) {
   const std::size_t n = a.rows();
   if (n == 0) return {};
   if (n == 1) return {a(0, 0)};
-  Matrix z = a;
-  Vector d(n), e(n);
-  tridiagonalize(z, d, e, /*want_vectors=*/false);
+  Matrix w = a;
+  Vector d(n), e(n), tau(n);
+  tridiagonalize(w, d, e, tau);
   if (!ql_implicit_shift(d, e, nullptr)) return eigen_sym_jacobi(a).values;
   std::sort(d.begin(), d.end());
   return d;

@@ -98,11 +98,13 @@ void s_sub_scaled2(double f, const double* a, double g, const double* b, double*
   for (std::size_t k = 0; k < n; ++k) y[k] -= f * a[k] + g * b[k];
 }
 
-void s_split_recombine(const double* neg, const double* u, double rho, double* splus,
-                       double* xnew, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    splus[i] = neg[i] + u[i];
-    xnew[i] = rho * neg[i];
+void s_rot(double c, double s, double* x, double* y, std::size_t n) {
+  // The historical column update of the QL eigenvector accumulation, now
+  // along rows: same per-element arithmetic.
+  for (std::size_t k = 0; k < n; ++k) {
+    const double f = y[k];
+    y[k] = s * x[k] + c * f;
+    x[k] = c * x[k] - s * f;
   }
 }
 
@@ -180,7 +182,7 @@ Kernels make_scalar() {
   k.syrk_sub_upper = &s_syrk_sub_upper;
   k.axpy = &s_axpy;
   k.sub_scaled2 = &s_sub_scaled2;
-  k.split_recombine = &s_split_recombine;
+  k.rot = &s_rot;
   k.dot = &s_dot;
   k.dot_sub = &s_dot_sub;
   k.chol_trailing_update = &s_chol_trailing_update;

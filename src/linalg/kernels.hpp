@@ -1,9 +1,9 @@
 #pragma once
 // ISA-dispatched dense micro-kernels behind the linalg hot paths (GEMM,
-// Cholesky, the QL eigensolver's Householder stage, ADMM eigensplit
-// reconstruction, Schur syrk updates). One Kernels table per instruction
-// set; the active table is resolved once at startup from the CPU probe
-// (util/cpu) intersected with what the build compiled in, overridable with
+// Cholesky, the eigensolver's Householder reduction and QL rotations, Schur
+// syrk updates). One Kernels table per instruction set; the active table is
+// resolved once at startup from the CPU probe (util/cpu) intersected with
+// what the build compiled in, overridable with
 // SOSLOCK_SIMD=scalar|avx2|avx512|neon.
 //
 // Contract conventions:
@@ -17,9 +17,9 @@
 //     other ISA against.
 //   - Vector tables keep the per-element accumulation *order* of the scalar
 //     path for the elementwise kernels (gemm_acc, syrk_sub_upper, axpy,
-//     sub_scaled2, split_recombine) — they differ only by FMA contraction,
-//     so parity there is a fused-multiply-add question, not a reduction-
-//     order question. The reduction kernels (dot, dot_sub and the
+//     sub_scaled2, rot) — they differ only by FMA contraction, so parity
+//     there is a fused-multiply-add question, not a reduction-order
+//     question. The reduction kernels (dot, dot_sub and the
 //     triangular solves) split sums across lanes or reorder them and are
 //     parity-tested to ulp-scaled bounds instead.
 #include <cstddef>
@@ -53,10 +53,12 @@ struct Kernels {
   void (*sub_scaled2)(double f, const double* a, double g, const double* b, double* y,
                       std::size_t n);
 
-  /// ADMM eigensplit reconstruction: splus = neg + u, xnew = rho * neg in
-  /// one streaming pass over the block.
-  void (*split_recombine)(const double* neg, const double* u, double rho, double* splus,
-                          double* xnew, std::size_t n);
+  /// Givens rotation of two rows, in place: for each k, with the old
+  /// values, y[k] = s * x[k] + c * y[k] and x[k] = c * x[k] - s * y[k] —
+  /// one QL rotation applied to rows i (x) and i+1 (y) of the eigensolver's
+  /// Q^T. Vector tables fuse each s-product onto the rounded c-product:
+  /// y = fma(s, x, c*y), x = fma(-s, y, c*x).
+  void (*rot)(double c, double s, double* x, double* y, std::size_t n);
 
   /// Plain dot product (pure-sum reduction sites: Cholesky trailing syrk,
   /// Householder column norms, Frobenius inner products, gemv rows).

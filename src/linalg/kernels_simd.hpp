@@ -18,7 +18,7 @@
 //   V::reduce_add(v)                lane sum
 //
 // Parity contract with the scalar reference (see kernels.hpp): the
-// elementwise kernels (gemm, syrk, axpy, sub_scaled2, split_recombine) keep
+// elementwise kernels (gemm, syrk, axpy, sub_scaled2, rot) keep
 // the scalar per-element k-order and differ only by FMA fusing, so their
 // remainder lanes must use std::fma to stay exactly reproducible by a fused
 // sequential reference. The reduction kernels (dot, dot_sub, trsv_lower)
@@ -171,19 +171,21 @@ inline void vsub_scaled2(double f, const double* a, double g, const double* b, d
 }
 
 template <class V>
-inline void vsplit_recombine(const double* neg, const double* u, double rho, double* splus,
-                             double* xnew, std::size_t n) {
+inline void vrot(double c, double s, double* x, double* y, std::size_t n) {
   constexpr std::size_t W = V::W;
-  const typename V::vec rv = V::set1(rho);
+  const typename V::vec cv = V::set1(c);
+  const typename V::vec sv = V::set1(s);
   std::size_t i = 0;
   for (; i + W <= n; i += W) {
-    const typename V::vec nv = V::loadu(neg + i);
-    V::storeu(splus + i, V::add(nv, V::loadu(u + i)));
-    V::storeu(xnew + i, V::mul(rv, nv));
+    const typename V::vec xv = V::loadu(x + i);
+    const typename V::vec yv = V::loadu(y + i);
+    V::storeu(y + i, V::fmadd(sv, xv, V::mul(cv, yv)));
+    V::storeu(x + i, V::fnmadd(sv, yv, V::mul(cv, xv)));
   }
   for (; i < n; ++i) {
-    splus[i] = neg[i] + u[i];
-    xnew[i] = rho * neg[i];
+    const double xi = x[i], yi = y[i];
+    y[i] = std::fma(s, xi, c * yi);
+    x[i] = std::fma(-s, yi, c * xi);
   }
 }
 
@@ -395,7 +397,7 @@ inline Kernels make_table(util::SimdIsa isa) {
   k.syrk_sub_upper = &vsyrk_sub_upper<VD>;
   k.axpy = &vaxpy<VD>;
   k.sub_scaled2 = &vsub_scaled2<VD>;
-  k.split_recombine = &vsplit_recombine<VD>;
+  k.rot = &vrot<VD>;
   k.dot = &vdot<VD>;
   k.dot_sub = &vdot_sub<VD>;
   k.chol_trailing_update = &vchol_trailing_update<VD>;

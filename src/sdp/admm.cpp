@@ -37,6 +37,21 @@ constexpr int kRhoUpdateInterval = 50;
 constexpr double kResidualBalance = 10.0;
 constexpr double kRhoScale = 2.0;
 
+/// S = U + U^- and X = rho U^- from U^- (`neg`, which may be `s` itself)
+/// over nn entries, into the caller's storage; returns max_k |X'_k - X_k|
+/// against the X that `x` held on entry.
+double recombine(const double* neg, const double* u, std::size_t nn, double rho,
+                 double* s, double* x) {
+  double change = 0.0;
+  for (std::size_t k = 0; k < nn; ++k) {
+    const double xk = rho * neg[k];
+    change = std::max(change, std::fabs(xk - x[k]));
+    s[k] = neg[k] + u[k];
+    x[k] = xk;
+  }
+  return change;
+}
+
 /// Closed-form eigensplit of a symmetric n x n U (row-major `u`, n <= 2)
 /// into s = U^+ = U + U^- and x = rho U^-, written in place; returns
 /// max_k |x'_k - x_k|. For n = 2 with mid = (a+c)/2, half = (a-c)/2 and
@@ -63,14 +78,7 @@ double split_small(const double* u, std::size_t n, double rho, double* s, double
   } else if (n == 1) {
     if (!(u[0] >= 0.0)) neg[0] = -u[0];
   }
-  double change = 0.0;
-  for (std::size_t k = 0; k < n * n; ++k) {
-    const double xk = rho * neg[k];
-    change = std::max(change, std::fabs(xk - x[k]));
-    s[k] = neg[k] + u[k];
-    x[k] = xk;
-  }
-  return change;
+  return recombine(neg, u, n * n, rho, s, x);
 }
 
 /// One solve of the backend: normal-matrix setup, the y-update solve, the
@@ -98,13 +106,19 @@ class AdmmEngine {
   linalg::Vector solve_y(const std::vector<linalg::Matrix>& x,
                          const std::vector<linalg::Matrix>& s,
                          const linalg::Vector& w, double rho) const;
+  /// Eigensplit storage of one block of size >= 3: U and the eigensolver's
+  /// workspace, allocated by the constructor and reused every iteration.
+  struct SplitScratch {
+    linalg::Matrix u;
+    linalg::EigenWork eig;
+  };
   /// (S, X)-update of one block, in place: over-relaxed eigensplit
   /// projection given the current y. Blocks of size <= 2 build U on the
-  /// stack, larger ones in `u_j`, the block's scratch. Returns the block's
-  /// scaled dual residual.
+  /// stack, larger ones in `scratch`. Returns the block's scaled dual
+  /// residual.
   double project_block(std::size_t j, const linalg::Vector& y, double rho,
                        linalg::Matrix& x_j, linalg::Matrix& s_j,
-                       linalg::Matrix& u_j) const;
+                       SplitScratch& scratch) const;
   /// w-update (multiplier ascent on B'y = f, over-relaxed step); returns the
   /// free-variable dual residual.
   double update_w(const linalg::Vector& y, linalg::Vector& w, double rho) const;
@@ -162,7 +176,7 @@ class AdmmEngine {
   std::optional<linalg::Cholesky> chol_m_;  // reduced Nyy - W^T W (m x m)
   OverlapElimination elim_;                 // overlap-corner factors (q > 0 only)
   std::vector<linalg::Matrix> x_, s_;
-  std::vector<linalg::Matrix> u_;  // per-block U scratch (blocks of size >= 3)
+  std::vector<SplitScratch> split_;  // per-block scratch (blocks of size >= 3)
   linalg::Vector y_, w_, rhs0_;
   std::size_t m_ = 0, q_ = 0, mext_ = 0, nf_ = 0, nblocks_ = 0, total_dim_ = 0;
   double data_norm_ = 1.0, c_norm_ = 1.0;
@@ -179,11 +193,14 @@ AdmmEngine::AdmmEngine(const Problem& p, const AdmmOptions& opt, std::size_t thr
   nf_ = p_.num_free();
   nblocks_ = p_.num_blocks();
   total_dim_ = p_.total_psd_dim();
-  // U scratch of the blocks that go through eigen_sym, allocated once per
-  // solve: the projections then reuse it every iteration.
-  u_.resize(nblocks_);
+  // Scratch of the blocks that go through the eigensolver, allocated once
+  // per solve here (allocated lazily in the first iteration, it raised the
+  // clock-tree request's peak RSS): the projections then reuse it every
+  // iteration.
+  split_.resize(nblocks_);
   for (std::size_t j = 0; j < nblocks_; ++j) {
-    if (p_.block_size(j) > 2) u_[j] = Matrix(p_.block_size(j), p_.block_size(j));
+    const std::size_t n = p_.block_size(j);
+    if (n > 2) split_[j] = {Matrix(n, n), linalg::EigenWork(n)};
   }
   views_ = build_block_row_views(p_, structure);
   // Native decomposed cones: overlap couplings join the dual update as
@@ -334,7 +351,7 @@ Vector AdmmEngine::solve_y(const std::vector<Matrix>& x, const std::vector<Matri
 }
 
 double AdmmEngine::project_block(std::size_t j, const Vector& y, double rho, Matrix& x_j,
-                                 Matrix& s_j, Matrix& u_j) const {
+                                 Matrix& s_j, SplitScratch& scratch) const {
   // U_j = alpha (C_j - A*_j y) + (1-alpha) S_j - X_j/rho; the eigensplit
   // gives S_j = U_j^+ and X_j = rho U_j^-, PSD by construction and
   // complementary up to eigensolver roundoff, with over-relaxation damping
@@ -361,13 +378,14 @@ double AdmmEngine::project_block(std::size_t j, const Vector& y, double rho, Mat
     }
     change = split_small(u, n, rho, s_j.data(), x_j.data());
   } else {
+    Matrix& u_j = scratch.u;
     u_j = p_.block_objective(j);  // copy-assignment keeps u_j's storage
     for (const BlockRowView& v : views_[j]) v.coeff->add_to(u_j, -y[v.row]);
     u_j.scale(kOverRelaxation);
     u_j.axpy(1.0 - kOverRelaxation, s_j);
     u_j.axpy(-1.0 / rho, x_j);
     u_j.symmetrize();
-    change = admm_split_psd(u_j, rho, s_j, x_j);
+    change = admm_split_psd(u_j, rho, s_j, x_j, scratch.eig);
   }
   return change / (rho * (1.0 + c_norm_));
 }
@@ -583,10 +601,10 @@ Solution AdmmEngine::run() {
     phase_timer.reset();
     // Blocks are independent given y (read-only here): one eigensplit per
     // block, fanned out on the pool. Each task writes only its own x_[j] /
-    // s_[j] / u_[j] slot and dres slot, and the final max-reduction is
+    // s_[j] / split_[j] slot and dres slot, and the final max-reduction is
     // order-independent, so results are identical across thread counts.
     pool_.run_all(nblocks_, [&](std::size_t j) {
-      dres_per_block[j] = project_block(j, y_, rho_, x_[j], s_[j], u_[j]);
+      dres_per_block[j] = project_block(j, y_, rho_, x_[j], s_[j], split_[j]);
     });
     dres = 0.0;
     for (double d : dres_per_block) dres = std::max(dres, d);
@@ -641,33 +659,49 @@ Solution AdmmEngine::run() {
 
 }  // namespace
 
-double admm_split_psd(const Matrix& u, double rho, Matrix& s, Matrix& x) {
+double admm_split_psd(const Matrix& u, double rho, Matrix& s, Matrix& x,
+                      linalg::EigenWork& work) {
   const std::size_t n = u.rows();
   if (s.rows() != n || s.cols() != n) s = Matrix(n, n);
   if (x.rows() != n || x.cols() != n) x = Matrix(n, n);
   if (n <= 2) return split_small(u.data(), n, rho, s.data(), x.data());
-  // U^- = (Q sqrt(-lambda))(Q sqrt(-lambda))^T as a GEMM on the scaled
-  // negative eigenvector panel, so X keeps its Gram shape; the slack side
-  // falls out of U^+ = U + U^-.
-  const linalg::EigenSym eig = linalg::eigen_sym(u);
-  std::size_t nneg = 0;  // values ascending: negatives first
-  while (nneg < n && eig.values[nneg] < 0.0) ++nneg;
-  Matrix panel(n, nneg);
-  for (std::size_t c = 0; c < nneg; ++c) {
-    const double scale = std::sqrt(-eig.values[c]);
-    for (std::size_t r = 0; r < n; ++r) panel(r, c) = eig.vectors(r, c) * scale;
+  if (work.reduced.rows() != n) work = linalg::EigenWork(n);
+  const linalg::Kernels& kern = linalg::active_kernels();
+  const std::size_t nn = n * n;
+  const double* pu = u.data();
+  // U^- is built in S's storage (S's old value is dead); recombine then
+  // turns it into S = U + U^- in place.
+  double* neg = s.data();
+  // Screen: when -U factors, U is negative definite (to within the factor's
+  // roundoff, far below the eigensolver's), so U^- = -U, S = 0 and no
+  // eigensolve. On the clock-tree cliques about one call in nine.
+  double* l = work.reduced.data();
+  for (std::size_t k = 0; k < nn; ++k) l[k] = -pu[k];
+  if (kern.chol_factor_panel(n, 0, l, n)) {
+    for (std::size_t k = 0; k < nn; ++k) neg[k] = -pu[k];
+    return recombine(neg, pu, nn, rho, s.data(), x.data());
   }
-  const Matrix neg = linalg::times_transposed(panel, panel);  // U^-
-  // The change against the old X first, then the fused recombination
-  // S = U + U^-, X = rho U^- straight into the caller's storage
-  // (linalg::Kernels::split_recombine).
-  const double* pn = neg.data();
-  const double* px = x.data();
-  double change = 0.0;
-  for (std::size_t k = 0; k < n * n; ++k)
-    change = std::max(change, std::fabs(rho * pn[k] - px[k]));
-  linalg::active_kernels().split_recombine(pn, u.data(), rho, s.data(), x.data(), n * n);
-  return change;
+  // U^- = P^T P with P's rows the negative eigenvectors scaled by
+  // sqrt(-lambda): a GEMM on the eigenpanel, so X keeps its Gram shape. The
+  // rows of P are compacted into the leading rows of vectors_t, and P^T
+  // (n x nneg) goes into the reduction scratch, which is free again.
+  linalg::eigen_sym_rows(u, work);
+  std::size_t nneg = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (!(work.values[k] < 0.0)) continue;
+    const double scale = std::sqrt(-work.values[k]);
+    const double* v = work.vectors_t.row_ptr(k);
+    double* p = work.vectors_t.row_ptr(nneg++);
+    for (std::size_t i = 0; i < n; ++i) p[i] = scale * v[i];
+  }
+  double* pt = work.reduced.data();
+  for (std::size_t t = 0; t < nneg; ++t) {
+    const double* p = work.vectors_t.row_ptr(t);
+    for (std::size_t i = 0; i < n; ++i) pt[i * nneg + t] = p[i];
+  }
+  std::fill(neg, neg + nn, 0.0);
+  kern.gemm_acc(n, n, nneg, pt, nneg, work.vectors_t.data(), n, neg, n);
+  return recombine(neg, pu, nn, rho, s.data(), x.data());
 }
 
 Solution AdmmSolver::solve(const Problem& problem, SolveContext& context) const {

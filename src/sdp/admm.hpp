@@ -8,14 +8,16 @@
 //
 // One iteration solves a cached m x m normal-equation system for y, projects
 // per block onto the PSD cone (admm_split_psd: closed form for blocks of
-// size <= 2, linalg::eigen_sym above), and takes a multiplier ascent step in
-// the primal (X, w). The multiplier update X_j = rho * U_j^- keeps every
-// primal block PSD by construction (a Gram product of the negative
-// eigenpanel, or its closed form) and complementary to S_j up to eigensolver
-// roundoff, so iterates are always certificate-shaped; accuracy is
-// first-order (~1e-6).
+// size <= 2, a Cholesky screen and linalg::eigen_sym_rows above), and takes
+// a multiplier ascent step in the primal (X, w). The multiplier update
+// X_j = rho * U_j^- keeps every primal block PSD by construction (a Gram
+// product of the negative eigenpanel, -U_j when U_j is negative definite,
+// or the closed form) and complementary to S_j up to eigensolver roundoff,
+// so iterates are always certificate-shaped; accuracy is first-order
+// (~1e-6).
 #include <cstddef>
 
+#include "linalg/eigen_sym.hpp"
 #include "linalg/matrix.hpp"
 #include "sdp/options.hpp"
 #include "sdp/problem.hpp"
@@ -50,11 +52,15 @@ class AdmmSolver : public SolverBackend {
 /// into the existing storage of `s` and `x` (resized only when not n x n);
 /// `x` holds the previous X on entry, and the return value is the change
 /// max_ij |X'_ij - X_ij|, the block's unscaled dual residual.
-///   n <= 2: closed form on the stack, no eigensolver and no allocation.
-///   n >= 3: linalg::eigen_sym, with U^- rebuilt as a Gram product of the
-///           scaled negative eigenvectors so X keeps its certificate shape.
+///   n <= 2: closed form on the stack, no eigensolver; `work` is unused.
+///   n >= 3: in `work` (resized only when not sized for n; a sized one
+///           means no allocation).
+///           When a Cholesky of -U succeeds, U^- = -U without an
+///           eigensolve; otherwise linalg::eigen_sym_rows, with U^- rebuilt
+///           as a Gram product of the scaled negative eigenvectors so X
+///           keeps its certificate shape.
 /// A NaN in U comes back as a non-finite entry of S or X.
 double admm_split_psd(const linalg::Matrix& u, double rho, linalg::Matrix& s,
-                      linalg::Matrix& x);
+                      linalg::Matrix& x, linalg::EigenWork& work);
 
 }  // namespace soslock::sdp

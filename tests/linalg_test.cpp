@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "linalg/cholesky.hpp"
@@ -258,7 +259,8 @@ TEST_P(EigenParam, DecompositionProperties) {
   EXPECT_LT(norm_inf(rec - a), 1e-8 * std::max(1.0, norm_inf(a)));
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, EigenParam, ::testing::Values(1, 2, 3, 6, 12, 30));
+INSTANTIATE_TEST_SUITE_P(Sizes, EigenParam,
+                         ::testing::Values(1, 2, 3, 6, 12, 25, 30, 64));
 
 TEST(EigenSym, KnownEigenvalues) {
   const Matrix a = Matrix::from_rows({{2.0, 1.0}, {1.0, 2.0}});
@@ -341,6 +343,48 @@ TEST(EigenSym, QlVsJacobiClusteredEigenvalues) {
   Matrix a = q * Matrix::diag(d) * q.transposed();
   a.symmetrize();
   expect_eigen_parity(a, 1e-8);
+}
+
+TEST(EigenSym, ExtremeScalesStayFinite) {
+  // Rotation radii outside [2^-1000, 2^1000] take the std::hypot path: at
+  // 1e+-300 the plain sqrt(f^2 + g^2) overflows to inf or underflows to 0
+  // and the QL chain returns non-finite or wrong eigenpairs.
+  std::vector<Matrix> inputs;
+  util::Rng rng(53);
+  for (const double scale : {1e150, 1e-150, 1e300, 1e-300}) {
+    for (const std::size_t n : {5u, 25u}) {
+      Matrix a = random_matrix(n, n, rng);
+      a.symmetrize();
+      a.scale(scale);
+      inputs.push_back(a);
+    }
+  }
+  Matrix tiny_coupling = Matrix::diag({1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
+  tiny_coupling(2, 3) = tiny_coupling(3, 2) = 1e-300;
+  inputs.push_back(tiny_coupling);
+  for (const Matrix& a : inputs) {
+    const std::size_t n = a.rows();
+    const double anorm = norm_inf(a);
+    const EigenSym es = eigen_sym(a);
+    for (std::size_t k = 0; k < n; ++k) {
+      ASSERT_TRUE(std::isfinite(es.values[k])) << "scale " << anorm << " value " << k;
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_TRUE(std::isfinite(es.vectors(i, k))) << "scale " << anorm;
+    }
+    const Matrix vtv = transposed_times(es.vectors, es.vectors);
+    EXPECT_LT(norm_inf(vtv - Matrix::identity(n)), 1e-12) << "scale " << anorm;
+    // V diag(values) V^T column by column, so no intermediate leaves the
+    // normal range.
+    Matrix rec(n, n);
+    for (std::size_t k = 0; k < n; ++k)
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+          rec(i, j) += es.values[k] * es.vectors(i, k) * es.vectors(j, k);
+    EXPECT_LE(norm_inf(rec - a), 1e-12 * anorm) << "scale " << anorm;
+    const Vector vals = eigen_values_sym(a);
+    for (std::size_t k = 0; k < n; ++k)
+      EXPECT_NEAR(vals[k], es.values[k], 1e-12 * anorm) << "scale " << anorm;
+  }
 }
 
 TEST(EigenSym, TinyAndEmptyMatrices) {
@@ -576,17 +620,14 @@ TEST(KernelParity, ElementwiseKernelsExact) {
     const Vector x = rng.uniform_vector(n, -2.0, 2.0);
     const Vector u = rng.uniform_vector(n, -2.0, 2.0);
     const Vector y0 = rng.uniform_vector(n, -2.0, 2.0);
-    const double f = 0.77, g = -1.3, rho = 2.5;
+    const double f = 0.77, g = -1.3;
 
     Vector ax_plain = y0, ax_fma = y0, s2_plain = y0, s2_fma = y0;
-    Vector sp_ref(n), xn_ref(n);
     for (std::size_t i = 0; i < n; ++i) {
       ax_plain[i] += f * x[i];
       ax_fma[i] = std::fma(f, x[i], ax_fma[i]);
       s2_plain[i] -= f * x[i] + g * u[i];
       s2_fma[i] = std::fma(-g, u[i], std::fma(-f, x[i], s2_fma[i]));
-      sp_ref[i] = x[i] + u[i];
-      xn_ref[i] = rho * x[i];
     }
 
     Vector y = y0;
@@ -595,10 +636,6 @@ TEST(KernelParity, ElementwiseKernelsExact) {
     y = y0;
     scalar_kernels().sub_scaled2(f, x.data(), g, u.data(), y.data(), n);
     EXPECT_EQ(max_abs_diff(y, s2_plain), 0.0) << "scalar sub_scaled2 n=" << n;
-    Vector sp(n), xn(n);
-    scalar_kernels().split_recombine(x.data(), u.data(), rho, sp.data(), xn.data(), n);
-    EXPECT_EQ(max_abs_diff(sp, sp_ref), 0.0);
-    EXPECT_EQ(max_abs_diff(xn, xn_ref), 0.0);
 
     for (const Kernels* t : vector_tables()) {
       y = y0;
@@ -608,10 +645,53 @@ TEST(KernelParity, ElementwiseKernelsExact) {
       t->sub_scaled2(f, x.data(), g, u.data(), y.data(), n);
       EXPECT_EQ(max_abs_diff(y, s2_fma), 0.0)
           << util::isa_name(t->isa) << " sub_scaled2 n=" << n;
-      // split_recombine has no fused contraction at all: exact on every ISA.
-      t->split_recombine(x.data(), u.data(), rho, sp.data(), xn.data(), n);
-      EXPECT_EQ(max_abs_diff(sp, sp_ref), 0.0) << util::isa_name(t->isa);
-      EXPECT_EQ(max_abs_diff(xn, xn_ref), 0.0) << util::isa_name(t->isa);
+    }
+  }
+
+  // rot: scalar bit-exact against the historical QL update of two columns
+  // of a row-major eigenvector matrix (here columns 0 and 1 of an n x 2
+  // one); vector tables exact against the fused reference and within the
+  // FMA bound of the historical one, over every tail length of both vector
+  // widths.
+  const double c = std::cos(0.7), s = std::sin(0.7);
+  for (std::size_t n = 1; n <= 33; ++n) {
+    const Vector x0 = rng.uniform_vector(n, -2.0, 2.0);
+    const Vector y0 = rng.uniform_vector(n, -2.0, 2.0);
+    Matrix z(n, 2);
+    for (std::size_t k = 0; k < n; ++k) {
+      z(k, 0) = x0[k];
+      z(k, 1) = y0[k];
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      const double t = z(k, 1);
+      z(k, 1) = s * z(k, 0) + c * t;
+      z(k, 0) = c * z(k, 0) - s * t;
+    }
+    Vector x = x0, y = y0;
+    scalar_kernels().rot(c, s, x.data(), y.data(), n);
+    for (std::size_t k = 0; k < n; ++k) {
+      ASSERT_EQ(x[k], z(k, 0)) << "scalar rot n=" << n << " k=" << k;
+      ASSERT_EQ(y[k], z(k, 1)) << "scalar rot n=" << n << " k=" << k;
+    }
+    for (const Kernels* t : vector_tables()) {
+      x = x0;
+      y = y0;
+      t->rot(c, s, x.data(), y.data(), n);
+      for (std::size_t k = 0; k < n; ++k) {
+        // The fused reference of the contract...
+        ASSERT_EQ(y[k], std::fma(s, x0[k], c * y0[k]))
+            << util::isa_name(t->isa) << " rot n=" << n << " k=" << k;
+        ASSERT_EQ(x[k], std::fma(-s, y0[k], c * x0[k]))
+            << util::isa_name(t->isa) << " rot n=" << n << " k=" << k;
+        // ...and the unfused one: one product per output is not rounded,
+        // an ulp of it at most.
+        const double bound = 4.0 * std::numeric_limits<double>::epsilon() *
+                             (std::fabs(x0[k]) + std::fabs(y0[k]));
+        EXPECT_LE(std::fabs(x[k] - z(k, 0)), bound)
+            << util::isa_name(t->isa) << " rot n=" << n << " k=" << k;
+        EXPECT_LE(std::fabs(y[k] - z(k, 1)), bound)
+            << util::isa_name(t->isa) << " rot n=" << n << " k=" << k;
+      }
     }
   }
 }
@@ -814,6 +894,35 @@ TEST(KernelParity, WholeMatrixOpsAgreeAcrossIsas) {
   EXPECT_LT(norm_inf(chol_s.lower() - chol_v.lower()), 1e-9 * scale);
   EXPECT_LT(max_abs_diff(x_s, x_v), 1e-8 * scale);
   EXPECT_LT(max_abs_diff(ev_s, ev_v), 1e-9 * scale);
+
+  // eigen_sym with vectors under every table, on the SPD matrix and on an
+  // indefinite clique-sized one: the same eigenvalues as scalar, and
+  // reconstruction and orthogonality hold.
+  const Matrix indefinite = [&rng] {
+    Matrix m = random_matrix(25, 25, rng);
+    m.symmetrize();
+    return m;
+  }();
+  std::vector<util::SimdIsa> isas = {util::SimdIsa::Scalar};
+  for (const Kernels* t : vector_tables()) isas.push_back(t->isa);
+  for (const Matrix* m : {&a, &indefinite}) {
+    const std::size_t nm = m->rows();
+    const double mnorm = norm_inf(*m);
+    set_active_isa(util::SimdIsa::Scalar);
+    const Vector ref = eigen_sym(*m).values;
+    for (const util::SimdIsa isa : isas) {
+      set_active_isa(isa);
+      const EigenSym es = eigen_sym(*m);
+      set_active_isa(startup);
+      EXPECT_LT(max_abs_diff(es.values, ref), 1e-12 * mnorm * static_cast<double>(nm))
+          << util::isa_name(isa) << " n=" << nm;
+      const Matrix vtv = transposed_times(es.vectors, es.vectors);
+      EXPECT_LT(norm_inf(vtv - Matrix::identity(nm)), 1e-12) << util::isa_name(isa);
+      const Matrix rec = es.vectors * Matrix::diag(es.values) * es.vectors.transposed();
+      EXPECT_LT(norm_inf(rec - *m), 1e-12 * mnorm) << util::isa_name(isa) << " n=" << nm;
+    }
+  }
+  set_active_isa(startup);
 }
 
 }  // namespace

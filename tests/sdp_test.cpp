@@ -710,7 +710,7 @@ TEST(PsdStepLength, HugeNegativeDirectionCollapsesTheStep) {
   }
 }
 
-// --- admm_split_psd: the closed-form small-block split against eigen_sym ---
+// --- admm_split_psd: the closed-form and eigensolver splits against eigen_sym ---
 
 /// The eigen_sym split of U: S = U + U^-, X = rho U^-, with U^- the Gram
 /// product of the scaled negative eigenvectors.
@@ -730,7 +730,7 @@ void eigen_split(const Matrix& u, double rho, Matrix& s, Matrix& x) {
 /// Symmetric test inputs of size 1 and 2: random, mixed-sign diagonals,
 /// b = 0, equal eigenvalues, zero, negative and positive definite, and
 /// random entries near 1e150 and 1e-150. A few random blocks of size 3 and
-/// 7 cover the eigen_sym path.
+/// 7 cover the eigensolver path.
 std::vector<Matrix> split_inputs() {
   std::vector<Matrix> inputs;
   util::Rng rng(2024);
@@ -785,7 +785,8 @@ TEST(AdmmSplit, MatchesEigenSplit) {
       eigen_split(u, rho, s_ref, x_ref);
       const Matrix x_old = Matrix::identity(u.rows());
       Matrix s(u.rows(), u.rows()), x = x_old;
-      const double change = admm_split_psd(u, rho, s, x);
+      linalg::EigenWork work;
+      const double change = admm_split_psd(u, rho, s, x, work);
       const std::string where = u.str(17) + " rho " + std::to_string(rho);
       EXPECT_LE(linalg::norm_inf(s - s_ref), tol * unorm) << where;
       EXPECT_LE(linalg::norm_inf(x - x_ref), tol * rho * unorm) << where;
@@ -797,6 +798,86 @@ TEST(AdmmSplit, MatchesEigenSplit) {
       back.axpy(-1.0 / rho, x);
       EXPECT_LE(linalg::norm_inf(back - u), tol * unorm) << where;
       EXPECT_LE(linalg::norm_inf(x * s), tol * rho * unorm * unorm) << where;
+    }
+  }
+}
+
+/// A 25 x 25 symmetric U (the clock-tree clique size) with the given
+/// spectrum in a random orthonormal basis.
+Matrix clique_with_spectrum(const linalg::Vector& values, util::Rng& rng) {
+  const std::size_t n = values.size();
+  Matrix seed = random_square(n, rng);
+  seed.symmetrize();
+  const Matrix q = linalg::eigen_sym_jacobi(seed).vectors;
+  Matrix u = q * Matrix::diag(values) * q.transposed();
+  u.symmetrize();
+  return u;
+}
+
+TEST(AdmmSplit, CliqueSizeMatchesEigenSplit) {
+  // n = 25 through the Cholesky screen and the eigensolver path, against
+  // the eigen_sym oracle; one workspace and one (s, x) pair serve every
+  // call, and their storage never moves.
+  const std::size_t n = 25;
+  util::Rng rng(2025);
+  auto spectrum = [&rng, n](std::size_t nneg) {
+    linalg::Vector d(n);
+    for (std::size_t k = 0; k < n; ++k)
+      d[k] = (k < nneg ? -1.0 : 1.0) * std::pow(10.0, rng.uniform(-2.0, 1.0));
+    return d;
+  };
+  struct Case {
+    std::string name;
+    Matrix u;
+    bool screened;  // -U factors, so the split skips the eigensolver
+  };
+  std::vector<Case> cases;
+  cases.push_back({"negative definite", clique_with_spectrum(spectrum(n), rng), true});
+  {
+    // -U PSD with an exactly zero row and column: the Cholesky pivot there
+    // is exactly 0, so the screen fails and the eigensolver runs.
+    Matrix g = random_square(n, rng);
+    Matrix u = linalg::transposed_times(g, g);
+    for (std::size_t k = 0; k < n; ++k) u(12, k) = u(k, 12) = 0.0;
+    u.scale(-1.0);
+    cases.push_back({"-U PSD singular", u, false});
+  }
+  cases.push_back({"one negative", clique_with_spectrum(spectrum(1), rng), false});
+  cases.push_back({"24 negative", clique_with_spectrum(spectrum(24), rng), false});
+  cases.push_back({"positive definite", clique_with_spectrum(spectrum(0), rng), false});
+  {
+    Matrix u = random_square(n, rng);
+    u.symmetrize();
+    cases.push_back({"random", u, false});
+  }
+
+  linalg::EigenWork work(n);
+  Matrix s(n, n), x(n, n);
+  const double* s_storage = s.data();
+  const double* x_storage = x.data();
+  for (const Case& c : cases) {
+    Matrix neg_u = c.u;
+    neg_u.scale(-1.0);
+    EXPECT_EQ(linalg::Cholesky::factor(neg_u).has_value(), c.screened) << c.name;
+    const double unorm = linalg::norm_inf(c.u);
+    const double tol = 1e-12;
+    for (const double rho : {1.0, 0.37, 25.0}) {
+      Matrix s_ref, x_ref;
+      eigen_split(c.u, rho, s_ref, x_ref);
+      const Matrix x_old = x;
+      const double change = admm_split_psd(c.u, rho, s, x, work);
+      const std::string where = c.name + " rho " + std::to_string(rho);
+      EXPECT_EQ(s.data(), s_storage) << where;
+      EXPECT_EQ(x.data(), x_storage) << where;
+      EXPECT_LE(linalg::norm_inf(s - s_ref), tol * unorm) << where;
+      EXPECT_LE(linalg::norm_inf(x - x_ref), tol * rho * unorm) << where;
+      EXPECT_EQ(change, linalg::norm_inf(x - x_old)) << where;
+      Matrix back = s;
+      back.axpy(-1.0 / rho, x);
+      EXPECT_LE(linalg::norm_inf(back - c.u), tol * unorm) << where;
+      if (c.screened) {
+        EXPECT_EQ(linalg::norm_inf(s), 0.0) << where;
+      }
     }
   }
 }
@@ -814,7 +895,8 @@ TEST(AdmmSplit, NanInUComesBackNonFinite) {
           u.scale(scale);
           u(r, c) = u(c, r) = std::numeric_limits<double>::quiet_NaN();
           Matrix s, x;
-          admm_split_psd(u, 1.0, s, x);
+          linalg::EigenWork work;
+          admm_split_psd(u, 1.0, s, x, work);
           double sum = 0.0;
           for (std::size_t k = 0; k < n * n; ++k) sum += s.data()[k] + x.data()[k];
           EXPECT_FALSE(std::isfinite(sum))
