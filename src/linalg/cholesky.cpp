@@ -124,14 +124,24 @@ void Cholesky::solve_lower_transposed_in_place(double* x) const {
 
 Vector Cholesky::solve(const Vector& b) const { return solve_lower_transposed(solve_lower(b)); }
 
+std::size_t Cholesky::solve_scratch_size(std::size_t rows, std::size_t cols) {
+  return rows > kSolvePanel ? kSolvePanel * cols : 0;
+}
+
 Matrix Cholesky::solve_lower(Matrix x) const {
+  Vector acc;
+  solve_lower_in_place(x, acc);
+  return x;
+}
+
+void Cholesky::solve_lower_in_place(Matrix& x, Vector& acc) const {
   const std::size_t n = l_.rows(), nc = x.cols();
   assert(x.rows() == n);
   const Kernels& kern = active_kernels();
   // Left-looking over row panels: the rows above a panel are final, so their
   // whole contribution L[r0:r1, 0:r0) X[0:r0) arrives in one GEMM; the rows
   // inside it are substituted by axpy, each a contiguous row of X.
-  std::vector<double> acc(n > kSolvePanel ? kSolvePanel * nc : 0);
+  acc.resize(solve_scratch_size(n, nc));
   for (std::size_t r0 = 0; r0 < n; r0 += kSolvePanel) {
     const std::size_t r1 = std::min(n, r0 + kSolvePanel);
     if (r0 > 0) {
@@ -150,7 +160,6 @@ Matrix Cholesky::solve_lower(Matrix x) const {
       for (std::size_t c = 0; c < nc; ++c) xi[c] /= li[i];
     }
   }
-  return x;
 }
 
 Matrix Cholesky::solve(Matrix b) const {
@@ -185,14 +194,19 @@ Matrix Cholesky::solve(Matrix b) const {
   return x;
 }
 
-Matrix Cholesky::inverse() const {
+void Cholesky::inverse(Matrix& x) const {
   // A^{-1} = L^{-T} L^{-1}. First J = L^{-1} by forward substitution per
   // column (the identity right-hand side is sparse: column j starts at row
   // j, so the forward pass is triangular in cost); then X = L^{-T} J by back
   // substitution. Work runs on whole rows of the output, not per-column
-  // vector copies.
+  // vector copies. The back substitution reads J's strict upper triangle,
+  // so x starts at zero.
   const std::size_t n = l_.rows();
-  Matrix x(n, n);
+  if (x.rows() != n || x.cols() != n) {
+    x = Matrix(n, n);
+  } else {
+    x.fill(0.0);
+  }
   // Forward: J(i, j) for i >= j, built column-major logically but stored
   // row-major; iterate rows outer so writes stay contiguous.
   for (std::size_t i = 0; i < n; ++i) {
@@ -219,7 +233,6 @@ Matrix Cholesky::inverse() const {
   // Clean up roundoff asymmetry so downstream symmetric kernels see an
   // exactly symmetric inverse.
   x.symmetrize();
-  return x;
 }
 
 double Cholesky::log_det() const {

@@ -38,6 +38,13 @@ class Cholesky {
   /// trsm on row-major B: GEMM panel updates plus in-panel axpy rows), in
   /// place on the by-value B.
   Matrix solve_lower(Matrix b) const;
+  /// The same solve in place on `x`. `acc` is the panel updates' scratch,
+  /// resized to solve_scratch_size(rows, x.cols()); a caller that reserves
+  /// the largest size it will need up front allocates nothing here.
+  void solve_lower_in_place(Matrix& x, Vector& acc) const;
+  /// Doubles of scratch the multi-RHS forward solve of a rows x cols
+  /// right-hand side uses (0 when rows fit one panel).
+  static std::size_t solve_scratch_size(std::size_t rows, std::size_t cols);
   /// Solve L^T x = y (back substitution).
   Vector solve_lower_transposed(const Vector& y) const;
   /// The two vector solves in place on n = lower().rows() contiguous
@@ -45,10 +52,11 @@ class Cholesky {
   void solve_lower_in_place(double* x) const;
   void solve_lower_transposed_in_place(double* x) const;
 
-  /// Explicit (A + shift I)^{-1} = L^{-T} L^{-1}, symmetrized. Cheaper than
-  /// n right-hand-side solves and turns repeated A^{-1} S applications into
-  /// GEMMs (the IPM computes it once per block per iteration).
-  Matrix inverse() const;
+  /// Explicit (A + shift I)^{-1} = L^{-T} L^{-1}, symmetrized, written into
+  /// `x` (reshaped only when it is not n x n). Cheaper than n right-hand-side
+  /// solves and turns repeated A^{-1} S applications into GEMMs (the IPM
+  /// computes it once per block per iteration, into per-solve storage).
+  void inverse(Matrix& x) const;
 
   const Matrix& lower() const { return l_; }
   double shift() const { return shift_; }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "linalg/kernels.hpp"
 
@@ -164,6 +165,21 @@ bool ql_implicit_shift(Vector& d, Vector& e, Matrix* qt) {
   return true;
 }
 
+/// Eigenvalues of the symmetric `a` (n >= 2), unsorted, into work.values:
+/// the reduction and QL without Q^T, in work's reduced, offdiag and tau.
+/// tridiagonalize writes every entry of values, offdiag and tau before
+/// reading it, so resized storage needs no reset. False when QL does not
+/// converge.
+bool eigen_values_in(const Matrix& a, EigenWork& work) {
+  const std::size_t n = a.rows();
+  work.reduced = a;  // copy-assignment keeps storage that is large enough
+  work.values.resize(n);
+  work.offdiag.resize(n);
+  work.tau.resize(n);
+  tridiagonalize(work.reduced, work.values, work.offdiag, work.tau);
+  return ql_implicit_shift(work.values, work.offdiag, nullptr);
+}
+
 /// Sort eigenvalues ascending; column j of the result is the row of `rows`
 /// that belongs to the j-th smallest.
 EigenSym sorted_result(const Vector& d, const Matrix& rows) {
@@ -268,18 +284,24 @@ Vector eigen_values_sym(const Matrix& a) {
   const std::size_t n = a.rows();
   if (n == 0) return {};
   if (n == 1) return {a(0, 0)};
-  Matrix w = a;
-  Vector d(n), e(n), tau(n);
-  tridiagonalize(w, d, e, tau);
-  if (!ql_implicit_shift(d, e, nullptr)) return eigen_sym_jacobi(a).values;
-  std::sort(d.begin(), d.end());
-  return d;
+  EigenWork work;
+  if (!eigen_values_in(a, work)) return eigen_sym_jacobi(a).values;
+  std::sort(work.values.begin(), work.values.end());
+  return std::move(work.values);
 }
 
 double min_eigenvalue(const Matrix& a) {
-  if (a.rows() == 0) return 0.0;
-  if (a.rows() == 1) return a(0, 0);
-  return eigen_values_sym(a).front();
+  EigenWork work;
+  return min_eigenvalue(a, work);
+}
+
+double min_eigenvalue(const Matrix& a, EigenWork& work) {
+  assert(a.rows() == a.cols());
+  const std::size_t n = a.rows();
+  if (n == 0) return 0.0;
+  if (n == 1) return a(0, 0);
+  if (!eigen_values_in(a, work)) return eigen_sym_jacobi(a).values.front();
+  return *std::min_element(work.values.begin(), work.values.end());
 }
 
 Matrix sqrt_psd(const Matrix& a) {

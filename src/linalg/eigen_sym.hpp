@@ -6,7 +6,8 @@
 //    split in closed form there),
 //  * the exact step length to the PSD cone boundary of an IPM block whose
 //    Cholesky screen fails (sdp::psd_step_length), and the PSD margin of a
-//    warm-started IPM iterate (both via min_eigenvalue),
+//    warm-started IPM iterate (both via min_eigenvalue into per-solve
+//    EigenWork storage),
 //  * Gram-matrix PSD margins in the independent certificate checker
 //    (min_eigenvalue),
 //  * pseudo-inverses in the PSD completion of chordal clique solutions
@@ -35,7 +36,8 @@ struct EigenSym {
 };
 
 /// Storage of eigen_sym_rows for one matrix size, reused across calls: the
-/// ADMM keeps one per PSD block, so its eigensplits allocate nothing.
+/// ADMM keeps one per PSD block, so its eigensplits allocate nothing. The
+/// values-only min_eigenvalue overload uses all of it but vectors_t.
 struct EigenWork {
   EigenWork() = default;
   explicit EigenWork(std::size_t n);
@@ -70,6 +72,11 @@ EigenSym eigen_sym_jacobi(const Matrix& a, double tol = 1e-12, int max_sweeps = 
 
 /// Smallest eigenvalue only (values-only tridiagonal QL; no vectors).
 double min_eigenvalue(const Matrix& a);
+/// The same in `work`'s storage: reduced, values, offdiag and tau are
+/// resized for a.rows() (vectors_t is not touched), so a work sized once for
+/// the largest matrix serves every smaller one without allocating. The IPM's
+/// step lengths and warm-start restore keep one per solve.
+double min_eigenvalue(const Matrix& a, EigenWork& work);
 
 /// Symmetric square root A^{1/2} (clamps tiny negative eigenvalues to 0).
 Matrix sqrt_psd(const Matrix& a);

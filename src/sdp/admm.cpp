@@ -650,6 +650,9 @@ Solution AdmmEngine::run() {
       sol.status = SolveStatus::MaxIterations;
       break;
   }
+  // Every exit counts the iterations run, numbered from 0 like the
+  // Optimal exit's, also when the iterate returned is an earlier one.
+  sol.iterations = action == ControlAction::Continue ? iter - 1 : iter;
   sol.phase = phase_;
   // Dimension of the dense cached normal factor: overlap couplings are
   // block-eliminated, so it is the row count with or without cones.

@@ -32,6 +32,26 @@ Matrix OverlapElimination::reduce(const Matrix& full, std::size_t m, std::size_t
   return reduced;
 }
 
+void OverlapElimination::reduce(const Matrix& full, std::size_t m, std::size_t q,
+                                double corner_shift, double corner_scale, Matrix& reduced,
+                                Matrix& corner, Vector& acc) {
+  assert(full.rows() == m + q && full.cols() == m + q);
+  m_ = m;
+  q_ = q;
+  if (corner.rows() != q || corner.cols() != q) corner = Matrix(q, q);
+  for (std::size_t a = 0; a < q; ++a)
+    for (std::size_t b = 0; b < q; ++b) corner(a, b) = full(m + a, m + b);
+  chol_q_.refactor_shifted(corner, corner_shift, corner_scale);
+  if (w_.rows() != q || w_.cols() != m) w_ = Matrix(q, m);
+  for (std::size_t a = 0; a < q; ++a)
+    std::copy(full.row_ptr(m + a), full.row_ptr(m + a) + m, w_.row_ptr(a));
+  chol_q_.solve_lower_in_place(w_, acc);
+  if (reduced.rows() != m || reduced.cols() != m) reduced = Matrix(m, m);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t k = 0; k < m; ++k) reduced(i, k) = full(i, k);
+  linalg::subtract_gram(reduced, w_);
+}
+
 void OverlapElimination::subtract_wt(const double* t, double* ra) const {
   for (std::size_t o = 0; o < q_; ++o) {
     const double f = t[o];

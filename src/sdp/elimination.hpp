@@ -33,6 +33,16 @@ class OverlapElimination {
   /// largest diagonal; see Cholesky::refactor_shifted).
   linalg::Matrix reduce(const linalg::Matrix& full, std::size_t m, std::size_t q,
                         double corner_shift, double corner_scale = 0.0);
+  /// The same reduction into per-solve storage, with the same bits: the
+  /// reduced block goes to `reduced` and Q's copy to `corner`, and those,
+  /// this object's factor and W keep their storage while the shapes stay
+  /// put; `acc` is the multi-RHS solve's scratch (Cholesky::
+  /// solve_lower_in_place). The IPM reduces every Schur block this way each
+  /// iteration; the ADMM reduces once per solve through the form above,
+  /// whose allocation sequence its peak RSS is tuned to (see fold_rhs).
+  void reduce(const linalg::Matrix& full, std::size_t m, std::size_t q,
+              double corner_shift, double corner_scale, linalg::Matrix& reduced,
+              linalg::Matrix& corner, linalg::Vector& acc);
 
   /// First stage: t = L_q^{-1} rb, and ra -= W^T t (ra becomes the reduced
   /// system's right-hand side). Returns t for the back-substitution.

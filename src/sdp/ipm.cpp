@@ -1,9 +1,11 @@
 #include "sdp/ipm.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/eigen_sym.hpp"
@@ -36,23 +38,46 @@ struct State {
   Vector w;                  // free variables
 };
 
-/// T = L^{-1} S L^{-T} for symmetric S given the Cholesky factor L: with
-/// F = L^{-1} S, T^T = L^{-1} F^T — two multi-RHS forward solves; T is
-/// symmetric, so symmetrizing T^T gives T.
-Matrix congruence_inv(const Cholesky& chol, const Matrix& s) {
-  Matrix t = chol.solve_lower(chol.solve_lower(s).transposed());
-  t.symmetrize();
-  return t;
+/// c = a * b for square a and b of one size, into c's storage: operator*'s
+/// zero fill and gemm_acc, so the same bits. Copy-assigning a gives c its
+/// shape, keeping c's storage when that is large enough.
+void multiply_into(const Matrix& a, const Matrix& b, Matrix& c) {
+  assert(a.rows() == a.cols() && b.rows() == a.rows() && b.cols() == a.cols());
+  if (c.rows() != a.rows() || c.cols() != a.cols()) c = a;
+  c.fill(0.0);
+  linalg::active_kernels().gemm_acc(a.rows(), b.cols(), a.cols(), a.data(), a.cols(),
+                                    b.data(), b.cols(), c.data(), c.cols());
+}
+
+/// t = a^T into t's storage (reshaped only when its shape differs).
+void transpose_into(const Matrix& a, Matrix& t) {
+  if (t.rows() != a.cols() || t.cols() != a.rows()) t = Matrix(a.cols(), a.rows());
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    for (std::size_t c = 0; c < a.cols(); ++c) t(c, r) = a(r, c);
 }
 
 /// Largest alpha in (0, cap] with X + alpha*dX PSD, given chol(X): the
-/// exact bound from the smallest eigenvalue of L^{-1} dX L^{-T}.
-double max_step(const Cholesky& chol_x, const Matrix& dx, double cap) {
+/// exact bound from the smallest eigenvalue of T = L^{-1} dX L^{-T}. With
+/// F = L^{-1} dX, T^T = L^{-1} F^T — two multi-RHS forward solves; T is
+/// symmetric, so symmetrizing T^T gives T.
+double max_step(const Cholesky& chol_x, const Matrix& dx, double cap,
+                StepLengthWork& work) {
   if (dx.rows() == 0) return cap;
-  // 1x1 block: the congruence is the scalar dx / L00^2, its own eigenvalue.
-  const double lambda_min =
-      dx.rows() == 1 ? dx(0, 0) / chol_x.lower()(0, 0) / chol_x.lower()(0, 0)
-                     : linalg::min_eigenvalue(congruence_inv(chol_x, dx));
+  double lambda_min;
+  if (dx.rows() == 1) {
+    // 1x1 block: the congruence is the scalar dx / L00^2, its own eigenvalue.
+    lambda_min = dx(0, 0) / chol_x.lower()(0, 0) / chol_x.lower()(0, 0);
+  } else {
+    work.lower = dx;
+    chol_x.solve_lower_in_place(work.lower, work.acc);
+    Matrix& t = work.congruence;
+    t = work.lower;  // square: transpose in place
+    for (std::size_t r = 0; r < t.rows(); ++r)
+      for (std::size_t c = r + 1; c < t.cols(); ++c) std::swap(t(r, c), t(c, r));
+    chol_x.solve_lower_in_place(t, work.acc);
+    t.symmetrize();
+    lambda_min = linalg::min_eigenvalue(t, work.eig);
+  }
   if (lambda_min >= -1e-13) return cap;
   return std::min(cap, -1.0 / lambda_min);
 }
@@ -70,8 +95,10 @@ struct SchurBlock {
   OverlapElimination elim;   // its overlap corner (size > nreal only)
   Matrix reduced;            // real-row block after the elimination (size > nreal only)
   Cholesky chol;             // factor of the real-row block (nreal x nreal)
+  Matrix corner;             // the elimination's copy of Q (size > nreal only)
   Matrix bfree;              // its rows of B (nreal x nf); empty when they are all zero
   Matrix vfree;              // L^{-1} bfree, per iteration
+  Matrix vfree_t;            // its transpose (nf x nreal)
 
   std::size_t overlaps() const { return size - nreal; }
   const Matrix& factored() const { return overlaps() > 0 ? reduced : schur; }
@@ -140,6 +167,20 @@ class Ipm {
       if (c.bfree.empty()) c.bfree = Matrix(c.nreal, nf_);
       for (const auto& [v, coef] : p_.rows()[i].free_coeffs) c.bfree(local_[i], v) = coef;
     }
+    // Per-solve storage of step(). The per-block matrices, factors, Schur
+    // blocks and KKT vectors take their shapes in the first iteration. The
+    // single-block scratch starts at the largest block's shape, which Matrix
+    // copy-assignment then keeps for every smaller block.
+    chol_x_.resize(nblocks_);
+    chol_z_.resize(nblocks_);
+    for (std::vector<Matrix>* set : {&res_.rd, &zinv_, &corr_, &dx_, &dz_})
+      set->resize(nblocks_);
+    std::size_t nmax = 0;
+    for (std::size_t j = 0; j < nblocks_; ++j) nmax = std::max(nmax, p_.block_size(j));
+    for (Matrix* scratch : {&panel_, &prod_, &ej_, &xa_, &za_})
+      *scratch = Matrix(nmax, nmax);
+    step_work_ = StepLengthWork(nmax);
+    s_free_ = Matrix(nf_, nf_);
   }
 
   Solution run() {
@@ -159,8 +200,10 @@ class Ipm {
     Solution best;
     double best_merit = std::numeric_limits<double>::infinity();
     int stagnant_iterations = 0;
+    SolveStatus status = SolveStatus::MaxIterations;
 
-    for (int iter = 0; iter < opt_.max_iterations; ++iter) {
+    int iter = 0;
+    for (; iter < opt_.max_iterations; ++iter) {
       // Injected iterate poisoning: the NaN-leak failure mode the watchdog
       // below must catch.
       SOSLOCK_FAULT_HOOK(util::fault_site::kIterateNan, {
@@ -170,7 +213,8 @@ class Ipm {
           s.x[0](0, 0) = std::numeric_limits<double>::quiet_NaN();
         }
       });
-      const Residuals res = residuals(s);
+      residuals(s, res_);
+      const Residuals& res = res_;
       const double mu = complementarity(s);
       const double gap = relative_gap(s);
 
@@ -180,11 +224,11 @@ class Ipm {
       // drop NaNs, so the merit test alone never fires). The overflow guard
       // catches a genuinely divergent iterate before it turns into Inf-Inf.
       if (const char* phase = divergence_phase(s, res, mu, gap)) {
-        if (best.x.empty()) fill_solution(s, res, gap, mu, iter, best);
-        best.status = SolveStatus::Diverged;
+        if (best.x.empty()) fill_solution(s, res, gap, mu, best);
+        status = SolveStatus::Diverged;
         best.faulted_phase = phase;
         util::log_info("ipm: diverged at iteration ", iter, " (", phase, ")");
-        return best;
+        break;
       }
 
       IterationInfo info;
@@ -204,44 +248,46 @@ class Ipm {
       } else if (++stagnant_iterations > 25) {
         // No meaningful progress for a long stretch: return the best iterate
         // instead of burning the remaining iteration budget.
-        best.status = SolveStatus::MaxIterations;
-        return best;
+        break;
       }
       if (merit < best_merit) {
         best_merit = merit;
-        fill_solution(s, res, gap, mu, iter, best);
+        fill_solution(s, res, gap, mu, best);
       }
 
       if (res.rp_rel < opt_.tolerance && res.rd_rel < opt_.tolerance &&
           res.rf_rel < opt_.tolerance && gap < opt_.tolerance) {
-        fill_solution(s, res, gap, mu, iter, best);
-        best.status = SolveStatus::Optimal;
-        return best;
+        fill_solution(s, res, gap, mu, best);
+        status = SolveStatus::Optimal;
+        break;
       }
 
       // After the convergence test and best-iterate update, so an interrupt
       // landing on a converged iteration still reports Optimal.
       if (ctx_.interrupted()) {
-        best.status = SolveStatus::Interrupted;
-        return best;
+        status = SolveStatus::Interrupted;
+        break;
       }
 
       if (detect_primal_infeasible(s, res)) {
-        best.status = SolveStatus::PrimalInfeasible;
-        return best;
+        status = SolveStatus::PrimalInfeasible;
+        break;
       }
       if (detect_dual_infeasible(s, res)) {
-        best.status = SolveStatus::DualInfeasible;
-        return best;
+        status = SolveStatus::DualInfeasible;
+        break;
       }
 
       if (const char* phase = step(s, res, mu)) {
-        best.status = SolveStatus::NumericalProblem;
+        status = SolveStatus::NumericalProblem;
         best.faulted_phase = phase;
-        return best;
+        break;
       }
     }
-    best.status = SolveStatus::MaxIterations;
+    // Every exit counts the Newton steps the solve ran — the iteration it
+    // stopped at — also when the iterate it returns is an earlier one.
+    best.status = status;
+    best.iterations = iter;
     return best;
   }
 
@@ -272,7 +318,7 @@ class Ipm {
     return nullptr;
   }
 
-  State initial_state() const {
+  State initial_state() {
     if (const WarmStart* ws = ctx_.warm_start; ws != nullptr && ws->fits(p_)) {
       return restored_state(*ws);
     }
@@ -307,7 +353,7 @@ class Ipm {
   /// is merely near-optimal here). Pushing X and Z back into the interior by
   /// a small spectral shift re-centers the iterate just enough for the
   /// Cholesky-based steps while keeping the Newton direction short.
-  State restored_state(const WarmStart& ws) const {
+  State restored_state(const WarmStart& ws) {
     State s;
     s.x = ws.x;
     s.z = ws.z;
@@ -323,7 +369,7 @@ class Ipm {
       for (Matrix* mat : {&s.x[j], &s.z[j]}) {
         mat->symmetrize();
         const double scale = std::max(1.0, linalg::norm_inf(*mat));
-        const double lambda_min = linalg::min_eigenvalue(*mat);
+        const double lambda_min = linalg::min_eigenvalue(*mat, step_work_.eig);
         const double margin = std::max(opt_.warm_start_margin, 1e-10) * scale;
         if (lambda_min < margin) {
           const double shift = margin - lambda_min;
@@ -417,8 +463,8 @@ class Ipm {
   }
   double rhs_at(std::size_t i) const { return i < m_ ? p_.rhs(i) : 0.0; }
 
-  Residuals residuals(const State& s) const {
-    Residuals r;
+  /// This iteration's residuals into `r` (res_, reusing its storage).
+  void residuals(const State& s, Residuals& r) const {
     // Overlap couplings are primal feasibility too: rp's tail [m, m+q) is
     // the clique-copy consistency gap, so rp_rel only reaches tolerance
     // when the decomposed cone agrees on its separators.
@@ -430,14 +476,13 @@ class Ipm {
       for (const auto& [v, c] : row.free_coeffs) ax += c * s.w[v];
       r.rp[i] = rhs_at(i) - ax;
     }
-    r.rd.resize(nblocks_);
     double rd_norm = 0.0;
     for (std::size_t j = 0; j < nblocks_; ++j) {
-      Matrix rd = p_.block_objective(j);
+      Matrix& rd = r.rd[j];
+      rd = p_.block_objective(j);
       rd -= s.z[j];
       for (const BlockRowView& v : views_[j]) v.coeff->add_to(rd, -s.y[v.row]);
       rd_norm = std::max(rd_norm, linalg::norm_inf(rd));
-      r.rd[j] = std::move(rd);
     }
     r.rf = p_.free_objective();
     for (std::size_t i = 0; i < m_; ++i) {
@@ -448,7 +493,6 @@ class Ipm {
     r.rp_rel = linalg::norm_inf(r.rp) / (1.0 + data_norm_);
     r.rd_rel = rd_norm / (1.0 + c_norm_);
     r.rf_rel = linalg::norm_inf(r.rf) / (1.0 + c_norm_);
-    return r;
   }
 
   bool detect_primal_infeasible(const State& s, const Residuals& res) const {
@@ -479,17 +523,17 @@ class Ipm {
   /// sum of nnz(A_i) rank-1 outer products (O(nnz n^2), not O(n^3) column
   /// solves). All rows of a PSD block lie in one Schur block, so each pair
   /// lands there at its local indices.
-  void assemble_schur(const State& s, const std::vector<Matrix>& zinv) {
+  void assemble_schur(const State& s) {
     for (std::size_t j = 0; j < nblocks_; ++j) {
       const auto& touching = views_[j];
       if (touching.empty()) continue;
       Matrix& schur = comps_[comp_of_[touching[0].row]].schur;
       const std::size_t n = p_.block_size(j);
-      const Matrix& zi = zinv[j];
+      const Matrix& zi = zinv_[j];
       const Matrix& xj = s.x[j];
       const auto& order = schur_order_[j];
       Matrix& panel = panel_;
-      if (panel.rows() != n) panel = Matrix(n, n);
+      if (panel.rows() != n) panel = xj;  // shape only: zeroed per row below
       for (std::size_t p = 0; p < order.size(); ++p) {
         panel.fill(0.0);
         const BlockRowView& vi = touching[order[p]];
@@ -552,12 +596,10 @@ class Ipm {
     // Schur panels, the RHS assembly and the direction recovery — computing
     // it once per block per iteration replaces three rounds of per-column
     // triangular solves with GEMMs).
-    std::vector<Cholesky> chol_z(nblocks_), chol_x(nblocks_);
-    std::vector<Matrix> zinv(nblocks_);
     for (std::size_t j = 0; j < nblocks_; ++j) {
-      chol_z[j] = Cholesky::factor_shifted(s.z[j]);
-      chol_x[j] = Cholesky::factor_shifted(s.x[j]);
-      zinv[j] = chol_z[j].inverse();
+      chol_z_[j].refactor_shifted(s.z[j]);
+      chol_x_[j].refactor_shifted(s.x[j]);
+      chol_z_[j].inverse(zinv_[j]);
     }
     phase_.factor += phase_timer.seconds();
 
@@ -572,7 +614,7 @@ class Ipm {
         c.schur.fill(0.0);
       }
     }
-    assemble_schur(s, zinv);
+    assemble_schur(s);
     phase_.schur += phase_timer.seconds();
 
     // Overlap multipliers are block-eliminated per Schur block, never
@@ -594,7 +636,8 @@ class Ipm {
     }
     for (SchurBlock& c : comps_) {
       if (c.overlaps() > 0)
-        c.reduced = c.elim.reduce(c.schur, c.nreal, c.overlaps(), 1e-13, corner_scale);
+        c.elim.reduce(c.schur, c.nreal, c.overlaps(), 1e-13, corner_scale, c.reduced,
+                      c.corner, acc_);
       const Matrix& a = c.factored();
       for (std::size_t d = 0; d < c.nreal; ++d)
         scale = std::max(scale, std::fabs(a(d, d)));
@@ -606,18 +649,18 @@ class Ipm {
     // + reg I is B^T M^{-1} B, exactly symmetric by construction, and no
     // back substitution of B is needed.
     const linalg::Kernels& kern = linalg::active_kernels();
-    std::optional<Cholesky> chol_s;
     if (nf_ > 0) {
-      Matrix s_free(nf_, nf_);
+      s_free_.fill(0.0);
       for (SchurBlock& c : comps_) {
         if (c.bfree.empty()) continue;
-        c.vfree = c.chol.solve_lower(c.bfree);
-        const Matrix vt = c.vfree.transposed();
-        kern.gemm_acc(nf_, nf_, c.nreal, vt.data(), vt.cols(), c.vfree.data(), nf_,
-                      s_free.data(), nf_);
+        c.vfree = c.bfree;
+        c.chol.solve_lower_in_place(c.vfree, acc_);
+        transpose_into(c.vfree, c.vfree_t);
+        kern.gemm_acc(nf_, nf_, c.nreal, c.vfree_t.data(), c.vfree_t.cols(),
+                      c.vfree.data(), nf_, s_free_.data(), nf_);
       }
-      for (std::size_t v = 0; v < nf_; ++v) s_free(v, v) += kFreeVarRegularization;
-      chol_s = Cholesky::factor_shifted(s_free, 1e-13);
+      for (std::size_t v = 0; v < nf_; ++v) s_free_(v, v) += kFreeVarRegularization;
+      chol_s_.refactor_shifted(s_free_, 1e-13);
     }
     phase_.factor += phase_timer.seconds();
 
@@ -632,20 +675,22 @@ class Ipm {
     auto solve_kkt_once = [&](const Vector& r1, const Vector& r2, Vector& dy, Vector& dw) {
       double* work = work_.data();
       for (std::size_t p = 0; p < mext_; ++p) work[p] = r1[perm_[p]];
-      Vector vth(nf_, 0.0);
+      vth_.assign(nf_, 0.0);
       for (const SchurBlock& c : comps_) {
         double* h = work + c.offset;
         if (c.overlaps() > 0) c.elim.fold_rhs(h + c.nreal, h);
         c.chol.solve_lower_in_place(h);
         if (c.bfree.empty()) continue;
         for (std::size_t i = 0; i < c.nreal; ++i)
-          if (h[i] != 0.0) kern.axpy(h[i], c.vfree.row_ptr(i), vth.data(), nf_);
+          if (h[i] != 0.0) kern.axpy(h[i], c.vfree.row_ptr(i), vth_.data(), nf_);
       }
       if (nf_ == 0) {
-        dw.assign(0, 0.0);
+        dw.clear();
       } else {
-        linalg::axpy(-1.0, r2, vth);
-        dw = chol_s->solve(vth);
+        linalg::axpy(-1.0, r2, vth_);
+        dw = vth_;
+        chol_s_.solve_lower_in_place(dw.data());
+        chol_s_.solve_lower_transposed_in_place(dw.data());
       }
       for (const SchurBlock& c : comps_) {
         double* h = work + c.offset;
@@ -670,110 +715,96 @@ class Ipm {
       for (int refine = 0; refine < 2; ++refine) {
         double* work = work_.data();
         for (std::size_t p = 0; p < mext_; ++p) work[p] = dy[perm_[p]];
-        Vector res1 = r1;
-        Vector bty(nf_, 0.0);  // B^T dy
+        res1_ = r1;
+        bty_.assign(nf_, 0.0);  // B^T dy
         for (const SchurBlock& c : comps_) {
           const double* dyc = work + c.offset;
           for (std::size_t a = 0; a < c.size; ++a)
-            res1[perm_[c.offset + a]] -= kern.dot(c.schur.row_ptr(a), dyc, c.size);
+            res1_[perm_[c.offset + a]] -= kern.dot(c.schur.row_ptr(a), dyc, c.size);
           if (c.bfree.empty()) continue;
           for (std::size_t a = 0; a < c.nreal; ++a) {
-            res1[perm_[c.offset + a]] -= kern.dot(c.bfree.row_ptr(a), dw.data(), nf_);
-            if (dyc[a] != 0.0) kern.axpy(dyc[a], c.bfree.row_ptr(a), bty.data(), nf_);
+            res1_[perm_[c.offset + a]] -= kern.dot(c.bfree.row_ptr(a), dw.data(), nf_);
+            if (dyc[a] != 0.0) kern.axpy(dyc[a], c.bfree.row_ptr(a), bty_.data(), nf_);
           }
         }
-        Vector res2 = r2;
-        linalg::axpy(-1.0, bty, res2);
-        Vector cy, cw;
-        solve_kkt_once(res1, res2, cy, cw);
-        linalg::axpy(1.0, cy, dy);
-        if (nf_ > 0) linalg::axpy(1.0, cw, dw);
+        res2_ = r2;
+        linalg::axpy(-1.0, bty_, res2_);
+        solve_kkt_once(res1_, res2_, cy_, cw_);
+        linalg::axpy(1.0, cy_, dy);
+        if (nf_ > 0) linalg::axpy(1.0, cw_, dw);
       }
     };
 
-    // RHS shared pieces: for a given complementarity target nu,
-    // r1_i = rp_i - sum_j <A_ij, nu Z^{-1} - X - Z^{-1} Rd X + Corr>.
-    // The per-block E_j are GEMMs on the precomputed Z^{-1}; all are formed
-    // before the row accumulation, which walks the blocks in order because a
-    // row may touch several of them.
+    // RHS for a complementarity target nu, into r1_:
+    // r1_i = rp_i - sum_j <A_ij, E_j>, E_j = nu Z^{-1} - X - Z^{-1} (Rd X +
+    // Corr), a GEMM on the precomputed Z^{-1}. Each E_j is subtracted from
+    // its rows as soon as it is formed: the blocks go in order, so a row
+    // that touches several still takes their terms in block order.
     auto build_r1 = [&](double nu, const std::vector<Matrix>* corr) {
-      Vector r1 = res.rp;
-      std::vector<Matrix> e(nblocks_);
+      r1_ = res.rp;
       for (std::size_t j = 0; j < nblocks_; ++j) {
         if (views_[j].empty()) continue;
-        // E_j = nu Z^{-1} - X - Z^{-1} (Rd X + Corr).
-        Matrix rdx = res.rd[j] * s.x[j];
-        if (corr != nullptr) rdx += (*corr)[j];
-        Matrix ej = zinv[j] * rdx;
-        ej.scale(-1.0);
-        ej -= s.x[j];
-        if (nu != 0.0) ej.axpy(nu, zinv[j]);
-        ej.symmetrize();
-        e[j] = std::move(ej);
+        multiply_into(res.rd[j], s.x[j], prod_);
+        if (corr != nullptr) prod_ += (*corr)[j];
+        multiply_into(zinv_[j], prod_, ej_);
+        ej_.scale(-1.0);
+        ej_ -= s.x[j];
+        if (nu != 0.0) ej_.axpy(nu, zinv_[j]);
+        ej_.symmetrize();
+        for (const BlockRowView& v : views_[j]) r1_[v.row] -= v.coeff->dot(ej_);
       }
-      for (std::size_t j = 0; j < nblocks_; ++j) {
-        if (views_[j].empty()) continue;
-        for (const BlockRowView& v : views_[j]) r1[v.row] -= v.coeff->dot(e[j]);
-      }
-      return r1;
     };
 
-    auto recover_dxdz = [&](const Vector& dy, double nu, const std::vector<Matrix>* corr,
-                            std::vector<Matrix>& dx, std::vector<Matrix>& dz) {
-      dx.resize(nblocks_);
-      dz.resize(nblocks_);
+    // dZ = Rd - sum_i dy_i A_i and dX = nu Z^{-1} - X - Z^{-1} (dZ X + Corr),
+    // symmetrized, into dx_/dz_.
+    auto recover_dxdz = [&](double nu, const std::vector<Matrix>* corr) {
       for (std::size_t j = 0; j < nblocks_; ++j) {
-        Matrix dzj = res.rd[j];
-        for (const BlockRowView& v : views_[j]) v.coeff->add_to(dzj, -dy[v.row]);
-        // dX = nu Z^{-1} - X - Z^{-1} (dZ X + Corr), symmetrized.
-        Matrix rhs = dzj * s.x[j];
-        if (corr != nullptr) rhs += (*corr)[j];
-        Matrix dxj = zinv[j] * rhs;
+        Matrix& dzj = dz_[j];
+        dzj = res.rd[j];
+        for (const BlockRowView& v : views_[j]) v.coeff->add_to(dzj, -dy_[v.row]);
+        multiply_into(dzj, s.x[j], prod_);
+        if (corr != nullptr) prod_ += (*corr)[j];
+        Matrix& dxj = dx_[j];
+        multiply_into(zinv_[j], prod_, dxj);
         dxj.scale(-1.0);
         dxj -= s.x[j];
-        if (nu != 0.0) dxj.axpy(nu, zinv[j]);
+        if (nu != 0.0) dxj.axpy(nu, zinv_[j]);
         dxj.symmetrize();
-        dx[j] = std::move(dxj);
-        dz[j] = std::move(dzj);
       }
     };
 
-    // Max PSD step lengths over all blocks (psd_step_length: a Cholesky
-    // screen per block at the running step, an eigenvalue only for the
-    // blocks that fail it). Each side's scan starts at the block that bound
-    // its previous call.
-    auto step_lengths = [&](const std::vector<Matrix>& dx_c, const std::vector<Matrix>& dz_c,
-                            double cap, double& ap_out, double& ad_out) {
+    // Max PSD step lengths along dx_/dz_ over all blocks (psd_step_length:
+    // a Cholesky screen per block at the running step, an eigenvalue only
+    // for the blocks that fail it). Each side's scan starts at the block
+    // that bound its previous call.
+    auto step_lengths = [&](double cap, double& ap_out, double& ad_out) {
       util::Timer eig_timer;
-      ap_out = psd_step_length(s.x, chol_x, dx_c, cap, x_start_, step_scratch_);
-      ad_out = psd_step_length(s.z, chol_z, dz_c, cap, z_start_, step_scratch_);
+      ap_out = psd_step_length(s.x, chol_x_, dx_, cap, x_start_, step_work_);
+      ad_out = psd_step_length(s.z, chol_z_, dz_, cap, z_start_, step_work_);
       phase_.eig += eig_timer.seconds();
     };
 
-    Vector dy, dw;
-    std::vector<Matrix> dx, dz;
     double sigma = 0.2;
 
     util::Timer recover_timer;
     if (total_dim_ > 0) {
-      // Predictor: pure Newton (nu = 0).
-      const Vector r1_aff = build_r1(0.0, nullptr);
-      Vector dy_aff, dw_aff;
-      solve_kkt(r1_aff, res.rf, dy_aff, dw_aff);
-      std::vector<Matrix> dx_aff, dz_aff;
-      recover_dxdz(dy_aff, 0.0, nullptr, dx_aff, dz_aff);
+      // Predictor: pure Newton (nu = 0). Its direction lives in dy_/dw_ and
+      // dx_/dz_ until the corrector overwrites them.
+      build_r1(0.0, nullptr);
+      solve_kkt(r1_, res.rf, dy_, dw_);
+      recover_dxdz(0.0, nullptr);
       phase_.recover += recover_timer.seconds();
 
       double ap = 1.0, ad = 1.0;
-      step_lengths(dx_aff, dz_aff, 1.0, ap, ad);
+      step_lengths(1.0, ap, ad);
       recover_timer.reset();
       double mu_aff = 0.0;
       for (std::size_t j = 0; j < nblocks_; ++j) {
-        Matrix xa = s.x[j];
-        xa.axpy(ap, dx_aff[j]);
-        Matrix za = s.z[j];
-        za.axpy(ad, dz_aff[j]);
-        mu_aff += linalg::dot(xa, za);
+        xa_ = s.x[j];
+        xa_.axpy(ap, dx_[j]);
+        za_ = s.z[j];
+        za_.axpy(ad, dz_[j]);
+        mu_aff += linalg::dot(xa_, za_);
       }
       mu_aff /= static_cast<double>(total_dim_);
       const double ratio = mu > 0.0 ? mu_aff / mu : 0.0;
@@ -785,24 +816,23 @@ class Ipm {
       if (mu < 0.1 * infeas) sigma = std::max(sigma, 0.9);
 
       // Corrector with second-order term dZ_aff * dX_aff.
-      std::vector<Matrix> corr(nblocks_);
-      for (std::size_t j = 0; j < nblocks_; ++j) corr[j] = dz_aff[j] * dx_aff[j];
-      const Vector r1 = build_r1(sigma * mu, &corr);
-      solve_kkt(r1, res.rf, dy, dw);
-      recover_dxdz(dy, sigma * mu, &corr, dx, dz);
+      for (std::size_t j = 0; j < nblocks_; ++j) multiply_into(dz_[j], dx_[j], corr_[j]);
+      build_r1(sigma * mu, &corr_);
+      solve_kkt(r1_, res.rf, dy_, dw_);
+      recover_dxdz(sigma * mu, &corr_);
       phase_.recover += recover_timer.seconds();
     } else {
       // No PSD dimension (every cone empty): nothing to predict, so one
       // plain centering step on the rows and free variables.
-      const Vector r1 = build_r1(sigma * mu, nullptr);
-      solve_kkt(r1, res.rf, dy, dw);
-      recover_dxdz(dy, sigma * mu, nullptr, dx, dz);
+      build_r1(sigma * mu, nullptr);
+      solve_kkt(r1_, res.rf, dy_, dw_);
+      recover_dxdz(sigma * mu, nullptr);
       phase_.recover += recover_timer.seconds();
     }
 
     // Step lengths.
     double ap = 1.0, ad = 1.0;
-    step_lengths(dx, dz, 1.0 / kStepFraction, ap, ad);
+    step_lengths(1.0 / kStepFraction, ap, ad);
     ap = std::min(kStepFraction * ap, 1.0);
     ad = std::min(kStepFraction * ad, 1.0);
     if (!(ap > 1e-10) || !(ad > 1e-10)) {
@@ -811,17 +841,17 @@ class Ipm {
     }
 
     for (std::size_t j = 0; j < nblocks_; ++j) {
-      s.x[j].axpy(ap, dx[j]);
-      s.z[j].axpy(ad, dz[j]);
+      s.x[j].axpy(ap, dx_[j]);
+      s.z[j].axpy(ad, dz_[j]);
     }
-    linalg::axpy(ad, dy, s.y);
+    linalg::axpy(ad, dy_, s.y);
     // w is a *primal* variable: it must advance with the primal step so that
     // the primal residual contracts by (1 - ap) per iteration.
-    if (nf_ > 0) linalg::axpy(ap, dw, s.w);
+    if (nf_ > 0) linalg::axpy(ap, dw_, s.w);
     return nullptr;
   }
 
-  void fill_solution(const State& s, const Residuals& res, double gap, double mu, int iter,
+  void fill_solution(const State& s, const Residuals& res, double gap, double mu,
                      Solution& out) const {
     out.x = s.x;
     out.z = s.z;
@@ -835,7 +865,6 @@ class Ipm {
     out.primal_residual = res.rp_rel;
     out.dual_residual = std::max(res.rd_rel, res.rf_rel);
     out.gap = gap;
-    out.iterations = iter;
   }
 
   const Problem& p_;
@@ -857,11 +886,26 @@ class Ipm {
   std::vector<std::size_t> local_;    // extended row -> index within its block
   std::vector<std::size_t> perm_;     // work position -> extended row
   Vector work_;                       // permuted KKT work vector (m + q)
+  // Per-solve storage of step() (see the constructor): per-block factors,
+  // Z^{-1}, residuals, corrector terms and directions — the predictor's
+  // until the corrector overwrites them — then single-block scratch sized
+  // for the largest block, the free-variable system, and the KKT vectors.
+  Residuals res_;
+  std::vector<Cholesky> chol_x_, chol_z_;
+  std::vector<Matrix> zinv_, corr_, dx_, dz_;
   Matrix panel_;                      // Schur panel Z^{-1} A_i X of one row
+  Matrix prod_;                       // Rd X + Corr, or dZ X + Corr, of one block
+  Matrix ej_;                         // E_j of build_r1
+  Matrix xa_, za_;                    // the predictor's trial X and Z of one block
+  Matrix s_free_;                     // B^T M^{-1} B + reg I (nf x nf)
+  Cholesky chol_s_;                   // its factor
+  Vector r1_, dy_, dw_;               // KKT right-hand side and solution
+  Vector vth_, res1_, res2_, bty_, cy_, cw_;  // one KKT pass and its refinement
+  Vector acc_;                        // multi-RHS forward solves' scratch
   // psd_step_length state: the block that bound each side's previous step,
-  // and the screen's one work matrix.
+  // and the scan's storage.
   std::size_t x_start_ = 0, z_start_ = 0;
-  Matrix step_scratch_;
+  StepLengthWork step_work_;
   PhaseTimes phase_;
   std::size_t m_ = 0, q_ = 0, mext_ = 0, nf_ = 0, nblocks_ = 0, total_dim_ = 0;
   double data_norm_ = 1.0, c_norm_ = 1.0;
@@ -869,9 +913,19 @@ class Ipm {
 
 }  // namespace
 
+StepLengthWork::StepLengthWork(std::size_t max_block)
+    : screen(max_block, max_block),
+      lower(max_block, max_block),
+      congruence(max_block, max_block) {
+  acc.reserve(Cholesky::solve_scratch_size(max_block, max_block));
+  // The values-only min_eigenvalue leaves eig.vectors_t empty.
+  eig.reduced = Matrix(max_block, max_block);
+  for (Vector* v : {&eig.values, &eig.offdiag, &eig.tau}) v->reserve(max_block);
+}
+
 double psd_step_length(const std::vector<Matrix>& x, const std::vector<Cholesky>& chol,
                        const std::vector<Matrix>& dx, double cap, std::size_t& start,
-                       Matrix& scratch) {
+                       StepLengthWork& work) {
   const std::size_t nblocks = x.size(), first = start;
   double alpha = cap;
   for (std::size_t k = 0; k < nblocks; ++k) {
@@ -883,11 +937,11 @@ double psd_step_length(const std::vector<Matrix>& x, const std::vector<Cholesky>
     // lower it. A shifted factor means X itself is not numerically PD, so
     // only the exact bound applies.
     if (n >= 2 && chol[j].shift() == 0.0) {
-      scratch = x[j];
-      scratch.axpy(alpha, dx[j]);
-      if (linalg::factor_in_place(scratch)) continue;
+      work.screen = x[j];
+      work.screen.axpy(alpha, dx[j]);
+      if (linalg::factor_in_place(work.screen)) continue;
     }
-    const double alpha_j = max_step(chol[j], dx[j], alpha);
+    const double alpha_j = max_step(chol[j], dx[j], alpha, work);
     if (alpha_j < alpha) {
       alpha = alpha_j;
       start = j;

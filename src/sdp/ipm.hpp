@@ -7,10 +7,20 @@
 // The second-order, high-accuracy SolverBackend ("ipm" to make_solver); the
 // workhorse behind every SOS feasibility/optimization query in the
 // verification pipeline.
+//
+// Per-solve storage: every per-block matrix (factors, Z^{-1}, residuals,
+// directions, corrector terms, step-length scratch) and every per-row
+// vector of the KKT solves lives on the solve's one Ipm object, shaped in
+// its constructor or in the first iteration and overwritten every step
+// after that. A solve allocates nothing after its first Newton step
+// (tests/alloc_test.cpp counts it); each in-place form runs the same
+// kernels in the same order as the allocating form it replaced, so the
+// iterates are the same bits.
 #include <cstddef>
 #include <vector>
 
 #include "linalg/cholesky.hpp"
+#include "linalg/eigen_sym.hpp"
 #include "sdp/options.hpp"
 #include "sdp/problem.hpp"
 #include "sdp/solver.hpp"
@@ -33,6 +43,21 @@ class IpmSolver : public SolverBackend {
   IpmOptions options_;
 };
 
+/// Storage of psd_step_length, reused across calls and across blocks of
+/// different sizes. The constructor sizes every member for the largest
+/// block; Matrix copy-assignment and Vector resizes keep that storage for
+/// each smaller block, so a scan allocates nothing.
+struct StepLengthWork {
+  StepLengthWork() = default;
+  explicit StepLengthWork(std::size_t max_block);
+
+  linalg::Matrix screen;      // X_j + alpha dX_j, factored in place
+  linalg::Matrix lower;       // F = L^{-1} dX_j
+  linalg::Matrix congruence;  // L^{-1} F^T = L^{-1} dX_j L^{-T}
+  linalg::Vector acc;         // the multi-RHS forward solves' scratch
+  linalg::EigenWork eig;      // the smallest eigenvalue's storage
+};
+
 /// Largest alpha in (0, cap] with X_j + alpha dX_j PSD for every block j,
 /// given PD blocks X_j and their Cholesky factors: the IPM's primal (X, dX)
 /// and dual (Z, dZ) step bound, `cap` when no block binds. The scan starts
@@ -43,11 +68,10 @@ class IpmSolver : public SolverBackend {
 /// whose factor carries a shift (X_j not numerically PD) gets the exact
 /// bound unscreened; 1x1 blocks take the closed form. On return `start`
 /// names the block that bound (unchanged when none did), so the next call
-/// tries it first. `scratch` is the screen's work matrix, reused across
-/// calls.
+/// tries it first. Every temporary lives in `work`.
 double psd_step_length(const std::vector<linalg::Matrix>& x,
                        const std::vector<linalg::Cholesky>& chol,
                        const std::vector<linalg::Matrix>& dx, double cap,
-                       std::size_t& start, linalg::Matrix& scratch);
+                       std::size_t& start, StepLengthWork& work);
 
 }  // namespace soslock::sdp

@@ -208,6 +208,9 @@ struct Solution {
   double primal_residual = 0.0;   // relative
   double dual_residual = 0.0;     // relative
   double gap = 0.0;               // relative duality gap
+  /// Iterations the solve ran (IPM: Newton steps; ADMM: the last
+  /// iteration's 0-based index), on every exit: a stalled or interrupted
+  /// solve counts the steps after the iterate it returns too.
   int iterations = 0;
   std::string backend;            // name of the backend that produced this
   double solve_seconds = 0.0;     // wall-clock time inside the backend

@@ -1,5 +1,6 @@
 #include "util/fault.hpp"
 
+#include <functional>
 #include <map>
 #include <utility>
 
@@ -19,7 +20,10 @@ struct SiteState {
 
 struct Registry {
   Mutex mutex;
-  std::map<std::string, SiteState> sites SOSLOCK_GUARDED_BY(mutex);
+  // Transparent comparator: should_fire looks its const char* site up
+  // without building a std::string, so a traversal allocates nothing (the
+  // IPM's no-allocation-after-the-first-step contract holds in fault builds).
+  std::map<std::string, SiteState, std::less<>> sites SOSLOCK_GUARDED_BY(mutex);
 };
 
 // Leaked singleton: sites can fire from detached-ish worker threads during

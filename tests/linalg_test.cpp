@@ -450,15 +450,26 @@ TEST(Cholesky, BlockedShiftedIndefinitePath) {
 
 TEST(Cholesky, ExplicitInverse) {
   util::Rng rng(59);
+  // One output matrix for every size and twice per size: a reused matrix
+  // (reshaped, or holding the previous inverse) must give the same bits as a
+  // fresh one.
+  Matrix reused;
   for (std::size_t n : {1u, 6u, 60u}) {
     const Matrix a = random_spd(n, rng);
     const auto chol = Cholesky::factor(a);
     ASSERT_TRUE(chol.has_value());
-    const Matrix inv = chol->inverse();
+    Matrix inv;
+    chol->inverse(inv);
     EXPECT_LT(norm_inf(a * inv - Matrix::identity(n)), 1e-7);
     // Symmetrized output.
     for (std::size_t r = 0; r < n; ++r)
       for (std::size_t c = 0; c < n; ++c) EXPECT_DOUBLE_EQ(inv(r, c), inv(c, r));
+    for (int round = 0; round < 2; ++round) {
+      chol->inverse(reused);
+      ASSERT_EQ(reused.rows(), n);
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < n; ++c) EXPECT_EQ(reused(r, c), inv(r, c));
+    }
   }
 }
 
@@ -860,6 +871,14 @@ TEST(KernelParity, MultiRhsForwardSolveMatchesPerColumnTrsv) {
         }
         EXPECT_LT(worst, 1e-10 * static_cast<double>(n + 1))
             << util::isa_name(t->isa) << " n=" << n << " nc=" << nc;
+        // The in-place form with scratch left over from a wider solve: the
+        // same bits as the allocating form.
+        Matrix y = b;
+        Vector acc(Cholesky::solve_scratch_size(n, 2 * nc) + 3, 7.0);
+        chol->solve_lower_in_place(y, acc);
+        EXPECT_EQ(acc.size(), Cholesky::solve_scratch_size(n, nc));
+        for (std::size_t i = 0; i < n; ++i)
+          for (std::size_t j = 0; j < nc; ++j) ASSERT_EQ(y(i, j), x(i, j));
       }
     }
   }

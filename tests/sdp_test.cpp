@@ -175,6 +175,41 @@ TEST(Ipm, DetectsPrimalInfeasible) {
   EXPECT_NE(sol.status, SolveStatus::Optimal);
 }
 
+// A stalled solve returns its best iterate, but counts every Newton step it
+// ran: on_iteration fires once per iteration, and the last call is the
+// iteration that stopped the solve without stepping.
+TEST(Ipm, StalledSolveCountsEveryStepItRan) {
+  // Infeasible, x11 = -1e-6, but so nearly feasible (x11 = 0 with x22 ->
+  // inf would satisfy x12 = 1) that the iterates stall rather than grow a
+  // Farkas certificate.
+  Problem p;
+  const std::size_t b = p.add_block(2);
+  Matrix c(2, 2);
+  c(0, 0) = 1.0;
+  p.set_block_objective(b, c);
+  Row r0;
+  r0.blocks[b].add(0, 0, 1.0);
+  r0.rhs = -1e-6;
+  p.add_row(std::move(r0));
+  Row r1;
+  r1.blocks[b].add(0, 1, 0.5);
+  r1.rhs = 1.0;
+  p.add_row(std::move(r1));
+  IpmOptions o = quiet();
+  o.max_iterations = 200;
+  SolveContext context;
+  int calls = 0, last = -1;
+  context.on_iteration = [&](const IterationInfo& info) {
+    ++calls;
+    last = info.iteration;
+  };
+  const Solution sol = IpmSolver(o).solve(p, context);
+  EXPECT_EQ(sol.status, SolveStatus::MaxIterations);
+  EXPECT_LT(sol.iterations, o.max_iterations);  // the stall exit, not the budget
+  EXPECT_EQ(sol.iterations, calls - 1);
+  EXPECT_EQ(sol.iterations, last);
+}
+
 // Multi-block coupling: two blocks sharing a constraint.
 TEST(Ipm, MultiBlockCoupled) {
   // min tr(X1) + tr(X2) s.t. x1_11 + x2_11 = 4, x2_12 = 1.
@@ -664,16 +699,18 @@ TEST(PsdStepLength, MatchesFullEigenOracleFromEveryStart) {
         binding = j;
       }
     }
-    Matrix scratch;
+    // Sized for the largest block (20) here; the other tests start from an
+    // empty work, which grows as needed.
+    sdp::StepLengthWork work(20);
     std::size_t start = 0;
-    const double first = psd_step_length(b.x, b.chol, b.dx, cap, start, scratch);
+    const double first = psd_step_length(b.x, b.chol, b.dx, cap, start, work);
     EXPECT_NEAR(first, oracle, 1e-6 * oracle) << "seed " << seed;
     if (oracle < cap) {
       EXPECT_EQ(start, binding) << "seed " << seed;
     }
     for (std::size_t s0 = 1; s0 < b.x.size(); ++s0) {
       start = s0;
-      EXPECT_DOUBLE_EQ(psd_step_length(b.x, b.chol, b.dx, cap, start, scratch), first)
+      EXPECT_DOUBLE_EQ(psd_step_length(b.x, b.chol, b.dx, cap, start, work), first)
           << "seed " << seed << ", start " << s0;
     }
   }
@@ -688,9 +725,9 @@ TEST(PsdStepLength, PsdDirectionsReturnCap) {
       const Matrix h = random_square(dx.rows(), rng);
       dx = h * h.transposed();
     }
-    Matrix scratch;
+    sdp::StepLengthWork work;
     std::size_t start = 2;
-    EXPECT_EQ(psd_step_length(b.x, b.chol, b.dx, cap, start, scratch), cap) << seed;
+    EXPECT_EQ(psd_step_length(b.x, b.chol, b.dx, cap, start, work), cap) << seed;
     EXPECT_EQ(start, 2u);
   }
 }
@@ -701,9 +738,9 @@ TEST(PsdStepLength, HugeNegativeDirectionCollapsesTheStep) {
     const std::size_t n = b.dx[j].rows();
     b.dx[j] = Matrix::identity(n);
     b.dx[j].scale(-1e12);
-    Matrix scratch;
+    sdp::StepLengthWork work;
     std::size_t start = 0;
-    const double step = psd_step_length(b.x, b.chol, b.dx, 1.0, start, scratch);
+    const double step = psd_step_length(b.x, b.chol, b.dx, 1.0, start, work);
     EXPECT_GT(step, 0.0) << "block " << j;
     EXPECT_LE(step, 1e-10) << "block " << j;
     EXPECT_EQ(start, j);
