@@ -389,8 +389,7 @@ sdp::Problem clock_tree_coupling_sdp(const LoopConstants& k,
 
   sdp::Problem p;
   const std::size_t blk = p.add_block(n);
-  linalg::Matrix& objective = p.mutable_block_objective(blk);  // min trace
-  for (std::size_t r = 0; r < n; ++r) objective(r, r) = 1.0;
+  p.set_block_objective(blk, sdp::SparseSym::diagonal(n, 1.0));  // min trace
   // Clustered trees coarsen the measurement rows: instead of one row per
   // coupling edge (m grows with the g^2/2 crosstalk pairs of each
   // g-loop cluster, and the dense normal/Schur systems with m^2), the three

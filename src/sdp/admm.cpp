@@ -102,10 +102,10 @@ class AdmmEngine {
   void init_state();
 
   /// y-update: M y = (b - A(X) - B w)/rho + A(C - S) + B f over the joint
-  /// (rows, consensus multipliers) space, through the cached factors.
-  linalg::Vector solve_y(const std::vector<linalg::Matrix>& x,
-                         const std::vector<linalg::Matrix>& s,
-                         const linalg::Vector& w, double rho) const;
+  /// (rows, consensus multipliers) space, through the cached factors, into
+  /// y's storage (mext_ entries).
+  void solve_y(const std::vector<linalg::Matrix>& x, const std::vector<linalg::Matrix>& s,
+               const linalg::Vector& w, double rho, linalg::Vector& y) const;
   /// Eigensplit storage of one block of size >= 3: U and the eigensolver's
   /// workspace, allocated by the constructor and reused every iteration.
   struct SplitScratch {
@@ -130,8 +130,7 @@ class AdmmEngine {
   double dual_objective(const linalg::Vector& y) const;
   void fill(Solution& out, const std::vector<linalg::Matrix>& x,
             const std::vector<linalg::Matrix>& s, const linalg::Vector& y,
-            const linalg::Vector& w, double pres, double dres, double gap,
-            int iter) const;
+            const linalg::Vector& w, double pres, double dres, double gap) const;
 
   /// Post-residual control law of iteration `iter`: the divergence
   /// watchdog, progress notification, best-iterate/merit tracking,
@@ -164,7 +163,6 @@ class AdmmEngine {
     return i < m_ ? p_.rows()[i] : *overlap_rows_[i - m_];
   }
   double rhs_at(std::size_t i) const { return i < m_ ? p_.rhs(i) : 0.0; }
-  static double sparse_dot(const SparseSym& a, const SparseSym& b);
 
   const Problem& p_;
   const AdmmOptions& opt_;
@@ -216,7 +214,7 @@ AdmmEngine::AdmmEngine(const Problem& p, const AdmmOptions& opt, std::size_t thr
   for (std::size_t i = 0; i < m_; ++i) data_norm_ = std::max(data_norm_, std::fabs(p_.rhs(i)));
   c_norm_ = 1.0;
   for (std::size_t j = 0; j < nblocks_; ++j)
-    c_norm_ = std::max(c_norm_, linalg::norm_inf(p_.block_objective(j)));
+    c_norm_ = std::max(c_norm_, p_.block_objective(j).max_abs());
   for (double fi : p_.free_objective()) c_norm_ = std::max(c_norm_, std::fabs(fi));
 }
 
@@ -237,7 +235,7 @@ void AdmmEngine::setup_normal() {
         const SparseSym& ai = *touching[a].coeff;
         for (std::size_t bnd = a; bnd < touching.size(); ++bnd) {
           const SparseSym& ak = *touching[bnd].coeff;
-          const double v = sparse_dot(ai, ak);
+          const double v = ai.dot(ak);
           const std::size_t i = touching[a].row, k = touching[bnd].row;
           normal(i, k) += v;
           if (i != k) normal(k, i) += v;
@@ -259,7 +257,9 @@ void AdmmEngine::setup_normal() {
     } else {
       // Same flop-neutral elimination shape as the IPM's Schur step; here
       // the normal matrix is iteration-invariant, so it runs once.
-      const Matrix reduced = elim_.reduce(normal, m_, q_, 1e-12);
+      Matrix reduced, corner;
+      Vector acc;
+      elim_.reduce(normal, m_, q_, 1e-12, 0.0, reduced, corner, acc);
       if (m_ > 0) chol_m_.emplace(Cholesky::factor_shifted(reduced, 1e-12));
     }
   }
@@ -320,34 +320,32 @@ void AdmmEngine::init_state() {
   }
 }
 
-Vector AdmmEngine::solve_y(const std::vector<Matrix>& x, const std::vector<Matrix>& s,
-                           const Vector& w, double rho) const {
-  if (mext_ == 0) return Vector();
-  Vector rhs(mext_, 0.0);
+void AdmmEngine::solve_y(const std::vector<Matrix>& x, const std::vector<Matrix>& s,
+                         const Vector& w, double rho, Vector& y) const {
+  // Right-hand side first, into y's storage.
   for (std::size_t i = 0; i < mext_; ++i) {
     const Row& row = row_at(i);
     double ax = 0.0;
     for (const auto& [j, a] : row.blocks) ax += a.dot(x[j]);
     for (const auto& [v, c] : row.free_coeffs) ax += c * w[v];
-    rhs[i] = (rhs_at(i) - ax) / rho + rhs0_[i];
-    for (const auto& [j, a] : row.blocks) rhs[i] -= a.dot(s[j]);
+    y[i] = (rhs_at(i) - ax) / rho + rhs0_[i];
+    for (const auto& [j, a] : row.blocks) y[i] -= a.dot(s[j]);
   }
   // Injected iterate poisoning: a NaN here flows into y and from there into
   // every projection — the leak the control_step watchdog must classify.
   SOSLOCK_FAULT_HOOK(util::fault_site::kIterateNan, {
-    if (!rhs.empty()) rhs[0] = std::numeric_limits<double>::quiet_NaN();
+    if (!y.empty()) y[0] = std::numeric_limits<double>::quiet_NaN();
   });
-  if (q_ == 0) return chol_m_->solve(rhs);
-  // Two-stage elimination solve — algebraically the joint (m+q) normal
-  // system, through the cached factors.
-  Vector ra(rhs.begin(), rhs.begin() + static_cast<std::ptrdiff_t>(m_));
-  const Vector rb(rhs.begin() + static_cast<std::ptrdiff_t>(m_), rhs.end());
-  const Vector t = elim_.fold_rhs(rb, ra);
-  const Vector yrows = m_ > 0 ? chol_m_->solve(ra) : Vector();
-  const Vector lam = elim_.multipliers(t, yrows);
-  Vector y = yrows;
-  y.insert(y.end(), lam.begin(), lam.end());
-  return y;
+  // Two-stage elimination solve in place — algebraically the joint (m+q)
+  // normal system, through the cached factors: the overlap tail of y becomes
+  // the consensus multipliers, its head the row multipliers.
+  double* ra = y.data();
+  if (q_ > 0) elim_.fold_rhs(ra + m_, ra);
+  if (m_ > 0) {
+    chol_m_->solve_lower_in_place(ra);
+    chol_m_->solve_lower_transposed_in_place(ra);
+  }
+  if (q_ > 0) elim_.multipliers(ra + m_, ra);
 }
 
 double AdmmEngine::project_block(std::size_t j, const Vector& y, double rho, Matrix& x_j,
@@ -361,15 +359,14 @@ double AdmmEngine::project_block(std::size_t j, const Vector& y, double rho, Mat
   if (n <= 2) {
     // The same U as the Matrix path below, on the stack.
     double u[4] = {0.0, 0.0, 0.0, 0.0};  // row-major n x n
-    const double* c = p_.block_objective(j).data();
-    for (std::size_t k = 0; k < n * n; ++k) u[k] = c[k];
-    for (const BlockRowView& v : views_[j]) {
-      const double f = -y[v.row];
-      for (const Triplet& t : v.coeff->entries) {
+    auto add = [&u, n](const SparseSym& a, double f) {
+      for (const Triplet& t : a.entries) {
         u[t.r * n + t.c] += f * t.v;
         if (t.r != t.c) u[t.c * n + t.r] += f * t.v;
       }
-    }
+    };
+    add(p_.block_objective(j), 1.0);
+    for (const BlockRowView& v : views_[j]) add(*v.coeff, -y[v.row]);
     const double* sd = s_j.data();
     const double* xd = x_j.data();
     const double inv_rho = 1.0 / rho;
@@ -379,7 +376,8 @@ double AdmmEngine::project_block(std::size_t j, const Vector& y, double rho, Mat
     change = split_small(u, n, rho, s_j.data(), x_j.data());
   } else {
     Matrix& u_j = scratch.u;
-    u_j = p_.block_objective(j);  // copy-assignment keeps u_j's storage
+    u_j.fill(0.0);
+    p_.block_objective(j).add_to(u_j);
     for (const BlockRowView& v : views_[j]) v.coeff->add_to(u_j, -y[v.row]);
     u_j.scale(kOverRelaxation);
     u_j.axpy(1.0 - kOverRelaxation, s_j);
@@ -420,21 +418,9 @@ double AdmmEngine::primal_residual_inf(const std::vector<Matrix>& x, const Vecto
   return pres;
 }
 
-double AdmmEngine::sparse_dot(const SparseSym& a, const SparseSym& b) {
-  // <A, B> for two upper-triplet symmetric matrices: off-diagonal pairs
-  // count twice. Both triplet lists are tiny (SOS rows touch few entries).
-  double acc = 0.0;
-  for (const Triplet& ta : a.entries) {
-    for (const Triplet& tb : b.entries) {
-      if (ta.r == tb.r && ta.c == tb.c) acc += ta.v * tb.v * (ta.r == ta.c ? 1.0 : 2.0);
-    }
-  }
-  return acc;
-}
-
 double AdmmEngine::primal_objective(const std::vector<Matrix>& x, const Vector& w) const {
   double obj = linalg::dot(p_.free_objective(), w);
-  for (std::size_t j = 0; j < nblocks_; ++j) obj += linalg::dot(p_.block_objective(j), x[j]);
+  for (std::size_t j = 0; j < nblocks_; ++j) obj += p_.block_objective(j).dot(x[j]);
   return obj;
 }
 
@@ -446,7 +432,7 @@ double AdmmEngine::dual_objective(const Vector& y) const {
 
 void AdmmEngine::fill(Solution& out, const std::vector<Matrix>& x,
                       const std::vector<Matrix>& s, const Vector& y, const Vector& w,
-                      double pres, double dres, double gap, int iter) const {
+                      double pres, double dres, double gap) const {
   out.x = x;
   out.z = s;
   // Consensus multipliers are internal state: only row multipliers leave.
@@ -460,7 +446,6 @@ void AdmmEngine::fill(Solution& out, const std::vector<Matrix>& x,
   out.primal_residual = pres;
   out.dual_residual = dres;
   out.gap = gap;
-  out.iterations = iter;
 }
 
 AdmmEngine::ControlAction AdmmEngine::control_step(int iter, double pres, double dres,
@@ -512,7 +497,7 @@ AdmmEngine::ControlAction AdmmEngine::control_step(int iter, double pres, double
   }
   if (merit < best_merit) {
     best_merit = merit;
-    fill(best, x, s, y, w, pres, dres, gap, iter);
+    fill(best, x, s, y, w, pres, dres, gap);
   }
 
   if (pres < opt_.tolerance && dres < opt_.tolerance && gap < opt_.tolerance) {
@@ -520,7 +505,7 @@ AdmmEngine::ControlAction AdmmEngine::control_step(int iter, double pres, double
   }
   if (ctx_.interrupted()) {
     if (best_merit == std::numeric_limits<double>::infinity())
-      fill(best, x, s, y, w, pres, dres, gap, iter);
+      fill(best, x, s, y, w, pres, dres, gap);
     return ControlAction::Interrupted;
   }
 
@@ -596,7 +581,7 @@ Solution AdmmEngine::run() {
   int iter = 0;
   for (; iter < opt_.max_iterations; ++iter) {
     util::Timer phase_timer;
-    y_ = solve_y(x_, s_, w_, rho_);
+    solve_y(x_, s_, w_, rho_, y_);
     phase_.schur += phase_timer.seconds();
     phase_timer.reset();
     // Blocks are independent given y (read-only here): one eigensplit per
@@ -625,7 +610,7 @@ Solution AdmmEngine::run() {
   Solution sol;
   switch (action) {
     case ControlAction::Converged:
-      fill(sol, x_, s_, y_, w_, pres, dres, gap, iter);
+      fill(sol, x_, s_, y_, w_, pres, dres, gap);
       sol.status = SolveStatus::Optimal;
       break;
     case ControlAction::Interrupted:
@@ -638,21 +623,21 @@ Solution AdmmEngine::run() {
       break;
     case ControlAction::Diverged:
       if (best_merit == std::numeric_limits<double>::infinity())
-        fill(best, x_, s_, y_, w_, pres, dres, gap, iter);
+        fill(best, x_, s_, y_, w_, pres, dres, gap);
       sol = std::move(best);
       sol.status = SolveStatus::Diverged;
       sol.faulted_phase = diverged_phase_;
       break;
     case ControlAction::Continue:  // iteration budget exhausted
       if (best_merit == std::numeric_limits<double>::infinity())
-        fill(best, x_, s_, y_, w_, pres, dres, gap, iter - 1);
+        fill(best, x_, s_, y_, w_, pres, dres, gap);
       sol = std::move(best);
       sol.status = SolveStatus::MaxIterations;
       break;
   }
-  // Every exit counts the iterations run, numbered from 0 like the
-  // Optimal exit's, also when the iterate returned is an earlier one.
-  sol.iterations = action == ControlAction::Continue ? iter - 1 : iter;
+  // Every exit counts the iterations run (iteration `iter` ran unless the
+  // budget ran out), also when the iterate returned is an earlier one.
+  sol.iterations = action == ControlAction::Continue ? iter : iter + 1;
   sol.phase = phase_;
   // Dimension of the dense cached normal factor: overlap couplings are
   // block-eliminated, so it is the row count with or without cones.

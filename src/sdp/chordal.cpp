@@ -45,21 +45,17 @@ Matrix pinv_psd(const Matrix& a) {
 util::Adjacency aggregate_adjacency(const Problem& p, std::size_t j) {
   const std::size_t n = p.block_size(j);
   util::Adjacency adj(n, std::vector<bool>(n, false));
-  auto mark = [&](std::size_t r, std::size_t c) {
-    if (r == c) return;
-    adj[r][c] = true;
-    adj[c][r] = true;
+  auto mark = [&adj](const SparseSym& a) {
+    for (const Triplet& t : a.entries) {
+      if (t.r == t.c) continue;
+      adj[t.r][t.c] = true;
+      adj[t.c][t.r] = true;
+    }
   };
+  mark(p.block_objective(j));
   for (const Row& row : p.rows()) {
     const auto it = row.blocks.find(j);
-    if (it == row.blocks.end()) continue;
-    for (const Triplet& t : it->second.entries) mark(t.r, t.c);
-  }
-  const Matrix& c = p.block_objective(j);
-  if (c.rows() == n) {
-    for (std::size_t r = 0; r < n; ++r)
-      for (std::size_t cc = r + 1; cc < n; ++cc)
-        if (c(r, cc) != 0.0 || c(cc, r) != 0.0) mark(r, cc);
+    if (it != row.blocks.end()) mark(it->second);
   }
   return adj;
 }
@@ -99,6 +95,15 @@ BlockEntryIndex::Entry BlockEntryIndex::find(std::size_t r, std::size_t c) const
     }
   }
   return {};
+}
+
+void scatter_to_cliques(const SparseSym& a, const BlockPlan& plan,
+                        const BlockEntryIndex& idx,
+                        std::map<std::size_t, SparseSym>& out) {
+  for (const Triplet& t : a.entries) {
+    const BlockEntryIndex::Entry e = idx.find(t.r, t.c);
+    out[plan.converted_block[e.clique]].add(e.r, e.c, t.v);
+  }
 }
 
 std::size_t ChordalMap::max_clique_size() const {
@@ -168,26 +173,11 @@ ChordalMap apply_decomposition(Problem& p, const ConversionPlan& conversion) {
     plan.original_size = n;
     plan.forest = forests[j];
     indices[j] = index_decomposed_block(plan.forest, n);
-    std::vector<Matrix> clique_obj;
-    clique_obj.reserve(plan.forest.cliques.size());
-    for (const auto& clique : plan.forest.cliques) {
+    for (const auto& clique : plan.forest.cliques)
       plan.converted_block.push_back(conv.add_block(clique.size()));
-      clique_obj.emplace_back(clique.size(), clique.size());
-    }
-    // Objective entries land on their canonical clique.
-    const Matrix& c = p.block_objective(j);
-    if (c.rows() == n) {
-      for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t cc = r; cc < n; ++cc) {
-          if (c(r, cc) == 0.0 && c(cc, r) == 0.0) continue;
-          const BlockEntryIndex::Entry e = indices[j].find(r, cc);
-          clique_obj[e.clique](e.r, e.c) += c(r, cc);
-          if (e.r != e.c) clique_obj[e.clique](e.c, e.r) += c(cc, r);
-        }
-      }
-    }
-    for (std::size_t k = 0; k < plan.converted_block.size(); ++k)
-      conv.set_block_objective(plan.converted_block[k], std::move(clique_obj[k]));
+    std::map<std::size_t, SparseSym> clique_obj;
+    scatter_to_cliques(p.block_objective(j), plan, indices[j], clique_obj);
+    for (auto& [cb, c] : clique_obj) conv.set_block_objective(cb, std::move(c));
     map.plans.push_back(std::move(plan));
   }
 
@@ -211,10 +201,7 @@ ChordalMap apply_decomposition(Problem& p, const ConversionPlan& conversion) {
           break;
         }
       }
-      for (const Triplet& t : a.entries) {
-        const BlockEntryIndex::Entry e = idx.find(t.r, t.c);
-        nr.blocks[plan->converted_block[e.clique]].add(e.r, e.c, t.v);
-      }
+      scatter_to_cliques(a, *plan, idx, nr.blocks);
     }
     conv.add_row(std::move(nr));
   }

@@ -27,6 +27,7 @@
 // dual slacks by scatter-add (Agler) and completing the primal clique blocks
 // into one dense PSD matrix by clique-tree completion, so certificate
 // auditing is unchanged.
+#include <map>
 #include <string>
 #include <vector>
 
@@ -89,6 +90,15 @@ struct BlockEntryIndex {
   Entry find(std::size_t r, std::size_t c) const;
 };
 BlockEntryIndex index_decomposed_block(const util::CliqueForest& forest, std::size_t n);
+
+/// Retarget one coefficient of the decomposed block `plan` (a row's A_ij or
+/// the objective C_j) at its clique blocks: each triplet lands on its
+/// canonical clique, found through `idx`, and is added to `out` under that
+/// clique's converted block index. apply_decomposition and the
+/// coefficient-update pass both scatter every coefficient through here.
+void scatter_to_cliques(const SparseSym& a, const BlockPlan& plan,
+                        const BlockEntryIndex& idx,
+                        std::map<std::size_t, SparseSym>& out);
 
 /// Analysis half of the conversion (the "analyze" + "decompose" passes of
 /// the sdp/lowering pipeline): which blocks split, along which cliques.

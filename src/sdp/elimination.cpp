@@ -2,35 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 
 namespace soslock::sdp {
 
 using linalg::Matrix;
 using linalg::Vector;
-
-Matrix OverlapElimination::reduce(const Matrix& full, std::size_t m, std::size_t q,
-                                  double corner_shift, double corner_scale) {
-  assert(full.rows() == m + q && full.cols() == m + q);
-  m_ = m;
-  q_ = q;
-  Matrix qmat(q, q);
-  for (std::size_t a = 0; a < q; ++a)
-    for (std::size_t b = 0; b < q; ++b) qmat(a, b) = full(m + a, m + b);
-  chol_q_.refactor_shifted(qmat, corner_shift, corner_scale);
-  // U^T is the lower-left q x m block of the symmetric `full`: its rows are
-  // the overlap rows' leading segments, so W = L_q^{-1} U^T is one multi-RHS
-  // forward solve.
-  Matrix ut(q, m);
-  for (std::size_t a = 0; a < q; ++a)
-    std::copy(full.row_ptr(m + a), full.row_ptr(m + a) + m, ut.row_ptr(a));
-  w_ = chol_q_.solve_lower(std::move(ut));
-  Matrix reduced(m, m);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t k = 0; k < m; ++k) reduced(i, k) = full(i, k);
-  linalg::subtract_gram(reduced, w_);
-  return reduced;
-}
 
 void OverlapElimination::reduce(const Matrix& full, std::size_t m, std::size_t q,
                                 double corner_shift, double corner_scale, Matrix& reduced,
@@ -70,23 +46,9 @@ void OverlapElimination::subtract_wy(double* t, const double* y) const {
   }
 }
 
-Vector OverlapElimination::fold_rhs(const Vector& rb, Vector& ra) const {
-  assert(rb.size() == q_ && ra.size() == m_);
-  const Vector t = chol_q_.solve_lower(rb);
-  subtract_wt(t.data(), ra.data());
-  return t;
-}
-
 void OverlapElimination::fold_rhs(double* rb, double* ra) const {
   chol_q_.solve_lower_in_place(rb);
   subtract_wt(rb, ra);
-}
-
-Vector OverlapElimination::multipliers(const Vector& t, const Vector& y) const {
-  assert(t.size() == q_ && y.size() >= m_);
-  Vector u = t;
-  subtract_wy(u.data(), y.data());
-  return chol_q_.solve_lower_transposed(u);
 }
 
 void OverlapElimination::multipliers(double* t, const double* y) const {

@@ -27,35 +27,23 @@ namespace soslock::sdp {
 
 class OverlapElimination {
  public:
-  /// Factor the overlap corner of `full` and return the reduced m x m
-  /// leading block M0 - W^T W, ready for the caller's factorization. The
-  /// corner's shift ladder is relative to `corner_scale` (0: Q's own
-  /// largest diagonal; see Cholesky::refactor_shifted).
-  linalg::Matrix reduce(const linalg::Matrix& full, std::size_t m, std::size_t q,
-                        double corner_shift, double corner_scale = 0.0);
-  /// The same reduction into per-solve storage, with the same bits: the
-  /// reduced block goes to `reduced` and Q's copy to `corner`, and those,
-  /// this object's factor and W keep their storage while the shapes stay
-  /// put; `acc` is the multi-RHS solve's scratch (Cholesky::
-  /// solve_lower_in_place). The IPM reduces every Schur block this way each
-  /// iteration; the ADMM reduces once per solve through the form above,
-  /// whose allocation sequence its peak RSS is tuned to (see fold_rhs).
+  /// Factor the overlap corner of `full` and write the reduced m x m
+  /// leading block M0 - W^T W to `reduced`, ready for the caller's
+  /// factorization. The corner's shift ladder is relative to `corner_scale`
+  /// (0: Q's own largest diagonal; see Cholesky::refactor_shifted). Q's copy
+  /// goes to `corner`; `reduced`, `corner`, this object's factor and W keep
+  /// their storage while the shapes stay put, and `acc` is the multi-RHS
+  /// solve's scratch (Cholesky::solve_lower_in_place).
   void reduce(const linalg::Matrix& full, std::size_t m, std::size_t q,
               double corner_shift, double corner_scale, linalg::Matrix& reduced,
               linalg::Matrix& corner, linalg::Vector& acc);
 
-  /// First stage: t = L_q^{-1} rb, and ra -= W^T t (ra becomes the reduced
-  /// system's right-hand side). Returns t for the back-substitution.
-  /// (The ADMM's y-update uses the Vector forms: its allocation sequence
-  /// sets clock_tree's peak RSS through glibc's dynamic mmap threshold, and
-  /// the span forms raised it by 16%.)
-  linalg::Vector fold_rhs(const linalg::Vector& rb, linalg::Vector& ra) const;
-  /// In place on spans: rb (q entries) becomes t, ra (m entries) -= W^T t.
+  /// First stage, in place on spans: rb (q entries) becomes
+  /// t = L_q^{-1} rb, and ra (m entries) -= W^T t, the reduced system's
+  /// right-hand side.
   void fold_rhs(double* rb, double* ra) const;
-
-  /// Back-substitution: λ = L_q^{-T}(t - W y).
-  linalg::Vector multipliers(const linalg::Vector& t, const linalg::Vector& y) const;
-  /// In place on spans: t (q entries) becomes λ, for y (m entries).
+  /// Back-substitution in place: t (q entries) becomes
+  /// λ = L_q^{-T}(t - W y), for y (m entries).
   void multipliers(double* t, const double* y) const;
 
  private:

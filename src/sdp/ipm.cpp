@@ -156,7 +156,7 @@ class Ipm {
     for (std::size_t i = 0; i < m_; ++i) data_norm_ = std::max(data_norm_, std::fabs(p_.rhs(i)));
     c_norm_ = 1.0;
     for (std::size_t j = 0; j < nblocks_; ++j)
-      c_norm_ = std::max(c_norm_, linalg::norm_inf(p_.block_objective(j)));
+      c_norm_ = std::max(c_norm_, p_.block_objective(j).max_abs());
     for (double fi : p_.free_objective()) c_norm_ = std::max(c_norm_, std::fabs(fi));
     // Free-variable coupling B is iteration-invariant: each Schur block
     // keeps its own rows of it, built once here. Blocks whose rows carry no
@@ -389,7 +389,7 @@ class Ipm {
 
   double primal_objective(const State& s) const {
     double obj = linalg::dot(p_.free_objective(), s.w);
-    for (std::size_t j = 0; j < nblocks_; ++j) obj += linalg::dot(p_.block_objective(j), s.x[j]);
+    for (std::size_t j = 0; j < nblocks_; ++j) obj += p_.block_objective(j).dot(s.x[j]);
     return obj;
   }
 
@@ -479,7 +479,10 @@ class Ipm {
     double rd_norm = 0.0;
     for (std::size_t j = 0; j < nblocks_; ++j) {
       Matrix& rd = r.rd[j];
-      rd = p_.block_objective(j);
+      const std::size_t n = s.z[j].rows();
+      if (rd.rows() != n) rd = Matrix(n, n);  // shaped in the first iteration
+      rd.fill(0.0);
+      p_.block_objective(j).add_to(rd);
       rd -= s.z[j];
       for (const BlockRowView& v : views_[j]) v.coeff->add_to(rd, -s.y[v.row]);
       rd_norm = std::max(rd_norm, linalg::norm_inf(rd));

@@ -370,22 +370,15 @@ bool LoweringCache::try_update(Problem& problem) {
       return false;
     }
     if (!plan_built_ && !build_update_plan(problem)) return false;
-    // Objective pattern guard, before any mutation: objective values are
-    // not fingerprinted, so a nonzero entry off the cached aggregate
-    // pattern means a fresh plan_decomposition would have chosen different
-    // cliques — full pipeline.
+    // Objective pattern guard, before any mutation: objective triplets are
+    // not fingerprinted, so one off the cached aggregate pattern means a
+    // fresh plan_decomposition would have chosen different cliques — full
+    // pipeline.
     for (std::size_t pi = 0; pi < map.plans.size(); ++pi) {
-      const BlockPlan& bp = map.plans[pi];
-      const Matrix& c = problem.block_objective(bp.original_block);
-      if (c.rows() == 0) continue;
-      if (c.rows() != bp.original_size) return false;
+      const SparseSym& c = problem.block_objective(map.plans[pi].original_block);
       const BlockEntryIndex& idx = entry_index_[pi];
-      for (std::size_t r = 0; r < bp.original_size; ++r) {
-        for (std::size_t cc = r; cc < bp.original_size; ++cc) {
-          if (c(r, cc) == 0.0 && c(cc, r) == 0.0) continue;
-          if (idx.find(r, cc).clique == BlockEntryIndex::kNone) return false;
-        }
-      }
+      for (const Triplet& t : c.entries)
+        if (idx.find(t.r, t.c).clique == BlockEntryIndex::kNone) return false;
     }
 
     // All guards passed — rewrite in place. Original rows keep their
@@ -426,30 +419,15 @@ bool LoweringCache::try_update(Problem& problem) {
     for (std::size_t j = 0; j < problem.num_blocks(); ++j) {
       const std::size_t cb = map.block_map[j];
       if (cb == ChordalMap::kNotMapped) continue;
-      lowering_.problem.mutable_block_objective(cb) = problem.block_objective(j);
+      lowering_.problem.set_block_objective(cb, problem.block_objective(j));
     }
     for (std::size_t pi = 0; pi < map.plans.size(); ++pi) {
       const BlockPlan& bp = map.plans[pi];
-      const BlockEntryIndex& idx = entry_index_[pi];
-      const std::size_t n = bp.original_size;
-      std::vector<Matrix> clique_obj;
-      clique_obj.reserve(bp.forest.cliques.size());
-      for (const auto& clique : bp.forest.cliques)
-        clique_obj.emplace_back(clique.size(), clique.size());
-      const Matrix& c = problem.block_objective(bp.original_block);
-      if (c.rows() == n) {
-        for (std::size_t r = 0; r < n; ++r) {
-          for (std::size_t cc = r; cc < n; ++cc) {
-            if (c(r, cc) == 0.0 && c(cc, r) == 0.0) continue;
-            const BlockEntryIndex::Entry e = idx.find(r, cc);
-            clique_obj[e.clique](e.r, e.c) += c(r, cc);
-            if (e.r != e.c) clique_obj[e.clique](e.c, e.r) += c(cc, r);
-          }
-        }
-      }
-      for (std::size_t k = 0; k < bp.converted_block.size(); ++k)
-        lowering_.problem.mutable_block_objective(bp.converted_block[k]) =
-            std::move(clique_obj[k]);
+      std::map<std::size_t, SparseSym> clique_obj;
+      scatter_to_cliques(problem.block_objective(bp.original_block), bp, entry_index_[pi],
+                         clique_obj);
+      for (const std::size_t cb : bp.converted_block)
+        lowering_.problem.set_block_objective(cb, std::move(clique_obj[cb]));
     }
     for (std::size_t v = 0; v < problem.num_free(); ++v)
       lowering_.problem.set_free_objective(v, problem.free_objective()[v]);

@@ -103,17 +103,20 @@ WarmStart export_warm_start(const Solution& recovered, const Lowering& lowering)
 /// repays the whole pipeline for answers that cannot have changed. lower()
 /// here detects that case by base fingerprint (value-independent, so an
 /// equal fingerprint means the cached destination of every triplet still
-/// holds), rewrites rhs / free / triplet values and objectives of the cached
-/// lowered problem in place — decomposed cones included, re-targeting every
-/// entry at its canonical clique through the cached BlockPlans — then
-/// re-equilibrates and stamps ["update", "equilibrate"] provenance.
+/// holds), rewrites rhs / free / triplet values of the cached lowered problem
+/// in place and re-scatters the objective triplets — decomposed cones
+/// included, re-targeting every entry at its canonical clique through the
+/// cached BlockPlans (sdp::scatter_to_cliques, as apply_decomposition does)
+/// — then re-equilibrates and stamps ["update", "equilibrate"] provenance.
 ///
 /// Fallback contract: any mismatch runs the full pipeline and re-caches.
 /// That covers a different base fingerprint (including a coefficient that
 /// became exactly 0.0 — SparseSym::add drops zeros, so the triplet set
-/// itself changed), different pass options, and an objective entry off the
-/// cached aggregate pattern (objective values are not fingerprinted, but an
-/// off-pattern nonzero would have changed the decomposition plan).
+/// itself changed), different pass options, and an objective triplet off
+/// the cached aggregate pattern of a decomposed block (objective triplets
+/// are not fingerprinted, but one off the pattern would have changed the
+/// decomposition plan). Objective triplets on the pattern, new ones
+/// included, take the update.
 ///
 /// Not thread-safe: one cache per sweep lane / worker. The telemetry
 /// counters (full_lowerings / updates) are the one exception — they are
@@ -159,7 +162,7 @@ class LoweringCache {
   std::vector<std::vector<TripletDest>> plan_;
   bool plan_built_ = false;
   /// Canonical-assignment index per decomposed cone (aligned with
-  /// lowering_.map.plans), for objective re-scatter.
+  /// lowering_.map.plans), for the objective guard and re-scatter.
   std::vector<BlockEntryIndex> entry_index_;
   std::atomic<std::size_t> full_{0};
   std::atomic<std::size_t> updates_{0};

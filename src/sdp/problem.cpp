@@ -1,10 +1,19 @@
 #include "sdp/problem.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 
 namespace soslock::sdp {
+
+SparseSym SparseSym::diagonal(std::size_t n, double v) {
+  SparseSym d;
+  if (v == 0.0) return d;
+  d.entries.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) d.entries.push_back({i, i, v});
+  return d;
+}
 
 void SparseSym::add(std::size_t r, std::size_t c, double v) {
   if (v == 0.0) return;
@@ -50,10 +59,27 @@ void SparseSym::times_dense(const linalg::Matrix& x, linalg::Matrix& out) const 
   }
 }
 
+double SparseSym::dot(const SparseSym& s) const {
+  // Both triplet lists are tiny (SOS rows and objectives touch few entries).
+  double acc = 0.0;
+  for (const Triplet& a : entries) {
+    for (const Triplet& b : s.entries) {
+      if (a.r == b.r && a.c == b.c) acc += a.v * b.v * (a.r == a.c ? 1.0 : 2.0);
+    }
+  }
+  return acc;
+}
+
 double SparseSym::frobenius_norm() const {
   double acc = 0.0;
   for (const Triplet& t : entries) acc += (t.r == t.c ? 1.0 : 2.0) * t.v * t.v;
   return std::sqrt(acc);
+}
+
+double SparseSym::max_abs() const {
+  double m = 0.0;
+  for (const Triplet& t : entries) m = std::max(m, std::fabs(t.v));
+  return m;
 }
 
 void SparseSym::scale(double s) {
@@ -62,7 +88,7 @@ void SparseSym::scale(double s) {
 
 std::size_t Problem::add_block(std::size_t n) {
   block_sizes_.push_back(n);
-  c_.emplace_back(n, n);
+  c_.emplace_back();
   return block_sizes_.size() - 1;
 }
 
@@ -71,9 +97,8 @@ std::size_t Problem::add_free(double obj_coeff) {
   return f_.size() - 1;
 }
 
-void Problem::set_block_objective(std::size_t block, linalg::Matrix c) {
+void Problem::set_block_objective(std::size_t block, SparseSym c) {
   assert(block < c_.size());
-  assert(c.rows() == block_sizes_[block] && c.cols() == block_sizes_[block]);
   c_[block] = std::move(c);
 }
 

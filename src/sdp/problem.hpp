@@ -8,7 +8,10 @@
 //
 // This is exactly the shape produced by Gram-matrix SOS relaxations: the X_j
 // are Gram matrices, the w are free polynomial coefficients, and each row is
-// one monomial-coefficient matching equation.
+// one monomial-coefficient matching equation. Every coefficient matrix, the
+// objectives C_j as much as the row coefficients A_ij, is a SparseSym of
+// upper triplets (as in SDPA's input format): the relaxations' C_j hold a
+// trace regularisation and a few Gram-entry coefficients at most.
 #include <cstddef>
 #include <map>
 #include <string>
@@ -29,6 +32,9 @@ struct Triplet {
 struct SparseSym {
   std::vector<Triplet> entries;
 
+  /// v on each of the n diagonal entries (v * I_n); empty when v is 0.
+  static SparseSym diagonal(std::size_t n, double v);
+
   void add(std::size_t r, std::size_t c, double v);
   bool empty() const { return entries.empty(); }
   /// <this, S> with S dense symmetric.
@@ -37,7 +43,11 @@ struct SparseSym {
   void add_to(linalg::Matrix& out, double scale = 1.0) const;
   /// out = this * X (dense), using symmetry of this.
   void times_dense(const linalg::Matrix& x, linalg::Matrix& out) const;
+  /// <this, S> with S sparse symmetric (matching positions only).
+  double dot(const SparseSym& s) const;
   double frobenius_norm() const;
+  /// max_ij |entry|, as linalg::norm_inf of the dense form.
+  double max_abs() const;
   void scale(double s);
 };
 
@@ -90,8 +100,10 @@ class Problem {
   std::size_t add_block(std::size_t n);
   /// Append a free scalar variable with objective coefficient; returns index.
   std::size_t add_free(double obj_coeff = 0.0);
-  /// Set the objective matrix for a block (default zero).
-  void set_block_objective(std::size_t block, linalg::Matrix c);
+  /// Set the objective coefficient C_j of a block (default zero), in the
+  /// upper-triplet form of the row coefficients. Triplet positions are not
+  /// checked here; sdp::verify checks them as it checks every row's.
+  void set_block_objective(std::size_t block, SparseSym c);
   void set_free_objective(std::size_t var, double coeff);
   /// Append an equality row; returns its index.
   std::size_t add_row(Row row);
@@ -107,9 +119,7 @@ class Problem {
   std::size_t num_rows() const { return rows_.size(); }
   const std::vector<Row>& rows() const { return rows_; }
   std::vector<Row>& mutable_rows() { return rows_; }
-  const linalg::Matrix& block_objective(std::size_t j) const { return c_[j]; }
-  /// In-place objective rewrite (the coefficient-update lowering pass).
-  linalg::Matrix& mutable_block_objective(std::size_t j) { return c_[j]; }
+  const SparseSym& block_objective(std::size_t j) const { return c_[j]; }
   const linalg::Vector& free_objective() const { return f_; }
   double rhs(std::size_t i) const { return rows_[i].rhs; }
   const std::vector<DecomposedCone>& cones() const { return cones_; }
@@ -127,7 +137,7 @@ class Problem {
 
  private:
   std::vector<std::size_t> block_sizes_;
-  std::vector<linalg::Matrix> c_;
+  std::vector<SparseSym> c_;
   linalg::Vector f_;
   std::vector<Row> rows_;
   std::vector<DecomposedCone> cones_;
@@ -208,9 +218,8 @@ struct Solution {
   double primal_residual = 0.0;   // relative
   double dual_residual = 0.0;     // relative
   double gap = 0.0;               // relative duality gap
-  /// Iterations the solve ran (IPM: Newton steps; ADMM: the last
-  /// iteration's 0-based index), on every exit: a stalled or interrupted
-  /// solve counts the steps after the iterate it returns too.
+  /// Iterations the backend ran (IPM Newton steps, ADMM splitting
+  /// iterations) on every exit, counting those after the iterate it returns.
   int iterations = 0;
   std::string backend;            // name of the backend that produced this
   double solve_seconds = 0.0;     // wall-clock time inside the backend

@@ -64,27 +64,6 @@ class Checker {
   VerifyResult& out_;
 };
 
-void check_matrix_finite_symmetric(Checker& chk, const linalg::Matrix& m,
-                                   const char* what, std::size_t index) {
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-      if (!std::isfinite(m(r, c))) {
-        chk.fail("finite", what, " ", index, ": entry (", r, ",", c, ") is ", m(r, c));
-        return;
-      }
-    }
-  }
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = r + 1; c < m.cols(); ++c) {
-      if (m(r, c) != m(c, r)) {
-        chk.fail("objective-symmetric", what, " ", index, ": entry (", r, ",", c, ") = ",
-                 m(r, c), " but (", c, ",", r, ") = ", m(c, r));
-        return;
-      }
-    }
-  }
-}
-
 /// Triplet canonical form + ranges of one sparse coefficient. `where` names
 /// the containing row for messages; `n` is the block dimension.
 void check_sparse_coeff(Checker& chk, const SparseSym& a, std::size_t n,
@@ -140,15 +119,8 @@ void check_rows(Checker& chk, const Problem& p) {
 }
 
 void check_objectives(Checker& chk, const Problem& p) {
-  for (std::size_t j = 0; j < p.num_blocks(); ++j) {
-    const linalg::Matrix& c = p.block_objective(j);
-    if (c.rows() != p.block_size(j) || c.cols() != p.block_size(j)) {
-      chk.fail("objective-shape", "block ", j, ": objective is ", c.rows(), "x", c.cols(),
-               " but the block has size ", p.block_size(j));
-      continue;
-    }
-    check_matrix_finite_symmetric(chk, c, "block objective", j);
-  }
+  for (std::size_t j = 0; j < p.num_blocks(); ++j)
+    check_sparse_coeff(chk, p.block_objective(j), p.block_size(j), "objective", j);
   for (std::size_t v = 0; v < p.num_free(); ++v) {
     if (!std::isfinite(p.free_objective()[v])) {
       chk.fail("finite", "free objective ", v, " is ", p.free_objective()[v]);

@@ -6,7 +6,7 @@
 // every one of them assumes invariants the others established: triplet
 // indices inside their block and upper-triangular-canonical, clique entry
 // maps consistent with their clique vertices, an acyclic RIP-ordered clique
-// tree, zero-rhs overlap couplings, symmetric finite objectives, a structure
+// tree, zero-rhs overlap couplings, finite coefficients, a structure
 // fingerprint that still matches the data it was stamped from. A pass that
 // silently breaks one of these does not crash — it produces a *wrong
 // certificate* several layers later (a misaligned warm start, a Schur row
@@ -61,15 +61,15 @@ struct VerifyResult {
 };
 
 /// Verify every structural invariant of `p` the pipeline assumes:
-///  - block dims: objective shape per block, triplet indices in range and
-///    upper-triangular-canonical (r <= c, no duplicate positions), free
-///    indices in range;
+///  - block dims: triplet indices of every row coefficient and block
+///    objective in range and upper-triangular-canonical (r <= c, no
+///    duplicate positions), free indices in range;
 ///  - decomposed cones: clique vertices ascending/in range, clique blocks
 ///    bijectively assigned with matching sizes, vertex cover, clique-tree
 ///    parents acyclic and RIP-preordered, overlap couplings zero-rhs with
 ///    valid entries into their clique blocks only;
 ///  - values: no NaN/Inf anywhere in rhs / triplets / free coefficients /
-///    objectives, block objectives exactly symmetric;
+///    objectives;
 ///  - with `structure`: shape compatibility, fingerprint recomputation
 ///    matching the stamped fingerprint, row→block incidence matching a
 ///    recomputation, and PassRecord provenance monotone (known pass names in

@@ -12,7 +12,6 @@
 
 namespace soslock::sos {
 
-using linalg::Matrix;
 using poly::LinExpr;
 
 sdp::Problem SosProgram::compile() const {
@@ -41,7 +40,7 @@ sdp::Problem SosProgram::compile() const {
         const GramRef& g = var_gram_ref_[v];
         // The decision variable is the matrix entry G_rc (mirrored); in
         // <A, X> an off-diagonal coefficient pair contributes twice.
-        prob_add_gram_coeff(row, g, coeff);
+        add_gram_coeff(row.blocks[g.block], g, coeff);
       }
     }
   };
@@ -68,29 +67,21 @@ sdp::Problem SosProgram::compile() const {
     prob.add_row(std::move(row));
   }
 
-  // Objective: free coefficients and Gram-entry coefficients.
+  // Objective: free coefficients and Gram-entry coefficients, the latter as
+  // triplets exactly like a row's.
   {
-    std::vector<Matrix> block_obj;
+    std::vector<sdp::SparseSym> block_obj;
     block_obj.reserve(gram_blocks_.size());
-    for (const GramBlock& g : gram_blocks_) {
-      Matrix c(g.basis.size(), g.basis.size());
-      if (trace_reg_ > 0.0) {
-        for (std::size_t i = 0; i < g.basis.size(); ++i) c(i, i) = trace_reg_;
-      }
-      block_obj.push_back(std::move(c));
-    }
+    const double reg = std::max(trace_reg_, 0.0);
+    for (const GramBlock& g : gram_blocks_)
+      block_obj.push_back(sdp::SparseSym::diagonal(g.basis.size(), reg));
     for (const auto& [var, coeff] : objective_.coeffs()) {
       const auto v = static_cast<std::size_t>(var);
       if (var_is_free_[v]) {
         prob.set_free_objective(var_free_index_[v], coeff);
       } else {
         const GramRef& g = var_gram_ref_[v];
-        if (g.r == g.c) {
-          block_obj[g.block](g.r, g.c) += coeff;
-        } else {
-          block_obj[g.block](g.r, g.c) += 0.5 * coeff;
-          block_obj[g.block](g.c, g.r) += 0.5 * coeff;
-        }
+        add_gram_coeff(block_obj[g.block], g, coeff);
       }
     }
     for (std::size_t j = 0; j < gram_blocks_.size(); ++j)
@@ -100,8 +91,7 @@ sdp::Problem SosProgram::compile() const {
   return prob;
 }
 
-void SosProgram::prob_add_gram_coeff(sdp::Row& row, const GramRef& g, double coeff) {
-  sdp::SparseSym& a = row.blocks[g.block];
+void SosProgram::add_gram_coeff(sdp::SparseSym& a, const GramRef& g, double coeff) {
   if (g.r == g.c) {
     a.add(g.r, g.c, coeff);
   } else {

@@ -162,7 +162,9 @@ class SosProgram {
   SolveResult solve_lowered(const sdp::SolverBackend& backend, sdp::SolveContext& context,
                             const sdp::Lowering& lowering) const;
   struct GramRef;
-  static void prob_add_gram_coeff(sdp::Row& row, const GramRef& g, double coeff);
+  /// coeff * G_rc into the coefficient `a` of g's block, for a row or the
+  /// objective.
+  static void add_gram_coeff(sdp::SparseSym& a, const GramRef& g, double coeff);
 
   std::size_t nvars_;
   // Decision variable table: free vars get an SDP free index, gram vars map

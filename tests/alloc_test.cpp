@@ -192,7 +192,7 @@ Problem mixed_blocks_sdp(double rhs_scale) {
   std::vector<Matrix> xstar;
   for (const std::size_t n : sizes) {
     const std::size_t b = p.add_block(n);
-    p.set_block_objective(b, Matrix::identity(n));
+    p.set_block_objective(b, sdp::SparseSym::diagonal(n, 1.0));
     Matrix x(n, n);
     for (std::size_t i = 0; i < n; ++i) {
       x(i, i) = 2.0 + 0.1 * static_cast<double>(i % 3);

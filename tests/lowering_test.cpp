@@ -42,7 +42,7 @@ using sdp::SolveStatus;
 Problem banded_sdp(std::size_t n, double scale = 1.0, bool drop_entry = false) {
   Problem p;
   const std::size_t blk = p.add_block(n);
-  p.set_block_objective(blk, Matrix::identity(n));
+  p.set_block_objective(blk, sdp::SparseSym::diagonal(n, 1.0));
   Matrix xstar(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     xstar(i, i) = scale * (2.0 + 0.1 * static_cast<double>(i % 3));
@@ -394,7 +394,7 @@ TEST(LoweringPipeline, AdmmSolvesClusteredClockTreeDeterministically) {
   const Solution two = sdp::AdmmSolver(options, 2).solve(low.problem, ctx2);
   ASSERT_EQ(one.status, SolveStatus::Optimal);
   ASSERT_EQ(two.status, SolveStatus::Optimal);
-  // Iteration-count gate: 384 when recorded (16 blocks of 2x2 through the
+  // Iteration-count gate: 385 when recorded (16 blocks of 2x2 through the
   // closed-form split, 4 of 5x5 through eigen_sym), with 3% slack.
   EXPECT_LE(one.iterations, 395);
   ASSERT_EQ(one.iterations, two.iterations);
@@ -588,6 +588,34 @@ TEST(LoweringCache, FallsBackToFullPipelineOnAnyStructuralChange) {
   EXPECT_EQ(cache.full_lowerings(), 4u);
   EXPECT_EQ(cache.updates(), 1u);
   EXPECT_EQ(dropped.passes.front().name, "analyze");
+
+  // Objective triplets are not fingerprinted. New values on the cached band
+  // (a larger trace weight, plus an entry at the banded position (1, 2))
+  // take the update pass and are re-scattered onto the cliques.
+  Problem on_band = banded_sdp(26, 1.2, true);
+  sdp::SparseSym c = sdp::SparseSym::diagonal(26, 2.0);
+  c.add(1, 2, 0.25);
+  on_band.set_block_objective(0, c);
+  const Lowering& updated = cache.lower(std::move(on_band), chordal_lowering(6));
+  EXPECT_EQ(cache.full_lowerings(), 4u);
+  EXPECT_EQ(cache.updates(), 2u);
+  EXPECT_EQ(updated.passes.front().name, "update");
+  double objective_sum = 0.0;
+  for (std::size_t j = 0; j < updated.problem.num_blocks(); ++j) {
+    for (const sdp::Triplet& t : updated.problem.block_objective(j).entries)
+      objective_sum += t.v;
+  }
+  EXPECT_DOUBLE_EQ(objective_sum, 26 * 2.0 + 0.25);
+
+  // An objective entry off the band would change the cliques a fresh
+  // decomposition picks: full pipeline.
+  Problem off_band = banded_sdp(26, 1.2, true);
+  c.add(0, 25, 0.25);
+  off_band.set_block_objective(0, c);
+  const Lowering& relowered = cache.lower(std::move(off_band), chordal_lowering(6));
+  EXPECT_EQ(cache.full_lowerings(), 5u);
+  EXPECT_EQ(cache.updates(), 2u);
+  EXPECT_EQ(relowered.passes.front().name, "analyze");
 }
 
 TEST(PhaseTimes, ConvertAndCompleteJoinTheTaxonomy) {

@@ -58,7 +58,7 @@ Problem random_feasible_sdp(std::uint64_t seed, std::size_t n = 5, std::size_t m
 
   Problem p;
   const std::size_t b = p.add_block(n);
-  p.set_block_objective(b, Matrix::identity(n));
+  p.set_block_objective(b, sdp::SparseSym::diagonal(n, 1.0));
   for (std::size_t i = 0; i < m; ++i) {
     sdp::Row row;
     sdp::SparseSym a;
@@ -81,7 +81,7 @@ Problem random_feasible_sdp(std::uint64_t seed, std::size_t n = 5, std::size_t m
 Problem banded_sdp(std::size_t n) {
   Problem p;
   const std::size_t blk = p.add_block(n);
-  p.set_block_objective(blk, Matrix::identity(n));
+  p.set_block_objective(blk, sdp::SparseSym::diagonal(n, 1.0));
   Matrix xstar(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     xstar(i, i) = 2.0 + 0.1 * static_cast<double>(i % 3);

@@ -64,8 +64,7 @@ TEST(SparseSym, TimesDenseMatchesExplicit) {
 TEST(Ipm, TinyAnalyticSdp) {
   Problem p;
   const std::size_t b = p.add_block(2);
-  Matrix c = Matrix::identity(2);
-  p.set_block_objective(b, c);
+  p.set_block_objective(b, SparseSym::diagonal(2, 1.0));
   Row row;
   SparseSym a;
   a.add(0, 1, 0.5);  // <A, X> = x12 with the half convention
@@ -86,11 +85,8 @@ TEST(Ipm, DiagonalLp) {
   Problem p;
   const std::size_t b1 = p.add_block(1);
   const std::size_t b2 = p.add_block(1);
-  Matrix c1(1, 1), c2(1, 1);
-  c1(0, 0) = -1.0;
-  c2(0, 0) = -2.0;
-  p.set_block_objective(b1, c1);
-  p.set_block_objective(b2, c2);
+  p.set_block_objective(b1, SparseSym::diagonal(1, -1.0));
+  p.set_block_objective(b2, SparseSym::diagonal(1, -2.0));
   Row row;
   SparseSym a1, a2;
   a1.add(0, 0, 1.0);
@@ -141,8 +137,9 @@ TEST(Ipm, LambdaMaxViaTraceOne) {
   Matrix a = Matrix::from_rows({{2.0, 1.0, 0.0}, {1.0, 3.0, 1.0}, {0.0, 1.0, 2.0}});
   Problem p;
   const std::size_t b = p.add_block(3);
-  Matrix c = a;
-  c.scale(-1.0);  // maximize <A,X> == minimize <-A,X>
+  SparseSym c;  // maximize <A,X> == minimize <-A,X>
+  for (std::size_t r = 0; r < 3; ++r)
+    for (std::size_t cc = r; cc < 3; ++cc) c.add(r, cc, -a(r, cc));
   p.set_block_objective(b, c);
   Row row;
   SparseSym tr;
@@ -184,8 +181,8 @@ TEST(Ipm, StalledSolveCountsEveryStepItRan) {
   // Farkas certificate.
   Problem p;
   const std::size_t b = p.add_block(2);
-  Matrix c(2, 2);
-  c(0, 0) = 1.0;
+  SparseSym c;
+  c.add(0, 0, 1.0);
   p.set_block_objective(b, c);
   Row r0;
   r0.blocks[b].add(0, 0, 1.0);
@@ -216,8 +213,8 @@ TEST(Ipm, MultiBlockCoupled) {
   Problem p;
   const std::size_t b1 = p.add_block(1);
   const std::size_t b2 = p.add_block(2);
-  p.set_block_objective(b1, Matrix::identity(1));
-  p.set_block_objective(b2, Matrix::identity(2));
+  p.set_block_objective(b1, SparseSym::diagonal(1, 1.0));
+  p.set_block_objective(b2, SparseSym::diagonal(2, 1.0));
   {
     Row row;
     SparseSym a1, a2;
@@ -261,7 +258,7 @@ TEST_P(RandomFeasibility, SolvesToTolerance) {
 
   Problem p;
   const std::size_t b = p.add_block(n);
-  p.set_block_objective(b, Matrix::identity(n));
+  p.set_block_objective(b, SparseSym::diagonal(n, 1.0));
   for (std::size_t i = 0; i < m; ++i) {
     Row row;
     SparseSym a;
@@ -385,7 +382,7 @@ Problem random_feasible_sdp(std::uint64_t seed, std::size_t n, std::size_t m) {
 
   Problem p;
   const std::size_t b = p.add_block(n);
-  p.set_block_objective(b, Matrix::identity(n));
+  p.set_block_objective(b, SparseSym::diagonal(n, 1.0));
   for (std::size_t i = 0; i < m; ++i) {
     Row row;
     SparseSym a;
@@ -448,7 +445,8 @@ Problem random_free_variable_sdp(std::uint64_t seed) {
     }
   }
   Problem p;
-  for (std::size_t n : sizes) p.set_block_objective(p.add_block(n), Matrix::identity(n));
+  for (std::size_t n : sizes)
+    p.set_block_objective(p.add_block(n), SparseSym::diagonal(n, 1.0));
   for (std::size_t v = 0; v < nf; ++v) p.add_free(f[v]);
   for (Row& row : rows) p.add_row(std::move(row));
   return p;
@@ -484,7 +482,8 @@ void expect_kkt_certificate(const Problem& p, const Solution& sol,
   }
   for (std::size_t j = 0; j < p.num_blocks(); ++j) {
     // Rebuild Z from scratch out of the returned multipliers.
-    Matrix z = p.block_objective(j);
+    Matrix z(p.block_size(j), p.block_size(j));
+    p.block_objective(j).add_to(z);
     for (std::size_t i = 0; i < p.num_rows(); ++i) {
       const auto it = p.rows()[i].blocks.find(j);
       if (it == p.rows()[i].blocks.end()) continue;
@@ -502,7 +501,7 @@ void expect_kkt_certificate(const Problem& p, const Solution& sol,
 TEST(Ipm, DualCertificateVerifiable) {
   Problem tiny;
   const std::size_t b = tiny.add_block(2);
-  tiny.set_block_objective(b, Matrix::identity(2));
+  tiny.set_block_objective(b, SparseSym::diagonal(2, 1.0));
   Row row;
   row.blocks[b].add(0, 1, 0.5);
   row.rhs = 1.0;
@@ -581,7 +580,8 @@ Problem random_multi_component_sdp(std::uint64_t seed, bool interleave) {
     }
   }
   Problem p;
-  for (std::size_t n : sizes) p.set_block_objective(p.add_block(n), Matrix::identity(n));
+  for (std::size_t n : sizes)
+    p.set_block_objective(p.add_block(n), SparseSym::diagonal(n, 1.0));
   for (std::size_t v = 0; v < nf; ++v) p.add_free(f[v]);
   if (!interleave) {
     for (auto& rows : comps)
@@ -625,7 +625,7 @@ TEST(Ipm, SolutionInvariantUnderRowScaling) {
   auto build = [](double scale) {
     Problem p;
     const std::size_t b = p.add_block(2);
-    p.set_block_objective(b, Matrix::identity(2));
+    p.set_block_objective(b, SparseSym::diagonal(2, 1.0));
     Row row;
     SparseSym a;
     a.add(0, 1, 0.5 * scale);

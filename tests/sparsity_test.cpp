@@ -266,7 +266,7 @@ TEST(SparseSos, BaseSpaceBlobsCrossCompatibleModesAndRejectForeignOnes) {
 sdp::Problem banded_sdp(std::size_t n) {
   sdp::Problem p;
   const std::size_t blk = p.add_block(n);
-  p.set_block_objective(blk, Matrix::identity(n));
+  p.set_block_objective(blk, sdp::SparseSym::diagonal(n, 1.0));
   // X* = tridiagonal diagonally-dominant PSD matrix.
   Matrix xstar(n, n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -328,7 +328,8 @@ TEST(ChordalConversion, BandedBlockDecomposesAndRecovers) {
     EXPECT_NEAR(ax, dense_problem.rhs(i), 1e-5 * (1.0 + std::fabs(dense_problem.rhs(i))));
   }
   // Dual slack identity Z = C - sum_i y_i A_i holds for the recovered pair.
-  Matrix slack = dense_problem.block_objective(0);
+  Matrix slack(n, n);
+  dense_problem.block_objective(0).add_to(slack);
   for (std::size_t i = 0; i < dense_problem.num_rows(); ++i)
     dense_problem.rows()[i].blocks.at(0).add_to(slack, -recovered.y[i]);
   slack -= recovered.z[0];

@@ -13,6 +13,7 @@
 #include <limits>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -37,7 +38,7 @@ using sdp::VerifyResult;
 Problem banded_sdp(std::size_t n, double scale = 1.0, bool drop_entry = false) {
   Problem p;
   const std::size_t blk = p.add_block(n);
-  p.set_block_objective(blk, Matrix::identity(n));
+  p.set_block_objective(blk, sdp::SparseSym::diagonal(n, 1.0));
   Matrix xstar(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     xstar(i, i) = scale * (2.0 + 0.1 * static_cast<double>(i % 3));
@@ -169,7 +170,9 @@ TEST(Verify, TamperedCliqueEntryMapCaught) {
 
 TEST(Verify, NaNObjectiveCaughtWithPassNamed) {
   LoweredFixture f = lowered_banded();
-  f.low.problem.mutable_block_objective(0)(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  sdp::SparseSym c = f.low.problem.block_objective(0);
+  c.add(0, 0, std::numeric_limits<double>::quiet_NaN());
+  f.low.problem.set_block_objective(0, std::move(c));
   const VerifyResult result = sdp::verify(f.low.problem);
   EXPECT_TRUE(result.has("finite")) << result.str();
 
@@ -183,16 +186,19 @@ TEST(Verify, NaNObjectiveCaughtWithPassNamed) {
   }
 }
 
-TEST(Verify, NaNRhsAndAsymmetricObjectiveCaught) {
+TEST(Verify, NaNRhsAndOutOfRangeObjectiveCaught) {
   LoweredFixture f = lowered_banded();
   f.low.problem.mutable_rows()[2].rhs = std::numeric_limits<double>::infinity();
   EXPECT_TRUE(sdp::verify(f.low.problem).has("finite"));
   f.low.problem.mutable_rows()[2].rhs = 0.0;
 
-  Matrix& c = f.low.problem.mutable_block_objective(0);
-  ASSERT_GE(c.rows(), 2u);
-  c(0, 1) = c(1, 0) + 1.0;
-  EXPECT_TRUE(sdp::verify(f.low.problem).has("objective-symmetric"));
+  // Objectives are triplets like every row coefficient, and are range-checked
+  // the same way.
+  sdp::SparseSym c = f.low.problem.block_objective(0);
+  c.add(0, f.low.problem.block_size(0), 1.0);
+  f.low.problem.set_block_objective(0, std::move(c));
+  const VerifyResult result = sdp::verify(f.low.problem);
+  EXPECT_TRUE(result.has("triplet-range")) << result.str();
 }
 
 TEST(Verify, StaleFingerprintCaughtWithPassNamed) {

@@ -46,7 +46,7 @@ Problem random_feasible_sdp(std::uint64_t seed, std::size_t n = 6, std::size_t m
 
   Problem p;
   const std::size_t b = p.add_block(n);
-  p.set_block_objective(b, Matrix::identity(n));
+  p.set_block_objective(b, SparseSym::diagonal(n, 1.0));
   for (std::size_t i = 0; i < m; ++i) {
     Row row;
     SparseSym a;
