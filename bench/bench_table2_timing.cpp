@@ -86,8 +86,7 @@ struct LoopCost {
   int total() const { return level_iters + advect_iters + inclusion_iters; }
 };
 
-LoopCost run_incremental_loops(bool warm,
-                               sdp::SparsityOptions sparsity = sdp::SparsityOptions::Off,
+LoopCost run_incremental_loops(bool warm, bool correlative = false,
                                std::size_t* level_cone = nullptr,
                                std::size_t* inclusion_cone = nullptr) {
   const pll::Params params = pll::Params::paper_third_order();
@@ -95,7 +94,7 @@ LoopCost run_incremental_loops(bool warm,
   LoopCost cost;
   sdp::SolverConfig config;
   config.warm_start = warm;
-  config.sparsity = sparsity;
+  config.correlative_sparsity = correlative;
 
   // Level curves on the 2-mode pump-vertex model (structurally identical
   // per-mode programs: the warm path seeds mode 1+ from mode 0).
@@ -155,16 +154,14 @@ struct GramGeometry {
 
 /// The joint maximize_region-shaped Lyapunov feasibility program on the
 /// pump-vertex model — the Gram-geometry gate input.
-sos::SosProgram build_pump_vertex_lyapunov(sdp::SparsityOptions sparsity) {
+sos::SosProgram build_pump_vertex_lyapunov(bool correlative) {
   const pll::ReducedModel model = pll::make_averaged_vertices(pll::Params::paper_third_order());
   const hybrid::HybridSystem& system = model.system;
   const std::size_t nvars = system.nvars();
   const std::size_t nstates = system.nstates();
   sos::SosProgram prog(nvars);
-  sdp::SolverConfig config;
-  config.sparsity = sparsity;
-  prog.set_sparsity(config);
-  poly::MultiplierSparsity csp(nvars, sparsity != sdp::SparsityOptions::Off);
+  prog.set_correlative_sparsity(correlative);
+  poly::MultiplierSparsity csp(nvars, correlative);
   const auto v_support = core::state_monomials(nvars, nstates, 2, 2);
   const poly::Polynomial x_norm2 = poly::squared_norm(nvars, nstates);
   std::vector<poly::PolyLin> v;
@@ -190,8 +187,8 @@ sos::SosProgram build_pump_vertex_lyapunov(sdp::SparsityOptions sparsity) {
   return prog;
 }
 
-GramGeometry pump_vertex_gram(sdp::SparsityOptions sparsity) {
-  const sos::SosProgram prog = build_pump_vertex_lyapunov(sparsity);
+GramGeometry pump_vertex_gram(bool correlative) {
+  const sos::SosProgram prog = build_pump_vertex_lyapunov(correlative);
   GramGeometry geometry;
   for (const auto& g : prog.gram_blocks()) {
     geometry.total += static_cast<int>(g.basis.size());
@@ -270,8 +267,7 @@ int main() {
   const LoopCost cold = run_incremental_loops(false);
   // The warm dense run doubles as the dense baseline of the clique
   // comparison below (same configuration; only the cone telemetry is new).
-  const LoopCost warm = run_incremental_loops(true, sdp::SparsityOptions::Off,
-                                              &level_cone_dense, &incl_cone_dense);
+  const LoopCost warm = run_incremental_loops(true, false, &level_cone_dense, &incl_cone_dense);
   const double ratio =
       warm.total() > 0 ? static_cast<double>(cold.total()) / warm.total() : 0.0;
   std::printf("%-26s %10s %10s\n", "", "cold", "warm");
@@ -284,18 +280,17 @@ int main() {
   std::printf("%-26s %9.2fs %9.2fs\n", "wall", cold.seconds, warm.seconds);
 
   // --- dense vs clique: cone sizes and iterations ---------------------------
-  // The same warm-started loops with SparsityOptions::Chordal: correlative
-  // Gram clique splitting + csp-restricted multiplier bases (+ the SDP-level
-  // chordal conversion for any remaining large block). On the averaged
+  // The same warm-started loops with correlative sparsity: Gram clique
+  // splitting + csp-restricted multiplier bases. On the averaged
   // 3rd-order model the level/inclusion programs never touch the parameter
   // variable, so its monomials drop from every multiplier cone; the
   // advection program couples everything (the flow's state-parameter
   // product) and stays dense — which is the honest shape of this model.
-  std::printf("\n=== Dense vs clique (SparsityOptions::Chordal, warm loops) ===\n");
+  std::printf("\n=== Dense vs clique (correlative sparsity, warm loops) ===\n");
   std::size_t level_cone_clique = 0, incl_cone_clique = 0;
   const LoopCost& dense_loops = warm;  // measured above, identical config
-  const LoopCost clique_loops = run_incremental_loops(true, sdp::SparsityOptions::Chordal,
-                                                      &level_cone_clique, &incl_cone_clique);
+  const LoopCost clique_loops =
+      run_incremental_loops(true, true, &level_cone_clique, &incl_cone_clique);
   std::printf("%-26s %10s %10s\n", "", "dense", "clique");
   std::printf("%-26s %10zu %10zu\n", "level max cone", level_cone_dense, level_cone_clique);
   std::printf("%-26s %10zu %10zu\n", "inclusion max cone", incl_cone_dense,
@@ -317,8 +312,8 @@ int main() {
   // past the dense maximum, no monomial is duplicated".
   constexpr int kPrunedGramBudget = 112;
   constexpr int kMaxCliqueBudget = 4;  // largest clique cone of the dense program
-  const GramGeometry dense_gram = pump_vertex_gram(sdp::SparsityOptions::Off);
-  const GramGeometry clique_gram = pump_vertex_gram(sdp::SparsityOptions::Chordal);
+  const GramGeometry dense_gram = pump_vertex_gram(false);
+  const GramGeometry clique_gram = pump_vertex_gram(true);
   std::printf("\npump-vertex gram: dense total=%d max=%d | clique total=%d max=%d "
               "(budgets: total %d, max clique %d)\n",
               dense_gram.total, dense_gram.max_block, clique_gram.total,

@@ -43,8 +43,7 @@ int main(int argc, char** argv) {
     opt.strict_margin = 1e-5;
     opt.sparse_template = sparse;
     sdp::SolverConfig config;
-    config.sparsity =
-        sparse ? sdp::SparsityOptions::Correlative : sdp::SparsityOptions::Off;
+    config.correlative_sparsity = sparse;
     return core::LyapunovSynthesizer(opt, config).synthesize(model.system);
   };
   const core::LyapunovResult dense = synthesize(false);

@@ -41,7 +41,7 @@ struct LyapunovOptions {
   /// sparse_state_monomials) instead of the dense state-monomial template.
   /// On separable models (the clock-tree cascades) this keeps the
   /// derivative's correlative-sparsity graph non-complete, so
-  /// SparsityOptions::Correlative genuinely splits the Gram blocks; on
+  /// SolverConfig::correlative_sparsity genuinely splits the Gram blocks; on
   /// fully-coupled models it degenerates to the dense template. A sound
   /// restriction either way (any found V is independently audited).
   bool sparse_template = false;

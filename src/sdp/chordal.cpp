@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "linalg/eigen_sym.hpp"
 #include "util/log.hpp"
@@ -60,6 +61,19 @@ util::Adjacency aggregate_adjacency(const Problem& p, std::size_t j) {
   return adj;
 }
 
+/// Retarget one coefficient of the decomposed block `plan` (a row's A_ij or
+/// the objective C_j) at its clique blocks: each triplet lands on its
+/// canonical clique, found through `idx`, and is added to `out` under that
+/// clique's converted block index.
+void scatter_to_cliques(const SparseSym& a, const BlockPlan& plan,
+                        const BlockEntryIndex& idx,
+                        std::map<std::size_t, SparseSym>& out) {
+  for (const Triplet& t : a.entries) {
+    const BlockEntryIndex::Entry e = idx.find(t.r, t.c);
+    out[plan.converted_block[e.clique]].add(e.r, e.c, t.v);
+  }
+}
+
 }  // namespace
 
 BlockEntryIndex index_decomposed_block(const util::CliqueForest& forest, std::size_t n) {
@@ -95,15 +109,6 @@ BlockEntryIndex::Entry BlockEntryIndex::find(std::size_t r, std::size_t c) const
     }
   }
   return {};
-}
-
-void scatter_to_cliques(const SparseSym& a, const BlockPlan& plan,
-                        const BlockEntryIndex& idx,
-                        std::map<std::size_t, SparseSym>& out) {
-  for (const Triplet& t : a.entries) {
-    const BlockEntryIndex::Entry e = idx.find(t.r, t.c);
-    out[plan.converted_block[e.clique]].add(e.r, e.c, t.v);
-  }
 }
 
 std::size_t ChordalMap::max_clique_size() const {

@@ -16,18 +16,18 @@
 //
 // Scope note: a Gram block emitted by the SOS compiler always has a
 // *complete* aggregate pattern (every entry pair b_r*b_c is matched by a
-// coefficient row), so this pass never fires on SOS-compiled blocks — the
-// compile-time correlative split (poly/sparsity) is what decomposes those.
-// The conversion serves directly-built sdp::Problems (banded/arrow
-// structures, external workloads); complete patterns are detected and
-// skipped without running the elimination.
+// coefficient row), so this pass would never fire on SOS-compiled blocks —
+// the compile-time correlative split (poly/sparsity) is what decomposes
+// those, and the SOS layer lowers without this pass. The conversion serves
+// directly-built sdp::Problems (banded/arrow structures, the clock-tree
+// coupling SDP), which request it through sdp::LoweringOptions; complete
+// patterns are detected and skipped without running the elimination.
 //
 // The converted problem is *equivalent* (not a relaxation or a
 // restriction): recover_original maps its solution back, recombining the
 // dual slacks by scatter-add (Agler) and completing the primal clique blocks
 // into one dense PSD matrix by clique-tree completion, so certificate
 // auditing is unchanged.
-#include <map>
 #include <string>
 #include <vector>
 
@@ -66,10 +66,8 @@ struct ChordalMap {
 /// cliques that hold it, so that a pattern entry (r, c) resolves to the
 /// clique holding its canonical copy (the first clique containing both) and
 /// to its local position there. This is the layout apply_decomposition uses
-/// to retarget coefficients at clique blocks; the coefficient-update pass
-/// (sdp::LoweringCache) rebuilds the same index from the cached BlockPlan to
-/// rewrite fresh values in place without re-running the decomposition. Its
-/// size is the sum of the clique sizes, not n x n.
+/// to retarget coefficients at clique blocks. Its size is the sum of the
+/// clique sizes, not n x n.
 struct BlockEntryIndex {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   /// One membership: clique `clique` holds the vertex at local index `local`.
@@ -90,15 +88,6 @@ struct BlockEntryIndex {
   Entry find(std::size_t r, std::size_t c) const;
 };
 BlockEntryIndex index_decomposed_block(const util::CliqueForest& forest, std::size_t n);
-
-/// Retarget one coefficient of the decomposed block `plan` (a row's A_ij or
-/// the objective C_j) at its clique blocks: each triplet lands on its
-/// canonical clique, found through `idx`, and is added to `out` under that
-/// clique's converted block index. apply_decomposition and the
-/// coefficient-update pass both scatter every coefficient through here.
-void scatter_to_cliques(const SparseSym& a, const BlockPlan& plan,
-                        const BlockEntryIndex& idx,
-                        std::map<std::size_t, SparseSym>& out);
 
 /// Analysis half of the conversion (the "analyze" + "decompose" passes of
 /// the sdp/lowering pipeline): which blocks split, along which cliques.

@@ -15,19 +15,22 @@
 //                 sdp::DecomposedCone couplings.
 //   equilibrate — row equilibration (sdp/scaling).
 //
-// Warm-start blobs live in the *base* (pre-lowering) space: a blob exported
-// from one lowering replays into any other lowering of the same compiled
-// problem via per-clique remapping (remap_warm_start), so pass-parameter
-// changes — min_block_size, even the sparsity mode when it does not change
-// the compiled blocks — no longer orphan solver state the way the old
-// fingerprint salting did.
+// The decompose and lower passes run only when LoweringOptions asks for
+// SparsityOptions::Chordal, which only directly-built sdp::Problems do (the
+// clock-tree coupling SDP): an SOS-compiled Gram block has a complete
+// aggregate pattern, so the SOS layer lowers with the default options.
+//
+// Warm-start blobs live in the *base* (pre-lowering, unequilibrated) space
+// and carry the base fingerprint. remap_warm_start scales an identity
+// lowering's row multipliers into the equilibrated rows; a decomposed
+// lowering starts cold.
 //
 // Adding a pass: run it inside lower() between the existing stages, mutate
 // `Lowering::problem`, and push a PassRecord (name, post-pass structure
 // fingerprint, wall seconds, human-readable detail). If the pass changes
-// the block/row shape, teach remap_warm_start and recover how to cross it —
-// that is the whole contract; fingerprints and provenance are recomputed
-// here, and the backends only ever see the final problem plus its cached
+// the block/row shape, teach recover how to cross it — that is the whole
+// contract; fingerprints and provenance are recomputed here, and the
+// backends only ever see the final problem plus its cached
 // ProblemStructure.
 #include <atomic>
 #include <cstdint>
@@ -79,44 +82,32 @@ Lowering lower(Problem problem, const LoweringOptions& options);
 /// comparisons account for the full round trip.
 Solution recover(Solution solution, const Lowering& lowering);
 
-/// Remap an original-space warm blob into the lowered space: clique blocks
-/// are extracted from the dense primal (exactly consistent and PSD), dual
-/// slacks are split by entry multiplicity, and the row multipliers are
-/// scaled into the equilibrated row space (overlap multipliers are backend
-/// state and start at 0).
+/// Remap a base-space warm blob into an identity lowering: the blocks and
+/// free variables copy over, and the row multipliers are scaled into the
+/// equilibrated row space. A decomposed lowering returns an empty WarmStart
+/// (cold start).
 ///
-/// Drift guard: every clique's canonical entry map is validated against the
-/// blob's block shapes — a clique whose vertices fall outside the blob's
-/// original block (a stale map, the remap analog of a fingerprint
-/// collision) rejects the whole blob, returning an empty WarmStart (cold
-/// start) instead of scattering out-of-range reads into the backend.
+/// Drift guard: a blob whose fingerprint matches but whose block, row or
+/// free-variable shapes do not (a stale or corrupt checkpoint lane) is
+/// rejected whole, returning an empty WarmStart instead of handing
+/// out-of-range reads to the backend's warm restore.
 WarmStart remap_warm_start(const WarmStart& original, const Lowering& lowering);
-
-/// Snapshot a recovered (original-space) solution as a base-space blob for
-/// the next structurally identical compile, whatever its pass parameters.
-WarmStart export_warm_start(const Solution& recovered, const Lowering& lowering);
 
 /// One-slot lowering cache with an in-place coefficient-update fast path —
 /// the pipeline's fifth pass ("update"). Design-space sweeps solve long runs
 /// of problems that share one compiled structure and differ only in
-/// coefficient values; re-running analyze → decompose → lower per grid point
-/// repays the whole pipeline for answers that cannot have changed. lower()
-/// here detects that case by base fingerprint (value-independent, so an
-/// equal fingerprint means the cached destination of every triplet still
-/// holds), rewrites rhs / free / triplet values of the cached lowered problem
-/// in place and re-scatters the objective triplets — decomposed cones
-/// included, re-targeting every entry at its canonical clique through the
-/// cached BlockPlans (sdp::scatter_to_cliques, as apply_decomposition does)
-/// — then re-equilibrates and stamps ["update", "equilibrate"] provenance.
+/// coefficient values; re-running the pipeline per grid point repays it for
+/// answers that cannot have changed. lower() here detects that case by base
+/// fingerprint (value-independent, so an equal fingerprint means the cached
+/// layout still holds), adopts the fresh problem as the cached identity
+/// lowering, re-equilibrates it and stamps ["update", "equilibrate"]
+/// provenance.
 ///
 /// Fallback contract: any mismatch runs the full pipeline and re-caches.
 /// That covers a different base fingerprint (including a coefficient that
 /// became exactly 0.0 — SparseSym::add drops zeros, so the triplet set
-/// itself changed), different pass options, and an objective triplet off
-/// the cached aggregate pattern of a decomposed block (objective triplets
-/// are not fingerprinted, but one off the pattern would have changed the
-/// decomposition plan). Objective triplets on the pattern, new ones
-/// included, take the update.
+/// itself changed), different pass options, and a decomposed cached
+/// lowering, which never updates in place.
 ///
 /// Not thread-safe: one cache per sweep lane / worker. The telemetry
 /// counters (full_lowerings / updates) are the one exception — they are
@@ -137,33 +128,15 @@ class LoweringCache {
   std::size_t updates() const { return updates_.load(std::memory_order_relaxed); }
 
  private:
-  /// Destination of one base-row triplet inside the cached lowered problem.
-  struct TripletDest {
-    std::size_t block = 0;  // lowered block index
-    std::size_t entry = 0;  // entry index in that block's coeff of the row
-  };
-
   bool options_match(const LoweringOptions& options) const;
-  /// Rewrite the cached lowering's values from `problem` (same base
-  /// fingerprint, checked by the caller). False = structural surprise, run
-  /// the full pipeline; the cached problem is only mutated on success.
+  /// Adopt `problem`'s values into the cached identity lowering (same base
+  /// fingerprint and shapes). False = run the full pipeline; the cache is
+  /// only mutated on success.
   bool try_update(Problem& problem);
-  /// Build plan_ / entry_index_ from the cached map, verifying every
-  /// destination against the cached lowered rows. Read-only; false on any
-  /// mismatch.
-  bool build_update_plan(const Problem& base);
 
   Lowering lowering_;
   LoweringOptions options_;
   bool valid_ = false;
-  /// Per base row, triplet destinations aligned with the row's iteration
-  /// order (blocks in key order, entries in stored order). Built lazily on
-  /// the first update of a decomposed lowering.
-  std::vector<std::vector<TripletDest>> plan_;
-  bool plan_built_ = false;
-  /// Canonical-assignment index per decomposed cone (aligned with
-  /// lowering_.map.plans), for the objective guard and re-scatter.
-  std::vector<BlockEntryIndex> entry_index_;
   std::atomic<std::size_t> full_{0};
   std::atomic<std::size_t> updates_{0};
 };

@@ -1,20 +1,19 @@
 #pragma once
 // Per-backend tuning knobs for the SDP solver backends (see sdp/solver.hpp
 // for the backend interface and the shared SolverConfig that embeds these),
-// plus the structure-exploitation knob shared by the SOS compiler and the
-// SDP conversion layer.
+// plus the structure passes of the sdp/lowering pipeline.
 #include <cstddef>
 
 namespace soslock::sdp {
 
-/// How aggressively the pipeline exploits sparsity when compiling and
-/// solving SOS programs. Threaded through sdp::SolverConfig (and with it
-/// through every core certifier and PipelineOptions::solver).
+/// Which structure passes sdp::LoweringOptions requests. The SOS layer
+/// lowers with the default (its correlative Gram split happens at compile
+/// time, see SolverConfig::correlative_sparsity); Chordal is for
+/// directly-built sdp::Problems.
 enum class SparsityOptions {
-  Off,          // one dense Gram block per SOS constraint (the PR 2 baseline)
-  Correlative,  // split each Gram basis along the csp-graph cliques (poly/sparsity)
-  Chordal,      // Correlative + chordal conversion of any remaining large PSD
-                // block at the SDP level (sdp/chordal)
+  Off,          // no structure pass
+  Correlative,  // no structure pass either: the split is a compile-time choice
+  Chordal,      // chordal conversion of blocks >= ChordalOptions::min_block_size
 };
 
 /// Tuning for the SDP-level chordal conversion pass (SparsityOptions::Chordal).

@@ -225,9 +225,9 @@ struct Solution {
   double solve_seconds = 0.0;     // wall-clock time inside the backend
   PhaseTimes phase;               // per-phase breakdown of solve_seconds
   /// Largest PSD cone the backend actually worked on. Set by
-  /// SosProgram::solve from the compiled (and, under SparsityOptions::
-  /// Chordal, converted) problem — the cone-size telemetry behind the
-  /// dense-vs-clique benches; 0 when the producer did not record it.
+  /// SosProgram::solve from the compiled problem — the cone-size telemetry
+  /// behind the dense-vs-clique benches; 0 when the producer did not record
+  /// it.
   std::size_t max_cone = 0;
   /// Rows of the Schur complement (IPM, summed over its diagonal blocks) /
   /// normal matrix (ADMM) the backend factored. With native decomposed

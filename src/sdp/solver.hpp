@@ -29,9 +29,9 @@ namespace soslock::sdp {
 /// may differ, which is exactly the advection/level-curve retry pattern).
 /// SosProgram-level blobs live in the base (pre-lowering, unequilibrated)
 /// space — y is the multiplier of the rows as compiled, x/z have the
-/// original cone shapes — and are re-lowered per clique by
-/// sdp::remap_warm_start, so one blob replays across re-compiles with
-/// different row scales or decomposition parameters. Backend-level blobs
+/// original cone shapes — and sdp::remap_warm_start scales them into each
+/// solve's equilibrated rows, so one blob replays across re-compiles with
+/// different row scales. Backend-level blobs
 /// (SolveContext::warm_start) are in the space of the problem as passed to
 /// the backend; native decomposed-cone overlap multipliers are deliberately
 /// not part of either (they restart at zero on restore).
@@ -145,11 +145,11 @@ struct SolverConfig {
   std::size_t threads = 1;
   /// "auto": smallest max-block-size at which the first-order backend wins.
   std::size_t auto_block_threshold = 80;
-  /// Sparsity exploitation of the SOS compiler / SDP conversion layer. The
-  /// core certifiers forward this to SosProgram::set_sparsity before adding
-  /// constraints (Gram clique splitting happens at constraint-add time).
-  SparsityOptions sparsity = SparsityOptions::Off;
-  ChordalOptions chordal;
+  /// Correlative sparsity of the SOS compiler: split each Gram basis along
+  /// the csp-graph cliques (poly/sparsity). The core certifiers forward
+  /// this to SosProgram::set_sparsity before adding constraints (the split
+  /// happens at constraint-add time).
+  bool correlative_sparsity = false;
 
   /// Backend-specific tuning (shared fields above win). The recovery
   /// retry of sdp::resilient_solve perturbs admm.rho and

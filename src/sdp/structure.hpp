@@ -46,9 +46,7 @@ struct ProblemStructure {
   std::vector<std::vector<std::size_t>> rows_touching_block;
   /// Fingerprint of the pre-lowering problem this structure was lowered from
   /// (0 = not produced by the lowering pipeline). Warm-start blobs live in
-  /// that base space, so this is what blob acceptance keys on — pass
-  /// parameters (min_block_size, sparsity mode) can change the lowered
-  /// fingerprint without invalidating base-space blobs.
+  /// that base space, so this is what blob acceptance keys on.
   std::uint64_t base_fingerprint = 0;
   /// One record per lowering pass that produced this structure (empty when
   /// the problem reached the backend without lowering).

@@ -110,11 +110,10 @@ SolveResult SosProgram::solve(const sdp::SolverConfig& config,
 
 SolveResult SosProgram::solve(const sdp::SolverBackend& backend,
                               sdp::SolveContext& context) const {
-  // Staged lowering pipeline (sdp/lowering): support/csp analysis happened
-  // at constraint-add time (the correlative Gram split); the SDP-level
-  // passes — clique decomposition, block lowering (native DecomposedCone
-  // descriptors), and row equilibration — run here with per-pass provenance.
-  const sdp::Lowering lowering = sdp::lower(compile(), lowering_options());
+  // Staged lowering pipeline (sdp/lowering) with the default options:
+  // support/csp analysis happened at constraint-add time (the correlative
+  // Gram split), so only the analyze and equilibrate passes run here.
+  const sdp::Lowering lowering = sdp::lower(compile(), {});
   return solve_lowered(backend, context, lowering);
 }
 
@@ -122,21 +121,9 @@ SolveResult SosProgram::solve(const sdp::SolverBackend& backend, sdp::SolveConte
                               sdp::LoweringCache& cache) const {
   // Same pipeline, but through the caller's cache: a repeat of the cached
   // structure takes the in-place coefficient-update pass instead of
-  // re-running analyze → decompose → lower (sweep hot path).
-  const sdp::Lowering& lowering = cache.lower(compile(), lowering_options());
+  // re-running the pipeline (sweep hot path).
+  const sdp::Lowering& lowering = cache.lower(compile(), {});
   return solve_lowered(backend, context, lowering);
-}
-
-void SosProgram::set_sparsity(const sdp::SolverConfig& config) {
-  sparsity_ = config.sparsity;
-  chordal_ = config.chordal;
-}
-
-sdp::LoweringOptions SosProgram::lowering_options() const {
-  sdp::LoweringOptions options;
-  options.sparsity = sparsity_;
-  options.chordal = chordal_;
-  return options;
 }
 
 SolveResult SosProgram::solve_lowered(const sdp::SolverBackend& backend,
@@ -146,10 +133,9 @@ SolveResult SosProgram::solve_lowered(const sdp::SolverBackend& backend,
   util::log_info("sos: solving ", prob.stats());
 
   // Warm blobs live in the base (pre-lowering) space: a blob applies when
-  // its fingerprint matches the compiled structure, whatever the lowering
-  // parameters of either solve were, and remap_warm_start carries it into
-  // this lowering (per-clique extraction, equilibrated row scaling) with a
-  // drift guard on every clique's canonical entry map. The caller's pointer
+  // its fingerprint matches the compiled structure, and remap_warm_start
+  // scales it into this lowering's equilibrated rows, with a drift guard on
+  // its block shapes. The caller's pointer
   // is restored even if the backend throws — lowered_warm dies with this
   // frame, and the caller-owned context must never keep a pointer to it.
   const sdp::WarmStart* caller_warm = context.warm_start;
@@ -168,26 +154,22 @@ SolveResult SosProgram::solve_lowered(const sdp::SolverBackend& backend,
     throw;
   }
   context.warm_start = caller_warm;
-  // Cone-size telemetry: the largest PSD block the backend worked on (the
-  // lowered problem's, when the decomposition pass ran).
+  // Cone-size telemetry: the largest PSD block the backend worked on.
   for (std::size_t j = 0; j < prob.num_blocks(); ++j)
     sol.max_cone = std::max(sol.max_cone, prob.block_size(j));
   // Divergence test for the warm-start export below, taken in the
   // equilibrated space the solver worked in (the unscaled duals can be
   // legitimately huge when a row scale is tiny).
   const double y_scale = sol.y.empty() ? 0.0 : linalg::norm_inf(sol.y);
-  // Back to the original compiled shape: un-equilibrated duals, completed
-  // primal cones (stamps PhaseTimes convert/complete so the lowering round
-  // trip shows up in the telemetry).
+  // Back to the compiled rows: un-equilibrated duals (stamps
+  // PhaseTimes::convert so the lowering shows up in the telemetry).
   sol = sdp::recover(std::move(sol), lowering);
 
-  // Export the recovered iterate as a base-space blob: the next
-  // structurally identical compile accepts it even if its pass parameters
-  // (min_block_size, sparsity level at equal compiled blocks)
-  // differ — remap_warm_start re-lowers it per clique.
+  // Export the recovered iterate as a base-space blob for the next
+  // structurally identical compile.
   sdp::WarmStart warm_blob;
   if (std::isfinite(y_scale) && y_scale < 1e8) {
-    warm_blob = sdp::export_warm_start(sol, lowering);
+    warm_blob = sdp::make_warm_start(sol, lowering.base_fingerprint);
   }
 
   SolveResult result;

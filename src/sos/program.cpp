@@ -93,7 +93,7 @@ void SosProgram::add_sos_constraint(const PolyLin& p, const std::string& label, 
   // the clique Gram polynomials matched against p. A trivial split (single
   // clique) degenerates to the dense path below, reusing the pruned basis
   // computed above (the Newton prune is the expensive part).
-  if (sparsity_ != sdp::SparsityOptions::Off) {
+  if (correlative_) {
     const poly::GramCliqueSplit split = poly::split_gram_basis(nvars_, info, basis);
     if (!split.trivial()) {
       const std::string base = label.empty() ? "sos" : label;

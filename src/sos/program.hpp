@@ -18,19 +18,18 @@
 
 namespace soslock::sdp {
 struct Lowering;
-struct LoweringOptions;
 class LoweringCache;
 }  // namespace soslock::sdp
 
 namespace soslock::sos {
 
 /// Fresh csp multiplier plan for a certifier program — the single policy
-/// point deciding whether a SolverConfig's sparsity mode restricts
+/// point deciding whether a SolverConfig's correlative sparsity restricts
 /// S-procedure multiplier bases. Callers couple() their data polynomials
 /// before drawing the first multiplier basis (see poly::MultiplierSparsity).
 inline poly::MultiplierSparsity multiplier_plan(std::size_t nvars,
                                                 const sdp::SolverConfig& config) {
-  return poly::MultiplierSparsity(nvars, config.sparsity != sdp::SparsityOptions::Off);
+  return poly::MultiplierSparsity(nvars, config.correlative_sparsity);
 }
 
 /// A PSD Gram block: the polynomial it represents is basis' * G * basis.
@@ -93,22 +92,18 @@ class SosProgram {
   /// well inside the cone).
   void set_trace_regularization(double weight) { trace_reg_ = weight; }
 
-  /// Sparsity exploitation. Must be set *before* SOS constraints are added:
-  /// Correlative (and Chordal) split each constraint's Gram basis along the
-  /// csp-graph cliques at add_sos_constraint time; Chordal additionally runs
-  /// the clique-decomposition passes of the sdp/lowering pipeline inside
-  /// solve() (native DecomposedCone lowering). Warm blobs live in the pre-lowering space and
-  /// remap per clique, so they survive pass-parameter changes; modes that
-  /// compile different Gram blocks (Off vs Correlative) still separate
-  /// naturally through the compiled structure fingerprint. The core
-  /// certifiers forward SolverConfig::sparsity.
-  void set_sparsity(sdp::SparsityOptions sparsity) { sparsity_ = sparsity; }
-  sdp::SparsityOptions sparsity() const { return sparsity_; }
-  /// Tuning for the Chordal conversion pass (block-size threshold etc).
-  void set_chordal_options(const sdp::ChordalOptions& options) { chordal_ = options; }
-  /// Convenience for the core certifiers: adopt the sparsity fields of the
-  /// shared solver config (call before adding SOS constraints).
-  void set_sparsity(const sdp::SolverConfig& config);
+  /// Correlative sparsity. Must be set *before* SOS constraints are added:
+  /// it splits each constraint's Gram basis along the csp-graph cliques at
+  /// add_sos_constraint time. Programs compiled with and without the split
+  /// have different Gram blocks, so their warm blobs separate naturally
+  /// through the compiled structure fingerprint. The core certifiers
+  /// forward SolverConfig::correlative_sparsity.
+  void set_correlative_sparsity(bool on) { correlative_ = on; }
+  /// Convenience for the core certifiers: adopt the shared solver config's
+  /// correlative_sparsity (call before adding SOS constraints).
+  void set_sparsity(const sdp::SolverConfig& config) {
+    correlative_ = config.correlative_sparsity;
+  }
 
   // --- Solve ----------------------------------------------------------------
 
@@ -126,8 +121,8 @@ class SosProgram {
   SolveResult solve(const sdp::SolverBackend& backend, sdp::SolveContext& context) const;
   /// Same, but lowering through the caller's sdp::LoweringCache: when this
   /// compile is structurally identical to the cached one, the in-place
-  /// coefficient-update pass replaces the full analyze→decompose→lower
-  /// pipeline (the sweep hot path — see src/sweep/). One cache per thread;
+  /// coefficient-update pass replaces the full pipeline (the sweep hot
+  /// path — see src/sweep/). One cache per thread;
   /// it must outlive the returned Lowering's use, i.e. the call.
   SolveResult solve(const sdp::SolverBackend& backend, sdp::SolveContext& context,
                     sdp::LoweringCache& cache) const;
@@ -155,8 +150,6 @@ class SosProgram {
 
   int new_free_var(const std::string& name);
   int new_gram_var();
-  /// The pipeline options this program's sparsity settings imply.
-  sdp::LoweringOptions lowering_options() const;
   /// Shared back half of every solve(): warm remap, backend call, recovery,
   /// certificate extraction — everything downstream of the lowering.
   SolveResult solve_lowered(const sdp::SolverBackend& backend, sdp::SolveContext& context,
@@ -196,8 +189,7 @@ class SosProgram {
   poly::LinExpr objective_;      // always stored in minimization form
   bool objective_is_max_ = false;
   double trace_reg_ = 0.0;
-  sdp::SparsityOptions sparsity_ = sdp::SparsityOptions::Off;
-  sdp::ChordalOptions chordal_;
+  bool correlative_ = false;
   std::vector<SosConstraintRecord> sos_records_;
 };
 
@@ -226,8 +218,8 @@ struct SolveResult {
   /// state — including Interrupted and stalled MaxIterations iterates, so
   /// retry loops never re-derive what the aborted solve already knew. The
   /// blob lives in the base (pre-lowering, unequilibrated) space: the next
-  /// solve re-lowers it through sdp::remap_warm_start, so it survives
-  /// lowering-parameter changes (min_block_size, the sparsity mode).
+  /// solve scales it into its own equilibrated rows through
+  /// sdp::remap_warm_start.
   sdp::WarmStart warm;
 
   double value(const poly::LinExpr& e) const { return e.eval(decision_values); }

@@ -6,8 +6,7 @@ CertificationQuery lyapunov_query(const LyapunovQueryOptions& options) {
   CertificationQuery query;
   query.name = options.vertices ? "lyapunov.averaged_vertices" : "lyapunov.averaged";
   sdp::SolverConfig config;
-  config.sparsity = options.sparsity;
-  config.chordal = options.chordal;
+  config.correlative_sparsity = options.correlative_sparsity;
   query.build = [options, config](const pll::Params& params) {
     const pll::ReducedModel model = options.vertices
                                         ? pll::make_averaged_vertices(params, options.model)

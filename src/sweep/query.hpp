@@ -32,12 +32,11 @@ struct CertificationQuery {
 struct LyapunovQueryOptions {
   pll::ModelOptions model;
   core::LyapunovOptions lyapunov;
-  /// Sparsity exploitation of the compiled program (the Gram structure is
-  /// fixed at build time). A sweep whose SweepOptions::solver enables
-  /// sparsity should set the same values here so the compiled structure
-  /// matches what the sweep solves.
-  sdp::SparsityOptions sparsity = sdp::SparsityOptions::Off;
-  sdp::ChordalOptions chordal;
+  /// Correlative Gram split of the compiled program (the Gram structure is
+  /// fixed at build time). A sweep whose SweepOptions::solver sets
+  /// correlative_sparsity should set the same value here so the compiled
+  /// structure matches what the sweep solves.
+  bool correlative_sparsity = false;
   /// Use make_averaged_vertices (one mode per extreme pump value) instead of
   /// the single-mode averaged model.
   bool vertices = false;

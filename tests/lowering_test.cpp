@@ -4,10 +4,9 @@
 // test-only lowering with the overlap couplings as equality rows), the
 // Schur-complement geometry claim (zero overlap rows in the factored
 // system; one overlap elimination per Schur block on independent cones),
-// base-space warm blobs surviving min_block_size changes via per-clique
-// remapping, the drift guard on stale canonical entry maps, the canonical
-// entry index against a clique scan, and the ADMM on the clustered clock
-// tree the clock_tree benchmark runs.
+// the warm-blob drift guard, the canonical entry index against a clique
+// scan, the ADMM on the clustered clock tree the clock_tree benchmark runs,
+// and the LoweringCache's in-place update and fallback contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -285,59 +284,17 @@ TEST(LoweringPipeline, RecoverKeepsResilienceTelemetry) {
   EXPECT_EQ(recovered.x.size(), 1u);
 }
 
-TEST(LoweringPipeline, WarmStartSurvivesMinBlockSizeChange) {
-  // The acceptance claim: a blob exported under one decomposition replays
-  // into a different one (here: decomposed vs not decomposed at all, the
-  // most extreme min_block_size change) with fewer iterations than cold.
-  const Problem original = clock_tree_sdp(8);
-
-  // Solve decomposed (min_block_size 4), export a base-space blob.
-  const Lowering low_a = sdp::lower(original, chordal_lowering(4));
-  ASSERT_TRUE(low_a.decomposed());
-  sdp::SolveContext ctx_a;
-  const Solution sol_a = sdp::IpmSolver().solve(low_a.problem, ctx_a);
-  ASSERT_EQ(sol_a.status, SolveStatus::Optimal);
-  const sdp::WarmStart blob = sdp::export_warm_start(sdp::recover(sol_a, low_a), low_a);
-  EXPECT_EQ(blob.fingerprint, low_a.base_fingerprint);
-
-  // Replay into a min_block_size that disables the decomposition entirely.
-  const Lowering low_b = sdp::lower(original, chordal_lowering(100));
-  ASSERT_FALSE(low_b.decomposed());
-  ASSERT_EQ(low_b.base_fingerprint, low_a.base_fingerprint);
-  const sdp::WarmStart remapped_b = sdp::remap_warm_start(blob, low_b);
-  ASSERT_FALSE(remapped_b.empty());
-  sdp::SolveContext cold_ctx, warm_ctx;
-  warm_ctx.warm_start = &remapped_b;
-  const Solution cold_b = sdp::IpmSolver().solve(low_b.problem, cold_ctx);
-  const Solution warm_b = sdp::IpmSolver().solve(low_b.problem, warm_ctx);
-  ASSERT_EQ(warm_b.status, SolveStatus::Optimal);
-  EXPECT_LT(warm_b.iterations, cold_b.iterations);
-
-  // And the reverse direction: the undecomposed solve's blob re-lowers per
-  // clique into a *different* decomposition (min_block_size 6).
-  const sdp::WarmStart blob_b = sdp::export_warm_start(sdp::recover(warm_b, low_b), low_b);
-  const Lowering low_c = sdp::lower(original, chordal_lowering(6));
-  ASSERT_TRUE(low_c.decomposed());
-  const sdp::WarmStart remapped_c = sdp::remap_warm_start(blob_b, low_c);
-  ASSERT_FALSE(remapped_c.empty());
-  sdp::SolveContext cold_c_ctx, warm_c_ctx;
-  warm_c_ctx.warm_start = &remapped_c;
-  const Solution cold_c = sdp::IpmSolver().solve(low_c.problem, cold_c_ctx);
-  const Solution warm_c = sdp::IpmSolver().solve(low_c.problem, warm_c_ctx);
-  ASSERT_EQ(warm_c.status, SolveStatus::Optimal);
-  EXPECT_LT(warm_c.iterations, cold_c.iterations);
-}
-
 TEST(LoweringPipeline, DriftGuardRejectsStaleCliqueEntryMaps) {
-  // Mirrors the PR 3 fingerprint-collision fix at the remap layer: a blob
-  // whose fingerprint matches but whose shape (or the map's canonical entry
-  // lists) drifted must reject to a cold start, never scatter out-of-range.
+  // The fingerprint-collision guard at the remap layer: a blob whose
+  // fingerprint matches but whose shape drifted (a stale or corrupt
+  // sweep checkpoint lane) must reject to a cold start, never hand
+  // out-of-range reads to the backend.
   const Problem original = banded_sdp(30);
-  const Lowering low = sdp::lower(original, chordal_lowering(8));
-  ASSERT_TRUE(low.decomposed());
+  const Lowering low = sdp::lower(original, LoweringOptions{});
+  ASSERT_FALSE(low.decomposed());
   sdp::SolveContext ctx;
   const Solution sol = sdp::IpmSolver().solve(low.problem, ctx);
-  const sdp::WarmStart good = sdp::export_warm_start(sdp::recover(sol, low), low);
+  const sdp::WarmStart good = sdp::make_warm_start(sdp::recover(sol, low), low.base_fingerprint);
   ASSERT_FALSE(sdp::remap_warm_start(good, low).empty());
 
   // Blob block shape drifted (same fingerprint field, wrong matrix sizes).
@@ -346,28 +303,25 @@ TEST(LoweringPipeline, DriftGuardRejectsStaleCliqueEntryMaps) {
   shrunk.z[0] = Matrix(10, 10);
   EXPECT_TRUE(sdp::remap_warm_start(shrunk, low).empty());
 
-  // Right row count, wrong column count: the per-clique restriction would
-  // read past the block, and the identity map would copy it to the backend.
+  // Right row count, wrong column count: the copy would hand it to the
+  // backend's warm restore.
   sdp::WarmStart narrow = good;
   narrow.x[0] = Matrix(30, 1);
   EXPECT_TRUE(sdp::remap_warm_start(narrow, low).empty());
-  const Lowering identity = sdp::lower(original, LoweringOptions{});
-  ASSERT_FALSE(identity.decomposed());
-  ASSERT_FALSE(sdp::remap_warm_start(good, identity).empty());
   narrow = good;
   narrow.z[0] = Matrix(30, 1);
-  EXPECT_TRUE(sdp::remap_warm_start(narrow, identity).empty());
+  EXPECT_TRUE(sdp::remap_warm_start(narrow, low).empty());
 
   // Blob row space drifted.
   sdp::WarmStart wrong_rows = good;
   wrong_rows.y.push_back(0.0);
   EXPECT_TRUE(sdp::remap_warm_start(wrong_rows, low).empty());
 
-  // Canonical entry map drifted: a clique vertex beyond the original block.
-  Lowering tampered = low;
-  ASSERT_FALSE(tampered.map.plans.empty());
-  tampered.map.plans[0].forest.cliques[0][0] = 999;
-  EXPECT_TRUE(sdp::remap_warm_start(good, tampered).empty());
+  // A decomposed lowering of the same problem starts cold.
+  const Lowering decomposed = sdp::lower(original, chordal_lowering(8));
+  ASSERT_TRUE(decomposed.decomposed());
+  ASSERT_EQ(decomposed.base_fingerprint, low.base_fingerprint);
+  EXPECT_TRUE(sdp::remap_warm_start(good, decomposed).empty());
 }
 
 TEST(LoweringPipeline, AdmmSolvesClusteredClockTreeDeterministically) {
@@ -470,18 +424,20 @@ TEST(LoweringCache, InPlaceUpdateMatchesFreshLoweringAcrossModes) {
   // The coefficient-update pass contract: for a structurally identical
   // compile with different values, the in-place rewrite must produce the
   // same lowered problem the full pipeline would — same verdict, same
-  // objective, same recovered certificate to solver tolerance — in every
-  // sparsity mode, with ["update", "equilibrate"] provenance.
+  // objective, same recovered certificate to solver tolerance — with
+  // ["update", "equilibrate"] provenance. A decomposed lowering never
+  // updates in place: it re-runs the full pipeline, with the same result.
   struct Mode {
     const char* name;
     LoweringOptions options;
+    bool updates;
   };
   std::vector<Mode> modes;
-  modes.push_back({"dense", LoweringOptions{}});
+  modes.push_back({"dense", LoweringOptions{}, true});
   LoweringOptions correlative;
   correlative.sparsity = sdp::SparsityOptions::Correlative;
-  modes.push_back({"correlative", correlative});
-  modes.push_back({"chordal", chordal_lowering(8)});
+  modes.push_back({"correlative", correlative, true});
+  modes.push_back({"chordal", chordal_lowering(8), false});
 
   for (const Mode& mode : modes) {
     sdp::LoweringCache cache;
@@ -491,10 +447,17 @@ TEST(LoweringCache, InPlaceUpdateMatchesFreshLoweringAcrossModes) {
     EXPECT_NE(first.passes.front().name, "update") << mode.name;
 
     const Lowering& updated = cache.lower(banded_sdp(30, 1.45), mode.options);
-    ASSERT_EQ(cache.updates(), 1u) << mode.name;
-    ASSERT_EQ(updated.passes.size(), 2u) << mode.name;
-    EXPECT_EQ(updated.passes[0].name, "update") << mode.name;
-    EXPECT_EQ(updated.passes[1].name, "equilibrate") << mode.name;
+    if (mode.updates) {
+      ASSERT_EQ(cache.updates(), 1u) << mode.name;
+      ASSERT_EQ(updated.passes.size(), 2u) << mode.name;
+      EXPECT_EQ(updated.passes[0].name, "update") << mode.name;
+      EXPECT_EQ(updated.passes[1].name, "equilibrate") << mode.name;
+    } else {
+      ASSERT_TRUE(updated.decomposed()) << mode.name;
+      ASSERT_EQ(cache.updates(), 0u) << mode.name;
+      EXPECT_EQ(cache.full_lowerings(), 2u) << mode.name;
+      EXPECT_EQ(updated.passes.front().name, "analyze") << mode.name;
+    }
 
     const Lowering fresh = sdp::lower(banded_sdp(30, 1.45), mode.options);
     EXPECT_EQ(updated.base_fingerprint, fresh.base_fingerprint) << mode.name;
@@ -505,6 +468,7 @@ TEST(LoweringCache, InPlaceUpdateMatchesFreshLoweringAcrossModes) {
     const Solution sol_f = sdp::recover(sdp::IpmSolver().solve(fresh.problem, ctx_f), fresh);
     ASSERT_EQ(sol_u.status, sol_f.status) << mode.name;
     ASSERT_EQ(sol_u.status, SolveStatus::Optimal) << mode.name;
+    EXPECT_EQ(sol_u.iterations, sol_f.iterations) << mode.name;
     EXPECT_NEAR(sol_u.primal_objective, sol_f.primal_objective,
                 1e-6 * (1.0 + std::fabs(sol_f.primal_objective)))
         << mode.name;
@@ -520,101 +484,64 @@ TEST(LoweringCache, InPlaceUpdateMatchesFreshLoweringAcrossModes) {
   }
 }
 
-TEST(LoweringCache, DecomposedClockTreeUpdateParity) {
-  // Same contract on a genuinely decomposed instance: the clock-tree
-  // coupling SDP under native chordal lowering, with the coefficient change
-  // coming from a real design move (different pump current / VCO gain).
-  pll::Params tweaked = pll::Params::paper_third_order();
-  tweaked.ip = {540e-6, 550e-6};
-  tweaked.kv = {170.0, 175.0};
-
-  sdp::LoweringCache cache;
-  const LoweringOptions options = chordal_lowering(4);
-  const Lowering& first = cache.lower(clock_tree_sdp(8), options);
-  ASSERT_TRUE(first.decomposed());
-
-  pll::ClockTreeOptions tree;
-  tree.loops = 8;
-  const pll::ClockTreeModel model = pll::make_clock_tree(tweaked, tree);
-  const Lowering& updated =
-      cache.lower(pll::clock_tree_coupling_sdp(model.constants, tree), options);
-  ASSERT_EQ(cache.updates(), 1u);
-  ASSERT_EQ(cache.full_lowerings(), 1u);
-  EXPECT_EQ(updated.passes.front().name, "update");
-  ASSERT_TRUE(updated.decomposed());
-
-  const Problem reference = pll::clock_tree_coupling_sdp(model.constants, tree);
-  const Lowering fresh = sdp::lower(pll::clock_tree_coupling_sdp(model.constants, tree),
-                                    options);
-  EXPECT_EQ(updated.lowered_fingerprint, fresh.lowered_fingerprint);
-
-  sdp::SolveContext ctx_u, ctx_f;
-  const Solution sol_u = sdp::recover(sdp::IpmSolver().solve(updated.problem, ctx_u), updated);
-  const Solution sol_f = sdp::recover(sdp::IpmSolver().solve(fresh.problem, ctx_f), fresh);
-  ASSERT_EQ(sol_u.status, SolveStatus::Optimal);
-  ASSERT_EQ(sol_f.status, SolveStatus::Optimal);
-  EXPECT_NEAR(sol_u.primal_objective, sol_f.primal_objective,
-              1e-5 * (1.0 + std::fabs(sol_f.primal_objective)));
-  EXPECT_LT(primal_violation(reference, sol_u), 1e-5);
-  EXPECT_LT(primal_violation(reference, sol_f), 1e-5);
-}
-
 TEST(LoweringCache, FallsBackToFullPipelineOnAnyStructuralChange) {
+  const LoweringOptions dense{};
+  LoweringOptions correlative;
+  correlative.sparsity = sdp::SparsityOptions::Correlative;
+
   sdp::LoweringCache cache;
   EXPECT_FALSE(cache.valid());
-  cache.lower(banded_sdp(30), chordal_lowering(8));
+  cache.lower(banded_sdp(30), dense);
   EXPECT_TRUE(cache.valid());
   EXPECT_EQ(cache.full_lowerings(), 1u);
 
   // Different structure (different size) → full pipeline, re-cached.
-  const Lowering& other = cache.lower(banded_sdp(26), chordal_lowering(8));
+  const Lowering& other = cache.lower(banded_sdp(26), dense);
   EXPECT_EQ(cache.full_lowerings(), 2u);
   EXPECT_EQ(cache.updates(), 0u);
   EXPECT_EQ(other.passes.front().name, "analyze");
 
   // Different pass options → full pipeline even for an identical structure.
-  cache.lower(banded_sdp(26), chordal_lowering(6));
+  cache.lower(banded_sdp(26), correlative);
   EXPECT_EQ(cache.full_lowerings(), 3u);
   EXPECT_EQ(cache.updates(), 0u);
 
   // Matching structure + options → the in-place path.
-  cache.lower(banded_sdp(26, 1.2), chordal_lowering(6));
+  cache.lower(banded_sdp(26, 1.2), correlative);
   EXPECT_EQ(cache.full_lowerings(), 3u);
   EXPECT_EQ(cache.updates(), 1u);
 
   // A coefficient that became exactly 0.0 drops its triplet: the fingerprint
-  // changes and the cache must relower, never rewrite against a stale plan.
-  const Lowering& dropped = cache.lower(banded_sdp(26, 1.2, true), chordal_lowering(6));
+  // changes and the cache must relower, never adopt a different layout.
+  const Lowering& dropped = cache.lower(banded_sdp(26, 1.2, true), correlative);
   EXPECT_EQ(cache.full_lowerings(), 4u);
   EXPECT_EQ(cache.updates(), 1u);
   EXPECT_EQ(dropped.passes.front().name, "analyze");
 
-  // Objective triplets are not fingerprinted. New values on the cached band
-  // (a larger trace weight, plus an entry at the banded position (1, 2))
-  // take the update pass and are re-scattered onto the cliques.
-  Problem on_band = banded_sdp(26, 1.2, true);
+  // Objective triplets are not fingerprinted: new objective values and
+  // entries, on or off the band, take the update pass.
+  Problem new_objective = banded_sdp(26, 1.2, true);
   sdp::SparseSym c = sdp::SparseSym::diagonal(26, 2.0);
   c.add(1, 2, 0.25);
-  on_band.set_block_objective(0, c);
-  const Lowering& updated = cache.lower(std::move(on_band), chordal_lowering(6));
+  c.add(0, 25, 0.25);
+  new_objective.set_block_objective(0, c);
+  const Lowering& updated = cache.lower(std::move(new_objective), correlative);
   EXPECT_EQ(cache.full_lowerings(), 4u);
   EXPECT_EQ(cache.updates(), 2u);
   EXPECT_EQ(updated.passes.front().name, "update");
   double objective_sum = 0.0;
-  for (std::size_t j = 0; j < updated.problem.num_blocks(); ++j) {
-    for (const sdp::Triplet& t : updated.problem.block_objective(j).entries)
-      objective_sum += t.v;
-  }
-  EXPECT_DOUBLE_EQ(objective_sum, 26 * 2.0 + 0.25);
+  for (const sdp::Triplet& t : updated.problem.block_objective(0).entries)
+    objective_sum += t.v;
+  EXPECT_DOUBLE_EQ(objective_sum, 26 * 2.0 + 0.5);
 
-  // An objective entry off the band would change the cliques a fresh
-  // decomposition picks: full pipeline.
-  Problem off_band = banded_sdp(26, 1.2, true);
-  c.add(0, 25, 0.25);
-  off_band.set_block_objective(0, c);
-  const Lowering& relowered = cache.lower(std::move(off_band), chordal_lowering(6));
-  EXPECT_EQ(cache.full_lowerings(), 5u);
-  EXPECT_EQ(cache.updates(), 2u);
+  // A decomposed lowering never updates in place, even on a value-only
+  // change: every call runs the full pipeline.
+  sdp::LoweringCache decomposed;
+  decomposed.lower(banded_sdp(26), chordal_lowering(6));
+  const Lowering& relowered = decomposed.lower(banded_sdp(26, 1.2), chordal_lowering(6));
+  EXPECT_TRUE(relowered.decomposed());
+  EXPECT_EQ(decomposed.full_lowerings(), 2u);
+  EXPECT_EQ(decomposed.updates(), 0u);
   EXPECT_EQ(relowered.passes.front().name, "analyze");
 }
 

@@ -1,6 +1,7 @@
 // Tests for multiple-Lyapunov certificate synthesis (SOS program 1).
 #include <gtest/gtest.h>
 
+#include "core/level_set.hpp"
 #include "core/lyapunov.hpp"
 #include "pll/models.hpp"
 #include "pll/params.hpp"
@@ -316,6 +317,54 @@ TEST(Lyapunov, ModeParallelAuditKeepsWorstValues) {
   // Every Gram of an interior-point iterate is positive definite.
   EXPECT_GT(r.audit.worst_eigenvalue, 0.0);
   EXPECT_EQ(r.audit.worst_eigenvalue, expected.worst_eigenvalue);
+}
+
+TEST(Lyapunov, ModeParallelPumpVerticesMatchAcrossThreadCounts) {
+  // 3-mode averaged PLL: one mode per pump-current vertex {lo, hi, nom}
+  // over the shared voltage box, no jumps, so the per-mode programs are
+  // independent. Joint and decoupled synthesis both succeed at degree 4,
+  // and the decoupled schedule is deterministic: threads = 1 and 2 give
+  // bit-identical certificates and equal iteration counts (37 on avx512),
+  // as does the level-set stage on those certificates (68).
+  const pll::Params params = pll::Params::paper_third_order();
+  pll::ModelOptions nominal;
+  nominal.uncertain_pump = false;
+  nominal.ripple_bound = 0.0;
+  const pll::ReducedModel vertices = pll::make_averaged_vertices(params, nominal);
+  const pll::ReducedModel nom = pll::make_averaged(params, nominal);
+  HybridSystem sys(nom.system.nstates(), 0);
+  sys.set_state_names(nom.system.state_names());
+  for (const Mode& m : vertices.system.modes()) sys.add_mode(Mode(m));
+  Mode mid = nom.system.modes().front();
+  mid.name = "pump-nom";
+  sys.add_mode(std::move(mid));
+  ASSERT_EQ(sys.modes().size(), 3u);
+
+  LyapunovOptions opt;
+  opt.certificate_degree = 4;
+  opt.flow_decrease = FlowDecrease::Strict;
+  opt.strict_margin = 1e-4;
+  const LyapunovResult joint = LyapunovSynthesizer(opt).synthesize(sys);
+  EXPECT_TRUE(joint.success) << joint.message;
+
+  opt.mode_parallel = true;
+  sdp::SolverConfig serial, two;
+  two.threads = 2;
+  const LyapunovResult a = LyapunovSynthesizer(opt, serial).synthesize(sys);
+  const LyapunovResult b = LyapunovSynthesizer(opt, two).synthesize(sys);
+  ASSERT_TRUE(a.success) << a.message;
+  ASSERT_TRUE(b.success) << b.message;
+  EXPECT_EQ(a.certificates, b.certificates);
+  EXPECT_EQ(a.solver.solves, b.solver.solves);
+  EXPECT_EQ(a.solver.iterations, b.solver.iterations);
+
+  const LevelSetResult levels_a =
+      LevelSetMaximizer({}, serial).maximize(sys, a.certificates);
+  const LevelSetResult levels_b = LevelSetMaximizer({}, two).maximize(sys, b.certificates);
+  ASSERT_TRUE(levels_a.success) << levels_a.message;
+  ASSERT_TRUE(levels_b.success) << levels_b.message;
+  EXPECT_EQ(levels_a.levels, levels_b.levels);
+  EXPECT_EQ(levels_a.solver.iterations, levels_b.solver.iterations);
 }
 
 TEST(Lyapunov, ModeParallelWithJumpsStillSound) {

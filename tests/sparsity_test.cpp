@@ -3,8 +3,7 @@
 // multiplier bases, the SDP-level chordal conversion pass (sdp/chordal), and
 // the end-to-end guarantees — recombined clique certificates equal the dense
 // ones, soundness verdicts match the dense path, and structure fingerprints
-// separate the Off/Correlative/Chordal modes so stale warm blobs are
-// rejected.
+// separate dense and correlative compiles so stale warm blobs are rejected.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -165,7 +164,7 @@ TEST(SparseSos, RecombinedCliqueCertificateEqualsDense) {
 
   sos::SosProgram sparse(4);
   sparse.set_trace_regularization(1e-8);
-  sparse.set_sparsity(sdp::SparsityOptions::Correlative);
+  sparse.set_correlative_sparsity(true);
   sparse.add_sos_constraint(p, "p");
   ASSERT_EQ(sparse.gram_blocks().size(), 2u);  // one block per clique
   const sos::SolveResult sparse_result = sparse.solve(config);
@@ -197,10 +196,10 @@ TEST(SparseSos, MotzkinAdjacentVerdictsMatchDense) {
     config.backend = "ipm";
     bool verdict[2];
     int slot = 0;
-    for (const auto mode : {sdp::SparsityOptions::Off, sdp::SparsityOptions::Correlative}) {
+    for (const bool correlative : {false, true}) {
       sos::SosProgram prog(2);
       prog.set_trace_regularization(1e-8);
-      prog.set_sparsity(mode);
+      prog.set_correlative_sparsity(correlative);
       prog.add_sos_constraint(p, "p");
       const sos::SolveResult result = prog.solve(config);
       verdict[slot++] = result.feasible && sos::audit(prog, result).ok;
@@ -210,51 +209,40 @@ TEST(SparseSos, MotzkinAdjacentVerdictsMatchDense) {
 }
 
 TEST(SparseSos, BaseSpaceBlobsCrossCompatibleModesAndRejectForeignOnes) {
-  // Warm blobs live in the base (pre-lowering) space. Modes that compile
-  // different Gram blocks (Off vs Correlative: one dense block vs one per
-  // clique) separate naturally through the compiled structure fingerprint,
-  // so a stale blob from one can never leak into the other. Modes that
-  // compile identically (Correlative vs Chordal on this program: the
-  // SDP-level conversion pass is a no-op on complete Gram patterns) now
-  // deliberately *share* blobs — the whole point of replacing the PR 3
-  // fingerprint salting with per-clique remapping.
+  // Warm blobs live in the base (pre-lowering) space. Dense and correlative
+  // compiles have different Gram blocks (one dense block vs one per clique),
+  // so they separate naturally through the compiled structure fingerprint:
+  // a stale blob from one can never leak into the other, while a blob
+  // replays warm into any program that compiles the same blocks.
   const Polynomial p = disjoint_pair_quartic();
   sdp::SolverConfig config;
   config.backend = "ipm";
-  std::vector<std::uint64_t> prints;
-  std::vector<sos::SolveResult> results;
-  for (const auto mode : {sdp::SparsityOptions::Off, sdp::SparsityOptions::Correlative,
-                          sdp::SparsityOptions::Chordal}) {
+  auto build = [&p](bool correlative) {
     sos::SosProgram prog(4);
     prog.set_trace_regularization(1e-8);
-    prog.set_sparsity(mode);
+    prog.set_correlative_sparsity(correlative);
     prog.add_sos_constraint(p, "p");
-    results.push_back(prog.solve(config));
+    return prog;
+  };
+  std::vector<sos::SolveResult> results;
+  for (const bool correlative : {false, true}) {
+    results.push_back(build(correlative).solve(config));
     ASSERT_TRUE(results.back().feasible);
     ASSERT_FALSE(results.back().warm.empty());
-    prints.push_back(results.back().warm.fingerprint);
   }
-  EXPECT_NE(prints[0], prints[1]);  // different compiled blocks
-  EXPECT_NE(prints[0], prints[2]);
-  EXPECT_EQ(prints[1], prints[2]);  // identical compiled blocks: blobs transfer
+  EXPECT_NE(results[0].warm.fingerprint, results[1].warm.fingerprint);
 
-  // Replaying the Off blob into a Correlative solve is rejected: the solve
-  // runs cold and still succeeds.
-  sos::SosProgram sparse(4);
-  sparse.set_trace_regularization(1e-8);
-  sparse.set_sparsity(sdp::SparsityOptions::Correlative);
-  sparse.add_sos_constraint(p, "p");
-  sos::SolveResult cold = sparse.solve(config);
+  // Replaying the dense blob into a correlative solve is rejected: the
+  // solve runs cold and still succeeds.
+  const sos::SosProgram sparse = build(true);
+  const sos::SolveResult cold = sparse.solve(config);
   const sos::SolveResult replay = sparse.solve(config, &results[0].warm);
   EXPECT_TRUE(replay.feasible);
   EXPECT_EQ(replay.sdp.iterations, cold.sdp.iterations);  // identical cold solve
 
-  // And the Correlative blob replays *warm* into a Chordal solve.
-  sos::SosProgram chordal(4);
-  chordal.set_trace_regularization(1e-8);
-  chordal.set_sparsity(sdp::SparsityOptions::Chordal);
-  chordal.add_sos_constraint(p, "p");
-  const sos::SolveResult cross = chordal.solve(config, &results[1].warm);
+  // And the correlative blob replays *warm* into a rebuilt correlative
+  // program.
+  const sos::SolveResult cross = build(true).solve(config, &results[1].warm);
   EXPECT_TRUE(cross.feasible);
   EXPECT_LT(cross.sdp.iterations, cold.sdp.iterations);
 }
@@ -344,7 +332,7 @@ TEST(ChordalConversion, SmallAndDenseBlocksAreLeftAlone) {
   EXPECT_EQ(sdp::structure_fingerprint(small), before);  // untouched
 }
 
-// --- pipeline-level: pump-vertex Lyapunov dense vs chordal ----------------
+// --- pipeline-level: pump-vertex Lyapunov dense vs correlative ------------
 
 TEST(SparsePipeline, PumpVertexLyapunovVerdictsMatchDense) {
   const pll::ReducedModel model =
@@ -358,10 +346,10 @@ TEST(SparsePipeline, PumpVertexLyapunovVerdictsMatchDense) {
   core::LyapunovOptions dense_opt = base;
   const core::LyapunovResult dense = core::LyapunovSynthesizer(dense_opt).synthesize(model.system);
 
-  sdp::SolverConfig chordal;
-  chordal.sparsity = sdp::SparsityOptions::Chordal;
+  sdp::SolverConfig correlative;
+  correlative.correlative_sparsity = true;
   const core::LyapunovResult sparse =
-      core::LyapunovSynthesizer(base, chordal).synthesize(model.system);
+      core::LyapunovSynthesizer(base, correlative).synthesize(model.system);
 
   EXPECT_EQ(dense.success, sparse.success);
   if (dense.success) {
@@ -392,7 +380,7 @@ TEST(SparsePipeline, ClockTreeSparseTemplateSplitsConesAndMatchesDenseVerdict) {
   core::LyapunovOptions sparse_opt = base;
   sparse_opt.sparse_template = true;
   sdp::SolverConfig correlative;
-  correlative.sparsity = sdp::SparsityOptions::Correlative;
+  correlative.correlative_sparsity = true;
   const core::LyapunovResult sparse =
       core::LyapunovSynthesizer(sparse_opt, correlative).synthesize(model.system);
   EXPECT_TRUE(sparse.success);

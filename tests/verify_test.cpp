@@ -348,12 +348,12 @@ TEST(VerifyStress, ConcurrentLoweringAndStructureCacheTelemetry) {
     workers.emplace_back([&, lane] {
       // Three structurally distinct shapes across the lanes so the 3-slot
       // global cache thrashes; a lane keeps one shape, so its repeated
-      // value-only re-solves take the in-place update fast path.
+      // value-only re-solves take the in-place update fast path (identity
+      // lowerings, as every sweep lane's SOS programs lower).
       for (std::size_t it = 0; it < kIters; ++it) {
         const std::size_t n = 18 + 2 * (lane % 3);
         const double scale = 1.0 + 0.01 * static_cast<double>(it);
-        const Lowering& low =
-            lanes[lane].lower(banded_sdp(n, scale), chordal_lowering(6));
+        const Lowering& low = lanes[lane].lower(banded_sdp(n, scale), LoweringOptions{});
         const VerifyResult result = sdp::verify(low.problem);
         if (!result.ok()) failures.fetch_add(1, std::memory_order_relaxed);
         if (cache.get(low.problem) == nullptr) {
