@@ -321,11 +321,15 @@ int main() {
 
   // IPM Newton steps of the two verify() runs above at the default degrees,
   // every step a solve ran (stalled solves included, not only those up to
-  // the iterate they return): 343 (pll3) + 803 (pll4) = 1146 natively
-  // (avx512); 1120 under SOSLOCK_SIMD=scalar and 1163 under avx2, where the
-  // stall tails round differently. A change to the step-length or direction
-  // code may raise the count by at most 3%.
-  constexpr int kVerifyIterations = 1146;
+  // the iterate they return): 1094 under SOSLOCK_SIMD=scalar, avx2 and
+  // avx512 alike. The primal-infeasibility test checks the dual residual on
+  // the ray y / ||y||, so the infeasible solves end PrimalInfeasible after
+  // 12-13 steps on every ISA; when the test compared the residual itself
+  // with 1e-6, rounding noise proportional to ||y|| decided whether one or
+  // two of them ran on to MaxIterations after 30-38 steps instead, and the
+  // count read 1120, 1146 or 1163 by ISA. A change to the step-length or
+  // direction code may raise the count by at most 3%.
+  constexpr int kVerifyIterations = 1094;
   const int verify_iters = o3.solver_iters + o4.solver_iters;
   std::printf("verify() IPM iterations (pll3 + pll4): %d (budget %d + 3%%)\n",
               verify_iters, kVerifyIterations);

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "linalg/cholesky.hpp"
@@ -104,6 +106,187 @@ struct SchurBlock {
   const Matrix& factored() const { return overlaps() > 0 ? reduced : schur; }
 };
 
+/// Index of the upper entry (a, b), a <= b, in the packed row-major upper
+/// triangle of an n x n matrix.
+std::size_t packed_index(std::size_t n, std::size_t a, std::size_t b) {
+  return a * (2 * n - a + 1) / 2 + (b - a);
+}
+
+std::size_t packed_index(std::size_t n, const Triplet& t) {
+  return packed_index(n, std::min(t.r, t.c), std::max(t.r, t.c));
+}
+
+/// Row e = (a, b) of K = Z^{-1} (*) X over the packed triangle, into k at
+/// every entry f = (c, d) from e on (entries before e are left as they
+/// were); see SchurAssembly::add_block for K and its halvings.
+void sym_kron_row(std::size_t n, std::size_t a, std::size_t b, const Matrix& zinv,
+                  const Matrix& x, double* k) {
+  const double* za = zinv.row_ptr(a);
+  const double* zb = zinv.row_ptr(b);
+  const double* xa = x.row_ptr(a);
+  const double* xb = x.row_ptr(b);
+  const double h = a == b ? 0.5 : 1.0;
+  for (std::size_t c = a; c < n; ++c) {
+    const double s1 = h * xb[c], s2 = h * xa[c], s3 = h * za[c], s4 = h * zb[c];
+    double* kc = k + packed_index(n, c, c) - c;  // kc[d] is k at (c, d)
+    for (std::size_t d = c == a ? b : c; d < n; ++d)
+      kc[d] = s1 * za[d] + s2 * zb[d] + s3 * xb[d] + s4 * xa[d];
+    if (c > a || a == b) kc[c] *= 0.5;
+  }
+  k[packed_index(n, a, b)] *= 0.5;
+}
+
+/// m = m + m^T, in place.
+void add_transpose(Matrix& m) {
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    m(r, r) *= 2.0;
+    for (std::size_t c = r + 1; c < m.cols(); ++c) m(r, c) = m(c, r) = m(r, c) + m(c, r);
+  }
+}
+
+/// The IPM's Schur assembly in coefficient form. Per PSD block, P is the
+/// map from its Gram entries to the rows: the upper entries e = (a, b) that
+/// some row's triplet touches, in packed row-major order, each with its
+/// (row slot, coefficient) pairs, so that A_ij = sum_e P_ei E_e with E_e =
+/// e_a e_b^T + e_b e_a^T (e_a e_a^T when a = b). A block's slots order its
+/// rows by the last entry they touch, latest first, so the rows touching an
+/// entry >= e are a prefix of the slots. The pattern depends only on the
+/// structure; the coefficients are this problem's. Every block's P sits in
+/// the same three arrays, built once per solve, beside the K row and u
+/// scratch of add_block, sized for the largest block.
+class SchurAssembly {
+ public:
+  /// `target` maps an extended row to its index in the matrix the assembly
+  /// adds into.
+  SchurAssembly(const Problem& p, const std::vector<std::vector<BlockRowView>>& views,
+                const std::vector<std::size_t>& target) {
+    const std::size_t nb = p.num_blocks();
+    std::size_t kmax = 0, umax = 0, nslots = 0, npairs = 0, nentries = 0;
+    for (std::size_t j = 0; j < nb; ++j) {
+      const std::size_t n = p.block_size(j);
+      kmax = std::max(kmax, n * (n + 1) / 2);
+      umax = std::max(umax, views[j].size());
+      nslots += views[j].size();
+      for (const BlockRowView& v : views[j]) npairs += v.coeff->entries.size();
+    }
+    // One block at a time: per packed entry its pair count, then the
+    // position of its next pair; per row its last entry and its slot.
+    std::vector<std::size_t> next(kmax, 0), last(umax), order(umax), slot(umax);
+    for (std::size_t j = 0; j < nb; ++j) {
+      const std::size_t n = p.block_size(j);
+      for (const BlockRowView& v : views[j])
+        for (const Triplet& t : v.coeff->entries) nentries += next[packed_index(n, t)]++ == 0;
+      std::fill(next.begin(), next.begin() + n * (n + 1) / 2, 0);
+    }
+    blocks_.reserve(nb);
+    entries_.reserve(nentries);
+    pairs_.resize(npairs);
+    target_.reserve(nslots);
+    std::size_t pair = 0;  // the next entry's first pair
+    for (std::size_t j = 0; j < nb; ++j) {
+      const std::vector<BlockRowView>& rows = views[j];
+      const std::size_t n = p.block_size(j), nv = rows.size();
+      for (std::size_t k = 0; k < nv; ++k) {
+        last[k] = 0;
+        for (const Triplet& t : rows[k].coeff->entries) {
+          const std::size_t e = packed_index(n, t);
+          last[k] = std::max(last[k], e);
+          ++next[e];
+        }
+      }
+      std::iota(order.begin(), order.begin() + nv, std::size_t{0});
+      std::stable_sort(order.begin(), order.begin() + nv,
+                       [&last](std::size_t a, std::size_t b) { return last[a] > last[b]; });
+      Block blk{n, entries_.size(), 0, 0, target_.size()};
+      for (std::size_t s = 0; s < nv; ++s) {
+        slot[order[s]] = s;
+        target_.push_back(static_cast<std::uint32_t>(target[rows[order[s]].row]));
+      }
+      std::size_t active = nv;
+      for (std::size_t a = 0, e = 0; a < n; ++a) {
+        for (std::size_t b = a; b < n; ++b, ++e) {
+          if (next[e] == 0) continue;
+          while (active > 0 && last[order[active - 1]] < e) --active;
+          const std::size_t end = pair + next[e];
+          entries_.push_back({static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(b),
+                              static_cast<std::uint32_t>(pair), static_cast<std::uint32_t>(end),
+                              static_cast<std::uint32_t>(active)});
+          next[e] = pair;
+          pair = end;
+        }
+      }
+      blk.entries_end = entries_.size();
+      blk.pairs_end = pair;
+      for (std::size_t k = 0; k < nv; ++k) {
+        for (const Triplet& t : rows[k].coeff->entries) {
+          const std::size_t e = packed_index(n, t);
+          pairs_[next[e]++] = {static_cast<std::uint32_t>(slot[k]),
+                               static_cast<std::uint32_t>(e), t.v};
+        }
+      }
+      std::fill(next.begin(), next.begin() + n * (n + 1) / 2, 0);
+      blocks_.push_back(blk);
+    }
+    k_.assign(kmax, 0.0);
+    u_.assign(umax, 0.0);
+  }
+
+  /// Adds block j's part of the HKM Schur complement, U with U + U^T =
+  /// P^T K P, into `m` at the block's targets; the caller forms M + M^T
+  /// once every block is in. HKM symmetrization convention (the single
+  /// place it is spelled out): W = Z^{-1} A_k X is not symmetric, the
+  /// symmetrized HKM direction uses (W + W^T)/2, so M_ik = <A_i, (W +
+  /// W^T)/2> = sum over entries e, f of P_ei K_ef P_fk, where K = Z^{-1}
+  /// (*) X is the symmetrized Kronecker product over the Gram entries: for
+  /// e = (a, b) and f = (c, d), K_ef = Zi_ad X_bc + Zi_bd X_ac + Zi_ac X_bd
+  /// + Zi_bc X_ad, halved for a = b and for c = d (E_e has one term, not
+  /// two). Per entry e, sym_kron_row forms the row of K over f >= e (packed,
+  /// one contiguous segment per c), halved at f = e so that U + U^T counts
+  /// the diagonal once; u = sum over f >= e of K_ef P_f, on the active
+  /// slots, is then added to M's rows P_e. No n x n panel is formed.
+  void add_block(std::size_t j, const Matrix& zinv, const Matrix& x, Matrix& m) {
+    const Block& blk = blocks_[j];
+    const Pair* pairs = pairs_.data();
+    const std::uint32_t* target = target_.data() + blk.slots;
+    double* k = k_.data();
+    double* u = u_.data();
+    for (std::size_t i = blk.entries_begin; i < blk.entries_end; ++i) {
+      const Entry& e = entries_[i];
+      sym_kron_row(blk.n, e.a, e.b, zinv, x, k);
+      std::fill(u, u + e.active, 0.0);
+      for (std::size_t q = e.begin; q < blk.pairs_end; ++q)
+        u[pairs[q].slot] += pairs[q].coeff * k[pairs[q].packed];
+      for (std::size_t q = e.begin; q < e.end; ++q) {
+        double* row = m.row_ptr(target[pairs[q].slot]);
+        const double p = pairs[q].coeff;
+        for (std::size_t s = 0; s < e.active; ++s) row[target[s]] += p * u[s];
+      }
+    }
+  }
+
+ private:
+  struct Entry {
+    std::uint32_t a, b;        // the entry (a, b), a <= b
+    std::uint32_t begin, end;  // its pairs
+    std::uint32_t active;      // slots [0, active) touch an entry >= this one
+  };
+  struct Pair {
+    std::uint32_t slot, packed;  // the row's slot, the entry's packed index
+    double coeff;                // P_ei
+  };
+  struct Block {
+    std::size_t n;                           // the block's size
+    std::size_t entries_begin, entries_end;  // its entries
+    std::size_t pairs_end;                   // one past its last pair
+    std::size_t slots;                       // its slot 0 in target_
+  };
+  std::vector<Block> blocks_;
+  std::vector<Entry> entries_;         // grouped by block, in entry order
+  std::vector<Pair> pairs_;            // grouped by entry
+  std::vector<std::uint32_t> target_;  // slot -> the row's index in the assembled M
+  Vector k_, u_;
+};
+
 struct Residuals {
   Vector rp;                 // primal: b - A(X) - B w
   std::vector<Matrix> rd;    // dual: C - Z - sum_i y_i A_i
@@ -127,7 +310,7 @@ class Ipm {
     views_ = build_block_row_views(p_, *structure_);
     // Native decomposed cones: their overlap couplings enter the iteration
     // as *virtual rows* with indices [m, m+q) — they share all the residual
-    // and Schur-panel machinery of real rows — but they are never part of
+    // and Schur-assembly machinery of real rows — but they are never part of
     // the factored Schur complement: step() block-eliminates their corner
     // of each Schur block, so the factors hold real rows only and the
     // overlap multipliers update ALM-style alongside the Newton step.
@@ -135,23 +318,9 @@ class Ipm {
     q_ = overlap_rows_.size();
     mext_ = m_ + q_;
     partition_schur();
-    // Schur assembly order: per block, views sorted densest-first
-    // (SDPA-style). Row i at sorted position p pairs with every k at
-    // position q >= p, and the O(nnz_k) inner product always reads the
-    // *later* (sparser) row's triplets, so the dense rows' triplet loops run
-    // as rarely as possible. Stable tie-break keeps the order deterministic.
-    schur_order_.resize(nblocks_);
-    for (std::size_t j = 0; j < nblocks_; ++j) {
-      auto& order = schur_order_[j];
-      order.resize(views_[j].size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      const auto& touching = views_[j];
-      std::stable_sort(order.begin(), order.end(),
-                       [&touching](std::size_t a, std::size_t b) {
-                         return touching[a].coeff->entries.size() >
-                                touching[b].coeff->entries.size();
-                       });
-    }
+    // Each block's entry map P, at its rows' indices within their Schur
+    // block (all rows of a PSD block lie in one Schur block).
+    assembly_.emplace(p_, views_, local_);
     data_norm_ = 1.0;
     for (std::size_t i = 0; i < m_; ++i) data_norm_ = std::max(data_norm_, std::fabs(p_.rhs(i)));
     c_norm_ = 1.0;
@@ -177,7 +346,7 @@ class Ipm {
       set->resize(nblocks_);
     std::size_t nmax = 0;
     for (std::size_t j = 0; j < nblocks_; ++j) nmax = std::max(nmax, p_.block_size(j));
-    for (Matrix* scratch : {&panel_, &prod_, &ej_, &xa_, &za_})
+    for (Matrix* scratch : {&prod_, &ej_, &xa_, &za_})
       *scratch = Matrix(nmax, nmax);
     step_work_ = StepLengthWork(nmax);
     s_free_ = Matrix(nf_, nf_);
@@ -502,10 +671,14 @@ class Ipm {
     // Heuristic Farkas-type test: the dual iterate grows without bound while
     // staying (nearly) dual feasible and improving b'y proportionally. The
     // proportionality guard avoids misfiring on ill-conditioned feasible
-    // problems whose multipliers are merely large.
+    // problems whose multipliers are merely large. Dual feasibility is
+    // tested on the ray y / ||y||: past the threshold the dual residual is
+    // rounding noise proportional to ||y||, so a fixed bound would fire or
+    // not depending on that noise.
     const double ynorm = linalg::norm_inf(s.y);
     if (ynorm < kInfeasibilityThreshold) return false;
-    return res.rd_rel < 1e-6 && res.rf_rel < 1e-6 &&
+    const double bound = 1e-6 * ynorm / kInfeasibilityThreshold;
+    return res.rd_rel < bound && res.rf_rel < bound &&
            dual_objective(s) > 1e-8 * ynorm && dual_objective(s) > 1.0;
   }
 
@@ -519,73 +692,15 @@ class Ipm {
     return res.rp_rel < 1e-5 && primal_objective(s) < -1.0;
   }
 
-  /// Schur assembly: fill only the upper triangle — each unordered row
-  /// pair is computed once (the exact-arithmetic symmetry M_ik = M_ki of the
-  /// symmetrized HKM operator makes the mirror free) — over views sorted
-  /// densest-first, with the Z_j^{-1} A_i X_j panel built once per row as a
-  /// sum of nnz(A_i) rank-1 outer products (O(nnz n^2), not O(n^3) column
-  /// solves). All rows of a PSD block lie in one Schur block, so each pair
-  /// lands there at its local indices.
+  /// Schur assembly in coefficient form (SchurAssembly::add_block): every PSD
+  /// block adds its U through its entry map into its Schur block, then one
+  /// M + M^T per Schur block makes M exactly symmetric.
   void assemble_schur(const State& s) {
     for (std::size_t j = 0; j < nblocks_; ++j) {
-      const auto& touching = views_[j];
-      if (touching.empty()) continue;
-      Matrix& schur = comps_[comp_of_[touching[0].row]].schur;
-      const std::size_t n = p_.block_size(j);
-      const Matrix& zi = zinv_[j];
-      const Matrix& xj = s.x[j];
-      const auto& order = schur_order_[j];
-      Matrix& panel = panel_;
-      if (panel.rows() != n) panel = xj;  // shape only: zeroed per row below
-      for (std::size_t p = 0; p < order.size(); ++p) {
-        panel.fill(0.0);
-        const BlockRowView& vi = touching[order[p]];
-        // panel = Z^{-1} A_i X = sum over triplets v (zinv_col_r x_row_c +
-        // [r != c] zinv_col_c x_row_r); zinv is symmetric, so its columns
-        // are its rows and every factor is a contiguous row pointer.
-        for (const Triplet& t : vi.coeff->entries) {
-          add_scaled_outer(panel, t.v, zi.row_ptr(t.r), xj.row_ptr(t.c), n);
-          if (t.r != t.c)
-            add_scaled_outer(panel, t.v, zi.row_ptr(t.c), xj.row_ptr(t.r), n);
-        }
-        for (std::size_t q = p; q < order.size(); ++q) {
-          const BlockRowView& vk = touching[order[q]];
-          // HKM symmetrization convention (the single place it is spelled
-          // out): W = Z^{-1} A_i X is not symmetric, the symmetrized HKM
-          // direction uses (W + W^T)/2, so M_ik = <A_k, (W + W^T)/2>. A_k
-          // is stored as upper triplets with the (c, r) mirror implicit,
-          // and both mirror entries read the *same* symmetrized quantity
-          // 0.5 * (W_rc + W_cr) — one fused accumulation weighted 2x for
-          // off-diagonal triplets.
-          double acc = 0.0;
-          for (const Triplet& t : vk.coeff->entries) {
-            const double sym = 0.5 * (panel(t.r, t.c) + panel(t.c, t.r));
-            acc += (t.r == t.c ? 1.0 : 2.0) * t.v * sym;
-          }
-          std::size_t r1 = local_[vi.row], r2 = local_[vk.row];
-          if (r1 > r2) std::swap(r1, r2);
-          schur(r1, r2) += acc;
-        }
-      }
+      if (views_[j].empty()) continue;
+      assembly_->add_block(j, zinv_[j], s.x[j], comps_[comp_of_[views_[j][0].row]].schur);
     }
-    // Mirror the computed upper triangles onto the lower.
-    for (SchurBlock& blk : comps_) {
-      Matrix& schur = blk.schur;
-      for (std::size_t r = 0; r < blk.size; ++r) {
-        const double* ur = schur.row_ptr(r);
-        for (std::size_t c = r + 1; c < blk.size; ++c) schur(c, r) = ur[c];
-      }
-    }
-  }
-
-  static void add_scaled_outer(Matrix& out, double v, const double* u,
-                               const double* w, std::size_t n) {
-    for (std::size_t a = 0; a < n; ++a) {
-      const double f = v * u[a];
-      if (f == 0.0) continue;
-      double* row = out.row_ptr(a);
-      for (std::size_t b = 0; b < n; ++b) row[b] += f * w[b];
-    }
+    for (SchurBlock& blk : comps_) add_transpose(blk.schur);
   }
 
   /// One predictor-corrector step. Returns nullptr on success, else the
@@ -596,7 +711,7 @@ class Ipm {
     SOSLOCK_FAULT_HOOK(util::fault_site::kIpmFactorization, { return "factor"; });
     util::Timer phase_timer;
     // Factor all Z and X blocks and form the explicit Z^{-1} (used by the
-    // Schur panels, the RHS assembly and the direction recovery — computing
+    // Schur assembly, the RHS assembly and the direction recovery — computing
     // it once per block per iteration replaces three rounds of per-column
     // triangular solves with GEMMs).
     for (std::size_t j = 0; j < nblocks_; ++j) {
@@ -878,8 +993,9 @@ class Ipm {
   /// Native decomposed cones: overlap couplings as virtual rows [m, m+q).
   /// Pointers into p_.cones() (stable: the problem outlives the solve).
   std::vector<const Row*> overlap_rows_;
-  /// Per block: indices into views_[j] sorted densest-first (Schur order).
-  std::vector<std::vector<std::size_t>> schur_order_;
+  /// Every block's entry map P and the assembly's scratch, built once
+  /// partition_schur has numbered the rows within their Schur blocks.
+  std::optional<SchurAssembly> assembly_;
   // The Schur complement as its diagonal blocks (partition_schur). Each
   // block's matrix and factor are per-solve storage, first allocated in the
   // first iteration and refactored in place after that; nothing m x m
@@ -896,7 +1012,6 @@ class Ipm {
   Residuals res_;
   std::vector<Cholesky> chol_x_, chol_z_;
   std::vector<Matrix> zinv_, corr_, dx_, dz_;
-  Matrix panel_;                      // Schur panel Z^{-1} A_i X of one row
   Matrix prod_;                       // Rd X + Corr, or dZ X + Corr, of one block
   Matrix ej_;                         // E_j of build_r1
   Matrix xa_, za_;                    // the predictor's trial X and Z of one block
@@ -951,6 +1066,20 @@ double psd_step_length(const std::vector<Matrix>& x, const std::vector<Cholesky>
     }
   }
   return alpha;
+}
+
+Matrix schur_complement(const Problem& problem, const std::vector<Matrix>& x,
+                        const std::vector<Matrix>& zinv) {
+  std::vector<std::vector<BlockRowView>> views =
+      build_block_row_views(problem, build_structure(problem));
+  append_overlap_views(problem, views);
+  std::vector<std::size_t> rows(problem.num_rows() + problem.num_overlaps());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  SchurAssembly assembly(problem, views, rows);
+  Matrix m(rows.size(), rows.size());
+  for (std::size_t j = 0; j < problem.num_blocks(); ++j) assembly.add_block(j, zinv[j], x[j], m);
+  add_transpose(m);
+  return m;
 }
 
 Solution IpmSolver::solve(const Problem& problem, SolveContext& context) const {

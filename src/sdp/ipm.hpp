@@ -74,4 +74,12 @@ double psd_step_length(const std::vector<linalg::Matrix>& x,
                        const std::vector<linalg::Matrix>& dx, double cap,
                        std::size_t& start, StepLengthWork& work);
 
+/// The IPM's HKM Schur complement M_ik = sum_j <A_ij, Z_j^{-1} A_kj X_j>
+/// at the iterate (X, Z^{-1}), dense over the extended rows (the problem's
+/// rows, then its decomposed cones' overlap couplings), assembled as a
+/// solve assembles it: per block, P^T (Z^{-1} ⊛ X) P over the block's Gram
+/// entries. The seam for checking that assembly against an oracle.
+linalg::Matrix schur_complement(const Problem& problem, const std::vector<linalg::Matrix>& x,
+                                const std::vector<linalg::Matrix>& zinv);
+
 }  // namespace soslock::sdp

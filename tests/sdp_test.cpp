@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -169,7 +170,41 @@ TEST(Ipm, DetectsPrimalInfeasible) {
   IpmOptions o = quiet();
   o.max_iterations = 80;
   const Solution sol = IpmSolver(o).solve(p);
-  EXPECT_NE(sol.status, SolveStatus::Optimal);
+  EXPECT_EQ(sol.status, SolveStatus::PrimalInfeasible);
+}
+
+// Infeasible by its first row, <D, X> = -1 with D positive diagonal; the
+// other rows put random Gram entries at random right-hand sides. Once ||y||
+// passes the infeasibility threshold, the dual residual of these iterates
+// is rounding noise proportional to ||y|| (seed 2, n = 3: rd_rel 1.9e-6 at
+// ||y|| = 4.4e10, so 4e-17 on the ray y / ||y||). A test of the residual
+// itself (rd_rel < 1e-6) then misses, and the solve runs on until it
+// stalls, diverges or collapses its step; the test on the ray, rd_rel <
+// 1e-6 ||y|| / 1e8, certifies every one of them.
+TEST(Ipm, DetectsPrimalInfeasibleWhenDualResidualGrowsWithY) {
+  IpmOptions o = quiet();
+  o.max_iterations = 80;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    for (const std::size_t n : {2, 3, 5}) {
+      util::Rng rng(seed);
+      Problem p;
+      const std::size_t b = p.add_block(n);
+      Row first;
+      for (std::size_t i = 0; i < n; ++i) first.blocks[b].add(i, i, rng.uniform(0.5, 2.0));
+      first.rhs = -1.0;
+      p.add_row(std::move(first));
+      for (std::size_t k = 0; k < n; ++k) {
+        Row row;
+        const auto r = static_cast<std::size_t>(rng.uniform(0.0, n - 0.001));
+        const auto c = static_cast<std::size_t>(rng.uniform(0.0, n - 0.001));
+        row.blocks[b].add(std::min(r, c), std::max(r, c), rng.uniform(-2.0, 2.0));
+        row.rhs = rng.uniform(-1.0, 1.0);
+        p.add_row(std::move(row));
+      }
+      const Solution sol = IpmSolver(o).solve(p);
+      EXPECT_EQ(sol.status, SolveStatus::PrimalInfeasible) << "seed " << seed << ", n " << n;
+    }
+  }
 }
 
 // A stalled solve returns its best iterate, but counts every Newton step it
