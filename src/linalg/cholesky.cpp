@@ -25,13 +25,14 @@ constexpr std::size_t kSolvePanel = 32;
 
 /// Factor `a` (plus `shift` on the diagonal) into `l`; returns false when a
 /// non-positive pivot appears. The strictly-upper part is zeroed on success.
-bool try_factor(const Matrix& a, double shift, Matrix& l) {
+/// `panel` as in factor_in_place.
+bool try_factor(const Matrix& a, double shift, Matrix& l, Vector* panel) {
   const std::size_t n = a.rows();
   l = a;
   if (shift != 0.0) {
     for (std::size_t i = 0; i < n; ++i) l(i, i) += shift;
   }
-  if (!factor_in_place(l)) return false;
+  if (!factor_in_place(l, panel)) return false;
   for (std::size_t r = 0; r < n; ++r) {
     double* lr = l.row_ptr(r);
     for (std::size_t c = r + 1; c < n; ++c) lr[c] = 0.0;
@@ -47,7 +48,7 @@ double diag_scale(const Matrix& a) {
 
 }  // namespace
 
-bool factor_in_place(Matrix& a) {
+bool factor_in_place(Matrix& a, Vector* panel) {
   // Blocked right-looking factorization: the factor is built in the lower
   // triangle of `a` itself.
   const std::size_t n = a.rows();
@@ -63,7 +64,12 @@ bool factor_in_place(Matrix& a) {
     // 3. Trailing syrk update A22 -= L21 * L21^T, lower triangle only.
     //    Vector tables may scribble on the dead strictly-upper cells of the
     //    trailing block.
-    kern.chol_trailing_update(n - t0, kb, a.row_ptr(t0) + k0, a.cols());
+    double* scratch = nullptr;
+    if (panel != nullptr && n > t0) {
+      if (panel->size() < kb * (n - t0)) panel->resize(kb * (n - t0));
+      scratch = panel->data();
+    }
+    kern.chol_trailing_update(n - t0, kb, a.row_ptr(t0) + k0, a.cols(), scratch);
   }
   return true;
 }
@@ -71,7 +77,7 @@ bool factor_in_place(Matrix& a) {
 std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
   assert(a.rows() == a.cols());
   Cholesky c;
-  if (!try_factor(a, 0.0, c.l_)) return std::nullopt;
+  if (!try_factor(a, 0.0, c.l_, nullptr)) return std::nullopt;
   return c;
 }
 
@@ -81,12 +87,13 @@ Cholesky Cholesky::factor_shifted(const Matrix& a, double initial_rel_shift) {
   return c;
 }
 
-void Cholesky::refactor_shifted(const Matrix& a, double initial_rel_shift, double scale) {
+void Cholesky::refactor_shifted(const Matrix& a, double initial_rel_shift, double scale,
+                                Vector* panel) {
   assert(a.rows() == a.cols());
   if (scale == 0.0) scale = diag_scale(a);
   double rel = initial_rel_shift;
   while (rel < 1e6) {
-    if (try_factor(a, rel * scale, l_)) {
+    if (try_factor(a, rel * scale, l_, panel)) {
       shift_ = rel * scale;
       if (rel != initial_rel_shift) util::log_trace("Cholesky: applied diagonal shift ", shift_);
       return;

@@ -23,8 +23,9 @@ class Cholesky {
   /// (the IPM refactors its Schur blocks every iteration). `scale` is the
   /// magnitude the relative shifts refer to; 0 means the largest |diagonal|
   /// of `a` (a diagonal block of a larger system passes the whole system's).
+  /// `panel` is the trailing updates' scratch (see factor_in_place).
   void refactor_shifted(const Matrix& a, double initial_rel_shift = 0.0,
-                        double scale = 0.0);
+                        double scale = 0.0, Vector* panel = nullptr);
 
   /// Solve A x = b.
   Vector solve(const Vector& b) const;
@@ -72,8 +73,11 @@ class Cholesky {
 /// every pivot is positive (`a` is numerically positive definite), with L
 /// in the lower triangle of `a` (the strict upper triangle is left
 /// unspecified); false at the first non-positive pivot, with `a` partly
-/// overwritten. It allocates nothing, so a caller that tests many matrices
-/// reuses one buffer.
-bool factor_in_place(Matrix& a);
+/// overwritten. Above one 48-wide panel the vector kernels' trailing
+/// updates need a scratch panel: `panel` is grown to the largest one on
+/// first use and reused after, so a caller that factors many matrices with
+/// one `panel` allocates nothing once it has seen the largest; null
+/// allocates per update.
+bool factor_in_place(Matrix& a, Vector* panel = nullptr);
 
 }  // namespace soslock::linalg

@@ -120,7 +120,7 @@ double s_dot_sub(double s, const double* a, const double* b, std::size_t n) {
 }
 
 void s_chol_trailing_update(std::size_t ntrail, std::size_t kb, double* base,
-                            std::size_t ld) {
+                            std::size_t ld, double* /*panel*/) {
   // One plain dot per lower-triangle element, subtracted once — the
   // historical trailing-syrk loop verbatim. Touches nothing above the
   // diagonal of the trailing block.

@@ -79,9 +79,10 @@ struct Kernels {
   /// GEMM) and MAY overwrite the dead strictly-upper cells (j > r) of the
   /// trailing block with unspecified values — the factorization zeroes the
   /// strict upper triangle on success, so only the lower triangle is
-  /// contractual.
+  /// contractual. `panel` is scratch for kb * ntrail doubles, or null: the
+  /// vector implementations then allocate their own for the call.
   void (*chol_trailing_update)(std::size_t ntrail, std::size_t kb, double* base,
-                               std::size_t ld);
+                               std::size_t ld, double* panel);
 
   /// One blocked-Cholesky panel round minus the trailing update: factor the
   /// kb x kb diagonal block in place (rows 0..kb of `block`, stride ldb,

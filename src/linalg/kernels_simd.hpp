@@ -342,15 +342,20 @@ inline void vgemm_acc(std::size_t m, std::size_t n, std::size_t kk, const double
 
 template <class V>
 inline void vchol_trailing_update(std::size_t ntrail, std::size_t kb, double* base,
-                                  std::size_t ld) {
+                                  std::size_t ld, double* panel) {
   if (ntrail == 0) return;
-  // Negate-and-transpose L21 into a dense kb x ntrail panel, then the
-  // trailing update is C += L21 * (-L21^T) — a plain register-tiled GEMM
-  // with no horizontal reductions, which is where the scalar row-dot
-  // formulation loses on short panel widths. Row blocks keep each GEMM
-  // rectangle inside (or just above) the lower triangle; the spill-over
-  // cells are strictly upper and contractually dead.
-  std::vector<double> w(kb * ntrail);
+  // Negate-and-transpose L21 into a dense kb x ntrail panel (the caller's,
+  // or one of our own), then the trailing update is C += L21 * (-L21^T) — a
+  // plain register-tiled GEMM with no horizontal reductions, which is where
+  // the scalar row-dot formulation loses on short panel widths. Row blocks
+  // keep each GEMM rectangle inside (or just above) the lower triangle; the
+  // spill-over cells are strictly upper and contractually dead.
+  std::vector<double> own;
+  if (panel == nullptr) {
+    own.resize(kb * ntrail);
+    panel = own.data();
+  }
+  double* w = panel;
   for (std::size_t t = 0; t < ntrail; ++t) {
     const double* pt = base + t * ld;
     for (std::size_t a = 0; a < kb; ++a) w[a * ntrail + t] = -pt[a];
@@ -359,7 +364,7 @@ inline void vchol_trailing_update(std::size_t ntrail, std::size_t kb, double* ba
   constexpr std::size_t kRb = 64;
   for (std::size_t r0 = 0; r0 < ntrail; r0 += kRb) {
     const std::size_t nb = std::min(kRb, ntrail - r0);
-    vgemm_acc<V>(nb, r0 + nb, kb, base + r0 * ld, ld, w.data(), ntrail, c + r0 * ld, ld);
+    vgemm_acc<V>(nb, r0 + nb, kb, base + r0 * ld, ld, w, ntrail, c + r0 * ld, ld);
   }
 }
 

@@ -71,7 +71,7 @@ linalg::Matrix averaged_state_matrix(const LoopConstants& k);
 // in-tree input whose Lyapunov correlative-sparsity graph is genuinely
 // non-complete (ROADMAP "Sparse-model workloads"): a clique-structured
 // certificate template splits the Gram blocks, and the coupling pattern
-// drives the native decomposed-cone benches.
+// drives the chordal-lowering benches.
 struct ClockTreeOptions {
   std::size_t loops = 3;
   double coupling = 0.3;    // leaf <-> rail coupling strength
@@ -94,10 +94,10 @@ struct ClockTreeOptions {
   /// cluster's filter nodes form a complete subgraph whose only tie to the
   /// rest of the tree is the rail. That shape matters for the decomposed
   /// solvers: a chain's consecutive cliques share all but one vertex
-  /// (separator size ~2*hops+1, overlap couplings quadratic in the clique
-  /// size), while clusters share exactly the rail (one overlap entry per
+  /// (separator size ~2*hops+1, overlap rows quadratic in the clique
+  /// size), while clusters share exactly the rail (one overlap row per
   /// clique-tree edge) — large per-clique eigenwork at near-constant
-  /// consensus cost (the clock_tree benchmark workload).
+  /// overlap cost (the clock_tree benchmark workload).
   std::size_t cluster = 0;
 };
 

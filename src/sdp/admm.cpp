@@ -11,7 +11,6 @@
 #include "linalg/eigen_sym.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
-#include "sdp/elimination.hpp"
 #include "sdp/structure.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
@@ -95,15 +94,13 @@ class AdmmEngine {
   Solution run();
 
  private:
-  /// Factor the iteration-invariant normal matrix M = A A* + B B' (with the
-  /// overlap corner block-eliminated so the dense factor stays m x m).
+  /// Factor the iteration-invariant normal matrix M = A A* + B B'.
   void setup_normal();
   /// Warm or cold initial (x_, s_, y_, w_) plus the invariant rhs0_.
   void init_state();
 
-  /// y-update: M y = (b - A(X) - B w)/rho + A(C - S) + B f over the joint
-  /// (rows, consensus multipliers) space, through the cached factors, into
-  /// y's storage (mext_ entries).
+  /// y-update: M y = (b - A(X) - B w)/rho + A(C - S) + B f through the
+  /// cached factor, into y's storage.
   void solve_y(const std::vector<linalg::Matrix>& x, const std::vector<linalg::Matrix>& s,
                const linalg::Vector& w, double rho, linalg::Vector& y) const;
   /// Eigensplit storage of one block of size >= 3: U and the eigensolver's
@@ -122,7 +119,7 @@ class AdmmEngine {
   /// w-update (multiplier ascent on B'y = f, over-relaxed step); returns the
   /// free-variable dual residual.
   double update_w(const linalg::Vector& y, linalg::Vector& w, double rho) const;
-  /// max_i |b_i - A_i(X) - B_i w| over real and overlap rows (unscaled).
+  /// max_i |b_i - A_i(X) - B_i w| (unscaled).
   double primal_residual_inf(const std::vector<linalg::Matrix>& x,
                              const linalg::Vector& w) const;
   double primal_objective(const std::vector<linalg::Matrix>& x,
@@ -158,25 +155,17 @@ class AdmmEngine {
                              const std::vector<linalg::Matrix>& s,
                              const linalg::Vector& y, const linalg::Vector& w);
 
-  /// Row access across the extended index space (real rows, then overlaps).
-  const Row& row_at(std::size_t i) const {
-    return i < m_ ? p_.rows()[i] : *overlap_rows_[i - m_];
-  }
-  double rhs_at(std::size_t i) const { return i < m_ ? p_.rhs(i) : 0.0; }
-
   const Problem& p_;
   const AdmmOptions& opt_;
   SolveContext& ctx_;
   util::ThreadPool pool_;  // projection fan-out (AdmmSolver's threads)
   PhaseTimes phase_;
   std::vector<std::vector<BlockRowView>> views_;
-  std::vector<const Row*> overlap_rows_;  // native-cone couplings, rows [m, m+q)
-  std::optional<linalg::Cholesky> chol_m_;  // reduced Nyy - W^T W (m x m)
-  OverlapElimination elim_;                 // overlap-corner factors (q > 0 only)
+  std::optional<linalg::Cholesky> chol_m_;  // the normal matrix's factor (m x m)
   std::vector<linalg::Matrix> x_, s_;
   std::vector<SplitScratch> split_;  // per-block scratch (blocks of size >= 3)
   linalg::Vector y_, w_, rhs0_;
-  std::size_t m_ = 0, q_ = 0, mext_ = 0, nf_ = 0, nblocks_ = 0, total_dim_ = 0;
+  std::size_t m_ = 0, nf_ = 0, nblocks_ = 0, total_dim_ = 0;
   double data_norm_ = 1.0, c_norm_ = 1.0;
   double rho_ = 1.0;
   /// Phase the watchdog blamed for a ControlAction::Diverged ("gap",
@@ -201,15 +190,6 @@ AdmmEngine::AdmmEngine(const Problem& p, const AdmmOptions& opt, std::size_t thr
     if (n > 2) split_[j] = {Matrix(n, n), linalg::EigenWork(n)};
   }
   views_ = build_block_row_views(p_, structure);
-  // Native decomposed cones: overlap couplings join the dual update as
-  // virtual rows [m, m+q) with consensus multipliers of their own. Their
-  // (q x q) corner of the normal matrix is block-eliminated at setup, so
-  // the per-iteration factorized system stays m x m; the per-clique PSD
-  // projections are untouched — each clique block projects independently
-  // and the multipliers price separator agreement.
-  overlap_rows_ = append_overlap_views(p_, views_);
-  q_ = overlap_rows_.size();
-  mext_ = m_ + q_;
   data_norm_ = 1.0;
   for (std::size_t i = 0; i < m_; ++i) data_norm_ = std::max(data_norm_, std::fabs(p_.rhs(i)));
   c_norm_ = 1.0;
@@ -220,15 +200,10 @@ AdmmEngine::AdmmEngine(const Problem& p, const AdmmOptions& opt, std::size_t thr
 
 void AdmmEngine::setup_normal() {
   // The y-update normal matrix M = A A* + B B' is iteration-independent:
-  // factor it once. M_ik = sum_j <A_ij, A_kj> + sum_v B_iv B_kv. With
-  // native cones the overlap couplings extend it to (m+q); the overlap
-  // corner is block-eliminated here — factor Q and the reduced
-  // Nyy - Nyl Q^{-1} Nly — so every later y-update solves the joint
-  // (rows, consensus multipliers) system through two fixed factors of
-  // dimension m and q instead of one of dimension m+q.
+  // factor it once. M_ik = sum_j <A_ij, A_kj> + sum_v B_iv B_kv.
   const util::Timer setup_timer;
-  if (mext_ > 0) {
-    Matrix normal(mext_, mext_);
+  if (m_ > 0) {
+    Matrix normal(m_, m_);
     for (std::size_t j = 0; j < nblocks_; ++j) {
       const auto& touching = views_[j];
       for (std::size_t a = 0; a < touching.size(); ++a) {
@@ -252,16 +227,7 @@ void AdmmEngine::setup_normal() {
         }
       }
     }
-    if (q_ == 0) {
-      if (m_ > 0) chol_m_.emplace(Cholesky::factor_shifted(normal, 1e-12));
-    } else {
-      // Same flop-neutral elimination shape as the IPM's Schur step; here
-      // the normal matrix is iteration-invariant, so it runs once.
-      Matrix reduced, corner;
-      Vector acc;
-      elim_.reduce(normal, m_, q_, 1e-12, 0.0, reduced, corner, acc);
-      if (m_ > 0) chol_m_.emplace(Cholesky::factor_shifted(reduced, 1e-12));
-    }
+    chol_m_.emplace(Cholesky::factor_shifted(normal, 1e-12));
   }
   phase_.factor += setup_timer.seconds();
 }
@@ -274,7 +240,6 @@ void AdmmEngine::init_state() {
     x_ = ws->x;
     s_ = ws->z;
     y_ = ws->y;
-    y_.resize(mext_, 0.0);  // consensus multipliers restart at zero
     w_ = ws->w;
     for (std::size_t j = 0; j < nblocks_; ++j) {
       x_[j].symmetrize();
@@ -307,14 +272,14 @@ void AdmmEngine::init_state() {
       x_.push_back(std::move(xj));
       s_.push_back(std::move(sj));
     }
-    y_.assign(mext_, 0.0);
+    y_.assign(m_, 0.0);
     w_.assign(nf_, 0.0);
   }
 
   // Iteration-invariant part of the y-update rhs: A_i(C) + B_i'f.
-  rhs0_.assign(mext_, 0.0);
-  for (std::size_t i = 0; i < mext_; ++i) {
-    const Row& row = row_at(i);
+  rhs0_.assign(m_, 0.0);
+  for (std::size_t i = 0; i < m_; ++i) {
+    const Row& row = p_.rows()[i];
     for (const auto& [j, a] : row.blocks) rhs0_[i] += a.dot(p_.block_objective(j));
     for (const auto& [v, c] : row.free_coeffs) rhs0_[i] += c * p_.free_objective()[v];
   }
@@ -323,12 +288,12 @@ void AdmmEngine::init_state() {
 void AdmmEngine::solve_y(const std::vector<Matrix>& x, const std::vector<Matrix>& s,
                          const Vector& w, double rho, Vector& y) const {
   // Right-hand side first, into y's storage.
-  for (std::size_t i = 0; i < mext_; ++i) {
-    const Row& row = row_at(i);
+  for (std::size_t i = 0; i < m_; ++i) {
+    const Row& row = p_.rows()[i];
     double ax = 0.0;
     for (const auto& [j, a] : row.blocks) ax += a.dot(x[j]);
     for (const auto& [v, c] : row.free_coeffs) ax += c * w[v];
-    y[i] = (rhs_at(i) - ax) / rho + rhs0_[i];
+    y[i] = (row.rhs - ax) / rho + rhs0_[i];
     for (const auto& [j, a] : row.blocks) y[i] -= a.dot(s[j]);
   }
   // Injected iterate poisoning: a NaN here flows into y and from there into
@@ -336,16 +301,10 @@ void AdmmEngine::solve_y(const std::vector<Matrix>& x, const std::vector<Matrix>
   SOSLOCK_FAULT_HOOK(util::fault_site::kIterateNan, {
     if (!y.empty()) y[0] = std::numeric_limits<double>::quiet_NaN();
   });
-  // Two-stage elimination solve in place — algebraically the joint (m+q)
-  // normal system, through the cached factors: the overlap tail of y becomes
-  // the consensus multipliers, its head the row multipliers.
-  double* ra = y.data();
-  if (q_ > 0) elim_.fold_rhs(ra + m_, ra);
   if (m_ > 0) {
-    chol_m_->solve_lower_in_place(ra);
-    chol_m_->solve_lower_transposed_in_place(ra);
+    chol_m_->solve_lower_in_place(y.data());
+    chol_m_->solve_lower_transposed_in_place(y.data());
   }
-  if (q_ > 0) elim_.multipliers(ra + m_, ra);
 }
 
 double AdmmEngine::project_block(std::size_t j, const Vector& y, double rho, Matrix& x_j,
@@ -405,15 +364,12 @@ double AdmmEngine::update_w(const Vector& y, Vector& w, double rho) const {
 }
 
 double AdmmEngine::primal_residual_inf(const std::vector<Matrix>& x, const Vector& w) const {
-  // Overlap couplings count as primal feasibility: the iterate is only
-  // feasible when the clique copies agree on their separators.
   double pres = 0.0;
-  for (std::size_t i = 0; i < mext_; ++i) {
-    const Row& row = row_at(i);
+  for (const Row& row : p_.rows()) {
     double ax = 0.0;
     for (const auto& [j, a] : row.blocks) ax += a.dot(x[j]);
     for (const auto& [v, c] : row.free_coeffs) ax += c * w[v];
-    pres = std::max(pres, std::fabs(rhs_at(i) - ax));
+    pres = std::max(pres, std::fabs(row.rhs - ax));
   }
   return pres;
 }
@@ -435,8 +391,7 @@ void AdmmEngine::fill(Solution& out, const std::vector<Matrix>& x,
                       double pres, double dres, double gap) const {
   out.x = x;
   out.z = s;
-  // Consensus multipliers are internal state: only row multipliers leave.
-  out.y.assign(y.begin(), y.begin() + static_cast<std::ptrdiff_t>(m_));
+  out.y = y;
   out.w = w;
   out.primal_objective = primal_objective(x, w);
   out.dual_objective = dual_objective(y);
@@ -639,9 +594,6 @@ Solution AdmmEngine::run() {
   // budget ran out), also when the iterate returned is an earlier one.
   sol.iterations = action == ControlAction::Continue ? iter : iter + 1;
   sol.phase = phase_;
-  // Dimension of the dense cached normal factor: overlap couplings are
-  // block-eliminated, so it is the row count with or without cones.
-  sol.schur_rows = m_;
   return sol;
 }
 

@@ -16,7 +16,7 @@ using linalg::Matrix;
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 /// Skip the decomposition of a block when the largest clique still covers
-/// more than this fraction of it (nothing to win, couplings to lose).
+/// more than this fraction of it (nothing to win, overlap rows to lose).
 constexpr double kMaxCliqueFraction = 0.9;
 
 /// Moore–Penrose pseudo-inverse of a (nearly) PSD matrix via the symmetric
@@ -211,23 +211,12 @@ ChordalMap apply_decomposition(Problem& p, const ConversionPlan& conversion) {
     conv.add_row(std::move(nr));
   }
 
-  // Overlap-consistency couplings: along each clique-tree edge, tie every
-  // shared entry of the child to the parent's copy. The RIP guarantees
-  // tree-edge ties chain every copy of an entry together. They ride on a
-  // DecomposedCone descriptor and never enter the row set — the backends
-  // enforce them with block-eliminated multiplier terms.
-  std::size_t overlap_count = 0;
+  // Overlap-consistency rows after the original ones: along each
+  // clique-tree edge, tie every shared entry of the child to the parent's
+  // copy with a zero-rhs equality row. The RIP guarantees tree-edge ties
+  // chain every copy of an entry together.
   for (const BlockPlan& plan : map.plans) {
     const BlockEntryIndex& idx = indices[plan.original_block];
-    DecomposedCone cone;
-    cone.original_size = plan.original_size;
-    for (std::size_t k = 0; k < plan.forest.cliques.size(); ++k) {
-      CliqueInfo info;
-      info.vertices = plan.forest.cliques[k];
-      info.block = plan.converted_block[k];
-      info.parent = plan.forest.parent[k];
-      cone.cliques.push_back(std::move(info));
-    }
     for (std::size_t k = 0; k < plan.forest.cliques.size(); ++k) {
       const std::size_t parent = plan.forest.parent[k];
       if (parent == k) continue;
@@ -245,22 +234,17 @@ ChordalMap apply_decomposition(Problem& p, const ConversionPlan& conversion) {
           Row orow;
           orow.label = "chordal.ov.b" + std::to_string(plan.original_block) + ".c" +
                        std::to_string(k);
-          SparseSym child;
-          child.add(sep[a].first, sep[b].first, w);
-          SparseSym par;
-          par.add(sep[a].second, sep[b].second, -w);
-          orow.blocks[plan.converted_block[k]] = std::move(child);
-          orow.blocks[plan.converted_block[parent]] = std::move(par);
-          cone.overlaps.push_back(std::move(orow));
-          ++overlap_count;
+          orow.blocks[plan.converted_block[k]].add(sep[a].first, sep[b].first, w);
+          orow.blocks[plan.converted_block[parent]].add(sep[a].second, sep[b].second, -w);
+          conv.add_row(std::move(orow));
         }
       }
     }
-    conv.add_cone(std::move(cone));
   }
 
   util::log_debug("chordal: decomposed ", map.plans.size(), " block(s), max clique ",
-                  map.max_clique_size(), ", ", overlap_count, " native overlap couplings");
+                  map.max_clique_size(), ", ", conv.num_rows() - map.original_rows,
+                  " overlap rows");
   p = std::move(conv);
   return map;
 }

@@ -10,9 +10,10 @@
 //
 // so the conversion replaces the size-n block by K clique-sized blocks,
 // re-targets every data entry at its canonical clique, and ties the copies
-// of entries shared along the clique tree. The tie is registered as a
-// sdp::DecomposedCone: overlap couplings become backend multiplier terms,
-// block-eliminated from the factored Schur/normal system.
+// of entries shared along the clique tree with zero-rhs equality rows
+// appended after the original ones (Vandenberghe & Andersen 2015, §4).
+// The backends see a plain block SDP; the clique tree itself lives in the
+// returned ChordalMap.
 //
 // Scope note: a Gram block emitted by the SOS compiler always has a
 // *complete* aggregate pattern (every entry pair b_r*b_c is matched by a
@@ -101,9 +102,10 @@ struct ConversionPlan {
 };
 ConversionPlan plan_decomposition(const Problem& p, const ChordalOptions& options);
 
-/// Emission half (the "lower" pass): rewrite `p` along `plan`. The
-/// overlap-consistency constraints are registered as native DecomposedCone
-/// couplings, so the row count is unchanged. A plan with nothing to split
+/// Emission half (the "lower" pass): rewrite `p` along `plan`. The original
+/// rows keep their indices [0, map.original_rows); one zero-rhs overlap row
+/// per shared separator entry of each clique-tree edge follows them, tying
+/// the child's copy (+w) to the parent's (-w). A plan with nothing to split
 /// leaves `p` untouched and returns the identity map.
 ChordalMap apply_decomposition(Problem& p, const ConversionPlan& plan);
 

@@ -12,7 +12,6 @@
 #include "linalg/cholesky.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/kernels.hpp"
-#include "sdp/elimination.hpp"
 #include "sdp/structure.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
@@ -29,14 +28,10 @@ constexpr double kStepFraction = 0.98;            // of the distance to the boun
 constexpr double kFreeVarRegularization = 1e-10;  // delta on the free-var Schur block
 constexpr double kInfeasibilityThreshold = 1e8;   // ||y|| blowup => infeasibility cert
 
-/// Per-iteration state of the IPM. With native decomposed cones, y is
-/// extended: entries [0, m) are the equality-row multipliers and entries
-/// [m, m+q) are the overlap-coupling multipliers (ALM-style: they accumulate
-/// Newton corrections every iteration and are the dual price of clique-copy
-/// consistency). Only the first m entries leave the solver.
+/// Per-iteration state of the IPM.
 struct State {
   std::vector<Matrix> x, z;  // PSD primal blocks and dual slacks
-  Vector y;                  // equality + overlap multipliers (m + q)
+  Vector y;                  // equality multipliers
   Vector w;                  // free variables
 };
 
@@ -86,24 +81,17 @@ double max_step(const Cholesky& chol_x, const Matrix& dx, double cap,
 
 /// One dense diagonal block of the Schur complement: a connected component
 /// of the row-coupling graph, where two rows are adjacent when they touch a
-/// common PSD block (overlap couplings included). Rows of different
-/// components meet only through the free-variable border B, so M is
-/// block-diagonal and every factor and solve runs per block. The block's
-/// rows sit at [offset, offset + size) of the permuted work order, ascending
-/// by extended index, so its real rows [0, nreal) precede its overlap rows.
+/// common PSD block. Rows of different components meet only through the
+/// free-variable border B, so M is block-diagonal and every factor and solve
+/// runs per block. The block's rows sit at [offset, offset + size) of the
+/// permuted work order, ascending by row index.
 struct SchurBlock {
-  std::size_t offset = 0, size = 0, nreal = 0;
-  Matrix schur;              // extended block (size x size), reassembled per iteration
-  OverlapElimination elim;   // its overlap corner (size > nreal only)
-  Matrix reduced;            // real-row block after the elimination (size > nreal only)
-  Cholesky chol;             // factor of the real-row block (nreal x nreal)
-  Matrix corner;             // the elimination's copy of Q (size > nreal only)
-  Matrix bfree;              // its rows of B (nreal x nf); empty when they are all zero
+  std::size_t offset = 0, size = 0;
+  Matrix schur;              // the block (size x size), reassembled per iteration
+  Cholesky chol;             // its factor
+  Matrix bfree;              // its rows of B (size x nf); empty when they are all zero
   Matrix vfree;              // L^{-1} bfree, per iteration
-  Matrix vfree_t;            // its transpose (nf x nreal)
-
-  std::size_t overlaps() const { return size - nreal; }
-  const Matrix& factored() const { return overlaps() > 0 ? reduced : schur; }
+  Matrix vfree_t;            // its transpose (nf x size)
 };
 
 /// Index of the upper entry (a, b), a <= b, in the packed row-major upper
@@ -156,8 +144,7 @@ void add_transpose(Matrix& m) {
 /// scratch of add_block, sized for the largest block.
 class SchurAssembly {
  public:
-  /// `target` maps an extended row to its index in the matrix the assembly
-  /// adds into.
+  /// `target` maps a row to its index in the matrix the assembly adds into.
   SchurAssembly(const Problem& p, const std::vector<std::vector<BlockRowView>>& views,
                 const std::vector<std::size_t>& target) {
     const std::size_t nb = p.num_blocks();
@@ -308,15 +295,6 @@ class Ipm {
     // this problem instance) but reuse the cached pattern, so the hot loops
     // below never consult the per-row std::map.
     views_ = build_block_row_views(p_, *structure_);
-    // Native decomposed cones: their overlap couplings enter the iteration
-    // as *virtual rows* with indices [m, m+q) — they share all the residual
-    // and Schur-assembly machinery of real rows — but they are never part of
-    // the factored Schur complement: step() block-eliminates their corner
-    // of each Schur block, so the factors hold real rows only and the
-    // overlap multipliers update ALM-style alongside the Newton step.
-    overlap_rows_ = append_overlap_views(p_, views_);
-    q_ = overlap_rows_.size();
-    mext_ = m_ + q_;
     partition_schur();
     // Each block's entry map P, at its rows' indices within their Schur
     // block (all rows of a PSD block lie in one Schur block).
@@ -333,7 +311,7 @@ class Ipm {
     for (std::size_t i = 0; i < m_; ++i) {
       if (p_.rows()[i].free_coeffs.empty()) continue;
       SchurBlock& c = comps_[comp_of_[i]];
-      if (c.bfree.empty()) c.bfree = Matrix(c.nreal, nf_);
+      if (c.bfree.empty()) c.bfree = Matrix(c.size, nf_);
       for (const auto& [v, coef] : p_.rows()[i].free_coeffs) c.bfree(local_[i], v) = coef;
     }
     // Per-solve storage of step(). The per-block matrices, factors, Schur
@@ -355,11 +333,6 @@ class Ipm {
   Solution run() {
     Solution sol = run_inner();
     sol.phase = phase_;
-    // The Schur factors never contain overlap couplings: their real rows sum
-    // to m over the blocks, with or without decomposed cones. (Overlap
-    // couplings lowered as equality rows would pay for them here — the
-    // geometry this telemetry compares.)
-    sol.schur_rows = m_;
     return sol;
   }
 
@@ -511,7 +484,7 @@ class Ipm {
       s.x.push_back(std::move(xj));
       s.z.push_back(std::move(zj));
     }
-    s.y.assign(mext_, 0.0);
+    s.y.assign(m_, 0.0);
     s.w.assign(nf_, 0.0);
     return s;
   }
@@ -527,10 +500,6 @@ class Ipm {
     s.x = ws.x;
     s.z = ws.z;
     s.y = ws.y;  // sizes guaranteed by WarmStart::fits at the call site
-    // Overlap multipliers are backend-internal state (their count depends on
-    // this lowering's clique layout, which the blob deliberately does not
-    // encode): restart them at zero.
-    s.y.resize(mext_, 0.0);
     s.w = ws.w;
     for (std::size_t j = 0; j < nblocks_; ++j) {
       const std::size_t n = p_.block_size(j);
@@ -574,7 +543,7 @@ class Ipm {
     return std::fabs(pobj - dobj) / (1.0 + std::fabs(pobj) + std::fabs(dobj));
   }
 
-  /// Split the extended rows [0, m+q) into the Schur blocks: union-find over
+  /// Split the rows [0, m) into the Schur blocks: union-find over
   /// views_, O(sum of rows per PSD block). Roots are always the smallest
   /// index of their set, so blocks come out ordered by their first row, and
   /// a connected problem is one block in the identity order (exactly the
@@ -582,7 +551,7 @@ class Ipm {
   /// blocks of zero diagonal; the global shift scale in step() gives them
   /// the pivot the dense factor did.
   void partition_schur() {
-    std::vector<std::size_t> parent(mext_);
+    std::vector<std::size_t> parent(m_);
     std::iota(parent.begin(), parent.end(), std::size_t{0});
     auto find = [&parent](std::size_t r) {
       while (parent[r] != r) r = parent[r] = parent[parent[r]];
@@ -594,8 +563,8 @@ class Ipm {
         if (r0 != r1) parent[std::max(r0, r1)] = std::min(r0, r1);
       }
     }
-    comp_of_.assign(mext_, 0);
-    for (std::size_t r = 0; r < mext_; ++r) {
+    comp_of_.assign(m_, 0);
+    for (std::size_t r = 0; r < m_; ++r) {
       const std::size_t root = find(r);
       if (root == r) {
         comp_of_[r] = comps_.size();
@@ -603,9 +572,7 @@ class Ipm {
       } else {
         comp_of_[r] = comp_of_[root];
       }
-      SchurBlock& c = comps_[comp_of_[r]];
-      ++c.size;
-      if (r < m_) ++c.nreal;
+      ++comps_[comp_of_[r]].size;
     }
     std::size_t offset = 0, largest = 0;
     for (SchurBlock& c : comps_) {
@@ -613,37 +580,28 @@ class Ipm {
       offset += c.size;
       largest = std::max(largest, c.size);
     }
-    perm_.resize(mext_);
-    local_.resize(mext_);
+    perm_.resize(m_);
+    local_.resize(m_);
     std::vector<std::size_t> fill(comps_.size(), 0);
-    for (std::size_t r = 0; r < mext_; ++r) {
+    for (std::size_t r = 0; r < m_; ++r) {
       const std::size_t k = comp_of_[r];
       local_[r] = fill[k]++;
       perm_[comps_[k].offset + local_[r]] = r;
     }
-    work_.assign(mext_, 0.0);
-    util::log_debug("ipm: Schur complement of ", mext_, " rows in ", comps_.size(),
+    work_.assign(m_, 0.0);
+    util::log_debug("ipm: Schur complement of ", m_, " rows in ", comps_.size(),
                     " blocks, largest ", largest);
   }
 
-  /// Row access across the extended index space (real rows, then overlaps).
-  const Row& row_at(std::size_t i) const {
-    return i < m_ ? p_.rows()[i] : *overlap_rows_[i - m_];
-  }
-  double rhs_at(std::size_t i) const { return i < m_ ? p_.rhs(i) : 0.0; }
-
   /// This iteration's residuals into `r` (res_, reusing its storage).
   void residuals(const State& s, Residuals& r) const {
-    // Overlap couplings are primal feasibility too: rp's tail [m, m+q) is
-    // the clique-copy consistency gap, so rp_rel only reaches tolerance
-    // when the decomposed cone agrees on its separators.
-    r.rp.assign(mext_, 0.0);
-    for (std::size_t i = 0; i < mext_; ++i) {
-      const Row& row = row_at(i);
+    r.rp.assign(m_, 0.0);
+    for (std::size_t i = 0; i < m_; ++i) {
+      const Row& row = p_.rows()[i];
       double ax = 0.0;
       for (const auto& [j, a] : row.blocks) ax += a.dot(s.x[j]);
       for (const auto& [v, c] : row.free_coeffs) ax += c * s.w[v];
-      r.rp[i] = rhs_at(i) - ax;
+      r.rp[i] = row.rhs - ax;
     }
     double rd_norm = 0.0;
     for (std::size_t j = 0; j < nblocks_; ++j) {
@@ -715,14 +673,13 @@ class Ipm {
     // it once per block per iteration replaces three rounds of per-column
     // triangular solves with GEMMs).
     for (std::size_t j = 0; j < nblocks_; ++j) {
-      chol_z_[j].refactor_shifted(s.z[j]);
-      chol_x_[j].refactor_shifted(s.x[j]);
+      chol_z_[j].refactor_shifted(s.z[j], 0.0, 0.0, &panel_);
+      chol_x_[j].refactor_shifted(s.x[j], 0.0, 0.0, &panel_);
       chol_z_[j].inverse(zinv_[j]);
     }
     phase_.factor += phase_timer.seconds();
 
-    // Assemble the Schur complement M_ik = sum_j <A_ij, Z_j^{-1} A_kj X_j>
-    // over the extended index space (real rows, then overlap couplings),
+    // Assemble the Schur complement M_ik = sum_j <A_ij, Z_j^{-1} A_kj X_j>,
     // block by block.
     phase_timer.reset();
     for (SchurBlock& c : comps_) {
@@ -735,32 +692,18 @@ class Ipm {
     assemble_schur(s);
     phase_.schur += phase_timer.seconds();
 
-    // Overlap multipliers are block-eliminated per Schur block, never
-    // factored with the rows (OverlapElimination): the flop count telescopes
-    // to exactly the extended factorization, and the elimination is
-    // algebraically the full solve — native cones take the same Newton step
-    // as overlap equality rows would, at the original Schur geometry. Q is
-    // PD whenever the iterate is interior (a congruence of the PD HKM
-    // operator with the linearly independent overlap difference maps). Every
-    // shift ladder starts at 1e-13 of the whole system's largest diagonal —
-    // the dense factor's scale — not of its own block's: a free-only row's
-    // zero 1x1 block would otherwise get a 1e-13 pivot. Factors refactor
-    // into the solve's own storage, like the Schur blocks themselves.
+    // Every shift ladder starts at 1e-13 of the whole system's largest
+    // diagonal — the dense factor's scale — not of its own block's: a
+    // free-only row's zero 1x1 block would otherwise get a 1e-13 pivot.
+    // Factors refactor into the solve's own storage, like the Schur blocks
+    // themselves.
     phase_timer.reset();
-    double corner_scale = 0.0, scale = 0.0;
+    double scale = 0.0;
     for (const SchurBlock& c : comps_) {
-      for (std::size_t d = c.nreal; d < c.size; ++d)
-        corner_scale = std::max(corner_scale, std::fabs(c.schur(d, d)));
+      for (std::size_t d = 0; d < c.size; ++d)
+        scale = std::max(scale, std::fabs(c.schur(d, d)));
     }
-    for (SchurBlock& c : comps_) {
-      if (c.overlaps() > 0)
-        c.elim.reduce(c.schur, c.nreal, c.overlaps(), 1e-13, corner_scale, c.reduced,
-                      c.corner, acc_);
-      const Matrix& a = c.factored();
-      for (std::size_t d = 0; d < c.nreal; ++d)
-        scale = std::max(scale, std::fabs(a(d, d)));
-    }
-    for (SchurBlock& c : comps_) c.chol.refactor_shifted(c.factored(), 1e-13, scale);
+    for (SchurBlock& c : comps_) c.chol.refactor_shifted(c.schur, 1e-13, scale, &panel_);
 
     // Free variables (B, m x nf) by block elimination through the half
     // solve V = L^{-1} B, per Schur block with nonzero B rows: S = sum V^T V
@@ -774,32 +717,28 @@ class Ipm {
         c.vfree = c.bfree;
         c.chol.solve_lower_in_place(c.vfree, acc_);
         transpose_into(c.vfree, c.vfree_t);
-        kern.gemm_acc(nf_, nf_, c.nreal, c.vfree_t.data(), c.vfree_t.cols(),
+        kern.gemm_acc(nf_, nf_, c.size, c.vfree_t.data(), c.vfree_t.cols(),
                       c.vfree.data(), nf_, s_free_.data(), nf_);
       }
       for (std::size_t v = 0; v < nf_; ++v) s_free_(v, v) += kFreeVarRegularization;
-      chol_s_.refactor_shifted(s_free_, 1e-13);
+      chol_s_.refactor_shifted(s_free_, 1e-13, 0.0, &panel_);
     }
     phase_.factor += phase_timer.seconds();
 
     // One pass of the block-eliminated KKT solve, in the permuted work
-    // vector so every block's rows are one contiguous span. r1 spans the
-    // extended row space [rows; overlaps]; the returned dy does too (its
-    // overlap entries are the multiplier correction dλ = Q^{-1}(rb - U^T
-    // dy_rows), via the elimination's two-stage solve). With free
-    // variables, h = L^{-1} ra, dw = S^{-1}(V^T h - r2) and
+    // vector so every block's rows are one contiguous span. With free
+    // variables, h = L^{-1} r1, dw = S^{-1}(V^T h - r2) and
     // dy = L^{-T}(h - V dw): one forward and one backward vector solve per
     // block either way.
     auto solve_kkt_once = [&](const Vector& r1, const Vector& r2, Vector& dy, Vector& dw) {
       double* work = work_.data();
-      for (std::size_t p = 0; p < mext_; ++p) work[p] = r1[perm_[p]];
+      for (std::size_t p = 0; p < m_; ++p) work[p] = r1[perm_[p]];
       vth_.assign(nf_, 0.0);
       for (const SchurBlock& c : comps_) {
         double* h = work + c.offset;
-        if (c.overlaps() > 0) c.elim.fold_rhs(h + c.nreal, h);
         c.chol.solve_lower_in_place(h);
         if (c.bfree.empty()) continue;
-        for (std::size_t i = 0; i < c.nreal; ++i)
+        for (std::size_t i = 0; i < c.size; ++i)
           if (h[i] != 0.0) kern.axpy(h[i], c.vfree.row_ptr(i), vth_.data(), nf_);
       }
       if (nf_ == 0) {
@@ -813,26 +752,23 @@ class Ipm {
       for (const SchurBlock& c : comps_) {
         double* h = work + c.offset;
         if (!c.bfree.empty()) {
-          for (std::size_t i = 0; i < c.nreal; ++i)
+          for (std::size_t i = 0; i < c.size; ++i)
             h[i] -= kern.dot(c.vfree.row_ptr(i), dw.data(), nf_);
         }
         c.chol.solve_lower_transposed_in_place(h);
-        if (c.overlaps() > 0) c.elim.multipliers(h + c.nreal, h);
       }
-      dy.resize(mext_);
-      for (std::size_t p = 0; p < mext_; ++p) dy[perm_[p]] = work[p];
+      dy.resize(m_);
+      for (std::size_t p = 0; p < m_; ++p) dy[perm_[p]] = work[p];
     };
 
     // The Schur complement is severely ill-conditioned near the central-path
     // end; two rounds of iterative refinement recover the lost digits. The
-    // residual uses the full extended operator (per-block row dots on the
-    // permuted dy), so the eliminated overlap corners are refined along with
-    // the rows.
+    // residual takes per-block row dots on the permuted dy.
     auto solve_kkt = [&](const Vector& r1, const Vector& r2, Vector& dy, Vector& dw) {
       solve_kkt_once(r1, r2, dy, dw);
       for (int refine = 0; refine < 2; ++refine) {
         double* work = work_.data();
-        for (std::size_t p = 0; p < mext_; ++p) work[p] = dy[perm_[p]];
+        for (std::size_t p = 0; p < m_; ++p) work[p] = dy[perm_[p]];
         res1_ = r1;
         bty_.assign(nf_, 0.0);  // B^T dy
         for (const SchurBlock& c : comps_) {
@@ -840,7 +776,7 @@ class Ipm {
           for (std::size_t a = 0; a < c.size; ++a)
             res1_[perm_[c.offset + a]] -= kern.dot(c.schur.row_ptr(a), dyc, c.size);
           if (c.bfree.empty()) continue;
-          for (std::size_t a = 0; a < c.nreal; ++a) {
+          for (std::size_t a = 0; a < c.size; ++a) {
             res1_[perm_[c.offset + a]] -= kern.dot(c.bfree.row_ptr(a), dw.data(), nf_);
             if (dyc[a] != 0.0) kern.axpy(dyc[a], c.bfree.row_ptr(a), bty_.data(), nf_);
           }
@@ -973,9 +909,7 @@ class Ipm {
                      Solution& out) const {
     out.x = s.x;
     out.z = s.z;
-    // Overlap multipliers are internal state: only the row multipliers
-    // leave the solver (the blob/warm-start space has no overlap slots).
-    out.y.assign(s.y.begin(), s.y.begin() + static_cast<std::ptrdiff_t>(m_));
+    out.y = s.y;
     out.w = s.w;
     out.primal_objective = primal_objective(s);
     out.dual_objective = dual_objective(s);
@@ -990,9 +924,6 @@ class Ipm {
   SolveContext& ctx_;
   std::shared_ptr<const ProblemStructure> structure_;
   std::vector<std::vector<BlockRowView>> views_;
-  /// Native decomposed cones: overlap couplings as virtual rows [m, m+q).
-  /// Pointers into p_.cones() (stable: the problem outlives the solve).
-  std::vector<const Row*> overlap_rows_;
   /// Every block's entry map P and the assembly's scratch, built once
   /// partition_schur has numbered the rows within their Schur blocks.
   std::optional<SchurAssembly> assembly_;
@@ -1001,10 +932,10 @@ class Ipm {
   // first iteration and refactored in place after that; nothing m x m
   // exists unless the problem is connected.
   std::vector<SchurBlock> comps_;
-  std::vector<std::size_t> comp_of_;  // extended row -> its Schur block
-  std::vector<std::size_t> local_;    // extended row -> index within its block
-  std::vector<std::size_t> perm_;     // work position -> extended row
-  Vector work_;                       // permuted KKT work vector (m + q)
+  std::vector<std::size_t> comp_of_;  // row -> its Schur block
+  std::vector<std::size_t> local_;    // row -> index within its block
+  std::vector<std::size_t> perm_;     // work position -> row
+  Vector work_;                       // permuted KKT work vector
   // Per-solve storage of step() (see the constructor): per-block factors,
   // Z^{-1}, residuals, corrector terms and directions — the predictor's
   // until the corrector overwrites them — then single-block scratch sized
@@ -1020,12 +951,13 @@ class Ipm {
   Vector r1_, dy_, dw_;               // KKT right-hand side and solution
   Vector vth_, res1_, res2_, bty_, cy_, cw_;  // one KKT pass and its refinement
   Vector acc_;                        // multi-RHS forward solves' scratch
+  Vector panel_;                      // the factorizations' trailing-update scratch
   // psd_step_length state: the block that bound each side's previous step,
   // and the scan's storage.
   std::size_t x_start_ = 0, z_start_ = 0;
   StepLengthWork step_work_;
   PhaseTimes phase_;
-  std::size_t m_ = 0, q_ = 0, mext_ = 0, nf_ = 0, nblocks_ = 0, total_dim_ = 0;
+  std::size_t m_ = 0, nf_ = 0, nblocks_ = 0, total_dim_ = 0;
   double data_norm_ = 1.0, c_norm_ = 1.0;
 };
 
@@ -1057,7 +989,7 @@ double psd_step_length(const std::vector<Matrix>& x, const std::vector<Cholesky>
     if (n >= 2 && chol[j].shift() == 0.0) {
       work.screen = x[j];
       work.screen.axpy(alpha, dx[j]);
-      if (linalg::factor_in_place(work.screen)) continue;
+      if (linalg::factor_in_place(work.screen, &work.panel)) continue;
     }
     const double alpha_j = max_step(chol[j], dx[j], alpha, work);
     if (alpha_j < alpha) {
@@ -1070,10 +1002,9 @@ double psd_step_length(const std::vector<Matrix>& x, const std::vector<Cholesky>
 
 Matrix schur_complement(const Problem& problem, const std::vector<Matrix>& x,
                         const std::vector<Matrix>& zinv) {
-  std::vector<std::vector<BlockRowView>> views =
+  const std::vector<std::vector<BlockRowView>> views =
       build_block_row_views(problem, build_structure(problem));
-  append_overlap_views(problem, views);
-  std::vector<std::size_t> rows(problem.num_rows() + problem.num_overlaps());
+  std::vector<std::size_t> rows(problem.num_rows());
   std::iota(rows.begin(), rows.end(), std::size_t{0});
   SchurAssembly assembly(problem, views, rows);
   Matrix m(rows.size(), rows.size());

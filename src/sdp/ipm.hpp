@@ -55,6 +55,7 @@ struct StepLengthWork {
   linalg::Matrix lower;       // F = L^{-1} dX_j
   linalg::Matrix congruence;  // L^{-1} F^T = L^{-1} dX_j L^{-T}
   linalg::Vector acc;         // the multi-RHS forward solves' scratch
+  linalg::Vector panel;       // the screen factorization's trailing-update scratch
   linalg::EigenWork eig;      // the smallest eigenvalue's storage
 };
 
@@ -75,8 +76,7 @@ double psd_step_length(const std::vector<linalg::Matrix>& x,
                        std::size_t& start, StepLengthWork& work);
 
 /// The IPM's HKM Schur complement M_ik = sum_j <A_ij, Z_j^{-1} A_kj X_j>
-/// at the iterate (X, Z^{-1}), dense over the extended rows (the problem's
-/// rows, then its decomposed cones' overlap couplings), assembled as a
+/// at the iterate (X, Z^{-1}), dense over the problem's rows, assembled as a
 /// solve assembles it: per block, P^T (Z^{-1} ⊛ X) P over the block's Gram
 /// entries. The seam for checking that assembly against an oracle.
 linalg::Matrix schur_complement(const Problem& problem, const std::vector<linalg::Matrix>& x,

@@ -97,13 +97,14 @@ Lowering lower(Problem problem, const LoweringOptions& options) {
       rec.fingerprint = out.lowered_fingerprint;
       rec.detail = out.map.identity()
                        ? "identity (nothing split)"
-                       : "native cones: " + std::to_string(out.map.plans.size()) +
-                             " cone(s), max clique " +
-                             std::to_string(out.map.max_clique_size());
+                       : std::to_string(out.map.plans.size()) + " block(s) split, max clique " +
+                             std::to_string(out.map.max_clique_size()) + ", " +
+                             std::to_string(problem.num_rows() - out.map.original_rows) +
+                             " overlap rows";
       rec.seconds = pass_timer.seconds();
       out.passes.push_back(std::move(rec));
     }
-    SOSLOCK_VERIFY_PASS(problem, out.lowered_fingerprint, "lower");
+    SOSLOCK_VERIFY_PASS(problem, out.lowered_fingerprint, "lower", nullptr, &out.map);
   }
   if (!convert) out.lowered_fingerprint = out.base_fingerprint;
 

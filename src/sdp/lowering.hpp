@@ -11,8 +11,8 @@
 //   decompose   — chordal clique planning of every qualifying PSD block
 //                 (sdp::plan_decomposition).
 //   lower       — block lowering: clique blocks replace decomposed ones,
-//                 with overlap consistency registered as
-//                 sdp::DecomposedCone couplings.
+//                 and zero-rhs overlap rows after the original rows tie
+//                 the clique copies of every shared entry.
 //   equilibrate — row equilibration (sdp/scaling).
 //
 // The decompose and lower passes run only when LoweringOptions asks for

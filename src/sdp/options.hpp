@@ -19,8 +19,7 @@ enum class SparsityOptions {
 /// Tuning for the SDP-level chordal conversion pass (SparsityOptions::Chordal).
 struct ChordalOptions {
   /// Only blocks at least this large are considered for decomposition (the
-  /// conversion adds overlap couplings, which is a bad trade for small
-  /// cones).
+  /// conversion adds overlap rows, which is a bad trade for small cones).
   std::size_t min_block_size = 24;
 };
 

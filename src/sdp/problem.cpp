@@ -112,23 +112,6 @@ std::size_t Problem::add_row(Row row) {
   return rows_.size() - 1;
 }
 
-std::size_t Problem::add_cone(DecomposedCone cone) {
-  assert(cone.cliques.size() >= 1);
-  for (const CliqueInfo& clique : cone.cliques) {
-    assert(clique.block < block_sizes_.size());
-    assert(block_sizes_[clique.block] == clique.vertices.size());
-    (void)clique;
-  }
-  cones_.push_back(std::move(cone));
-  return cones_.size() - 1;
-}
-
-std::size_t Problem::num_overlaps() const {
-  std::size_t q = 0;
-  for (const DecomposedCone& cone : cones_) q += cone.overlaps.size();
-  return q;
-}
-
 std::size_t Problem::total_psd_dim() const {
   std::size_t n = 0;
   for (std::size_t s : block_sizes_) n += s;
@@ -144,13 +127,7 @@ std::string Problem::stats() const {
   std::snprintf(buf, sizeof(buf),
                 "SDP: %zu rows, %zu blocks (max %zu, total dim %zu), %zu free vars, %zu nnz",
                 rows_.size(), block_sizes_.size(), max_block, total_psd_dim(), f_.size(), nnz);
-  std::string out = buf;
-  if (!cones_.empty()) {
-    std::snprintf(buf, sizeof(buf), ", %zu decomposed cone(s) (%zu overlap couplings)",
-                  cones_.size(), num_overlaps());
-    out += buf;
-  }
-  return out;
+  return buf;
 }
 
 std::string to_string(SolveStatus status) {

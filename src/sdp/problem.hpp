@@ -8,10 +8,12 @@
 //
 // This is exactly the shape produced by Gram-matrix SOS relaxations: the X_j
 // are Gram matrices, the w are free polynomial coefficients, and each row is
-// one monomial-coefficient matching equation. Every coefficient matrix, the
-// objectives C_j as much as the row coefficients A_ij, is a SparseSym of
-// upper triplets (as in SDPA's input format): the relaxations' C_j hold a
-// trace regularisation and a few Gram-entry coefficients at most.
+// one monomial-coefficient matching equation (a chordal lowering, see
+// sdp/chordal, appends its clique-overlap ties as more zero-rhs rows). Every
+// coefficient matrix, the objectives C_j as much as the row coefficients
+// A_ij, is a SparseSym of upper triplets (as in SDPA's input format): the
+// relaxations' C_j hold a trace regularisation and a few Gram-entry
+// coefficients at most.
 #include <cstddef>
 #include <map>
 #include <string>
@@ -61,39 +63,6 @@ struct Row {
   std::string label;  // provenance (monomial / constraint name) for debugging
 };
 
-/// One clique of a decomposed cone: which original-cone indices it spans,
-/// which problem block holds its PSD copy, and its clique-tree parent.
-/// This layout makes a lowered Problem self-describing — it is mixed into
-/// the structure fingerprint (so iterates can never cross decompositions)
-/// and tells an external consumer how to complete the clique blocks back
-/// into the original cone. The lowering pipeline's own warm-start remap and
-/// recovery read the same layout through the richer ChordalMap it keeps
-/// alongside (sdp/chordal.hpp).
-struct CliqueInfo {
-  /// Global indices of the original cone covered by this clique (ascending).
-  std::vector<std::size_t> vertices;
-  std::size_t block = 0;   // problem block index of this clique's PSD copy
-  std::size_t parent = 0;  // clique-tree parent (index into cliques; self = root)
-};
-
-/// A family of clique blocks lowered from one original PSD cone. The cone
-/// constraint is "the partial matrix assembled from the clique copies has a
-/// PSD completion", which by Grone's theorem is per-clique PSD *plus*
-/// agreement of the copies of every entry shared along the clique tree.
-/// Those agreement constraints are materialized here as zero-rhs difference
-/// couplings (child copy minus parent copy, Row-shaped so backends can reuse
-/// all sparse-coefficient machinery) — but they are NOT equality rows of the
-/// problem: native backends enforce them through multiplier terms folded into
-/// their (block-eliminated) Schur/normal factorizations, so the dense
-/// factored system keeps the original row count.
-struct DecomposedCone {
-  std::size_t original_size = 0;  // n of the original dense cone
-  std::vector<CliqueInfo> cliques;
-  /// Overlap-consistency couplings along the clique-tree edges: one zero-rhs
-  /// difference per shared entry pair, weighted so <D, X> = child - parent.
-  std::vector<Row> overlaps;
-};
-
 class Problem {
  public:
   /// Append a PSD block of size n; returns its index.
@@ -107,10 +76,6 @@ class Problem {
   void set_free_objective(std::size_t var, double coeff);
   /// Append an equality row; returns its index.
   std::size_t add_row(Row row);
-  /// Register a decomposed cone over existing clique blocks; returns its
-  /// index. Adds no rows: the cone's overlap couplings are enforced by the
-  /// backends' multiplier machinery.
-  std::size_t add_cone(DecomposedCone cone);
 
   std::size_t num_blocks() const { return block_sizes_.size(); }
   std::size_t block_size(std::size_t j) const { return block_sizes_[j]; }
@@ -122,13 +87,6 @@ class Problem {
   const SparseSym& block_objective(std::size_t j) const { return c_[j]; }
   const linalg::Vector& free_objective() const { return f_; }
   double rhs(std::size_t i) const { return rows_[i].rhs; }
-  const std::vector<DecomposedCone>& cones() const { return cones_; }
-  /// Mutable cone access — for passes that rewrite decompositions in place
-  /// and for the verifier tests that seed deliberate corruptions.
-  std::vector<DecomposedCone>& mutable_cones() { return cones_; }
-  /// Total overlap couplings over all decomposed cones (the q extra
-  /// multipliers the native backends carry alongside the m row multipliers).
-  std::size_t num_overlaps() const;
 
   /// Total PSD dimension sum_j n_j.
   std::size_t total_psd_dim() const;
@@ -140,7 +98,6 @@ class Problem {
   std::vector<SparseSym> c_;
   linalg::Vector f_;
   std::vector<Row> rows_;
-  std::vector<DecomposedCone> cones_;
 };
 
 enum class SolveStatus {
@@ -229,12 +186,6 @@ struct Solution {
   /// behind the dense-vs-clique benches; 0 when the producer did not record
   /// it.
   std::size_t max_cone = 0;
-  /// Rows of the Schur complement (IPM, summed over its diagonal blocks) /
-  /// normal matrix (ADMM) the backend factored. With native decomposed
-  /// cones this equals the problem's row count — the overlap couplings are
-  /// block-eliminated multipliers, never rows of the factored system. 0
-  /// when not recorded.
-  std::size_t schur_rows = 0;
   /// Phase the watchdogs blamed for a Diverged/Faulted/NumericalProblem
   /// outcome ("factor", "primal-residual", "iterate", ...); empty when no
   /// failure was classified.

@@ -33,8 +33,9 @@ namespace soslock::sdp {
 /// solve's equilibrated rows, so one blob replays across re-compiles with
 /// different row scales. Backend-level blobs
 /// (SolveContext::warm_start) are in the space of the problem as passed to
-/// the backend; native decomposed-cone overlap multipliers are deliberately
-/// not part of either (they restart at zero on restore).
+/// the backend, a chordal lowering's overlap rows included; base-space
+/// blobs never hold overlap-row multipliers, because remap_warm_start
+/// cold-starts a decomposed lowering.
 struct WarmStart {
   std::uint64_t fingerprint = 0;   // structure_fingerprint of the source
   std::vector<linalg::Matrix> x;   // primal PSD blocks

@@ -37,28 +37,6 @@ std::uint64_t structure_fingerprint(const Problem& p) {
     hash.mix(0x46726565ull);  // free marker
     for (const auto& [v, c] : row.free_coeffs) hash.mix(v);
   }
-  // Native decomposed cones are structure: two problems with identical rows
-  // and blocks but different clique layouts (or none) solve differently, so
-  // their iterates must never cross via the fingerprint.
-  for (const DecomposedCone& cone : p.cones()) {
-    hash.mix(0x436f6e65ull);  // cone marker
-    hash.mix(cone.original_size);
-    for (const CliqueInfo& clique : cone.cliques) {
-      hash.mix(clique.block);
-      hash.mix(clique.parent);
-      for (const std::size_t v : clique.vertices) hash.mix(v);
-    }
-    for (const Row& overlap : cone.overlaps) {
-      hash.mix(0x4f76ull);  // overlap marker
-      for (const auto& [j, a] : overlap.blocks) {
-        hash.mix(j);
-        for (const Triplet& t : a.entries) {
-          hash.mix(t.r);
-          hash.mix(t.c);
-        }
-      }
-    }
-  }
   return hash.h;
 }
 
@@ -195,17 +173,6 @@ std::vector<std::vector<BlockRowView>> build_block_row_views(
     }
   }
   return views;
-}
-
-std::vector<const Row*> append_overlap_views(
-    const Problem& p, std::vector<std::vector<BlockRowView>>& views) {
-  std::vector<const Row*> overlaps;
-  for (const DecomposedCone& cone : p.cones())
-    for (const Row& overlap : cone.overlaps) overlaps.push_back(&overlap);
-  const std::size_t m = p.num_rows();
-  for (std::size_t o = 0; o < overlaps.size(); ++o)
-    for (const auto& [j, a] : overlaps[o]->blocks) views[j].push_back({m + o, &a});
-  return overlaps;
 }
 
 }  // namespace soslock::sdp

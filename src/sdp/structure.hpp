@@ -23,9 +23,8 @@ namespace soslock::sdp {
 
 /// Hash of the value-independent structure of `p`: block sizes, free count,
 /// per row the touched blocks, triplet positions and free indices (not their
-/// values), and — for native decomposed cones — the clique layout and the
-/// overlap-coupling positions. Two problems with equal fingerprints accept
-/// each other's solver state as a warm start and share sparsity caches.
+/// values). Two problems with equal fingerprints accept each other's solver
+/// state as a warm start and share sparsity caches.
 std::uint64_t structure_fingerprint(const Problem& p);
 
 /// Provenance of one lowering pass (sdp/lowering): what ran, the structure
@@ -157,13 +156,5 @@ struct BlockRowView {
 /// views[j] lists (row, A_ij) for every row touching block j, in row order.
 std::vector<std::vector<BlockRowView>> build_block_row_views(
     const Problem& p, const ProblemStructure& structure);
-
-/// Native decomposed-cone plumbing shared by both backends: collect the
-/// cones' overlap couplings as virtual rows with extended indices
-/// [num_rows, num_rows + q) and append their coefficient views to `views`.
-/// Returns the coupling Rows in index order (pointers into p.cones(),
-/// stable for the lifetime of `p`); q == size of the result.
-std::vector<const Row*> append_overlap_views(
-    const Problem& p, std::vector<std::vector<BlockRowView>>& views);
 
 }  // namespace soslock::sdp

@@ -128,42 +128,55 @@ void check_objectives(Checker& chk, const Problem& p) {
   }
 }
 
-void check_cones(Checker& chk, const Problem& p) {
+/// The clique trees of a decomposed lowering (map.plans) against the
+/// problem they were lowered into, and the overlap rows that tie the clique
+/// copies together: the rows [map.original_rows, num_rows), each a zero-rhs
+/// difference of one separator entry between a clique and its parent.
+void check_cliques(Checker& chk, const Problem& p, const ChordalMap& map) {
+  constexpr std::size_t kNoPlan = static_cast<std::size_t>(-1);
   // Clique blocks must be bijectively assigned: no problem block may hold
-  // two cliques' PSD copies (across all cones).
+  // two cliques' PSD copies, or a clique's and a kept block's.
+  std::vector<std::size_t> plan_of_block(p.num_blocks(), kNoPlan);
   std::vector<bool> block_claimed(p.num_blocks(), false);
+  for (const std::size_t cb : map.block_map) {
+    if (cb < p.num_blocks()) block_claimed[cb] = true;
+  }
+  std::size_t expected_overlaps = 0;
 
-  for (std::size_t ci = 0; ci < p.cones().size(); ++ci) {
-    const DecomposedCone& cone = p.cones()[ci];
-    const std::string where = "cone " + std::to_string(ci);
-    if (cone.original_size == 0 || cone.cliques.empty()) {
-      chk.fail("cone-empty", where, ": original size ", cone.original_size, ", ",
-               cone.cliques.size(), " clique(s)");
+  for (std::size_t pi = 0; pi < map.plans.size(); ++pi) {
+    const BlockPlan& plan = map.plans[pi];
+    const std::vector<std::vector<std::size_t>>& cliques = plan.forest.cliques;
+    const std::vector<std::size_t>& parents = plan.forest.parent;
+    const std::string where = "plan " + std::to_string(pi);
+    const std::size_t n = plan.original_size;
+    const std::size_t nk = cliques.size();
+    if (n == 0 || nk == 0 || parents.size() != nk || plan.converted_block.size() != nk) {
+      chk.fail("clique-plan", where, ": original size ", n, ", ", nk, " clique(s), ",
+               parents.size(), " parent(s), ", plan.converted_block.size(),
+               " clique block(s)");
       continue;
     }
-    const std::size_t n = cone.original_size;
-    const std::size_t nk = cone.cliques.size();
     std::vector<bool> covered(n, false);
     std::vector<bool> seen(n, false);  // vertices of cliques [0, k)
 
     for (std::size_t k = 0; k < nk; ++k) {
-      const CliqueInfo& clique = cone.cliques[k];
+      const std::vector<std::size_t>& clique = cliques[k];
       const std::string cwhere = where + " clique " + std::to_string(k);
-      if (clique.vertices.empty()) {
+      if (clique.empty()) {
         chk.fail("clique-vertices", cwhere, ": no vertices");
         continue;
       }
       bool vertices_ok = true;
-      for (std::size_t a = 0; a < clique.vertices.size(); ++a) {
-        const std::size_t v = clique.vertices[a];
+      for (std::size_t a = 0; a < clique.size(); ++a) {
+        const std::size_t v = clique[a];
         if (v >= n) {
-          chk.fail("clique-vertices", cwhere, ": vertex ", v, " outside cone of size ", n);
+          chk.fail("clique-vertices", cwhere, ": vertex ", v, " outside block of size ", n);
           vertices_ok = false;
           break;
         }
-        if (a > 0 && clique.vertices[a - 1] >= v) {
+        if (a > 0 && clique[a - 1] >= v) {
           chk.fail("clique-vertices", cwhere, ": vertices not strictly ascending at ",
-                   clique.vertices[a - 1], ", ", v);
+                   clique[a - 1], ", ", v);
           vertices_ok = false;
           break;
         }
@@ -172,50 +185,55 @@ void check_cones(Checker& chk, const Problem& p) {
       // holds the clique-local copy, the vertex list maps local<->global.
       // Consistency = block exists, its dimension equals the clique size,
       // and no other clique claims it.
-      if (clique.block >= p.num_blocks()) {
-        chk.fail("clique-block", cwhere, ": block ", clique.block, " of ", p.num_blocks());
+      const std::size_t cb = plan.converted_block[k];
+      if (cb >= p.num_blocks()) {
+        chk.fail("clique-block", cwhere, ": block ", cb, " of ", p.num_blocks());
       } else {
-        if (p.block_size(clique.block) != clique.vertices.size()) {
-          chk.fail("clique-block", cwhere, ": block ", clique.block, " has size ",
-                   p.block_size(clique.block), " but the clique has ",
-                   clique.vertices.size(), " vertices");
+        if (p.block_size(cb) != clique.size()) {
+          chk.fail("clique-block", cwhere, ": block ", cb, " has size ", p.block_size(cb),
+                   " but the clique has ", clique.size(), " vertices");
         }
-        if (block_claimed[clique.block]) {
-          chk.fail("clique-block", cwhere, ": block ", clique.block,
-                   " already holds another clique's copy");
+        if (block_claimed[cb]) {
+          chk.fail("clique-block", cwhere, ": block ", cb, " already holds another copy");
         }
-        block_claimed[clique.block] = true;
+        block_claimed[cb] = true;
+        plan_of_block[cb] = pi;
       }
       if (!vertices_ok) continue;
-      for (const std::size_t v : clique.vertices) covered[v] = true;
+      for (const std::size_t v : clique) covered[v] = true;
 
       // Clique-tree shape: parent in range; RIP preorder wants non-root
       // parents strictly earlier. (Cycle detection runs over the whole
       // parent array below — a cyclic tree also breaks the order here, but
       // the dedicated walk names the cycle.)
-      if (clique.parent >= nk) {
-        chk.fail("clique-parent", cwhere, ": parent ", clique.parent, " of ", nk);
-      } else if (clique.parent != k) {
-        if (clique.parent > k) {
-          chk.fail("clique-tree-order", cwhere, ": parent ", clique.parent,
+      const std::size_t parent = parents[k];
+      if (parent >= nk) {
+        chk.fail("clique-parent", cwhere, ": parent ", parent, " of ", nk);
+      } else if (parent != k) {
+        // One overlap row per separator entry pair (a <= b).
+        std::vector<std::size_t> sep;
+        std::set_intersection(clique.begin(), clique.end(), cliques[parent].begin(),
+                              cliques[parent].end(), std::back_inserter(sep));
+        expected_overlaps += sep.size() * (sep.size() + 1) / 2;
+        if (parent > k) {
+          chk.fail("clique-tree-order", cwhere, ": parent ", parent,
                    " does not precede its child (RIP preorder)");
         } else {
           // Running intersection: everything this clique shares with any
           // earlier clique must live in the parent — that is what makes
-          // tree-edge overlap couplings chain every copy of an entry, and
-          // what the completion/warm-remap walks rely on.
-          const CliqueInfo& parent = cone.cliques[clique.parent];
-          for (const std::size_t v : clique.vertices) {
+          // tree-edge overlap rows chain every copy of an entry, and what
+          // the completion walk relies on.
+          for (const std::size_t v : clique) {
             if (!seen[v]) continue;
-            if (!std::binary_search(parent.vertices.begin(), parent.vertices.end(), v)) {
+            if (!std::binary_search(cliques[parent].begin(), cliques[parent].end(), v)) {
               chk.fail("clique-rip", cwhere, ": shared vertex ", v,
-                       " is not in parent clique ", clique.parent);
+                       " is not in parent clique ", parent);
               break;
             }
           }
         }
       }
-      for (const std::size_t v : clique.vertices) seen[v] = true;
+      for (const std::size_t v : clique) seen[v] = true;
     }
 
     for (std::size_t v = 0; v < n; ++v) {
@@ -229,8 +247,8 @@ void check_cones(Checker& chk, const Problem& p) {
     // (parent == self) within nk steps.
     for (std::size_t k = 0; k < nk; ++k) {
       std::size_t cur = k, steps = 0;
-      while (steps <= nk && cur < nk && cone.cliques[cur].parent != cur) {
-        cur = cone.cliques[cur].parent;
+      while (steps <= nk && cur < nk && parents[cur] != cur) {
+        cur = parents[cur];
         ++steps;
       }
       if (cur < nk && steps > nk) {
@@ -239,47 +257,48 @@ void check_cones(Checker& chk, const Problem& p) {
         break;
       }
     }
+  }
 
-    // Overlap couplings: zero-rhs difference rows whose entries address the
-    // cone's own clique blocks. They become the virtual rows [m, m + q), so
-    // an invalid index here is an out-of-range read in both backends' panel
-    // machinery.
-    std::vector<bool> is_clique_block(p.num_blocks(), false);
-    for (const CliqueInfo& clique : cone.cliques) {
-      if (clique.block < p.num_blocks()) is_clique_block[clique.block] = true;
+  // Overlap rows: zero-rhs differences that tie two copies of one entry in
+  // two clique blocks of the same plan. A missing row leaves two copies
+  // free to disagree, so the completion would not be PSD.
+  if (map.original_rows > p.num_rows() ||
+      p.num_rows() - map.original_rows != expected_overlaps) {
+    chk.fail("overlap-count", p.num_rows(), " rows after the ", map.original_rows,
+             " original ones, the clique trees tie ", expected_overlaps, " entries");
+    if (map.original_rows > p.num_rows()) return;
+  }
+  for (std::size_t i = map.original_rows; i < p.num_rows(); ++i) {
+    const Row& row = p.rows()[i];
+    const std::string where = "overlap row " + std::to_string(i);
+    if (row.rhs != 0.0) chk.fail("overlap-rhs", where, ": rhs is ", row.rhs);
+    if (!row.free_coeffs.empty()) {
+      chk.fail("overlap-free", where, ": touches ", row.free_coeffs.size(),
+               " free variable(s)");
     }
-    for (std::size_t o = 0; o < cone.overlaps.size(); ++o) {
-      const Row& row = cone.overlaps[o];
-      const std::string owhere = where + " overlap " + std::to_string(o);
-      if (row.rhs != 0.0) chk.fail("overlap-rhs", owhere, ": rhs is ", row.rhs);
-      if (!row.free_coeffs.empty()) {
-        chk.fail("overlap-free", owhere, ": touches ", row.free_coeffs.size(),
-                 " free variable(s)");
+    if (row.blocks.empty()) chk.fail("overlap-empty", where, ": no coefficients");
+    // Pair shape: each overlap row ties exactly two clique copies (child,
+    // parent) with entry-aligned coefficients. A lopsided or many-sided row
+    // is no longer the ±w difference of one entry.
+    if (!row.blocks.empty() && row.blocks.size() != 2) {
+      chk.fail("overlap-pair", where, ": couples ", row.blocks.size(),
+               " block(s), expected exactly 2 (child, parent)");
+    } else if (row.blocks.size() == 2) {
+      const auto first = row.blocks.begin();
+      const auto second = std::next(first);
+      if (first->second.entries.size() != second->second.entries.size()) {
+        chk.fail("overlap-pair", where, ": sides carry ", first->second.entries.size(),
+                 " vs ", second->second.entries.size(), " entries (copies must pair 1:1)");
       }
-      if (row.blocks.empty()) chk.fail("overlap-empty", owhere, ": no coefficients");
-      // Pair shape: each coupling ties exactly two clique copies (child,
-      // parent) with entry-aligned coefficients. A lopsided or many-sided
-      // row breaks the ±w difference semantics the ADMM and IPM overlap
-      // multipliers are built on.
-      if (!row.blocks.empty() && row.blocks.size() != 2) {
-        chk.fail("overlap-pair", owhere, ": couples ", row.blocks.size(),
-                 " block(s), expected exactly 2 (child, parent)");
-      } else if (row.blocks.size() == 2) {
-        const auto first = row.blocks.begin();
-        const auto second = std::next(first);
-        if (first->second.entries.size() != second->second.entries.size()) {
-          chk.fail("overlap-pair", owhere, ": sides carry ",
-                   first->second.entries.size(), " vs ", second->second.entries.size(),
-                   " entries (copies must pair 1:1)");
-        }
-      }
-      for (const auto& [j, a] : row.blocks) {
-        if (j >= p.num_blocks() || !is_clique_block[j]) {
-          chk.fail("overlap-block", owhere, ": references block ", j,
-                   " which is not a clique block of this cone");
-          continue;
-        }
-        check_sparse_coeff(chk, a, p.block_size(j), owhere, j);
+    }
+    const std::size_t plan = row.blocks.empty() || row.blocks.begin()->first >= p.num_blocks()
+                                 ? kNoPlan
+                                 : plan_of_block[row.blocks.begin()->first];
+    for (const auto& [j, a] : row.blocks) {
+      if (plan == kNoPlan || j >= p.num_blocks() || plan_of_block[j] != plan) {
+        chk.fail("overlap-block", where, ": references block ", j,
+                 " which is not a clique block of one plan");
+        break;
       }
     }
   }
@@ -352,12 +371,13 @@ void check_structure(Checker& chk, const Problem& p, const ProblemStructure& s) 
 
 }  // namespace
 
-VerifyResult verify(const Problem& p, const ProblemStructure* structure) {
+VerifyResult verify(const Problem& p, const ProblemStructure* structure,
+                    const ChordalMap* map) {
   VerifyResult out;
   Checker chk(out);
   check_objectives(chk, p);
   check_rows(chk, p);
-  check_cones(chk, p);
+  if (map != nullptr && !map->identity()) check_cliques(chk, p, *map);
   if (structure != nullptr) {
     if (!structure->provenance.empty()) out.pass = structure->provenance.back().name;
     check_structure(chk, p, *structure);
@@ -366,8 +386,9 @@ VerifyResult verify(const Problem& p, const ProblemStructure* structure) {
 }
 
 void verify_pass_or_throw(const Problem& p, std::uint64_t expected_fingerprint,
-                          const char* pass, const ProblemStructure* structure) {
-  VerifyResult result = verify(p, structure);
+                          const char* pass, const ProblemStructure* structure,
+                          const ChordalMap* map) {
+  VerifyResult result = verify(p, structure, map);
   result.pass = pass;
   if (expected_fingerprint != 0) {
     const std::uint64_t fp = structure_fingerprint(p);

@@ -741,13 +741,14 @@ TEST(KernelParity, CholTrailingUpdateLowerTriangleParity) {
           ref[r * ld + kb + j] -= scalar_kernels().dot(pr, ref.data() + j * ld, kb);
       }
       Vector ps = panel0;
-      scalar_kernels().chol_trailing_update(ntrail, kb, ps.data(), ld);
+      scalar_kernels().chol_trailing_update(ntrail, kb, ps.data(), ld, nullptr);
       EXPECT_EQ(max_abs_diff(ps, ref), 0.0)
           << "scalar chol_trailing_update ntrail=" << ntrail << " kb=" << kb;
       const double tol = 1e-13 * static_cast<double>(kb + 1);
+      Vector scratch(kb * ntrail);
       for (const Kernels* t : vector_tables()) {
         Vector pv = panel0;
-        t->chol_trailing_update(ntrail, kb, pv.data(), ld);
+        t->chol_trailing_update(ntrail, kb, pv.data(), ld, scratch.data());
         double worst = 0.0;
         for (std::size_t r = 0; r < ntrail; ++r)
           for (std::size_t j = 0; j <= r; ++j)

@@ -1,12 +1,11 @@
-// Tests for the staged SOS→SDP lowering pipeline (sdp/lowering) and native
-// decomposed cones in the backends: pass provenance, native-vs-seam verdict
-// parity on banded SDPs and the clock-tree coupling model (the seam being a
-// test-only lowering with the overlap couplings as equality rows), the
-// Schur-complement geometry claim (zero overlap rows in the factored
-// system; one overlap elimination per Schur block on independent cones),
-// the warm-blob drift guard, the canonical entry index against a clique
-// scan, the ADMM on the clustered clock tree the clock_tree benchmark runs,
-// and the LoweringCache's in-place update and fallback contract.
+// Tests for the staged SOS→SDP lowering pipeline (sdp/lowering) and chordal
+// lowerings in the backends: pass provenance, the overlap rows a decomposed
+// lowering appends, verdict parity of decomposed solves with the dense IPM
+// solve on banded SDPs and the clock-tree coupling model (IPM and ADMM, and
+// the IPM on two independent decomposed blocks), the warm-blob drift guard,
+// the canonical entry index against a clique scan, the ADMM on the
+// clustered clock tree the clock_tree benchmark runs, and the
+// LoweringCache's in-place update and fallback contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -81,18 +80,6 @@ LoweringOptions chordal_lowering(std::size_t min_block_size) {
   return low;
 }
 
-/// The seam conversion, as a parity oracle: every cone's overlap couplings
-/// become ordinary equality rows after the original ones, and the cones go.
-/// The backends then see a plain block SDP whose Schur complement carries
-/// the overlap rows; sdp::recover drops their multipliers again.
-Lowering seam_of(Lowering low) {
-  for (const sdp::DecomposedCone& cone : low.problem.cones())
-    for (const sdp::Row& row : cone.overlaps) low.problem.add_row(row);
-  low.problem.mutable_cones().clear();
-  low.lowered_fingerprint = sdp::structure_fingerprint(low.problem);
-  return low;
-}
-
 /// Primal feasibility of a recovered solution against the original problem.
 double primal_violation(const Problem& original, const Solution& recovered) {
   double worst = 0.0;
@@ -126,27 +113,32 @@ TEST(LoweringPipeline, PassesRecordProvenanceAndSeedTheCache) {
   EXPECT_EQ(structure->provenance[2].name, "lower");
 }
 
-TEST(LoweringPipeline, NativeLoweringAddsConesNotRows) {
+TEST(LoweringPipeline, DecomposedLoweringAppendsOverlapRows) {
   const Problem original = banded_sdp(30);
-  const Lowering native = sdp::lower(banded_sdp(30), chordal_lowering(8));
-  const Lowering seam = seam_of(native);
-  ASSERT_TRUE(native.decomposed());
-  ASSERT_TRUE(seam.decomposed());
+  const Lowering low = sdp::lower(banded_sdp(30), chordal_lowering(8));
+  ASSERT_TRUE(low.decomposed());
+  ASSERT_EQ(low.map.original_rows, original.num_rows());
+  ASSERT_GT(low.problem.num_rows(), original.num_rows());
 
-  // Native: original row count, overlap couplings on the cone. Seam: the
-  // couplings are rows.
-  EXPECT_EQ(native.problem.num_rows(), original.num_rows());
-  EXPECT_GT(native.problem.num_overlaps(), 0u);
-  EXPECT_FALSE(native.problem.cones().empty());
-  EXPECT_EQ(seam.problem.num_rows(), original.num_rows() + native.problem.num_overlaps());
-  EXPECT_EQ(seam.problem.num_overlaps(), 0u);
-
-  // The two lowerings share the base space but are distinct structures.
-  EXPECT_EQ(native.base_fingerprint, seam.base_fingerprint);
-  EXPECT_NE(native.lowered_fingerprint, seam.lowered_fingerprint);
+  // Every row after the original ones ties one separator entry of two
+  // clique blocks: zero rhs, no free variable, the child's copy against the
+  // parent's with one entry a side.
+  for (std::size_t i = original.num_rows(); i < low.problem.num_rows(); ++i) {
+    const sdp::Row& row = low.problem.rows()[i];
+    EXPECT_EQ(row.rhs, 0.0) << i;
+    EXPECT_TRUE(row.free_coeffs.empty()) << i;
+    ASSERT_EQ(row.blocks.size(), 2u) << i;
+    double sum = 0.0;
+    for (const auto& [j, a] : row.blocks) {
+      ASSERT_EQ(a.entries.size(), 1u) << i;
+      sum += a.entries[0].v;
+    }
+    EXPECT_EQ(sum, 0.0) << i;
+  }
+  EXPECT_NE(low.base_fingerprint, low.lowered_fingerprint);
 }
 
-TEST(LoweringPipeline, NativeVsSeamVerdictParityOnBandedAndClockTree) {
+TEST(LoweringPipeline, DecomposedVerdictParityOnBandedAndClockTree) {
   struct Case {
     const char* name;
     Problem problem;
@@ -160,38 +152,24 @@ TEST(LoweringPipeline, NativeVsSeamVerdictParityOnBandedAndClockTree) {
     const Solution dense_sol = sdp::IpmSolver().solve(c.problem);
     ASSERT_EQ(dense_sol.status, SolveStatus::Optimal) << c.name;
 
-    Solution recovered[2];
-    std::size_t schur_rows[2];
-    int slot = 0;
-    for (const bool seam : {false, true}) {
-      Lowering low = sdp::lower(c.problem, chordal_lowering(c.min_block_size));
-      if (seam) low = seam_of(std::move(low));
-      ASSERT_TRUE(low.decomposed()) << c.name;
-      sdp::SolveContext context;
-      const Solution sol = sdp::IpmSolver().solve(low.problem, context);
-      schur_rows[slot] = sol.schur_rows;
-      recovered[slot] = sdp::recover(sol, low);
-      ++slot;
-    }
-    // Audit-identical verdicts: same status, same objective, both recover a
-    // primal-feasible PSD iterate and both match the dense solve.
-    EXPECT_EQ(recovered[0].status, recovered[1].status) << c.name;
-    for (int i = 0; i < 2; ++i) {
-      ASSERT_EQ(recovered[i].status, SolveStatus::Optimal) << c.name;
-      EXPECT_NEAR(recovered[i].primal_objective, dense_sol.primal_objective,
-                  1e-4 * (1.0 + std::fabs(dense_sol.primal_objective)))
-          << c.name;
-      EXPECT_GE(linalg::min_eigenvalue(recovered[i].x[0]), -1e-6) << c.name;
-      EXPECT_LT(primal_violation(c.problem, recovered[i]), 1e-5) << c.name;
-      // The convert/complete phases of the lowering round trip are stamped.
-      EXPECT_GT(recovered[i].phase.convert, 0.0) << c.name;
-      EXPECT_GT(recovered[i].phase.complete, 0.0) << c.name;
-    }
-    // Zero overlap-consistency rows in the native Schur complement: the
-    // factored system keeps the original row count, while the seam carries
-    // one extra row per overlap entry.
-    EXPECT_EQ(schur_rows[0], c.problem.num_rows()) << c.name;
-    EXPECT_GT(schur_rows[1], schur_rows[0]) << c.name;
+    const Lowering low = sdp::lower(c.problem, chordal_lowering(c.min_block_size));
+    ASSERT_TRUE(low.decomposed()) << c.name;
+    sdp::SolveContext context;
+    const Solution recovered =
+        sdp::recover(sdp::IpmSolver().solve(low.problem, context), low);
+    // Audit-identical verdict: the decomposed solve recovers a
+    // primal-feasible PSD iterate with the dense solve's objective.
+    ASSERT_EQ(recovered.status, SolveStatus::Optimal) << c.name;
+    EXPECT_NEAR(recovered.primal_objective, dense_sol.primal_objective,
+                1e-4 * (1.0 + std::fabs(dense_sol.primal_objective)))
+        << c.name;
+    EXPECT_GE(linalg::min_eigenvalue(recovered.x[0]), -1e-6) << c.name;
+    EXPECT_LT(primal_violation(c.problem, recovered), 1e-5) << c.name;
+    // Only the original rows' multipliers leave the round trip.
+    EXPECT_EQ(recovered.y.size(), c.problem.num_rows()) << c.name;
+    // The convert/complete phases of the lowering round trip are stamped.
+    EXPECT_GT(recovered.phase.convert, 0.0) << c.name;
+    EXPECT_GT(recovered.phase.complete, 0.0) << c.name;
   }
 }
 
@@ -213,24 +191,28 @@ Problem side_by_side(const Problem& a, const Problem& b) {
   return p;
 }
 
-// Two independent banded SDPs lowered chordally give two decomposed cones
-// whose rows and overlap couplings never meet: the IPM's Schur complement
-// is two blocks, each with its own overlap corner to eliminate. The
-// recovered optimum must match the undecomposed solve, and the factored
-// rows still sum to the original row count.
-TEST(LoweringPipeline, IpmEliminatesOverlapsPerSchurBlock) {
+// Two independent banded SDPs lowered chordally give two decomposed blocks
+// whose rows, overlap rows included, never meet: the IPM's Schur complement
+// is two blocks. The recovered optimum must match the undecomposed solve.
+TEST(LoweringPipeline, IpmSolvesIndependentDecomposedBlocks) {
   const Problem original = side_by_side(banded_sdp(30), banded_sdp(24, 1.3));
   const Solution dense_sol = sdp::IpmSolver().solve(original);
   ASSERT_EQ(dense_sol.status, SolveStatus::Optimal);
 
   const Lowering low = sdp::lower(original, chordal_lowering(8));
   ASSERT_TRUE(low.decomposed());
-  ASSERT_EQ(low.problem.cones().size(), 2u);
-  for (const sdp::DecomposedCone& cone : low.problem.cones())
-    EXPECT_FALSE(cone.overlaps.empty());
+  ASSERT_EQ(low.map.plans.size(), 2u);
+  // Each plan's clique blocks carry overlap rows of their own.
+  for (const sdp::BlockPlan& plan : low.map.plans) {
+    std::size_t ties = 0;
+    for (std::size_t i = low.map.original_rows; i < low.problem.num_rows(); ++i) {
+      const std::size_t j = low.problem.rows()[i].blocks.begin()->first;
+      ties += std::count(plan.converted_block.begin(), plan.converted_block.end(), j);
+    }
+    EXPECT_GT(ties, 0u) << plan.original_block;
+  }
   sdp::SolveContext context;
   const Solution sol = sdp::IpmSolver().solve(low.problem, context);
-  EXPECT_EQ(sol.schur_rows, original.num_rows());
   const Solution recovered = sdp::recover(sol, low);
   ASSERT_EQ(recovered.status, SolveStatus::Optimal);
   EXPECT_NEAR(recovered.primal_objective, dense_sol.primal_objective,
@@ -239,28 +221,19 @@ TEST(LoweringPipeline, IpmEliminatesOverlapsPerSchurBlock) {
   for (const Matrix& x : recovered.x) EXPECT_GE(linalg::min_eigenvalue(x), -1e-6);
 }
 
-TEST(LoweringPipeline, AdmmSolvesNativeConesWithSeamParity) {
+TEST(LoweringPipeline, AdmmSolvesDecomposedLoweringWithDenseParity) {
   const Problem original = clock_tree_sdp(6);
-  const Solution dense_sol = sdp::AdmmSolver().solve(original);
+  const Solution dense_sol = sdp::IpmSolver().solve(original);
   ASSERT_EQ(dense_sol.status, SolveStatus::Optimal);
 
-  Solution recovered[2];
-  for (const bool seam : {false, true}) {
-    Lowering low = sdp::lower(original, chordal_lowering(4));
-    if (seam) low = seam_of(std::move(low));
-    ASSERT_TRUE(low.decomposed());
-    sdp::SolveContext context;
-    const Solution sol = sdp::AdmmSolver().solve(low.problem, context);
-    EXPECT_EQ(sol.schur_rows, seam ? low.problem.num_rows() : original.num_rows());
-    recovered[seam ? 1 : 0] = sdp::recover(sol, low);
-  }
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_EQ(recovered[i].status, SolveStatus::Optimal) << i;
-    EXPECT_NEAR(recovered[i].primal_objective, dense_sol.primal_objective,
-                1e-3 * (1.0 + std::fabs(dense_sol.primal_objective)))
-        << i;
-    EXPECT_LT(primal_violation(original, recovered[i]), 1e-4) << i;
-  }
+  const Lowering low = sdp::lower(original, chordal_lowering(4));
+  ASSERT_TRUE(low.decomposed());
+  sdp::SolveContext context;
+  const Solution recovered = sdp::recover(sdp::AdmmSolver().solve(low.problem, context), low);
+  ASSERT_EQ(recovered.status, SolveStatus::Optimal);
+  EXPECT_NEAR(recovered.primal_objective, dense_sol.primal_objective,
+              1e-3 * (1.0 + std::fabs(dense_sol.primal_objective)));
+  EXPECT_LT(primal_violation(original, recovered), 1e-4);
 }
 
 TEST(LoweringPipeline, RecoverKeepsResilienceTelemetry) {

@@ -9,8 +9,8 @@
 //     free variables), built as core::AdvectionEngine builds its first step;
 //   * an S-procedure program whose multiplier Gram entries sit in several
 //     rows;
-//   * the chordal-lowered K=16 clock tree, whose overlap couplings are rows
-//     [m, m+q) of the extended system.
+//   * the chordal-lowered K=16 clock tree, whose overlap ties are plain
+//     rows after the original ones.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,13 +46,12 @@ using poly::Polynomial;
 using sdp::Problem;
 
 /// Block j's part of the Schur complement by the panel formula, dense over
-/// the extended rows (the problem's rows, then its overlap couplings).
+/// the problem's rows.
 Matrix panel_schur(const Problem& p, std::size_t j, const Matrix& x, const Matrix& zinv) {
-  std::vector<std::vector<sdp::BlockRowView>> views =
+  const std::vector<std::vector<sdp::BlockRowView>> views =
       sdp::build_block_row_views(p, sdp::build_structure(p));
-  sdp::append_overlap_views(p, views);
-  const std::size_t mext = p.num_rows() + p.num_overlaps(), n = p.block_size(j);
-  Matrix m(mext, mext), panel(n, n);
+  const std::size_t n = p.block_size(j);
+  Matrix m(p.num_rows(), p.num_rows()), panel(n, n);
   auto add_outer = [&panel, n](double v, const double* u, const double* w) {
     for (std::size_t a = 0; a < n; ++a)
       for (std::size_t b = 0; b < n; ++b) panel(a, b) += v * u[a] * w[b];
@@ -250,7 +249,7 @@ TEST(SchurAssembly, MatchesPanelOracleOnChordalClockTreeWithOverlapRows) {
   const sdp::Lowering low =
       sdp::lower(pll::clock_tree_coupling_sdp(model.constants, tree), options);
   ASSERT_TRUE(low.decomposed());
-  ASSERT_GT(low.problem.num_overlaps(), 0u);
+  ASSERT_GT(low.problem.num_rows(), low.map.original_rows);  // the overlap rows
   expect_matches_panel_oracle(low.problem, 13);
 }
 

@@ -1,13 +1,14 @@
 // Tests for the debug-mode lowering verifier (sdp/verify): a clean pipeline
 // output verifies, and every deliberately seeded corruption — out-of-range
 // triplet, tampered clique entry map, NaN objective, stale fingerprint,
-// cyclic clique-tree parent array — is caught with the offending pass named
-// in the thrown report. Plus the TSan-targeted stress test: eight sweep
+// cyclic clique-tree parent array, malformed overlap row — is caught with
+// the offending pass named in the thrown report. Plus the TSan-targeted stress test: eight sweep
 // lanes, each with its own LoweringCache, hammering the shared
 // StructureCache::global() under eviction churn while a telemetry thread
 // polls the counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -84,6 +85,12 @@ LoweredFixture lowered_banded() {
   return f;
 }
 
+/// The clique-tree and overlap-row checks: the fixture's problem against
+/// its lowering's map, as the post-lower hook runs them.
+VerifyResult verify_map(const LoweredFixture& f) {
+  return sdp::verify(f.low.problem, nullptr, &f.low.map);
+}
+
 TEST(Verify, CleanPipelineOutputVerifies) {
   LoweredFixture f = lowered_banded();
   ASSERT_TRUE(f.low.decomposed());
@@ -146,26 +153,35 @@ TEST(Verify, NonCanonicalTripletCaught) {
 
 TEST(Verify, TamperedCliqueEntryMapCaught) {
   LoweredFixture f = lowered_banded();
-  ASSERT_FALSE(f.low.problem.cones().empty());
-  auto& cone = f.low.problem.mutable_cones()[0];
-  ASSERT_GE(cone.cliques.size(), 2u);
+  ASSERT_FALSE(f.low.map.plans.empty());
+  sdp::BlockPlan& plan = f.low.map.plans[0];
+  ASSERT_GE(plan.forest.cliques.size(), 2u);
+  EXPECT_TRUE(verify_map(f).ok()) << verify_map(f).str();
 
   // Point one clique's entry map at another clique's block: the map is no
   // longer bijective, so two cliques would read/write one PSD copy.
-  const std::size_t saved = cone.cliques[1].block;
-  cone.cliques[1].block = cone.cliques[0].block;
-  VerifyResult result = sdp::verify(f.low.problem);
+  const std::size_t saved = plan.converted_block[1];
+  plan.converted_block[1] = plan.converted_block[0];
+  VerifyResult result = verify_map(f);
   EXPECT_TRUE(result.has("clique-block")) << result.str();
-  cone.cliques[1].block = saved;
+  plan.converted_block[1] = saved;
 
-  // Vertex outside the original cone: the completion would index out of it.
-  const std::size_t saved_v = cone.cliques[0].vertices.back();
-  cone.cliques[0].vertices.back() = cone.original_size + 7;
-  result = sdp::verify(f.low.problem);
+  // Vertex outside the original block: the completion would index out of it.
+  const std::size_t saved_v = plan.forest.cliques[0].back();
+  plan.forest.cliques[0].back() = plan.original_size + 7;
+  result = verify_map(f);
   EXPECT_TRUE(result.has("clique-vertices")) << result.str();
-  cone.cliques[0].vertices.back() = saved_v;
+  plan.forest.cliques[0].back() = saved_v;
 
-  EXPECT_TRUE(sdp::verify(f.low.problem).ok());
+  // Vertex 0 dropped from every clique that holds it: no clique covers it.
+  const std::vector<std::vector<std::size_t>> saved_cliques = plan.forest.cliques;
+  for (std::vector<std::size_t>& clique : plan.forest.cliques)
+    clique.erase(std::remove(clique.begin(), clique.end(), 0u), clique.end());
+  result = verify_map(f);
+  EXPECT_TRUE(result.has("clique-cover")) << result.str();
+  plan.forest.cliques = saved_cliques;
+
+  EXPECT_TRUE(verify_map(f).ok());
 }
 
 TEST(Verify, NaNObjectiveCaughtWithPassNamed) {
@@ -227,63 +243,79 @@ TEST(Verify, StaleFingerprintCaughtWithPassNamed) {
 
 TEST(Verify, CyclicCliqueTreeParentCaught) {
   LoweredFixture f = lowered_banded();
-  auto& cone = f.low.problem.mutable_cones()[0];
-  ASSERT_GE(cone.cliques.size(), 2u);
+  std::vector<std::size_t>& parent = f.low.map.plans[0].forest.parent;
+  ASSERT_GE(parent.size(), 2u);
   // Two cliques pointing at each other: a completion walk along the "tree"
   // never terminates.
-  cone.cliques[0].parent = 1;
-  cone.cliques[1].parent = 0;
-  const VerifyResult result = sdp::verify(f.low.problem);
+  parent[0] = 1;
+  parent[1] = 0;
+  const VerifyResult result = verify_map(f);
   EXPECT_TRUE(result.has("clique-tree-cycle")) << result.str();
 }
 
 TEST(Verify, RipViolationAndBadParentCaught) {
   LoweredFixture f = lowered_banded();
-  auto& cone = f.low.problem.mutable_cones()[0];
-  ASSERT_GE(cone.cliques.size(), 2u);
+  std::vector<std::size_t>& parent = f.low.map.plans[0].forest.parent;
+  ASSERT_GE(parent.size(), 2u);
 
-  const std::size_t saved = cone.cliques[1].parent;
-  cone.cliques[1].parent = cone.cliques.size() + 4;
-  EXPECT_TRUE(sdp::verify(f.low.problem).has("clique-parent"));
-  cone.cliques[1].parent = saved;
+  const std::size_t saved = parent[1];
+  parent[1] = parent.size() + 4;
+  EXPECT_TRUE(verify_map(f).has("clique-parent"));
+  parent[1] = saved;
 
   // Reparent a non-root clique onto a disjoint one: the vertices it shares
   // with earlier cliques are no longer in its parent (RIP broken), so the
-  // overlap couplings no longer chain every copy of the shared entries.
-  const std::size_t nk = cone.cliques.size();
+  // overlap rows no longer chain every copy of the shared entries.
+  const std::size_t nk = parent.size();
   ASSERT_GE(nk, 3u);
   const std::size_t last = nk - 1;
-  if (cone.cliques[last].parent != last) {
-    cone.cliques[last].parent = 0;  // cliques 0 and last are disjoint in a long band
-    EXPECT_TRUE(sdp::verify(f.low.problem).has("clique-rip"));
+  if (parent[last] != last) {
+    parent[last] = 0;  // cliques 0 and last are disjoint in a long band
+    EXPECT_TRUE(verify_map(f).has("clique-rip"));
   }
 }
 
 TEST(Verify, OverlapPairShapeMismatchCaught) {
   LoweredFixture f = lowered_banded();
-  auto& cone = f.low.problem.mutable_cones()[0];
-  ASSERT_FALSE(cone.overlaps.empty());
-  sdp::Row& overlap = cone.overlaps[0];
+  const sdp::BlockPlan& plan = f.low.map.plans[0];
+  std::vector<sdp::Row>& rows = f.low.problem.mutable_rows();
+  ASSERT_GT(rows.size(), f.low.map.original_rows);
+  sdp::Row& overlap = rows[f.low.map.original_rows];
   ASSERT_EQ(overlap.blocks.size(), 2u);
 
-  // Copies no longer pair 1:1: one side of the coupling lost an entry, so
-  // the ±w difference no longer compares matching separator entries.
+  // Copies no longer pair 1:1: one side of the tie lost its entry, so the
+  // ±w difference no longer compares matching separator entries.
   const sdp::SparseSym saved = overlap.blocks.begin()->second;
   ASSERT_FALSE(saved.entries.empty());
   overlap.blocks.begin()->second.entries.pop_back();
-  EXPECT_TRUE(sdp::verify(f.low.problem).has("overlap-pair"));
+  EXPECT_TRUE(verify_map(f).has("overlap-pair"));
   overlap.blocks.begin()->second = saved;
 
-  // A three-sided coupling: each overlap pairs exactly (child, parent).
-  ASSERT_GE(cone.cliques.size(), 3u);
-  std::size_t third = cone.cliques[2].block;
-  if (overlap.blocks.count(third) != 0) third = cone.cliques[1].block;
+  // A three-sided tie: each overlap row pairs exactly (child, parent).
+  ASSERT_GE(plan.converted_block.size(), 3u);
+  std::size_t third = plan.converted_block[2];
+  if (overlap.blocks.count(third) != 0) third = plan.converted_block[1];
   ASSERT_EQ(overlap.blocks.count(third), 0u);
   overlap.blocks[third] = saved;
-  EXPECT_TRUE(sdp::verify(f.low.problem).has("overlap-pair"));
+  EXPECT_TRUE(verify_map(f).has("overlap-pair"));
   overlap.blocks.erase(third);
 
-  EXPECT_TRUE(sdp::verify(f.low.problem).ok());
+  // A nonzero rhs or a free variable: no longer a tie between two copies.
+  overlap.rhs = 0.5;
+  EXPECT_TRUE(verify_map(f).has("overlap-rhs"));
+  overlap.rhs = 0.0;
+  f.low.problem.add_free(0.0);
+  overlap.free_coeffs[0] = 1.0;
+  EXPECT_TRUE(verify_map(f).has("overlap-free"));
+  overlap.free_coeffs.clear();
+
+  // A dropped overlap row leaves two copies free to disagree.
+  const sdp::Row last = rows.back();
+  rows.pop_back();
+  EXPECT_TRUE(verify_map(f).has("overlap-count"));
+  rows.push_back(last);
+
+  EXPECT_TRUE(verify_map(f).ok());
 }
 
 TEST(Verify, TamperedProvenanceCaught) {
